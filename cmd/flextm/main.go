@@ -17,7 +17,7 @@
 //
 // When an observed run (or one writing artifacts) receives SIGINT/SIGQUIT,
 // the next pump tick flushes partial artifacts — flight-recorder profile,
-// telemetry tables, the Chrome trace written so far — before exiting 130.
+// telemetry tables, the windowed attempt timeline — before exiting 130.
 //
 // Serializability oracle (internal/oracle + internal/stress):
 //
@@ -63,9 +63,9 @@ func main() {
 	ops := flag.Int("ops", harness.DefaultOps, "operations per thread")
 	cores := flag.Int("cores", 16, "cores in the simulated CMP")
 	verify := flag.Bool("verify", true, "check structural invariants after the run")
-	traceStats := flag.Bool("tracestats", false, "print a transaction-level trace summary (FlexTM systems)")
+	traceStats := flag.Bool("tracestats", false, "print a transaction-level trace summary folded from the flight recorder (FlexTM systems)")
 	metrics := flag.Bool("metrics", false, "collect per-mechanism telemetry and print counter + cycle-attribution tables")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON timeline to FILE (open in chrome://tracing or Perfetto)")
+	traceOut := flag.String("trace-out", "", "write the per-core attempt timeline, with kill arrows and a critical-path track, as Chrome trace_event JSON to FILE (open in chrome://tracing or Perfetto)")
 	faults := flag.String("faults", "", "fault injection spec, e.g. 'commit-race:0.3,alert-loss:0.1' or 'all:0.05' (classes: "+faultClassList()+")")
 	faultSeed := flag.Uint64("fault-seed", 1, "fault-schedule seed; same seed + config replays the identical campaign")
 	profile := flag.Bool("profile", false, "record a flight-recorder history and print the conflict-graph contention profile")
@@ -242,10 +242,7 @@ func main() {
 	machine := tmesi.DefaultConfig()
 	machine.Cores = *cores
 
-	var rec *trace.Recorder
-	if *traceStats || *traceOut != "" {
-		rec = trace.NewRecorder()
-	}
+	tracing := *traceStats || *traceOut != ""
 	var faultCfg fault.Config
 	if *faults != "" {
 		var err error
@@ -255,14 +252,14 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	// What an interrupted run leaves behind: the Chrome trace written so
-	// far, the telemetry tables, and the windowed contention profile (plus
-	// its DOT/JSON forms when those were requested). Runs inside the
-	// simulation via the pump's OnFlush, so nothing here races the workers.
+	// What an interrupted run leaves behind: the windowed attempt timeline,
+	// the telemetry tables, and the windowed contention profile (plus its
+	// DOT/JSON forms when those were requested). Runs inside the simulation
+	// via the pump's OnFlush, so nothing here races the workers.
 	flushArtifacts = func(fr *observatory.Frame) {
-		if *traceOut != "" && rec != nil {
-			if err := writeChromeTrace(*traceOut, rec); err == nil {
-				fmt.Fprintf(os.Stderr, "trace       partial -> %s\n", *traceOut)
+		if *traceOut != "" && fr.Causal != nil {
+			if err := writeChromeTrace(*traceOut, fr.Causal); err == nil {
+				fmt.Fprintf(os.Stderr, "trace       partial (window) -> %s\n", *traceOut)
 			}
 		}
 		fmt.Fprintln(os.Stderr, "-- telemetry at interrupt --")
@@ -297,21 +294,26 @@ func main() {
 			}
 		}
 	}
-	res, err := harness.Run(harness.RunConfig{
+	rc := harness.RunConfig{
 		System:       harness.SystemName(*system),
 		Workload:     f,
 		Threads:      *threads,
 		OpsPerThread: *ops,
 		Machine:      machine,
 		Verify:       *verify,
-		Tracer:       rec,
 		Metrics:      *metrics,
-		Flight:       *profile || *causalOn || queryCfg.on(),
+		Flight:       *profile || *causalOn || queryCfg.on() || tracing,
 		Faults:       faultCfg,
 		Oracle:       *oracleOn,
 		Observe:      pump,
 		Govern:       gov,
-	})
+	}
+	if tracing {
+		// The summary and timeline fold the whole lifecycle stream: size the
+		// rings so the run cannot wrap them.
+		rc.FlightPerCore = rc.TraceRingDepth()
+	}
+	res, err := harness.Run(rc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flextm:", err)
 		os.Exit(1)
@@ -335,9 +337,10 @@ func main() {
 			}
 		}
 	}
-	if rec != nil {
+	recs := res.Flight.Snapshot()
+	if *traceStats {
 		fmt.Println("-- trace summary --")
-		rec.Summarize().Print(os.Stdout)
+		trace.Summarize(recs).Print(os.Stdout)
 	}
 	m := res.Machine
 	fmt.Printf("machine     L1 %.1f%% hit, %d L2 misses, %d threatened, %d exposed-read, %d overflows, %d alerts\n",
@@ -352,15 +355,18 @@ func main() {
 		res.Telemetry.PrintAttribution(os.Stdout)
 	}
 	if *traceOut != "" {
-		if err := writeChromeTrace(*traceOut, rec); err != nil {
+		rep := causal.Analyze(recs, causal.Options{Cores: machine.Cores})
+		if err := writeChromeTrace(*traceOut, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "flextm:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("trace       %d events -> %s\n", len(rec.Events()), *traceOut)
+		fmt.Printf("trace       %d flight records -> %s\n", len(recs), *traceOut)
+		if n := res.Flight.Overwritten(); n > 0 {
+			fmt.Printf("WARNING: flight ring overwrote %d records; the timeline covers only the most recent window\n", n)
+		}
 	}
 	if *profile {
-		rep := conflictgraph.Analyze(res.Flight.Snapshot(),
-			conflictgraph.Options{Cores: machine.Cores})
+		rep := conflictgraph.Analyze(recs, conflictgraph.Options{Cores: machine.Cores})
 		fmt.Println("-- contention profile --")
 		rep.Print(os.Stdout)
 		if *profileDOT != "" {
@@ -379,10 +385,10 @@ func main() {
 		}
 	}
 	if *causalOn {
-		emitCausal(causalCfg, res.Flight.Snapshot(), machine.Cores)
+		emitCausal(causalCfg, recs, machine.Cores)
 	}
 	if queryCfg.on() {
-		queryCfg.emit(res.Flight.Snapshot(), machine.Cores)
+		queryCfg.emit(recs, machine.Cores)
 	}
 	if gov != nil {
 		printGovernor(gov)
@@ -717,13 +723,13 @@ func writeCausalJSON(path string, rep *causal.Report) error {
 	return out.Close()
 }
 
-// writeChromeTrace dumps the recorded timeline in Chrome trace_event JSON.
-func writeChromeTrace(path string, rec *trace.Recorder) error {
+// writeChromeTrace dumps the attempt timeline in Chrome trace_event JSON.
+func writeChromeTrace(path string, rep *causal.Report) error {
 	out, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteChrome(out, rec.Events()); err != nil {
+	if err := rep.WriteChrome(out); err != nil {
 		out.Close()
 		return err
 	}

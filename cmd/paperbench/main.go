@@ -17,8 +17,9 @@
 // -quick shrinks the sweep for a fast smoke run; -ops and -threads tune the
 // full one. -metrics collects per-mechanism telemetry and prints a compact
 // digest under each data point; -json emits one JSON object per data point
-// on stdout (the human tables move to stderr); -trace-out FILE writes a
-// Chrome trace_event timeline of a dedicated traced run.
+// on stdout (the human tables move to stderr); -trace-out FILE writes the
+// attempt timeline of a dedicated flight-recorded run as Chrome trace_event
+// JSON.
 //
 // -parallel N executes sweep cells on N worker goroutines (0 = all CPUs)
 // with results gathered in deterministic serial order, so every artifact —
@@ -77,7 +78,6 @@ import (
 	cellcache "flextm/internal/sweepexec/cache"
 	"flextm/internal/telemetry"
 	"flextm/internal/tmesi"
-	"flextm/internal/trace"
 	"flextm/internal/workloads"
 )
 
@@ -94,7 +94,7 @@ func main() {
 	threadList := flag.String("threads", "1,2,4,8,16", "comma-separated thread counts")
 	metrics := flag.Bool("metrics", false, "collect per-mechanism telemetry; print a compact digest per data point")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per data point on stdout; tables move to stderr")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event timeline of a dedicated FlexTM(Lazy) RBTree run to FILE")
+	traceOut := flag.String("trace-out", "", "write the attempt timeline (kill arrows, critical-path track) of a dedicated FlexTM(Lazy) RBTree run to FILE as Chrome trace_event JSON")
 	benchOut := flag.String("bench-out", "", "record every data point into a canonical BENCH_*.json perf artifact at FILE")
 	benchLabel := flag.String("bench-label", "", "free-form label stored in the -bench-out artifact")
 	compare := flag.Bool("compare", false, "compare two BENCH_*.json artifacts (paperbench -compare OLD NEW); exit non-zero on regressions")
@@ -508,9 +508,9 @@ func newJSONPoint(res harness.Result) jsonPoint {
 	return p
 }
 
-// writeTimeline runs one traced FlexTM(Lazy) RBTree point at the sweep's
-// largest thread count and dumps the per-core timeline as Chrome
-// trace_event JSON.
+// writeTimeline runs one flight-recorded FlexTM(Lazy) RBTree point at the
+// sweep's largest thread count and dumps its causal attempt timeline as
+// Chrome trace_event JSON.
 func writeTimeline(sc harness.SweepConfig, path string) {
 	threads := 1
 	for _, th := range sc.Threads {
@@ -519,12 +519,13 @@ func writeTimeline(sc harness.SweepConfig, path string) {
 		}
 	}
 	f, _ := workloads.ByName("RBTree")
-	rec := trace.NewRecorder()
-	res, err := harness.Run(harness.RunConfig{
+	rc := harness.RunConfig{
 		System: harness.FlexTMLazy, Workload: f, Threads: threads,
 		OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: sc.Verify,
-		Tracer: rec, Metrics: sc.Metrics, Flight: sc.Flight,
-	})
+		Metrics: sc.Metrics, Flight: true,
+	}
+	rc.FlightPerCore = rc.TraceRingDepth()
+	res, err := harness.Run(rc)
 	if err != nil {
 		fatal(err)
 	}
@@ -535,15 +536,20 @@ func writeTimeline(sc harness.SweepConfig, path string) {
 	if err != nil {
 		fatal(err)
 	}
-	if err := trace.WriteChrome(file, rec.Events()); err != nil {
+	recs := res.Flight.Snapshot()
+	rep := causal.Analyze(recs, causal.Options{Cores: sc.Machine.Cores})
+	if err := rep.WriteChrome(file); err != nil {
 		file.Close()
 		fatal(err)
 	}
 	if err := file.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(out, "== timeline: %d events from FlexTM(Lazy)/RBTree@%d -> %s ==\n",
-		len(rec.Events()), threads, path)
+	fmt.Fprintf(out, "== timeline: %d flight records from FlexTM(Lazy)/RBTree@%d -> %s ==\n",
+		len(recs), threads, path)
+	if n := res.Flight.Overwritten(); n > 0 {
+		fmt.Fprintf(out, "WARNING: flight ring overwrote %d records; the timeline covers only the most recent window\n", n)
+	}
 }
 
 // flushPartial, when set, writes the bench artifact recorded so far. fatal

@@ -5,6 +5,7 @@ import (
 
 	"flextm/internal/cache"
 	"flextm/internal/cm"
+	"flextm/internal/flight"
 	"flextm/internal/memory"
 	"flextm/internal/sim"
 	"flextm/internal/tmapi"
@@ -504,11 +505,14 @@ func TestEscapeActionsViaThreadOps(t *testing.T) {
 	}
 }
 
+// TestTracerRecordsLifecycle: the flight recorder is the runtime's
+// lifecycle stream — every begin, commit and abort lands in it, and the
+// trace summary folded from it matches the runtime's own accounting.
 func TestTracerRecordsLifecycle(t *testing.T) {
 	sys := tmesi.New(testCfg())
+	fr := flight.New(testCfg().Cores, 1<<12)
+	sys.SetFlight(fr)
 	rt := New(sys, Eager, cm.NewPolka())
-	rec := trace.NewRecorder()
-	rt.Tracer = rec
 	x := sys.Alloc().Alloc(1)
 	bodies := make([]func(tmapi.Thread), 4)
 	for i := range bodies {
@@ -521,12 +525,26 @@ func TestTracerRecordsLifecycle(t *testing.T) {
 		}
 	}
 	runThreads(t, rt, bodies...)
-	s := rec.Summarize()
+	if n := fr.Overwritten(); n != 0 {
+		t.Fatalf("%d records lost to wrap-around", n)
+	}
+	recs := fr.Snapshot()
+	kinds := map[flight.Kind]uint64{}
+	for _, r := range recs {
+		kinds[r.Kind]++
+	}
+	st := rt.Stats()
+	if kinds[flight.TxnCommit] != 40 || kinds[flight.TxnAbort] != st.Aborts ||
+		kinds[flight.TxnBegin] != 40+st.Aborts {
+		t.Fatalf("flight lifecycle records %v, want 40 commits, %d aborts, %d begins",
+			kinds, st.Aborts, 40+st.Aborts)
+	}
+	s := trace.Summarize(recs)
 	if s.Commits != 40 {
 		t.Fatalf("traced commits = %d, want 40", s.Commits)
 	}
-	if uint64(s.Aborts) != rt.Stats().Aborts {
-		t.Fatalf("traced aborts %d != runtime aborts %d", s.Aborts, rt.Stats().Aborts)
+	if uint64(s.Aborts) != st.Aborts {
+		t.Fatalf("traced aborts %d != runtime aborts %d", s.Aborts, st.Aborts)
 	}
 	if len(s.AttemptCycles) == 0 || s.Percentile(50) == 0 {
 		t.Fatal("no attempt latency samples recorded")

@@ -31,6 +31,30 @@ func TestGovernorKnobsOffAreAllocationFree(t *testing.T) {
 	}
 }
 
+// TestTxnAccessHitIsAllocationFree pins the transactional hot path: with
+// every instrument off (no telemetry, flight recorder, oracle or governor),
+// a Load and Store that hit the L1 without a conflict allocate nothing, in
+// either conflict-detection mode.
+func TestTxnAccessHitIsAllocationFree(t *testing.T) {
+	for _, mode := range []Mode{Eager, Lazy} {
+		sys := tmesi.New(testCfg())
+		rt := New(sys, mode, cm.NewPolka())
+		x := sys.Alloc().Alloc(1)
+		allocs := -1.0
+		runThreads(t, rt, func(th tmapi.Thread) {
+			th.Atomic(func(tx tmapi.Txn) {
+				tx.Store(x, tx.Load(x)+1) // bring the line into the L1 as TMI
+				allocs = testing.AllocsPerRun(1000, func() {
+					tx.Store(x, tx.Load(x)+1)
+				})
+			})
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: transactional Load+Store hit allocates %.1f per pair, want 0", mode, allocs)
+		}
+	}
+}
+
 // TestRuntimeKnobSettersClampAndSwap covers the governor's runtime hooks
 // directly: live CM swap, boost clamping, and limit floor.
 func TestRuntimeKnobSettersClampAndSwap(t *testing.T) {

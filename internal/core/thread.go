@@ -10,7 +10,6 @@ import (
 	"flextm/internal/telemetry"
 	"flextm/internal/tmapi"
 	"flextm/internal/tmesi"
-	"flextm/internal/trace"
 )
 
 // Thread is one application thread under the FlexTM runtime.
@@ -174,8 +173,6 @@ func (th *Thread) watchdogTripped(sectionStart sim.Time) bool {
 		(live.MaxStallCycles > 0 && th.ctx.Now()-sectionStart >= live.MaxStallCycles)
 	if tripped {
 		th.rt.tel.Inc(th.core, telemetry.CtrWatchdogTrip)
-		th.rt.tel.Emit(telemetry.Event{At: th.ctx.Now(), Core: th.core, Mech: "watchdog",
-			What: "trip", Arg: int64(th.consecAborts)})
 		th.rt.fl.Rec(th.core, th.ctx.Now(), flight.WatchdogTrip, -1, clamp8(th.consecAborts), 0)
 		th.rt.dumpFlight(th.core)
 	}
@@ -193,9 +190,7 @@ func (th *Thread) escalate(stamp uint64, body func(tmapi.Txn)) {
 	rt := th.rt
 	rt.stats[th.core].Escalations++
 	rt.tel.Inc(th.core, telemetry.CtrEscalation)
-	rt.tel.Emit(telemetry.Event{At: th.ctx.Now(), Core: th.core, Mech: "watchdog", What: "escalate"})
 	rt.fl.Rec(th.core, th.ctx.Now(), flight.Escalate, -1, 0, 0)
-	debugf("t=%d c=%d ESCALATE after %d aborts", th.ctx.Now(), th.core, th.consecAborts)
 	if rt.fallback == nil {
 		rt.fallback = cgl.NewSpinlock(rt.sys)
 	}
@@ -251,7 +246,6 @@ func (th *Thread) begin(stamp uint64) {
 	th.stallCycles = 0
 	d := &desc{tsw: rt.nextTSW(th.core), stamp: stamp, live: true}
 	th.d = d
-	debugf("t=%d c=%d BEGIN tsw=%d", th.ctx.Now(), th.core, d.tsw)
 	sys.Store(th.ctx, th.core, d.tsw, TSWActive)
 	sys.ALoad(th.ctx, th.core, d.tsw)
 	rt.current[th.core] = d
@@ -264,7 +258,6 @@ func (th *Thread) begin(stamp uint64) {
 	// stale status word that can never read "active".
 	sys.Store(th.ctx, th.core, rt.tswEntry(th.core), uint64(d.tsw))
 	th.ctx.Advance(rt.costs.Begin)
-	th.emit(trace.Begin, -1)
 	rt.fl.Rec(th.core, th.ctx.Now(), flight.TxnBegin, -1, 0, 0)
 	// Record the begin before the alert poll below: if the poll aborts us,
 	// the oracle must still see a begin/abort pair, not an orphan abort.
@@ -277,10 +270,8 @@ func (th *Thread) begin(stamp uint64) {
 // CAS-Commit failure path has not already) and clears the descriptor.
 func (th *Thread) onAbort() {
 	sys := th.rt.sys
-	th.emit(trace.Abort, -1)
 	th.rt.fl.Rec(th.core, th.ctx.Now(), flight.TxnAbort, -1, 0, 0)
 	th.rt.orc.Abort(th.core, th.ctx.Now())
-	debugf("t=%d c=%d ABORT", th.ctx.Now(), th.core)
 	th.d.live = false
 	if sys.TxnActive(th.core) {
 		sys.AbortFlash(th.ctx, th.core)
@@ -353,7 +344,6 @@ type txnView struct{ th *Thread }
 func (t txnView) Load(a memory.Addr) uint64 {
 	th := t.th
 	res := th.rt.sys.TLoad(th.ctx, th.core, a)
-	debugf("t=%d c=%d TLoad %d = %d conf=%v", th.ctx.Now(), th.core, a, res.Val, res.Conflicts)
 	// Record before the alert poll: the observed value belongs to this
 	// attempt even if the poll aborts it (aborted reads are discarded by
 	// the checker but keep the log structurally complete).
@@ -370,7 +360,6 @@ func (t txnView) Load(a memory.Addr) uint64 {
 func (t txnView) Store(a memory.Addr, v uint64) {
 	th := t.th
 	res := th.rt.sys.TStore(th.ctx, th.core, a, v)
-	debugf("t=%d c=%d TStore %d <- %d conf=%v", th.ctx.Now(), th.core, a, v, res.Conflicts)
 	th.rt.orc.Write(th.core, th.ctx.Now(), a, v)
 	th.d.karma++
 	th.checkAlert()
@@ -414,16 +403,11 @@ func (th *Thread) resolveConflict(c tmesi.Conflict) {
 		switch dec {
 		case cm.AbortSelf:
 			rt.tel.Inc(th.core, telemetry.CtrCMAbortSelf)
-			rt.tel.Emit(telemetry.Event{At: th.ctx.Now(), Core: th.core, Mech: "cm", What: "abort-self", Arg: int64(c.Responder)})
-			th.emit(trace.ConflictAbortSelf, c.Responder)
 			rt.fl.Rec(th.core, th.ctx.Now(), flight.AbortSelf, c.Responder, fpAux(c.FP), c.Line)
 			abortPanic()
 		case cm.AbortEnemy:
 			rt.tel.Inc(th.core, telemetry.CtrCMAbortEnemy)
-			rt.tel.Emit(telemetry.Event{At: th.ctx.Now(), Core: th.core, Mech: "cm", What: "abort-enemy", Arg: int64(c.Responder)})
-			th.emit(trace.ConflictAbortEnemy, c.Responder)
 			rt.fl.Rec(th.core, th.ctx.Now(), flight.AbortEnemy, c.Responder, fpAux(c.FP), c.Line)
-			debugf("t=%d c=%d CM abort-enemy %d", th.ctx.Now(), th.core, c.Responder)
 			th.abortRemote(c.Responder)
 			if h := rt.onAbortEnemy; h != nil {
 				h(th, c.Responder)
@@ -483,8 +467,7 @@ func (th *Thread) abortRemote(enemy int) {
 	if tswAddr == 0 {
 		return
 	}
-	res, ok := sys.CAS(th.ctx, th.core, memory.Addr(tswAddr), TSWActive, TSWAborted)
-	debugf("t=%d c=%d abortRemote(%d) tsw=%d ok=%v cur=%d", th.ctx.Now(), th.core, enemy, tswAddr, ok, res.Val)
+	sys.CAS(th.ctx, th.core, memory.Addr(tswAddr), TSWActive, TSWAborted)
 	th.checkAlert()
 }
 
@@ -546,7 +529,6 @@ func (th *Thread) commit() {
 			}
 		}
 		out := sys.CASCommit(th.ctx, th.core, th.d.tsw, TSWActive, TSWCommitted)
-		debugf("t=%d c=%d CASCommit -> %d (resolved=%v)", th.ctx.Now(), th.core, out, resolved.Procs())
 		switch out {
 		case tmesi.CommitOK:
 			th.d.live = false
@@ -555,7 +537,6 @@ func (th *Thread) commit() {
 			// commit's sequence stamp must precede every operation that can
 			// observe its writes.
 			rt.orc.Commit(th.core, th.ctx.Now())
-			th.emit(trace.Commit, -1)
 			var fb uint8
 			if th.inFallback {
 				fb = 1
@@ -598,27 +579,9 @@ func (th *Thread) commit() {
 			// retry path (and ultimately the watchdog) can see and escalate.
 			spins++
 			if lim := rt.live.MaxCommitRetries; lim > 0 && spins >= lim {
-				rt.tel.Emit(telemetry.Event{At: th.ctx.Now(), Core: th.core,
-					Mech: "watchdog", What: "commit-retry-budget", Arg: int64(spins)})
 				abortPanic()
 			}
 		}
-	}
-}
-
-// TraceFn, when non-nil, receives free-form runtime debug lines.
-var TraceFn func(format string, args ...interface{})
-
-func debugf(format string, args ...interface{}) {
-	if TraceFn != nil {
-		TraceFn(format, args...)
-	}
-}
-
-// emit records a structured event on the runtime's tracer, if any.
-func (th *Thread) emit(k trace.Kind, enemy int) {
-	if rec := th.rt.Tracer; rec != nil {
-		rec.Add(trace.Event{At: th.ctx.Now(), Core: th.core, Kind: k, Enemy: enemy})
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"flextm/internal/telemetry"
 	"flextm/internal/tmapi"
 	"flextm/internal/tmesi"
-	"flextm/internal/trace"
 	"flextm/internal/workloads"
 )
 
@@ -83,9 +82,6 @@ type RunConfig struct {
 	// WarmupOps is the total untimed operation count, divided among the
 	// threads, before the measured region (defaults to DefaultWarmup).
 	WarmupOps int
-	// Tracer, if non-nil, records transaction-level events (FlexTM
-	// systems only; other runtimes ignore it).
-	Tracer *trace.Recorder
 	// Metrics attaches a telemetry registry to the machine before the run;
 	// the run's counter snapshot is returned in Result.Telemetry. Off by
 	// default: instrumentation sites then see a nil registry and pay only a
@@ -182,6 +178,24 @@ type Result struct {
 	OracleReport *oracle.Report
 }
 
+// traceRecsPerOp is the flight-ring headroom a traced run reserves per
+// operation. The busiest core writes at most about 23 records per
+// operation (warm-up records included; RBTree, RandomGraph, LFUCache and
+// Vacation-High at 16 threads); at fewer threads it writes fewer, and the
+// DefaultPerCore floor absorbs the warm-up of short runs.
+const traceRecsPerOp = 64
+
+// TraceRingDepth is the flight ring depth per core that holds rc's whole
+// lifecycle stream: traceRecsPerOp records per operation, floored at
+// flight.DefaultPerCore.
+func (rc RunConfig) TraceRingDepth() int {
+	ops := rc.OpsPerThread
+	if ops == 0 {
+		ops = DefaultOps
+	}
+	return max(traceRecsPerOp*ops, flight.DefaultPerCore)
+}
+
 // Run executes one configuration and returns its result.
 func Run(rc RunConfig) (Result, error) {
 	if rc.Threads <= 0 || rc.Threads > rc.Machine.Cores {
@@ -232,7 +246,6 @@ func Run(rc RunConfig) (Result, error) {
 		if rc.YieldTo != nil {
 			fx.OnAbortYield = func(th *core.Thread) { rc.YieldTo(th) }
 		}
-		fx.Tracer = rc.Tracer
 		if rc.Liveness != nil {
 			fx.SetLiveness(*rc.Liveness)
 		}

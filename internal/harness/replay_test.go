@@ -9,6 +9,7 @@ import (
 	"flextm/internal/replay"
 	"flextm/internal/telemetry"
 	"flextm/internal/tmesi"
+	"flextm/internal/trace"
 	"flextm/internal/workloads"
 )
 
@@ -58,6 +59,27 @@ func TestReplayIdentityWithLiveTelemetry(t *testing.T) {
 			}
 			if got := st.CounterTotal(telemetry.CtrTxnAborts); got != res.Aborts {
 				t.Fatalf("%s seed %d: replayed aborts %d, harness %d", system, seed, got, res.Aborts)
+			}
+			// The -tracestats summary folds the same stream: its lifecycle
+			// and conflict-handling counts are the live counters' totals.
+			sum := trace.Summarize(recs)
+			tel := res.Telemetry
+			for _, c := range []struct {
+				name string
+				got  int
+				ctr  telemetry.Counter
+			}{
+				{"commits", sum.Commits, telemetry.CtrTxnCommits},
+				{"aborts", sum.Aborts, telemetry.CtrTxnAborts},
+				{"waits", sum.Waits, telemetry.CtrCMWait},
+				{"self aborts", sum.SelfKills, telemetry.CtrCMAbortSelf},
+			} {
+				if want := tel.Total(c.ctr); uint64(c.got) != want {
+					t.Fatalf("%s seed %d: summarized %s %d, telemetry %d", system, seed, c.name, c.got, want)
+				}
+			}
+			if sum.Dropped != 0 || sum.OpenAtEnd != 0 || len(sum.Orphans) != 0 {
+				t.Fatalf("%s seed %d: complete stream summarized as truncated: %+v", system, seed, sum)
 			}
 		}
 	}

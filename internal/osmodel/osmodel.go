@@ -88,7 +88,6 @@ func (m *Manager) Suspend(ctx *sim.Ctx, coreID int) *Suspended {
 	}
 	m.cmt[coreID] = append(m.cmt[coreID], s)
 	m.refreshSummary()
-	debugf("t=%d SUSPEND core=%d tsw=%d", ctx.Now(), coreID, tsw)
 	return s
 }
 
@@ -110,7 +109,6 @@ func (m *Manager) Resume(ctx *sim.Ctx, coreID int, s *Suspended) {
 	}
 	m.refreshSummary()
 	m.sys.RaiseAlert(coreID, s.TSW)
-	debugf("t=%d RESUME core=%d tsw=%d tswval=%d", ctx.Now(), coreID, s.TSW, m.sys.ReadWordRaw(s.TSW))
 }
 
 func (m *Manager) dropCMT(s *Suspended) {
@@ -201,14 +199,6 @@ func (m *Manager) trap(requestor int, line memory.LineAddr, write bool) []tmesi.
 // transactions from that processor must die too.
 func (m *Manager) abortSuspendedOn(th *core.Thread, enemy int) {
 	for _, s := range m.cmt[enemy] {
-		debugf("t=%d core=%d ABORT-SUSPENDED home=%d tsw=%d", th.Ctx().Now(), th.Core(), enemy, s.TSW)
 		m.sys.CAS(th.Ctx(), th.Core(), s.TSW, core.TSWActive, core.TSWAborted)
-	}
-}
-
-// debugf forwards to core.TraceFn for combined debugging traces.
-func debugf(format string, args ...interface{}) {
-	if core.TraceFn != nil {
-		core.TraceFn(format, args...)
 	}
 }

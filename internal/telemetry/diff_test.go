@@ -110,15 +110,3 @@ func TestDiffAgainstEmptyPrevIsIdentity(t *testing.T) {
 		t.Fatal("identity diff changed emptiness")
 	}
 }
-
-func TestDiffDroppedEvents(t *testing.T) {
-	prev := Snapshot{DroppedEvents: 10}
-	cur := Snapshot{DroppedEvents: 3}
-	if got := cur.Diff(prev).DroppedEvents; got != 0 {
-		t.Fatalf("dropped-events delta = %d, want clamp to 0", got)
-	}
-	cur.DroppedEvents = 15
-	if got := cur.Diff(prev).DroppedEvents; got != 5 {
-		t.Fatalf("dropped-events delta = %d, want 5", got)
-	}
-}

@@ -30,12 +30,7 @@ func TestNilRegistryIsSafeAndEmpty(t *testing.T) {
 	r.Inc(0, CtrProbes)
 	r.Add(3, CtrCycStall, 100)
 	r.Observe(1, HistCommitCycles, 42)
-	r.EnableEvents(10)
-	r.Emit(Event{Core: 0, Mech: "cm", What: "x"})
 	r.Reset()
-	if got := r.Events(); got != nil {
-		t.Fatalf("nil registry events = %v", got)
-	}
 	if s := r.Snapshot(); !s.Empty() {
 		t.Fatal("nil registry snapshot not empty")
 	}
@@ -96,22 +91,6 @@ func TestResetAndEmpty(t *testing.T) {
 	r.Reset()
 	if !r.Snapshot().Empty() {
 		t.Fatal("reset registry not empty")
-	}
-}
-
-func TestEventSink(t *testing.T) {
-	r := New(2)
-	r.Emit(Event{Mech: "cm"}) // sink disabled: dropped
-	if len(r.Events()) != 0 {
-		t.Fatal("events recorded before EnableEvents")
-	}
-	r.EnableEvents(2)
-	r.Emit(Event{At: 1, Mech: "cm", What: "wait"})
-	r.Emit(Event{At: 2, Mech: "cm", What: "abort-enemy"})
-	r.Emit(Event{At: 3, Mech: "cm", What: "overflow"}) // over capacity
-	ev := r.Events()
-	if len(ev) != 2 || ev[1].What != "abort-enemy" {
-		t.Fatalf("events = %+v", ev)
 	}
 }
 
@@ -212,7 +191,6 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 		nilReg.Inc(0, CtrProbes)
 		nilReg.Add(0, CtrCycStall, 7)
 		nilReg.Observe(0, HistCommitCycles, 7)
-		nilReg.Emit(Event{})
 	}); n != 0 {
 		t.Fatalf("disabled path allocates %v per op", n)
 	}

@@ -2,18 +2,15 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-
-	"flextm/internal/sim"
 )
 
 // ChromeEvent is one entry in the Chrome trace_event JSON format, loadable
 // in chrome://tracing and Perfetto. Simulated cycles are written as
 // microseconds (1 cycle == 1 µs), so the viewers' time axis reads directly
-// in cycles. Exported so other renderers (internal/causal) can emit into
-// the same document format.
+// in cycles. The attempt-timeline renderer (causal.Report.WriteChrome)
+// emits into this format.
 type ChromeEvent struct {
 	Name  string         `json:"name"`
 	Cat   string         `json:"cat,omitempty"`
@@ -34,135 +31,4 @@ func EncodeChrome(w io.Writer, events []ChromeEvent) error {
 	sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]any{"traceEvents": events})
-}
-
-// WriteChrome renders the event stream as a Chrome trace_event JSON
-// document: one timeline row per core, a complete ("X") span per
-// transaction attempt named by its outcome, instant ("i") markers for
-// conflict-management decisions, and flow ("s"/"f") arrows from each
-// abort-enemy decision to the victim's resulting abort, so kill lineage is
-// drawn as arrows between the rows instead of disconnected instants.
-// Orphan events — a Commit or Abort with no open attempt on its core — are
-// emitted as visible "orphan-*" instants rather than discarded, so
-// truncated or malformed streams are evident in the viewer.
-func WriteChrome(w io.Writer, events []Event) error {
-	const pid = 1
-	var out []ChromeEvent
-
-	// Victim abort times, for pairing kill decisions with the abort they
-	// caused: the flow finishes at the victim's next Abort event.
-	abortAt := map[int][]sim.Time{}
-	for _, e := range events {
-		if e.Kind == Abort {
-			abortAt[e.Core] = append(abortAt[e.Core], e.At)
-		}
-	}
-	nextAbort := func(core int, at sim.Time) (sim.Time, bool) {
-		ts := abortAt[core]
-		i := sort.Search(len(ts), func(i int) bool { return ts[i] >= at })
-		if i == len(ts) {
-			return 0, false
-		}
-		return ts[i], true
-	}
-
-	cores := map[int]bool{}
-	type open struct {
-		start sim.Time
-	}
-	cur := map[int]*open{}
-	span := func(core int, start, end sim.Time, name string) {
-		out = append(out, ChromeEvent{
-			Name: name, Cat: "txn", Phase: "X",
-			TS: float64(start), Dur: float64(end - start),
-			PID: pid, TID: core,
-		})
-	}
-	instant := func(core int, at sim.Time, name string, args map[string]any) {
-		out = append(out, ChromeEvent{
-			Name: name, Cat: "cm", Phase: "i",
-			TS: float64(at), PID: pid, TID: core,
-			Scope: "t", Args: args,
-		})
-	}
-
-	var last sim.Time
-	var flowID uint64
-	for _, e := range events {
-		cores[e.Core] = true
-		if e.At > last {
-			last = e.At
-		}
-		switch e.Kind {
-		case Begin:
-			if o := cur[e.Core]; o != nil {
-				o.start = e.At
-			} else {
-				cur[e.Core] = &open{start: e.At}
-			}
-		case Commit:
-			if o := cur[e.Core]; o != nil {
-				span(e.Core, o.start, e.At, "commit")
-				delete(cur, e.Core)
-			} else {
-				instant(e.Core, e.At, "orphan-commit", nil)
-			}
-		case Abort:
-			if o := cur[e.Core]; o != nil {
-				span(e.Core, o.start, e.At, "abort")
-				// Keep the entry: a following Begin on this core is the
-				// retry of the same transaction.
-				o.start = e.At
-			} else {
-				instant(e.Core, e.At, "orphan-abort", nil)
-			}
-		case ConflictWait, ConflictAbortEnemy, ConflictAbortSelf:
-			name := e.Kind.String()
-			if cur[e.Core] == nil {
-				name = "orphan-" + name
-			}
-			args := map[string]any{}
-			if e.Enemy >= 0 {
-				args["enemy"] = e.Enemy
-			}
-			instant(e.Core, e.At, name, args)
-			if e.Kind == ConflictAbortEnemy && e.Enemy >= 0 {
-				if end, ok := nextAbort(e.Enemy, e.At); ok {
-					flowID++
-					out = append(out, ChromeEvent{
-						Name: "kill", Cat: "abort-lineage", Phase: "s",
-						TS: float64(e.At), PID: pid, TID: e.Core, ID: flowID,
-					})
-					out = append(out, ChromeEvent{
-						Name: "kill", Cat: "abort-lineage", Phase: "f", BP: "e",
-						TS: float64(end), PID: pid, TID: e.Enemy, ID: flowID,
-					})
-				}
-			}
-		default:
-			instant(e.Core, e.At, "orphan-"+e.Kind.String(), nil)
-		}
-	}
-	// Attempts still open at the end of the stream: draw them to the last
-	// timestamp so they are visible (and visibly unterminated).
-	for core, o := range cur {
-		if last > o.start {
-			span(core, o.start, last, "unfinished")
-		}
-	}
-
-	// Name the rows so viewers show "core N" instead of bare tids.
-	var ids []int
-	for c := range cores {
-		ids = append(ids, c)
-	}
-	sort.Ints(ids)
-	for _, c := range ids {
-		out = append(out, ChromeEvent{
-			Name: "thread_name", Phase: "M", PID: pid, TID: c,
-			Args: map[string]any{"name": fmt.Sprintf("core %d", c)},
-		})
-	}
-
-	return EncodeChrome(w, out)
 }

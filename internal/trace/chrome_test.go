@@ -1,28 +1,27 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"flextm/internal/causal"
+	"flextm/internal/flight"
+	"flextm/internal/trace"
 )
 
 // chromeDoc mirrors the trace_event JSON for decoding in tests.
 type chromeDoc struct {
-	TraceEvents []struct {
-		Name  string         `json:"name"`
-		Phase string         `json:"ph"`
-		TS    float64        `json:"ts"`
-		Dur   float64        `json:"dur"`
-		TID   int            `json:"tid"`
-		Args  map[string]any `json:"args"`
-	} `json:"traceEvents"`
+	TraceEvents []trace.ChromeEvent `json:"traceEvents"`
 }
 
-func exportChrome(t *testing.T, events []Event) chromeDoc {
+// exportChrome renders a flight-record stream the way -trace-out does —
+// the causal attempt timeline, encoded by EncodeChrome — and decodes it.
+func exportChrome(t *testing.T, recs []flight.Rec) chromeDoc {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, events); err != nil {
+	if err := causal.Analyze(recs, causal.Options{}).WriteChrome(&buf); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var doc chromeDoc
@@ -33,22 +32,22 @@ func exportChrome(t *testing.T, events []Event) chromeDoc {
 }
 
 // TestChromeInterleavedRetries runs a two-core interleaved retry scenario
-// through the exporter: core 0 aborts once (after losing to core 1) and
+// through the exporter: core 0 stalls behind core 1, aborts once, and
 // retries to completion while core 1 commits mid-way through core 0's
 // attempts. A third core contributes an orphan commit, which must surface
-// as a visible instant rather than vanish.
+// as a span on its own row rather than vanish.
 func TestChromeInterleavedRetries(t *testing.T) {
-	events := []Event{
-		{At: 0, Core: 0, Kind: Begin},
-		{At: 5, Core: 1, Kind: Begin},
-		{At: 10, Core: 0, Kind: ConflictWait, Enemy: 1},
-		{At: 30, Core: 0, Kind: Abort},
-		{At: 40, Core: 1, Kind: Commit},
-		{At: 50, Core: 0, Kind: Begin},
-		{At: 90, Core: 0, Kind: Commit},
-		{At: 95, Core: 2, Kind: Commit}, // orphan: no Begin on core 2
-	}
-	doc := exportChrome(t, events)
+	var s stream
+	s.lifecycle(0, 0, flight.TxnBegin)
+	s.lifecycle(5, 1, flight.TxnBegin)
+	s.add(10, 0, flight.CMStall, 1)
+	s.recs[len(s.recs)-1].Dur = 6
+	s.lifecycle(30, 0, flight.TxnAbort)
+	s.lifecycle(40, 1, flight.TxnCommit)
+	s.lifecycle(50, 0, flight.TxnBegin)
+	s.lifecycle(90, 0, flight.TxnCommit)
+	s.lifecycle(95, 2, flight.TxnCommit) // orphan: no begin on core 2
+	doc := exportChrome(t, s.recs)
 
 	type span struct {
 		tid      int
@@ -59,6 +58,7 @@ func TestChromeInterleavedRetries(t *testing.T) {
 		{0, 0, 30, "abort"},
 		{0, 50, 40, "commit"},
 		{1, 5, 35, "commit"},
+		{2, 95, 0, "commit"},
 	}
 	for _, w := range wantSpans {
 		found := false
@@ -73,26 +73,21 @@ func TestChromeInterleavedRetries(t *testing.T) {
 		}
 	}
 
-	var sawWait, sawOrphan bool
+	var sawStall bool
 	names := map[int]string{}
 	for _, e := range doc.TraceEvents {
 		switch {
-		case e.Phase == "i" && e.Name == "wait" && e.TID == 0:
-			sawWait = true
-			if e.Args["enemy"] != float64(1) {
-				t.Errorf("wait instant enemy = %v, want 1", e.Args["enemy"])
+		case e.Phase == "X" && e.Name == "abort" && e.TID == 0:
+			sawStall = true
+			if e.Args["stall"] != float64(6) {
+				t.Errorf("aborted attempt stall = %v, want 6", e.Args["stall"])
 			}
-		case e.Phase == "i" && e.Name == "orphan-commit" && e.TID == 2:
-			sawOrphan = true
-		case e.Phase == "M" && e.Name == "thread_name":
+		case e.Phase == "M" && e.Name == "thread_name" && e.PID == 1:
 			names[e.TID], _ = e.Args["name"].(string)
 		}
 	}
-	if !sawWait {
-		t.Error("conflict wait instant missing")
-	}
-	if !sawOrphan {
-		t.Error("orphan commit not surfaced in timeline")
+	if !sawStall {
+		t.Error("aborted attempt span missing")
 	}
 	for _, tid := range []int{0, 1, 2} {
 		if names[tid] == "" {
@@ -102,49 +97,43 @@ func TestChromeInterleavedRetries(t *testing.T) {
 }
 
 func TestChromeUnfinishedAttemptVisible(t *testing.T) {
-	events := []Event{
-		{At: 0, Core: 0, Kind: Begin},
-		{At: 100, Core: 1, Kind: Begin},
-		{At: 200, Core: 1, Kind: Commit},
-		// Core 0 never resolves: the stream was truncated mid-attempt.
-	}
-	doc := exportChrome(t, events)
+	var s stream
+	s.lifecycle(0, 0, flight.TxnBegin)
+	s.lifecycle(100, 1, flight.TxnBegin)
+	s.lifecycle(200, 1, flight.TxnCommit)
+	// Core 0 never resolves: the stream was truncated mid-attempt.
+	doc := exportChrome(t, s.recs)
 	for _, e := range doc.TraceEvents {
-		if e.Phase == "X" && e.TID == 0 && e.Name == "unfinished" && e.TS == 0 && e.Dur == 200 {
+		if e.Phase == "X" && e.TID == 0 && e.Name == "open" && e.TS == 0 && e.Dur == 200 {
 			return
 		}
 	}
 	t.Fatalf("unfinished attempt not drawn: %+v", doc.TraceEvents)
 }
 
+// killStream: core 1 kills core 0's first attempt; core 0 retries, and its
+// later kill of core 1 lands after core 1 committed (a failed CAS).
+func killStream() []flight.Rec {
+	var s stream
+	s.lifecycle(0, 0, flight.TxnBegin)
+	s.lifecycle(5, 1, flight.TxnBegin)
+	s.add(20, 1, flight.AbortEnemy, 0)
+	s.lifecycle(25, 0, flight.TxnAbort)
+	s.lifecycle(30, 0, flight.TxnBegin)
+	s.lifecycle(40, 1, flight.TxnCommit)
+	s.add(50, 0, flight.AbortEnemy, 1) // victim already committed
+	s.lifecycle(60, 0, flight.TxnCommit)
+	return s.recs
+}
+
 // TestChromeKillFlowEvents: an abort-enemy decision must emit a flow pair —
 // an "s" event on the killer's row at decision time and a bp="e" "f" event
-// on the victim's row at its resulting Abort, sharing one id — so the
+// on the victim's row at its resulting abort, sharing one id — so the
 // viewer draws the kill as an arrow. A kill whose victim never aborts (the
 // CAS lost; the victim committed) must emit no dangling flow start.
 func TestChromeKillFlowEvents(t *testing.T) {
-	events := []Event{
-		{At: 0, Core: 0, Kind: Begin},
-		{At: 5, Core: 1, Kind: Begin},
-		{At: 20, Core: 1, Kind: ConflictAbortEnemy, Enemy: 0},
-		{At: 25, Core: 0, Kind: Abort},
-		{At: 30, Core: 0, Kind: Begin},
-		{At: 40, Core: 1, Kind: Commit},
-		{At: 50, Core: 0, Kind: ConflictAbortEnemy, Enemy: 1}, // victim already committed
-		{At: 60, Core: 0, Kind: Commit},
-	}
-	var buf bytes.Buffer
-	if err := WriteChrome(&buf, events); err != nil {
-		t.Fatalf("WriteChrome: %v", err)
-	}
-	var doc struct {
-		TraceEvents []ChromeEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid trace_event JSON: %v\n%s", err, buf.String())
-	}
-
-	var starts, finishes []ChromeEvent
+	doc := exportChrome(t, killStream())
+	var starts, finishes []trace.ChromeEvent
 	for _, e := range doc.TraceEvents {
 		switch e.Phase {
 		case "s":
@@ -154,7 +143,7 @@ func TestChromeKillFlowEvents(t *testing.T) {
 		}
 	}
 	if len(starts) != 1 || len(finishes) != 1 {
-		t.Fatalf("flow events = %d starts, %d finishes, want 1 each:\n%s", len(starts), len(finishes), buf.String())
+		t.Fatalf("flow events = %d starts, %d finishes, want 1 each: %+v", len(starts), len(finishes), doc.TraceEvents)
 	}
 	s, f := starts[0], finishes[0]
 	if s.Name != "kill" || s.Cat != "abort-lineage" || s.TID != 1 || s.TS != 20 {
@@ -170,29 +159,19 @@ func TestChromeKillFlowEvents(t *testing.T) {
 
 // TestChromeEventSchemaRoundTrip: the document must survive an
 // encode -> decode -> encode cycle through the exported ChromeEvent type
-// byte-identically, pinning the JSON schema other renderers (internal/
-// causal) emit into.
+// byte-identically, pinning the JSON schema the timeline renderer emits
+// into.
 func TestChromeEventSchemaRoundTrip(t *testing.T) {
-	events := []Event{
-		{At: 0, Core: 0, Kind: Begin},
-		{At: 5, Core: 1, Kind: Begin},
-		{At: 20, Core: 1, Kind: ConflictAbortEnemy, Enemy: 0},
-		{At: 25, Core: 0, Kind: Abort},
-		{At: 40, Core: 1, Kind: Commit},
-		{At: 55, Core: 0, Kind: Commit},
-	}
 	var first bytes.Buffer
-	if err := WriteChrome(&first, events); err != nil {
+	if err := causal.Analyze(killStream(), causal.Options{}).WriteChrome(&first); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
-	var doc struct {
-		TraceEvents []ChromeEvent `json:"traceEvents"`
-	}
+	var doc chromeDoc
 	if err := json.Unmarshal(first.Bytes(), &doc); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	var second bytes.Buffer
-	if err := EncodeChrome(&second, doc.TraceEvents); err != nil {
+	if err := trace.EncodeChrome(&second, doc.TraceEvents); err != nil {
 		t.Fatalf("EncodeChrome: %v", err)
 	}
 	if first.String() != second.String() {
@@ -206,17 +185,17 @@ func TestChromeEventSchemaRoundTrip(t *testing.T) {
 // dur field intact. Zero-dur events must stay dur-less (omitempty), so
 // instants don't grow a spurious dur: 0 on re-encode.
 func TestChromeDurationEventsRoundTrip(t *testing.T) {
-	events := []ChromeEvent{
+	events := []trace.ChromeEvent{
 		{Name: "cm-stall", Cat: "cm", Phase: "X", TS: 24, Dur: 30, PID: 1, TID: 0},
 		{Name: "backoff", Cat: "cm", Phase: "X", TS: 40, Dur: 35, PID: 1, TID: 1},
 		{Name: "decision", Cat: "cm", Phase: "i", TS: 25, PID: 1, TID: 0, Scope: "t"},
 	}
 	var first bytes.Buffer
-	if err := EncodeChrome(&first, events); err != nil {
+	if err := trace.EncodeChrome(&first, events); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
-		TraceEvents []ChromeEvent `json:"traceEvents"`
+		TraceEvents []trace.ChromeEvent `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(first.Bytes(), &doc); err != nil {
 		t.Fatalf("decode: %v", err)
@@ -232,7 +211,7 @@ func TestChromeDurationEventsRoundTrip(t *testing.T) {
 		t.Fatal("zero-dur instant grew a dur field")
 	}
 	var second bytes.Buffer
-	if err := EncodeChrome(&second, doc.TraceEvents); err != nil {
+	if err := trace.EncodeChrome(&second, doc.TraceEvents); err != nil {
 		t.Fatal(err)
 	}
 	if first.String() != second.String() {

@@ -1,7 +1,9 @@
-// Package trace records transaction-level events from a TM run and
-// summarizes them: commit/abort latencies, retry distributions, and
-// conflict outcomes. The harness and cmd/flextm use it for post-mortem
-// analysis of policy behavior (e.g. where eager mode burns its time).
+// Package trace summarizes transaction lifecycles from a run's flight
+// records — commit/abort latencies, retry distributions, and
+// contention-manager outcomes — and owns the Chrome trace_event document
+// format the timeline renderer (internal/causal) emits into. The flight
+// recorder (internal/flight) is the simulator's only lifecycle stream; this
+// package folds it and records nothing itself.
 package trace
 
 import (
@@ -9,81 +11,16 @@ import (
 	"io"
 	"sort"
 
+	"flextm/internal/flight"
 	"flextm/internal/sim"
 )
 
-// Kind classifies an event.
-type Kind int
-
-// Event kinds.
-const (
-	Begin Kind = iota
-	Commit
-	Abort
-	ConflictWait
-	ConflictAbortEnemy
-	ConflictAbortSelf
-)
-
-// String returns the event name.
-func (k Kind) String() string {
-	switch k {
-	case Begin:
-		return "begin"
-	case Commit:
-		return "commit"
-	case Abort:
-		return "abort"
-	case ConflictWait:
-		return "wait"
-	case ConflictAbortEnemy:
-		return "abort-enemy"
-	case ConflictAbortSelf:
-		return "abort-self"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// Event is one recorded occurrence.
-type Event struct {
-	At    sim.Time
-	Core  int
-	Kind  Kind
-	Enemy int // conflict events: the other processor (-1 otherwise)
-}
-
-// Recorder accumulates events. It is used from simulated threads, which the
-// engine runs one at a time, so no locking is needed.
-type Recorder struct {
-	events  []Event
-	dropped int
-	// Cap bounds memory for long runs; 0 means unlimited.
-	Cap int
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Add appends an event. Once Cap is reached further events are counted as
-// dropped (see Dropped) rather than recorded.
-func (r *Recorder) Add(e Event) {
-	if r.Cap > 0 && len(r.events) >= r.Cap {
-		r.dropped++
-		return
-	}
-	r.events = append(r.events, e)
-}
-
-// Dropped returns the number of events discarded after Cap was reached. A
-// non-zero value means summaries and timelines are truncated.
-func (r *Recorder) Dropped() int { return r.dropped }
-
-// Events returns the recorded events in order.
-func (r *Recorder) Events() []Event { return r.events }
-
 // Summary aggregates a run's transactional behavior.
 type Summary struct {
-	Commits, Aborts              int
+	Commits, Aborts int
+	// Waits counts contention-manager stalls (cm-stall records);
+	// EnemyKills every abort-enemy record, eager verdicts and lazy
+	// commit-loop kills alike; SelfKills every abort-self record.
 	Waits, EnemyKills, SelfKills int
 	// AttemptCycles are the durations of every attempt (begin to
 	// commit/abort), sorted ascending.
@@ -91,70 +28,74 @@ type Summary struct {
 	// RetriesPerCommit[n] counts transactions that needed n aborts before
 	// committing.
 	RetriesPerCommit map[int]int
-	// Orphans counts Commit/Abort events that arrived with no open
-	// transaction on their core (plus any unknown kinds). They indicate a
-	// truncated or malformed stream and are excluded from the commit/abort
-	// counts and latency statistics rather than silently folded in.
-	Orphans map[Kind]int
+	// Orphans counts commit/abort records that arrived with no open
+	// transaction on their core. They indicate a truncated or malformed
+	// stream and are excluded from the commit/abort counts and latency
+	// statistics rather than silently folded in.
+	Orphans map[flight.Kind]int
 	// OpenAtEnd counts cores whose last transaction never resolved (the
-	// stream ended between Begin and Commit/Abort).
+	// stream ended between begin and commit/abort).
 	OpenAtEnd int
-	// Dropped is the recorder's post-Cap discard count at summary time.
-	Dropped int
+	// Dropped counts records missing from the stream. Flight sequence
+	// numbers are contiguous from 1, so every hole below the highest Seq
+	// is a record the ring overwrote before the snapshot.
+	Dropped uint64
 }
 
-// orphan records an out-of-protocol event.
-func (s *Summary) orphan(k Kind) {
-	if s.Orphans == nil {
-		s.Orphans = map[Kind]int{}
-	}
-	s.Orphans[k]++
-}
-
-// Summarize reduces the event stream per core into a Summary.
-func (r *Recorder) Summarize() Summary {
-	s := Summary{RetriesPerCommit: map[int]int{}, Dropped: r.dropped}
+// Summarize folds a flight-record stream, in record (Seq) order as
+// flight.Recorder.Snapshot returns it, into a Summary.
+func Summarize(recs []flight.Rec) Summary {
+	s := Summary{RetriesPerCommit: map[int]int{}}
 	type open struct {
 		start   sim.Time
 		retries int
 	}
-	cur := map[int]*open{}
-	for _, e := range r.events {
-		switch e.Kind {
-		case Begin:
-			if o := cur[e.Core]; o != nil {
-				o.start = e.At // retry of the same transaction
+	cur := map[int16]*open{}
+	orphan := func(k flight.Kind) {
+		if s.Orphans == nil {
+			s.Orphans = map[flight.Kind]int{}
+		}
+		s.Orphans[k]++
+	}
+	var maxSeq uint64
+	for _, r := range recs {
+		maxSeq = max(maxSeq, r.Seq)
+		switch r.Kind {
+		case flight.TxnBegin:
+			if o := cur[r.Core]; o != nil {
+				o.start = r.At // retry of the same transaction
 			} else {
-				cur[e.Core] = &open{start: e.At}
+				cur[r.Core] = &open{start: r.At}
 			}
-		case Commit:
-			o := cur[e.Core]
+		case flight.TxnCommit:
+			o := cur[r.Core]
 			if o == nil {
-				s.orphan(Commit)
+				orphan(r.Kind)
 				continue
 			}
 			s.Commits++
-			s.AttemptCycles = append(s.AttemptCycles, e.At-o.start)
+			s.AttemptCycles = append(s.AttemptCycles, r.At-o.start)
 			s.RetriesPerCommit[o.retries]++
-			delete(cur, e.Core)
-		case Abort:
-			o := cur[e.Core]
+			delete(cur, r.Core)
+		case flight.TxnAbort:
+			o := cur[r.Core]
 			if o == nil {
-				s.orphan(Abort)
+				orphan(r.Kind)
 				continue
 			}
 			s.Aborts++
-			s.AttemptCycles = append(s.AttemptCycles, e.At-o.start)
+			s.AttemptCycles = append(s.AttemptCycles, r.At-o.start)
 			o.retries++
-		case ConflictWait:
+		case flight.CMStall:
 			s.Waits++
-		case ConflictAbortEnemy:
+		case flight.AbortEnemy:
 			s.EnemyKills++
-		case ConflictAbortSelf:
+		case flight.AbortSelf:
 			s.SelfKills++
-		default:
-			s.orphan(e.Kind)
 		}
+	}
+	if n := uint64(len(recs)); maxSeq > n {
+		s.Dropped = maxSeq - n
 	}
 	// A committed transaction always deletes its entry, so whatever remains
 	// is unfinished: mid-attempt, or aborted and awaiting a retry that the
@@ -178,14 +119,14 @@ func (s Summary) Print(w io.Writer) {
 	fmt.Fprintf(w, "commits %d, aborts %d (%.2f/commit)\n",
 		s.Commits, s.Aborts, float64(s.Aborts)/float64(max(s.Commits, 1)))
 	if len(s.Orphans) > 0 {
-		var kinds []int
+		var kinds []flight.Kind
 		for k := range s.Orphans {
-			kinds = append(kinds, int(k))
+			kinds = append(kinds, k)
 		}
-		sort.Ints(kinds)
+		sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
 		fmt.Fprintf(w, "WARNING: orphan events (no open transaction):")
 		for _, k := range kinds {
-			fmt.Fprintf(w, " %s=%d", Kind(k), s.Orphans[Kind(k)])
+			fmt.Fprintf(w, " %s=%d", k, s.Orphans[k])
 		}
 		fmt.Fprintln(w)
 	}
@@ -193,7 +134,7 @@ func (s Summary) Print(w io.Writer) {
 		fmt.Fprintf(w, "WARNING: %d transactions still open at end of trace\n", s.OpenAtEnd)
 	}
 	if s.Dropped > 0 {
-		fmt.Fprintf(w, "WARNING: %d events dropped at recorder cap; stats are truncated\n", s.Dropped)
+		fmt.Fprintf(w, "WARNING: %d flight records lost to ring wrap-around; stats are truncated\n", s.Dropped)
 	}
 	fmt.Fprintf(w, "conflict handling: %d waits, %d enemy aborts, %d self aborts\n",
 		s.Waits, s.EnemyKills, s.SelfKills)
@@ -210,11 +151,4 @@ func (s Summary) Print(w io.Writer) {
 	for _, n := range retries {
 		fmt.Fprintf(w, "  %d retries: %d txns\n", n, s.RetriesPerCommit[n])
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,51 +1,88 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"flextm/internal/flight"
+	"flextm/internal/sim"
+	"flextm/internal/trace"
 )
 
-func TestSummarizeBasicLifecycle(t *testing.T) {
-	r := NewRecorder()
-	// Core 0: begin -> abort -> begin(retry) -> commit.
-	r.Add(Event{At: 0, Core: 0, Kind: Begin})
-	r.Add(Event{At: 100, Core: 0, Kind: Abort})
-	r.Add(Event{At: 150, Core: 0, Kind: Begin})
-	r.Add(Event{At: 400, Core: 0, Kind: Commit})
-	// Core 1: clean commit.
-	r.Add(Event{At: 10, Core: 1, Kind: Begin})
-	r.Add(Event{At: 60, Core: 1, Kind: Commit})
+// stream builds a record slice with sequential Seq numbers, mirroring what
+// a lossless flight.Recorder.Snapshot returns.
+type stream struct {
+	recs []flight.Rec
+}
 
-	s := r.Summarize()
-	if s.Commits != 2 || s.Aborts != 1 {
-		t.Fatalf("commits=%d aborts=%d", s.Commits, s.Aborts)
+func (s *stream) add(at sim.Time, core int, k flight.Kind, peer int) *stream {
+	s.recs = append(s.recs, flight.Rec{
+		At: at, Seq: uint64(len(s.recs) + 1),
+		Core: int16(core), Peer: int16(peer), Kind: k,
+	})
+	return s
+}
+
+// lifecycle adds a peerless begin/commit/abort record.
+func (s *stream) lifecycle(at sim.Time, core int, k flight.Kind) *stream {
+	return s.add(at, core, k, -1)
+}
+
+func TestSummarizeBasicLifecycle(t *testing.T) {
+	var s stream
+	// Core 0: begin -> abort -> begin(retry) -> commit.
+	s.lifecycle(0, 0, flight.TxnBegin)
+	s.lifecycle(100, 0, flight.TxnAbort)
+	s.lifecycle(150, 0, flight.TxnBegin)
+	s.lifecycle(400, 0, flight.TxnCommit)
+	// Core 1: clean commit.
+	s.lifecycle(10, 1, flight.TxnBegin)
+	s.lifecycle(60, 1, flight.TxnCommit)
+
+	sum := trace.Summarize(s.recs)
+	if sum.Commits != 2 || sum.Aborts != 1 {
+		t.Fatalf("commits=%d aborts=%d", sum.Commits, sum.Aborts)
 	}
-	if s.RetriesPerCommit[1] != 1 || s.RetriesPerCommit[0] != 1 {
-		t.Fatalf("retries histogram = %v", s.RetriesPerCommit)
+	if sum.RetriesPerCommit[1] != 1 || sum.RetriesPerCommit[0] != 1 {
+		t.Fatalf("retries histogram = %v", sum.RetriesPerCommit)
 	}
-	if len(s.AttemptCycles) != 3 {
-		t.Fatalf("attempt samples = %d, want 3", len(s.AttemptCycles))
+	if len(sum.AttemptCycles) != 3 {
+		t.Fatalf("attempt samples = %d, want 3", len(sum.AttemptCycles))
 	}
-	if s.AttemptCycles[0] != 50 || s.AttemptCycles[2] != 250 {
-		t.Fatalf("attempt cycles = %v", s.AttemptCycles)
+	if sum.AttemptCycles[0] != 50 || sum.AttemptCycles[2] != 250 {
+		t.Fatalf("attempt cycles = %v", sum.AttemptCycles)
 	}
 }
 
+// TestConflictCounters: every cm-stall is a wait, and every abort-enemy
+// record counts — the eager verdict (line set) and the lazy commit-loop kill
+// (line 0) alike. Non-lifecycle records fold into nothing.
 func TestConflictCounters(t *testing.T) {
-	r := NewRecorder()
-	r.Add(Event{Kind: ConflictWait, Enemy: 2})
-	r.Add(Event{Kind: ConflictWait, Enemy: 2})
-	r.Add(Event{Kind: ConflictAbortEnemy, Enemy: 2})
-	r.Add(Event{Kind: ConflictAbortSelf, Enemy: 3})
-	s := r.Summarize()
-	if s.Waits != 2 || s.EnemyKills != 1 || s.SelfKills != 1 {
-		t.Fatalf("summary = %+v", s)
+	var s stream
+	s.add(1, 0, flight.CMStall, 2)
+	s.add(2, 0, flight.CMStall, 2)
+	s.add(3, 0, flight.AbortEnemy, 2)
+	s.add(4, 1, flight.AbortEnemy, 3)
+	s.add(5, 3, flight.AbortSelf, 1)
+	s.add(6, 1, flight.CSTSet, 2)
+	s.add(7, 1, flight.CSTClear, -1)
+	sum := trace.Summarize(s.recs)
+	if sum.Waits != 2 || sum.EnemyKills != 2 || sum.SelfKills != 1 {
+		t.Fatalf("summary = %+v", sum)
+	}
+	if sum.Commits != 0 || sum.Aborts != 0 || len(sum.Orphans) != 0 {
+		t.Fatalf("conflict records leaked into lifecycle counts: %+v", sum)
+	}
+	var buf bytes.Buffer
+	sum.Print(&buf)
+	if !strings.Contains(buf.String(), "conflict handling: 2 waits, 2 enemy aborts, 1 self aborts") {
+		t.Fatalf("conflict line:\n%s", buf.String())
 	}
 }
 
 func TestPercentiles(t *testing.T) {
-	s := Summary{AttemptCycles: []uint64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}}
+	s := trace.Summary{AttemptCycles: []uint64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}}
 	if p := s.Percentile(0); p != 10 {
 		t.Fatalf("p0 = %d", p)
 	}
@@ -55,101 +92,103 @@ func TestPercentiles(t *testing.T) {
 	if p := s.Percentile(50); p < 40 || p > 60 {
 		t.Fatalf("p50 = %d", p)
 	}
-	if (Summary{}).Percentile(50) != 0 {
+	if (trace.Summary{}).Percentile(50) != 0 {
 		t.Fatal("empty summary percentile should be 0")
 	}
 }
 
+// TestCapBoundsMemory: a traced run's memory is bounded by the flight ring,
+// and the summary of a wrapped ring reports exactly the recorder's loss.
 func TestCapBoundsMemory(t *testing.T) {
-	r := NewRecorder()
-	r.Cap = 5
+	r := flight.New(1, 5)
 	for i := 0; i < 100; i++ {
-		r.Add(Event{At: uint64(i)})
+		r.Rec(0, sim.Time(i), flight.TxnBegin, -1, 0, 0)
 	}
-	if len(r.Events()) != 5 {
-		t.Fatalf("events = %d, want 5", len(r.Events()))
+	recs := r.Snapshot()
+	if len(recs) != 5 {
+		t.Fatalf("records kept = %d, want 5", len(recs))
+	}
+	if got := trace.Summarize(recs).Dropped; got != r.Overwritten() || got != 95 {
+		t.Fatalf("summary dropped = %d, recorder overwrote %d, want 95", got, r.Overwritten())
 	}
 }
 
 func TestPrintHumanReadable(t *testing.T) {
-	r := NewRecorder()
-	r.Add(Event{At: 0, Core: 0, Kind: Begin})
-	r.Add(Event{At: 80, Core: 0, Kind: Commit})
+	var s stream
+	s.lifecycle(0, 0, flight.TxnBegin)
+	s.lifecycle(80, 0, flight.TxnCommit)
 	var buf bytes.Buffer
-	r.Summarize().Print(&buf)
+	trace.Summarize(s.recs).Print(&buf)
 	out := buf.String()
 	for _, want := range []string{"commits 1", "attempt cycles"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
-}
-
-func TestKindStrings(t *testing.T) {
-	for k := Begin; k <= ConflictAbortSelf; k++ {
-		if strings.HasPrefix(k.String(), "Kind(") {
-			t.Fatalf("kind %d has no name", k)
-		}
+	if strings.Contains(out, "WARNING") {
+		t.Fatalf("clean stream warns:\n%s", out)
 	}
 }
 
 func TestOrphanEventsReported(t *testing.T) {
-	r := NewRecorder()
+	var s stream
 	// Commit and abort with no open transaction: a truncated stream.
-	r.Add(Event{At: 10, Core: 0, Kind: Commit})
-	r.Add(Event{At: 20, Core: 1, Kind: Abort})
+	s.lifecycle(10, 0, flight.TxnCommit)
+	s.lifecycle(20, 1, flight.TxnAbort)
 	// A real transaction on core 2, untouched by the orphans.
-	r.Add(Event{At: 30, Core: 2, Kind: Begin})
-	r.Add(Event{At: 90, Core: 2, Kind: Commit})
-	s := r.Summarize()
-	if s.Commits != 1 || s.Aborts != 0 {
-		t.Fatalf("commits=%d aborts=%d, orphans must not count", s.Commits, s.Aborts)
+	s.lifecycle(30, 2, flight.TxnBegin)
+	s.lifecycle(90, 2, flight.TxnCommit)
+	sum := trace.Summarize(s.recs)
+	if sum.Commits != 1 || sum.Aborts != 0 {
+		t.Fatalf("commits=%d aborts=%d, orphans must not count", sum.Commits, sum.Aborts)
 	}
-	if s.Orphans[Commit] != 1 || s.Orphans[Abort] != 1 {
-		t.Fatalf("orphans = %v", s.Orphans)
+	if sum.Orphans[flight.TxnCommit] != 1 || sum.Orphans[flight.TxnAbort] != 1 {
+		t.Fatalf("orphans = %v", sum.Orphans)
 	}
-	if len(s.AttemptCycles) != 1 || s.AttemptCycles[0] != 60 {
-		t.Fatalf("attempt cycles = %v, orphan must not fold into latency", s.AttemptCycles)
+	if len(sum.AttemptCycles) != 1 || sum.AttemptCycles[0] != 60 {
+		t.Fatalf("attempt cycles = %v, orphan must not fold into latency", sum.AttemptCycles)
 	}
 	var buf bytes.Buffer
-	s.Print(&buf)
-	if !strings.Contains(buf.String(), "orphan events") {
+	sum.Print(&buf)
+	if !strings.Contains(buf.String(), "orphan events (no open transaction): commit=1 abort=1") {
 		t.Fatalf("orphans not reported:\n%s", buf.String())
 	}
 }
 
 func TestOpenAtEndReported(t *testing.T) {
-	r := NewRecorder()
-	r.Add(Event{At: 0, Core: 0, Kind: Begin})
-	r.Add(Event{At: 5, Core: 1, Kind: Begin})
-	r.Add(Event{At: 50, Core: 1, Kind: Commit})
-	s := r.Summarize()
-	if s.OpenAtEnd != 1 {
-		t.Fatalf("openAtEnd = %d, want 1", s.OpenAtEnd)
+	var s stream
+	s.lifecycle(0, 0, flight.TxnBegin)
+	s.lifecycle(5, 1, flight.TxnBegin)
+	s.lifecycle(50, 1, flight.TxnCommit)
+	sum := trace.Summarize(s.recs)
+	if sum.OpenAtEnd != 1 {
+		t.Fatalf("openAtEnd = %d, want 1", sum.OpenAtEnd)
 	}
 	var buf bytes.Buffer
-	s.Print(&buf)
+	sum.Print(&buf)
 	if !strings.Contains(buf.String(), "still open") {
 		t.Fatalf("open transactions not reported:\n%s", buf.String())
 	}
 }
 
+// TestDroppedCounted: holes in the Seq numbering are records the ring
+// overwrote, and the summary says its stats are truncated.
 func TestDroppedCounted(t *testing.T) {
-	r := NewRecorder()
-	r.Cap = 3
+	var s stream
 	for i := 0; i < 10; i++ {
-		r.Add(Event{At: uint64(i), Kind: Begin})
+		s.lifecycle(sim.Time(i), 0, flight.TxnBegin)
 	}
-	if r.Dropped() != 7 {
-		t.Fatalf("dropped = %d, want 7", r.Dropped())
-	}
-	s := r.Summarize()
-	if s.Dropped != 7 {
-		t.Fatalf("summary dropped = %d", s.Dropped)
+	recs := s.recs[7:] // Seq 8..10 survive; 1..7 were overwritten
+	sum := trace.Summarize(recs)
+	if sum.Dropped != 7 {
+		t.Fatalf("summary dropped = %d, want 7", sum.Dropped)
 	}
 	var buf bytes.Buffer
-	s.Print(&buf)
-	if !strings.Contains(buf.String(), "dropped") {
+	sum.Print(&buf)
+	if !strings.Contains(buf.String(), "WARNING: 7 flight records lost") {
 		t.Fatalf("drops not reported:\n%s", buf.String())
+	}
+	if d := trace.Summarize(s.recs).Dropped; d != 0 {
+		t.Fatalf("lossless stream dropped = %d, want 0", d)
 	}
 }
