@@ -116,12 +116,10 @@ func (s *Scheduler) rotate(ctx *sim.Ctx, coreID int) {
 		}
 	}
 	if cur != nil {
-		parkedAt := sim.Time(0)
 		parked := false
 		s.engine.RequestPark(cur.ctx, func(v *sim.Ctx) {
 			cur.susp = s.m.Suspend(v, coreID)
 			cur.parked = true
-			parkedAt = v.Now()
 			parked = true
 		})
 		// Wait (in virtual time) until the victim actually parks; it may
@@ -130,7 +128,6 @@ func (s *Scheduler) rotate(ctx *sim.Ctx, coreID int) {
 			ctx.Advance(50)
 			ctx.Sync()
 		}
-		_ = parkedAt
 	}
 	s.ensureSomeoneRuns(ctx, coreID)
 }

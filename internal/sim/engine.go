@@ -3,20 +3,27 @@
 // The engine models a chip multiprocessor as a set of hardware threads, each
 // executed by a Go goroutine that is resumed one at a time in virtual-time
 // order. A thread runs uninterrupted between synchronization points (memory
-// operations); at each such point it yields control back to the engine, which
-// resumes the thread with the smallest virtual clock. Ties are broken by
-// thread id, so a simulation is bit-deterministic for a given configuration
-// and seed.
+// operations). At each such point the thread with the smallest virtual clock
+// runs next; ties are broken by thread id, so a simulation is
+// bit-deterministic for a given configuration and seed.
 //
-// Because exactly one thread (or the engine) runs at any instant, simulated
-// machine state needs no locking: every structure in the memory system is
-// touched only by the currently-resumed thread.
+// There is no scheduler goroutine. A yielding thread that is still strictly
+// the earliest runnable one simply keeps running (the stay-running fast
+// path). Otherwise it pushes itself onto the run queue, pops the earliest
+// thread, resumes it directly and parks. A thread that finishes, or blocks
+// with an empty run queue, hands off the same way; when nothing is left to
+// run it wakes Run instead. Because (now, id) is a strict total order, the
+// run queue pops the same sequence whichever thread does the popping, and
+// the fast path only skips a push and pop that would have returned the
+// yielder itself: the order is exactly that of a central scheduler that
+// resumes the minimum after every yield.
+//
+// Because exactly one thread runs at any instant, and every handoff is a
+// channel operation, simulated machine state needs no locking: every
+// structure in the memory system is touched only by the running thread.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a point in virtual time, measured in processor cycles.
 type Time = uint64
@@ -29,7 +36,7 @@ type Ctx struct {
 	now    Time
 	engine *Engine
 	resume chan struct{}
-	// state flags, owned by the engine/running thread (never concurrent)
+	// state flags, owned by the running thread (never concurrent)
 	finished bool
 	blocked  bool
 	inHeap   bool
@@ -58,9 +65,11 @@ func (c *Ctx) Done() bool { return c.finished || c.blocked }
 // yielding. Use it for computation that touches no shared simulated state.
 func (c *Ctx) Advance(d Time) { c.now += d }
 
-// Sync yields to the engine until this thread is globally the earliest
-// runnable thread. Call it immediately before touching shared simulated
-// state (the memory system calls it on every operation).
+// Sync returns once this thread is globally the earliest runnable thread by
+// (now, id). Call it immediately before touching shared simulated state (the
+// memory system calls it on every operation). A pending RequestPark is
+// honored first. If the thread is already the earliest, Sync returns without
+// a goroutine switch.
 func (c *Ctx) Sync() {
 	if c.descheduleReq {
 		c.park()
@@ -88,27 +97,37 @@ func (c *Ctx) park() {
 	c.Block()
 }
 
-// yield hands control to the engine. If the thread is not blocked it is
-// reinserted into the run queue first.
+// yield gives up the processor until c is again the earliest runnable
+// thread. A runnable c that still orders strictly before the run queue's
+// head keeps running. Otherwise c is queued (unless blocked), the earliest
+// thread is resumed directly from c's goroutine, and c parks until some
+// thread pops it in turn.
 func (c *Ctx) yield() {
+	e := c.engine
 	if !c.blocked {
-		c.engine.push(c)
+		if len(e.ready) == 0 || ctxLess(c, e.ready[0]) {
+			return
+		}
+		e.push(c)
 	}
-	c.engine.yieldCh <- c
+	e.handoff()
 	<-c.resume
 }
 
 // Engine is a discrete-event scheduler over a set of simulated threads.
 type Engine struct {
 	threads []*Ctx
-	ready   ctxHeap
-	yieldCh chan *Ctx
+	// ready is a binary min-heap ordered by ctxLess.
+	ready []*Ctx
+	// idle is signalled by the thread that finds the run queue empty, which
+	// ends Run.
+	idle    chan struct{}
 	running bool
 }
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
-	return &Engine{yieldCh: make(chan *Ctx)}
+	return &Engine{idle: make(chan struct{})}
 }
 
 // Spawn creates a simulated thread that will run body starting at virtual
@@ -129,7 +148,7 @@ func (e *Engine) Spawn(name string, start Time, body func(*Ctx)) *Ctx {
 		<-c.resume
 		body(c)
 		c.finished = true
-		e.yieldCh <- c
+		e.handoff()
 	}()
 	e.push(c)
 	return c
@@ -166,10 +185,9 @@ func (e *Engine) RequestPark(c *Ctx, notify func(*Ctx)) {
 func (e *Engine) Run() int {
 	e.running = true
 	defer func() { e.running = false }()
-	for e.ready.Len() > 0 {
-		c := e.pop()
-		c.resume <- struct{}{}
-		<-e.yieldCh
+	if len(e.ready) > 0 {
+		e.pop().resume <- struct{}{}
+		<-e.idle
 	}
 	blocked := 0
 	for _, c := range e.threads {
@@ -195,37 +213,64 @@ func (e *Engine) MaxTime() Time {
 // Threads returns the threads spawned so far, in id order.
 func (e *Engine) Threads() []*Ctx { return e.threads }
 
+// handoff passes the processor from the calling thread, which must not be
+// runnable or must already be queued, to the earliest queued thread, or to
+// Run when the queue is empty.
+func (e *Engine) handoff() {
+	if len(e.ready) == 0 {
+		e.idle <- struct{}{}
+		return
+	}
+	e.pop().resume <- struct{}{}
+}
+
+// ctxLess orders threads by (now, id), a strict total order.
+func ctxLess(a, b *Ctx) bool {
+	if a.now != b.now {
+		return a.now < b.now
+	}
+	return a.id < b.id
+}
+
 func (e *Engine) push(c *Ctx) {
 	if c.inHeap {
 		panic(fmt.Sprintf("sim: thread %s pushed twice", c.name))
 	}
 	c.inHeap = true
-	heap.Push(&e.ready, c)
+	h := append(e.ready, c)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !ctxLess(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	e.ready = h
 }
 
 func (e *Engine) pop() *Ctx {
-	c := heap.Pop(&e.ready).(*Ctx)
+	h := e.ready
+	c := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = nil
+	h = h[:n]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < n && ctxLess(h[l], h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < n && ctxLess(h[r], h[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	e.ready = h
 	c.inHeap = false
 	return c
-}
-
-// ctxHeap orders threads by (now, id).
-type ctxHeap []*Ctx
-
-func (h ctxHeap) Len() int { return len(h) }
-func (h ctxHeap) Less(i, j int) bool {
-	if h[i].now != h[j].now {
-		return h[i].now < h[j].now
-	}
-	return h[i].id < h[j].id
-}
-func (h ctxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *ctxHeap) Push(x interface{}) { *h = append(*h, x.(*Ctx)) }
-func (h *ctxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
 }
