@@ -6,10 +6,20 @@
 //
 // The package holds state and data; the coherence protocol that drives
 // transitions lives in internal/tmesi.
+//
+// Flash commit/abort is a gang-clear of T bits in the paper, so it should
+// cost nothing per idle line. The model gets close: it keeps the set array
+// flat with a parallel tag array (Lookup compares tags before touching a
+// line), and a PDI mask with one bit per set slot that Lookup and Insert
+// set on every slot they hand out or fill. FlashCommit, FlashAbort,
+// ClearAlerts and TMILines visit only marked slots, in the same set-major
+// order as a full walk, plus the whole victim buffer, so they cost
+// O(lines touched since the last walk) rather than O(L1 size).
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"flextm/internal/memory"
 )
@@ -64,6 +74,7 @@ func (s State) Speculative() bool { return s == TMI || s == TI }
 
 // Line is one cache line.
 type Line struct {
+	// Tag is written only by this package: Cache mirrors it in a tag array.
 	Tag   memory.LineAddr
 	State State
 	Alert bool // the AOU 'A' bit
@@ -89,9 +100,19 @@ func DefaultL1Config() Config { return Config{Sets: 256, Ways: 2, VictimSize: 32
 // Cache is a set-associative cache with a victim buffer. The zero value is
 // not usable; call New.
 type Cache struct {
-	cfg    Config
-	sets   [][]Line
-	victim []Line // FIFO order: victim[0] is oldest
+	cfg Config
+	// lines is the set array, set-major: set s occupies
+	// lines[s*Ways : (s+1)*Ways]. tags mirrors lines[i].Tag so a lookup
+	// scans 8-byte tags instead of whole lines.
+	lines []Line
+	tags  []memory.LineAddr
+	// pdi has one bit per set slot. A slot's bit is set whenever Lookup
+	// returns it or Insert fills it, and every pointer into the set array
+	// comes from one of those two, so any slot that may be TMI, TI or
+	// alerted is marked. Flash walks visit only marked slots.
+	pdi    []uint64
+	victim []Line            // FIFO order: victim[0] is oldest
+	vtags  []memory.LineAddr // vtags[i] == victim[i].Tag
 	clock  uint64
 }
 
@@ -100,31 +121,39 @@ func New(cfg Config) *Cache {
 	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 || cfg.Ways <= 0 {
 		panic("cache: invalid geometry")
 	}
-	sets := make([][]Line, cfg.Sets)
-	for i := range sets {
-		sets[i] = make([]Line, cfg.Ways)
+	n := cfg.Sets * cfg.Ways
+	return &Cache{
+		cfg:   cfg,
+		lines: make([]Line, n),
+		tags:  make([]memory.LineAddr, n),
+		pdi:   make([]uint64, (n+63)/64),
 	}
-	return &Cache{cfg: cfg, sets: sets}
 }
 
-func (c *Cache) setOf(l memory.LineAddr) []Line {
-	return c.sets[uint64(l)&uint64(c.cfg.Sets-1)]
+// setBase returns the index in lines of way 0 of l's set.
+func (c *Cache) setBase(l memory.LineAddr) int {
+	return int(uint64(l)&uint64(c.cfg.Sets-1)) * c.cfg.Ways
 }
+
+func (c *Cache) mark(i int) { c.pdi[i>>6] |= 1 << uint(i&63) }
 
 // Lookup returns the line holding l, or nil. A hit in the victim buffer
 // counts; the line is not moved (the victim buffer is searched in parallel
 // with the set in hardware).
 func (c *Cache) Lookup(l memory.LineAddr) *Line {
-	set := c.setOf(l)
-	for i := range set {
-		if set[i].State != Invalid && set[i].Tag == l {
-			c.clock++
-			set[i].lru = c.clock
-			return &set[i]
+	base := c.setBase(l)
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == l {
+			if ln := &c.lines[base+i]; ln.State != Invalid {
+				c.clock++
+				ln.lru = c.clock
+				c.mark(base + i)
+				return ln
+			}
 		}
 	}
-	for i := range c.victim {
-		if c.victim[i].State != Invalid && c.victim[i].Tag == l {
+	for i, t := range c.vtags {
+		if t == l && c.victim[i].State != Invalid {
 			return &c.victim[i]
 		}
 	}
@@ -148,11 +177,12 @@ func (c *Cache) Insert(ln Line) []Victimized {
 	}
 	c.clock++
 	ln.lru = c.clock
-	set := c.setOf(ln.Tag)
+	base := c.setBase(ln.Tag)
+	set := c.lines[base : base+c.cfg.Ways]
 	// Empty way?
 	for i := range set {
 		if set[i].State == Invalid {
-			set[i] = ln
+			c.fill(base+i, ln)
 			return nil
 		}
 	}
@@ -164,8 +194,14 @@ func (c *Cache) Insert(ln Line) []Victimized {
 		}
 	}
 	evicted := set[vi]
-	set[vi] = ln
+	c.fill(base+vi, ln)
 	return c.pushVictim(evicted)
+}
+
+func (c *Cache) fill(i int, ln Line) {
+	c.lines[i] = ln
+	c.tags[i] = ln.Tag
+	c.mark(i)
 }
 
 func (c *Cache) pushVictim(ln Line) []Victimized {
@@ -173,6 +209,7 @@ func (c *Cache) pushVictim(ln Line) []Victimized {
 		return []Victimized{{Line: ln}}
 	}
 	c.victim = append(c.victim, ln)
+	c.vtags = append(c.vtags, ln.Tag)
 	var out []Victimized
 	if c.cfg.VictimSize >= 0 {
 		over := func() int {
@@ -193,6 +230,7 @@ func (c *Cache) pushVictim(ln Line) []Victimized {
 				if !c.cfg.UnboundedTMIVictim || v.State != TMI {
 					out = append(out, Victimized{Line: v})
 					c.victim = append(c.victim[:i], c.victim[i+1:]...)
+					c.vtags = append(c.vtags[:i], c.vtags[i+1:]...)
 					break
 				}
 			}
@@ -219,7 +257,7 @@ func (c *Cache) Invalidate(l memory.LineAddr) (Line, bool) {
 // up directory ownership.
 func (c *Cache) FlashCommit() []memory.LineAddr {
 	var committed []memory.LineAddr
-	c.forEach(func(ln *Line) {
+	c.walkPDI(func(ln *Line) {
 		switch ln.State {
 		case TMI:
 			ln.State = Modified
@@ -236,7 +274,7 @@ func (c *Cache) FlashCommit() []memory.LineAddr {
 // dropped.
 func (c *Cache) FlashAbort() int {
 	n := 0
-	c.forEach(func(ln *Line) {
+	c.walkPDI(func(ln *Line) {
 		if ln.State.Speculative() {
 			ln.State = Invalid
 			n++
@@ -249,7 +287,7 @@ func (c *Cache) FlashAbort() int {
 // descheduled transaction's speculative state into its overflow table).
 func (c *Cache) TMILines() []memory.LineAddr {
 	var out []memory.LineAddr
-	c.forEach(func(ln *Line) {
+	c.walkPDI(func(ln *Line) {
 		if ln.State == TMI {
 			out = append(out, ln.Tag)
 		}
@@ -260,38 +298,58 @@ func (c *Cache) TMILines() []memory.LineAddr {
 // ClearAlerts drops every A bit (used on abort/commit of the watched word's
 // owner context).
 func (c *Cache) ClearAlerts() {
-	c.forEach(func(ln *Line) { ln.Alert = false })
+	c.walkPDI(func(ln *Line) { ln.Alert = false })
 }
 
 // Resident returns the number of valid lines (set array + victim buffer).
+// It only reads: the victim buffer is not compacted.
 func (c *Cache) Resident() int {
 	n := 0
-	c.forEach(func(ln *Line) {
-		if ln.State != Invalid {
+	for i := range c.lines {
+		if c.lines[i].State != Invalid {
 			n++
 		}
-	})
+	}
+	for i := range c.victim {
+		if c.victim[i].State != Invalid {
+			n++
+		}
+	}
 	return n
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) forEach(f func(*Line)) {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			f(&c.sets[si][wi])
+// walkPDI calls f on every marked set slot in ascending slot order, which
+// is set-major order, and then on every victim-buffer entry, compacting the
+// victim buffer. Unmarked slots cannot be TMI, TI or alerted, so f would
+// leave them unchanged. A slot that f leaves neither speculative nor
+// alerted loses its mark.
+func (c *Cache) walkPDI(f func(*Line)) {
+	for w, word := range c.pdi {
+		keep := word
+		for rest := word; rest != 0; rest &= rest - 1 {
+			b := bits.TrailingZeros64(rest)
+			ln := &c.lines[w<<6|b]
+			f(ln)
+			if !ln.State.Speculative() && !ln.Alert {
+				keep &^= 1 << uint(b)
+			}
 		}
+		c.pdi[w] = keep
 	}
-	// Compact the victim buffer while visiting it.
-	live := c.victim[:0]
+	live := 0
 	for i := range c.victim {
 		f(&c.victim[i])
 		if c.victim[i].State != Invalid {
-			live = append(live, c.victim[i])
+			c.victim[live] = c.victim[i]
+			c.vtags[live] = c.vtags[i]
+			live++
 		}
 	}
-	c.victim = live
+	c.victim = c.victim[:live]
+	c.vtags = c.vtags[:live]
 }
 
 // TagCache is a tag-only set-associative cache used for the shared L2

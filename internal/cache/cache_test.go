@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -268,5 +269,110 @@ func TestUnboundedTMIVictimKeepsSpeculativeOnly(t *testing.T) {
 		if ln == nil || ln.State != TMI {
 			t.Fatalf("TMI line %d lost", i)
 		}
+	}
+}
+
+func TestResidentDoesNotCompactVictimBuffer(t *testing.T) {
+	// Invalidated victim entries keep their slot until the next flash walk,
+	// so they count against VictimSize. Counting resident lines must not
+	// free those slots: whether Insert spills live TMI line 0 may not
+	// depend on whether Resident was called.
+	run := func(count bool) []Victimized {
+		c := small()
+		for _, l := range []memory.LineAddr{0, 4, 8, 12} {
+			c.Insert(Line{Tag: l, State: TMI})
+		}
+		c.Invalidate(4) // victim buffer: [0, 4 (invalid)]
+		if count {
+			if n := c.Resident(); n != 3 {
+				t.Fatalf("Resident = %d, want 3", n)
+			}
+		}
+		return c.Insert(Line{Tag: 16, State: TMI})
+	}
+	want := run(false)
+	if len(want) != 1 || want[0].Line.Tag != 0 || want[0].Line.State != TMI {
+		t.Fatalf("spill = %+v, want live TMI line 0", want)
+	}
+	if got := run(true); len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("after Resident, spill = %+v, want %+v", got, want)
+	}
+}
+
+func TestFlashOpsAreAllocationFree(t *testing.T) {
+	c := New(DefaultL1Config())
+	// Three lines in set 0: one ends up in the victim buffer.
+	for _, l := range []memory.LineAddr{0, 256, 512, 7} {
+		c.Insert(Line{Tag: l, State: Shared})
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Lookup(7).Alert = true
+		c.Lookup(0).Alert = true
+		c.FlashAbort()
+		c.ClearAlerts()
+	})
+	if allocs != 0 {
+		t.Fatalf("Lookup+FlashAbort+ClearAlerts: %v allocs, want 0", allocs)
+	}
+}
+
+func BenchmarkLookup(b *testing.B) {
+	cfg := DefaultL1Config()
+	b.Run("set-hit", func(b *testing.B) {
+		c := New(cfg)
+		c.Insert(Line{Tag: 5, State: Shared})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Lookup(5)
+		}
+	})
+	b.Run("miss-full-victim", func(b *testing.B) {
+		c := New(cfg)
+		// Ways+VictimSize lines in set 0: both ways and every victim entry.
+		for i := 0; i < cfg.Ways+cfg.VictimSize; i++ {
+			if sp := c.Insert(Line{Tag: memory.LineAddr(i * cfg.Sets), State: Shared}); sp != nil {
+				b.Fatal("victim buffer spilled while filling")
+			}
+		}
+		miss := memory.LineAddr((cfg.Ways + cfg.VictimSize) * cfg.Sets)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if c.Lookup(miss) != nil {
+				b.Fatal("phantom hit")
+			}
+		}
+	})
+}
+
+// BenchmarkFlashCommit prices one commit of a write set spread over a full
+// L1. Each iteration re-arms the write set to TMI through Lookup, as a
+// transaction's stores would, so the time includes those lookups.
+func BenchmarkFlashCommit(b *testing.B) {
+	cfg := DefaultL1Config()
+	slots := cfg.Sets * cfg.Ways
+	for _, ws := range []int{2, 16, 64} {
+		b.Run(fmt.Sprintf("ws=%d", ws), func(b *testing.B) {
+			c := New(cfg)
+			for l := 0; l < slots; l++ {
+				c.Insert(Line{Tag: memory.LineAddr(l), State: Shared})
+			}
+			if c.Resident() != slots {
+				b.Fatalf("Resident = %d, want %d", c.Resident(), slots)
+			}
+			writeSet := make([]memory.LineAddr, ws)
+			for i := range writeSet {
+				writeSet[i] = memory.LineAddr(i * slots / ws)
+			}
+			c.FlashCommit()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, l := range writeSet {
+					c.Lookup(l).State = TMI
+				}
+				if n := len(c.FlashCommit()); n != ws {
+					b.Fatalf("committed %d lines, want %d", n, ws)
+				}
+			}
+		})
 	}
 }
