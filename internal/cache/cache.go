@@ -253,20 +253,19 @@ func (c *Cache) Invalidate(l memory.LineAddr) (Line, bool) {
 
 // FlashCommit applies the CAS-Commit success transition to every line:
 // TMI -> M (speculative data becomes the committed copy) and TI -> I.
-// It returns the lines that were TMI (now M) so the protocol layer can fix
-// up directory ownership.
-func (c *Cache) FlashCommit() []memory.LineAddr {
-	var committed []memory.LineAddr
+// It returns the number of lines committed (TMI, now M).
+func (c *Cache) FlashCommit() int {
+	n := 0
 	c.walkPDI(func(ln *Line) {
 		switch ln.State {
 		case TMI:
 			ln.State = Modified
-			committed = append(committed, ln.Tag)
+			n++
 		case TI:
 			ln.State = Invalid
 		}
 	})
-	return committed
+	return n
 }
 
 // FlashAbort applies the abort transition to every line: TMI -> I

@@ -94,9 +94,8 @@ func TestFlashCommit(t *testing.T) {
 	c.Insert(Line{Tag: 1, State: TMI, Data: memory.LineData{42}})
 	c.Insert(Line{Tag: 2, State: TI})
 	c.Insert(Line{Tag: 3, State: Shared})
-	committed := c.FlashCommit()
-	if len(committed) != 1 || committed[0] != 1 {
-		t.Fatalf("committed = %v, want [1]", committed)
+	if n := c.FlashCommit(); n != 1 {
+		t.Fatalf("committed %d lines, want 1", n)
 	}
 	if ln := c.Lookup(1); ln == nil || ln.State != Modified || ln.Data[0] != 42 {
 		t.Fatal("TMI line did not become M with data intact")
@@ -308,11 +307,13 @@ func TestFlashOpsAreAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Lookup(7).Alert = true
 		c.Lookup(0).Alert = true
+		c.Lookup(512).State = TMI
+		c.FlashCommit()
 		c.FlashAbort()
 		c.ClearAlerts()
 	})
 	if allocs != 0 {
-		t.Fatalf("Lookup+FlashAbort+ClearAlerts: %v allocs, want 0", allocs)
+		t.Fatalf("Lookup+FlashCommit+FlashAbort+ClearAlerts: %v allocs, want 0", allocs)
 	}
 }
 
@@ -369,7 +370,7 @@ func BenchmarkFlashCommit(b *testing.B) {
 				for _, l := range writeSet {
 					c.Lookup(l).State = TMI
 				}
-				if n := len(c.FlashCommit()); n != ws {
+				if n := c.FlashCommit(); n != ws {
 					b.Fatalf("committed %d lines, want %d", n, ws)
 				}
 			}

@@ -43,11 +43,6 @@ type ChaosSpec struct {
 	// driver rolls the Preempt class and, on a hit, suspends a victim core
 	// for an injector-chosen hold time.
 	Quantum sim.Time
-	// Oracle runs every cell with the serializability oracle attached and
-	// counts history violations alongside the chaos invariants. On by
-	// default (DefaultChaosSpec): the fault campaign is exactly where
-	// serializability violations would hide.
-	Oracle bool
 	// Parallel is the campaign's worker count (0 or 1 serial, < 0
 	// GOMAXPROCS). Cells build their own machine and derive their own fault
 	// schedule, so sharding them cannot change any cell's outcome, and
@@ -69,7 +64,6 @@ func DefaultChaosSpec() ChaosSpec {
 		Seed:     1,
 		Liveness: core.Liveness{MaxConsecAborts: 8, MaxStallCycles: 2_000_000, MaxCommitRetries: 16},
 		Quantum:  3000,
-		Oracle:   true,
 	}
 }
 
@@ -161,11 +155,10 @@ func runChaosCell(spec ChaosSpec, class fault.Class, rate float64, mode core.Mod
 	sys.SetFlight(flight.New(spec.Threads, 0))
 	rt := core.New(sys, mode, cm.NewPolka())
 	rt.SetLiveness(spec.Liveness)
-	var orc *oracle.Recorder
-	if spec.Oracle {
-		orc = oracle.NewRecorder()
-		rt.SetOracle(orc)
-	}
+	// Every cell runs oracle-checked: the fault campaign is exactly where
+	// serializability violations would hide.
+	orc := oracle.NewRecorder()
+	rt.SetOracle(orc)
 	// Mix the class into the seed so cells draw independent schedules even
 	// for the same spec seed.
 	inj := fault.NewInjector(fault.Config{Seed: spec.Seed*0x9E37 + uint64(class) + 1}.WithRate(class, rate))
@@ -187,7 +180,6 @@ func runChaosCell(spec ChaosSpec, class fault.Class, rate float64, mode core.Mod
 	var badSum bool
 	privWrites := make([]uint64, spec.Threads)
 	done := make([]bool, spec.Threads)
-	doneCount := 0
 	workerCtx := make([]*sim.Ctx, spec.Threads)
 	for ti := 0; ti < spec.Threads; ti++ {
 		id := ti
@@ -199,11 +191,10 @@ func runChaosCell(spec ChaosSpec, class fault.Class, rate float64, mode core.Mod
 					private+memory.Addr(id*memory.LineWords), &badSum, &privWrites[id])
 			}
 			done[id] = true
-			doneCount++
 		})
 	}
 	if class == fault.Preempt {
-		spawnPreemptStorm(e, sys, rt, inj, spec, workerCtx, done, &doneCount)
+		osmodel.New(sys, rt).SpawnPreemptStorm(e, inj, spec.Quantum, workerCtx, done)
 	}
 
 	if blocked := e.Run(); blocked != 0 {
@@ -230,14 +221,12 @@ func runChaosCell(spec ChaosSpec, class fault.Class, rate float64, mode core.Mod
 		}
 	}
 	// Invariant 4: the committed history is serializable (oracle verdict).
-	if orc != nil {
-		rep := oracle.Check(orc.History(), oracle.Options{})
-		for _, v := range rep.Violations {
-			fail("serializability: [%s] %s", v.Kind, v.Summary)
-		}
-		if extra := rep.TotalViolations - len(rep.Violations); extra > 0 {
-			fail("serializability: %d further violations beyond the witness cap", extra)
-		}
+	orep := oracle.Check(orc.History(), oracle.Options{})
+	for _, v := range orep.Violations {
+		fail("serializability: [%s] %s", v.Kind, v.Summary)
+	}
+	if extra := orep.TotalViolations - len(orep.Violations); extra > 0 {
+		fail("serializability: %d further violations beyond the witness cap", extra)
 	}
 
 	st := rt.Stats()
@@ -321,50 +310,4 @@ func chaosOp(th tmapi.Thread, r *sim.Rand, cells int, initial uint64,
 	default: // compute
 		th.Work(sim.Time(r.Intn(500)))
 	}
-}
-
-// spawnPreemptStorm adds the Preempt-class driver: every Quantum cycles it
-// rolls the injector and, on a hit, context-switches a victim core out
-// (saving and summarizing its transactional state via the OS model) for an
-// injector-chosen hold time, then resumes it. Transactions must survive the
-// storm: suspended-transaction conflicts are caught by the summary
-// signatures and arbitration of Section 5.
-func spawnPreemptStorm(e *sim.Engine, sys *tmesi.System, rt *core.Runtime,
-	inj *fault.Injector, spec ChaosSpec, workerCtx []*sim.Ctx, done []bool, doneCount *int) {
-	m := osmodel.New(sys, rt)
-	e.Spawn("preempt-storm", 0, func(ctx *sim.Ctx) {
-		for *doneCount < spec.Threads {
-			ctx.Advance(spec.Quantum)
-			ctx.Sync()
-			if !inj.Fire(-1, fault.Preempt) {
-				continue
-			}
-			victim := int(inj.Amount(fault.Preempt, uint64(spec.Threads))) - 1
-			if done[victim] {
-				continue
-			}
-			var susp *osmodel.Suspended
-			parked := false
-			e.RequestPark(workerCtx[victim], func(v *sim.Ctx) {
-				susp = m.Suspend(v, victim)
-				parked = true
-			})
-			// Wait in virtual time for the victim to actually park; it may
-			// finish its run instead, which is just as good.
-			for !parked && !done[victim] {
-				ctx.Advance(50)
-				ctx.Sync()
-			}
-			if !parked {
-				continue
-			}
-			hold := sim.Time(inj.Amount(fault.Preempt, 4*uint64(spec.Quantum)))
-			ctx.Advance(hold)
-			ctx.Sync()
-			if susp != nil { // nil when the victim had no live transaction
-				m.Resume(ctx, victim, susp)
-			}
-			e.Unblock(workerCtx[victim], ctx.Now())
-		}
-	})
 }

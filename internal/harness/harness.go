@@ -289,58 +289,17 @@ func Run(rc RunConfig) (Result, error) {
 			Threads:  rc.Threads,
 			Cores:    rc.Machine.Cores,
 		})
-		// The pump is an ordinary simulated thread that advances in
-		// interval-sized steps and samples whenever it holds the virtual
-		// CPU, so sampling is deterministic and cannot perturb the workload
-		// threads' schedule. It stops as soon as every worker has finished
-		// (or blocked — a wedged run must not keep the engine alive).
-		iv := rc.Observe.Interval()
-		e.Spawn("observatory", 0, func(ctx *sim.Ctx) {
-			for {
-				live := false
-				for _, wc := range workers {
-					if !wc.Done() {
-						live = true
-						break
-					}
-				}
-				if !live {
-					break
-				}
-				ctx.Advance(iv)
-				ctx.Sync()
-				rc.Observe.Tick(ctx.Now())
-			}
-			rc.Observe.Finish(ctx.Now())
-		})
-	}
-	if rc.Govern != nil {
-		// The governor paces itself by the pump's interval and is spawned
-		// after it: at every shared virtual instant the engine resumes
-		// equal-time threads in spawn order, so the pump publishes frame k
-		// before the governor reads it. Observe consumes no randomness and
-		// issues no simulated traffic — every mitigation is a Go-side flip —
-		// so a governed run's schedule diverges from the ungoverned one only
-		// through the mitigations themselves.
-		bus := rc.Observe.Bus()
-		iv := rc.Observe.Interval()
-		e.Spawn("governor", 0, func(ctx *sim.Ctx) {
-			for {
-				live := false
-				for _, wc := range workers {
-					if !wc.Done() {
-						live = true
-						break
-					}
-				}
-				if !live {
-					break
-				}
-				ctx.Advance(iv)
-				ctx.Sync()
-				rc.Govern.Observe(bus.Latest())
-			}
-		})
+		// The side threads stop as soon as every worker has finished or
+		// blocked: a wedged run must not keep the engine alive.
+		running := live(workers)
+		rc.Observe.Spawn(e, running, 0)
+		if rc.Govern != nil {
+			// Observe consumes no randomness and issues no simulated
+			// traffic — every mitigation is a Go-side flip — so a governed
+			// run's schedule diverges from the ungoverned one only through
+			// the mitigations themselves.
+			rc.Govern.Spawn(e, rc.Observe, running, 0)
+		}
 	}
 	if blocked := e.Run(); blocked != 0 {
 		return Result{}, fmt.Errorf("harness: %d threads blocked", blocked)
@@ -402,6 +361,20 @@ func Run(rc RunConfig) (Result, error) {
 		res.Telemetry = &snap
 	}
 	return res, nil
+}
+
+// live is the side threads' "workers still running" predicate for runs
+// that stop on sim.Ctx.Done: true while some ctx has neither finished nor
+// blocked.
+func live(cs []*sim.Ctx) func() bool {
+	return func() bool {
+		for _, c := range cs {
+			if !c.Done() {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 // Baseline runs single-thread CGL for the workload and returns its

@@ -53,7 +53,7 @@ type LivelockOutcome struct {
 // profiler ("does the analyzer detect a real livelock?") and a regression
 // probe for the escalation path ("does the run terminate at all?").
 func LivelockProbe(seed uint64) (*conflictgraph.Report, LivelockOutcome, error) {
-	return ObservedLivelockProbe(seed, nil)
+	return livelockDuel(seed, nil, nil)
 }
 
 // ObservedLivelockProbe is LivelockProbe with the observation plane
@@ -61,121 +61,7 @@ func LivelockProbe(seed uint64) (*conflictgraph.Report, LivelockOutcome, error) 
 // (or the -watch acceptance test) sees the abort-cycle pathology flagged
 // live — before the watchdog trips.
 func ObservedLivelockProbe(seed uint64, pump *observatory.Pump) (*conflictgraph.Report, LivelockOutcome, error) {
-	cfg := tmesi.DefaultConfig()
-	cfg.Cores = 2
-	sys := tmesi.New(cfg)
-	fl := flight.New(cfg.Cores, 0)
-	sys.SetFlight(fl)
-	// Telemetry is always attached: the live classifier needs the registry
-	// when a pump is bound, and the outcome's Trips count must not depend on
-	// whether the run was observed. Counters are passive, so the schedule is
-	// unchanged either way.
-	sys.SetTelemetry(telemetry.New(cfg.Cores))
-	inj := fault.NewInjector(fault.Config{Seed: seed}.WithRate(fault.SigFalsePos, 0.25))
-	sys.SetFaultInjector(inj)
-
-	rt := core.New(sys, core.Eager, cm.Aggressive{})
-	// The probe runs oracle-checked: a livelock broken only by escalation is
-	// exactly the kind of run where a serialization bug would hide.
-	orc := oracle.NewRecorder()
-	rt.SetOracle(orc)
-	// Tight watchdog: the duel must trip it quickly, and escalation bounds
-	// the run. Commit retries stay bounded too in case the duel shifts to
-	// commit-time refusals.
-	// Tight watchdog: Aggressive's randomized exponential backoff breaks the
-	// duel after ~10 exchanges, so the consecutive-abort threshold must sit
-	// below that for the trip (and hence the flight dump) to be reliable
-	// across seeds.
-	rt.SetLiveness(core.Liveness{MaxConsecAborts: 5, MaxStallCycles: 500_000, MaxCommitRetries: 32})
-
-	var dumped []flight.Rec
-	rt.OnFlightDump = func(c int, recs []flight.Rec) { dumped = recs }
-
-	lineA := sys.Alloc().Alloc(memory.LineWords)
-	lineB := sys.Alloc().Alloc(memory.LineWords)
-	orc.SetInitial(lineA, 0)
-	orc.SetInitial(lineB, 0)
-
-	const rounds = 40
-	e := sim.NewEngine()
-	var duelists []*sim.Ctx
-	for t := 0; t < 2; t++ {
-		id := t
-		duelists = append(duelists, e.Spawn(fmt.Sprintf("duel-%d", id), 0, func(ctx *sim.Ctx) {
-			th := rt.BindThread(ctx, id)
-			first, second := lineA, lineB
-			if id == 1 {
-				first, second = lineB, lineA
-			}
-			for n := 0; n < rounds; n++ {
-				th.Atomic(func(tx tmapi.Txn) {
-					tx.Store(first, tx.Load(first)+1)
-					th.Work(200) // hold the first line long enough to overlap
-					tx.Store(second, tx.Load(second)+1)
-					// Vulnerability window: keep the transaction open after
-					// the second store so the freshly killed enemy has time
-					// to restart and retaliate before we reach CAS-Commit.
-					// This is what turns a one-sided kill into a duel.
-					th.Work(200)
-				})
-			}
-		}))
-	}
-	if pump != nil {
-		pump.Bind(sys.Telemetry(), fl, observatory.Meta{
-			System: string(FlexTMEager), Workload: "LivelockDuel",
-			Threads: 2, Cores: cfg.Cores,
-		})
-		iv := pump.Interval()
-		e.Spawn("observatory", 0, func(ctx *sim.Ctx) {
-			for {
-				live := false
-				for _, d := range duelists {
-					if !d.Done() {
-						live = true
-						break
-					}
-				}
-				if !live {
-					break
-				}
-				ctx.Advance(iv)
-				ctx.Sync()
-				pump.Tick(ctx.Now())
-			}
-			pump.Finish(ctx.Now())
-		})
-	}
-	if blocked := e.Run(); blocked != 0 {
-		return nil, LivelockOutcome{}, fmt.Errorf("livelock probe: %d threads blocked (escalation failed)", blocked)
-	}
-
-	st := rt.Stats()
-	out := LivelockOutcome{
-		Commits:     st.Commits,
-		Aborts:      st.Aborts,
-		Escalations: st.Escalations,
-		Dumped:      dumped != nil,
-	}
-	if tel := sys.Telemetry(); tel != nil {
-		snap := tel.Snapshot()
-		out.Trips = snap.Total(telemetry.CtrWatchdogTrip)
-	}
-	recs := dumped
-	if recs == nil {
-		recs = fl.Snapshot()
-	}
-	out.Recs = recs
-	out.LineA, out.LineB = lineA.Line(), lineB.Line()
-	rep := conflictgraph.Analyze(recs, conflictgraph.Options{Cores: cfg.Cores})
-	if got, want := sys.ReadWordRaw(lineA)+sys.ReadWordRaw(lineB), uint64(2*2*rounds); got != want {
-		return rep, out, fmt.Errorf("livelock probe: line sum = %d, want %d", got, want)
-	}
-	if orep := oracle.Check(orc.History(), oracle.Options{}); !orep.Ok() {
-		return rep, out, fmt.Errorf("livelock probe: %d serializability violations ([%s] %s)",
-			orep.TotalViolations, orep.Violations[0].Kind, orep.Violations[0].Summary)
-	}
-	return rep, out, nil
+	return livelockDuel(seed, nil, pump)
 }
 
 // GovernedLivelockInterval is the sampling/reaction period the governed
@@ -214,34 +100,71 @@ func GovernedLivelockConfig() governor.Config {
 // created at GovernedLivelockInterval. The run is oracle-checked and
 // conservation-checked like the ungoverned probe.
 func GovernedLivelockProbe(seed uint64, g *governor.Governor, pump *observatory.Pump) (*conflictgraph.Report, LivelockOutcome, error) {
+	return livelockDuel(seed, g, pump)
+}
+
+// livelockDuel is the one duel body behind the probes. Whether g is nil
+// decides the watchdog budget, the observers' calm tail, and the report's
+// input (the watchdog dump or the end-of-run rings).
+func livelockDuel(seed uint64, g *governor.Governor, pump *observatory.Pump) (*conflictgraph.Report, LivelockOutcome, error) {
+	workload, errPrefix := "LivelockDuel", "livelock probe"
+	// Tight watchdog: the duel must trip it quickly, and escalation bounds
+	// the run. Aggressive's randomized exponential backoff breaks the duel
+	// after ~10 exchanges, so the consecutive-abort threshold must sit
+	// below that for the trip (and hence the flight dump) to be reliable
+	// across seeds. Commit retries stay bounded too in case the duel shifts
+	// to commit-time refusals.
+	budget := core.Liveness{MaxConsecAborts: 5, MaxStallCycles: 500_000, MaxCommitRetries: 32}
+	calmTail := 0
+	if g != nil {
+		workload, errPrefix = "GovernedLivelockDuel", "governed livelock probe"
+		// Loose watchdog: the governor must win the race. The duel produces
+		// roughly one abort every ~700 cycles, and the governor's first rung
+		// lands within one interval (2000 cycles), so a 24-abort budget
+		// leaves the watchdog as a genuine backstop rather than the
+		// resolution path.
+		budget = core.Liveness{MaxConsecAborts: 24, MaxStallCycles: 2_000_000, MaxCommitRetries: 64}
+		// Both observers run a calm tail of empty intervals past the duel's
+		// end: those classify healthy, so every rung still raised when the
+		// duel finishes is guaranteed to unwind before the run ends
+		// (structural de-escalation, not an accident of the duel schedule).
+		// 24 intervals covers the probe ladder's three rungs at LowerAfter 2
+		// + cooldown 2, with slack.
+		calmTail = 24
+	}
+
 	cfg := tmesi.DefaultConfig()
 	cfg.Cores = 2
 	sys := tmesi.New(cfg)
 	fl := flight.New(cfg.Cores, 0)
 	sys.SetFlight(fl)
+	// Telemetry is always attached: the live classifier needs the registry
+	// when a pump is bound, and the outcome's Trips count must not depend on
+	// whether the run was observed. Counters are passive, so the schedule is
+	// unchanged either way.
 	sys.SetTelemetry(telemetry.New(cfg.Cores))
 	inj := fault.NewInjector(fault.Config{Seed: seed}.WithRate(fault.SigFalsePos, 0.25))
 	sys.SetFaultInjector(inj)
 
 	rt := core.New(sys, core.Eager, cm.Aggressive{})
+	// The probe runs oracle-checked: a livelock broken only by escalation is
+	// exactly the kind of run where a serialization bug would hide.
 	orc := oracle.NewRecorder()
 	rt.SetOracle(orc)
-	// Loose watchdog: the governor must win the race. The duel produces
-	// roughly one abort every ~700 cycles, and the governor's first rung
-	// lands within one interval (2000 cycles), so a 24-abort budget leaves
-	// the watchdog as a genuine backstop rather than the resolution path.
-	rt.SetLiveness(core.Liveness{MaxConsecAborts: 24, MaxStallCycles: 2_000_000, MaxCommitRetries: 64})
+	rt.SetLiveness(budget)
 
 	var dumped []flight.Rec
 	rt.OnFlightDump = func(c int, recs []flight.Rec) { dumped = recs }
 
-	if pump == nil {
-		pump = observatory.NewPump(observatory.Config{
-			Interval: GovernedLivelockInterval, Bus: observatory.NewBus(),
-		})
+	if g != nil {
+		if pump == nil {
+			pump = observatory.NewPump(observatory.Config{
+				Interval: GovernedLivelockInterval, Bus: observatory.NewBus(),
+			})
+		}
+		g.Bind(rt, 2)
+		pump.SetAnnotator(g.Annotate)
 	}
-	g.Bind(rt, 2)
-	pump.SetAnnotator(g.Annotate)
 
 	lineA := sys.Alloc().Alloc(memory.LineWords)
 	lineB := sys.Alloc().Alloc(memory.LineWords)
@@ -262,79 +185,55 @@ func GovernedLivelockProbe(seed uint64, g *governor.Governor, pump *observatory.
 			for n := 0; n < rounds; n++ {
 				th.Atomic(func(tx tmapi.Txn) {
 					tx.Store(first, tx.Load(first)+1)
-					th.Work(200)
+					th.Work(200) // hold the first line long enough to overlap
 					tx.Store(second, tx.Load(second)+1)
+					// Vulnerability window: keep the transaction open after
+					// the second store so the freshly killed enemy has time
+					// to restart and retaliate before we reach CAS-Commit.
+					// This is what turns a one-sided kill into a duel.
 					th.Work(200)
 				})
 			}
 		}))
 	}
-	pump.Bind(sys.Telemetry(), fl, observatory.Meta{
-		System: string(FlexTMEager), Workload: "GovernedLivelockDuel",
-		Threads: 2, Cores: cfg.Cores,
-	})
-	// Both observers run a calm tail of empty intervals past the duel's
-	// end: those classify healthy, so every rung still raised when the
-	// duel finishes is guaranteed to unwind before the run ends (structural
-	// de-escalation, not an accident of the duel schedule). 24 intervals
-	// covers the probe ladder's three rungs at LowerAfter 2 + cooldown 2,
-	// with slack.
-	const calmTail = 24
-	iv := pump.Interval()
-	duelDone := func() bool {
-		for _, d := range duelists {
-			if !d.Done() {
-				return false
-			}
-		}
-		return true
+	running := live(duelists)
+	if pump != nil {
+		pump.Bind(sys.Telemetry(), fl, observatory.Meta{
+			System: string(FlexTMEager), Workload: workload,
+			Threads: 2, Cores: cfg.Cores,
+		})
+		pump.Spawn(e, running, calmTail)
 	}
-	e.Spawn("observatory", 0, func(ctx *sim.Ctx) {
-		for tail := calmTail; tail > 0; {
-			if duelDone() {
-				tail--
-			}
-			ctx.Advance(iv)
-			ctx.Sync()
-			pump.Tick(ctx.Now())
-		}
-		pump.Finish(ctx.Now())
-	})
-	// Spawned after the pump: equal-time threads resume in spawn order, so
-	// at each tick the pump publishes frame k before the governor reads it.
-	bus := pump.Bus()
-	e.Spawn("governor", 0, func(ctx *sim.Ctx) {
-		for tail := calmTail; tail > 0; {
-			if duelDone() {
-				tail--
-			}
-			ctx.Advance(iv)
-			ctx.Sync()
-			g.Observe(bus.Latest())
-		}
-	})
+	if g != nil {
+		g.Spawn(e, pump, running, calmTail)
+	}
 	if blocked := e.Run(); blocked != 0 {
-		return nil, LivelockOutcome{}, fmt.Errorf("governed livelock probe: %d threads blocked", blocked)
+		return nil, LivelockOutcome{}, fmt.Errorf("%s: %d threads blocked (escalation failed)", errPrefix, blocked)
 	}
 
 	st := rt.Stats()
-	snap := sys.Telemetry().Snapshot()
 	out := LivelockOutcome{
 		Commits:     st.Commits,
 		Aborts:      st.Aborts,
 		Escalations: st.Escalations,
 		Dumped:      dumped != nil,
-		Trips:       snap.Total(telemetry.CtrWatchdogTrip),
+		Trips:       sys.Telemetry().Snapshot().Total(telemetry.CtrWatchdogTrip),
+		Recs:        dumped,
+		LineA:       lineA.Line(),
+		LineB:       lineB.Line(),
 	}
-	out.Recs = fl.Snapshot()
-	out.LineA, out.LineB = lineA.Line(), lineB.Line()
+	// The governed probe's watchdog is a backstop, so its report reads the
+	// end-of-run rings even when a dump was taken.
+	if g != nil || dumped == nil {
+		out.Recs = fl.Snapshot()
+	}
 	rep := conflictgraph.Analyze(out.Recs, conflictgraph.Options{Cores: cfg.Cores})
 	if got, want := sys.ReadWordRaw(lineA)+sys.ReadWordRaw(lineB), uint64(2*2*rounds); got != want {
-		return rep, out, fmt.Errorf("governed livelock probe: line sum = %d, want %d", got, want)
+		return rep, out, fmt.Errorf("%s: line sum = %d, want %d", errPrefix, got, want)
 	}
 	if orep := oracle.Check(orc.History(), oracle.Options{}); !orep.Ok() {
-		return rep, out, fmt.Errorf("governed livelock probe: %d serializability violations ([%s] %s)",
-			orep.TotalViolations, orep.Violations[0].Kind, orep.Violations[0].Summary)
+		return rep, out, fmt.Errorf("%s: %d serializability violations ([%s] %s)",
+			errPrefix, orep.TotalViolations, orep.Violations[0].Kind, orep.Violations[0].Summary)
 	}
 	return rep, out, nil
 }

@@ -250,6 +250,30 @@ func (p *Pump) Finish(now sim.Time) *Frame {
 	return p.sample(now, true)
 }
 
+// Spawn adds the pump's sampling thread to e: an ordinary simulated thread
+// that advances in interval-sized steps and ticks whenever it holds the
+// virtual CPU, so sampling is deterministic and cannot perturb the workers'
+// schedule. Once running reports false the thread samples tail more
+// intervals (a calm tail of empty frames), then publishes the final frame.
+// running is the caller's notion of "workers still running".
+func (p *Pump) Spawn(e *sim.Engine, running func() bool, tail int) {
+	iv := p.Interval()
+	e.Spawn("observatory", 0, func(ctx *sim.Ctx) {
+		for {
+			if !running() {
+				if tail == 0 {
+					break
+				}
+				tail--
+			}
+			ctx.Advance(iv)
+			ctx.Sync()
+			p.Tick(ctx.Now())
+		}
+		p.Finish(ctx.Now())
+	})
+}
+
 func (p *Pump) sample(now sim.Time, final bool) *Frame {
 	if p == nil {
 		return nil

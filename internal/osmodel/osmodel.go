@@ -20,11 +20,17 @@
 //   - Resume reinstalls the saved state on the same core and virtualizes
 //     AOU by raising an alert so the thread re-examines and re-ALoads its
 //     status word. Migration to a different core aborts and restarts.
+//   - SpawnPreemptStorm drives Suspend/Resume from the fault injector's
+//     Preempt class: the one OS preemption storm behind the chaos campaign
+//     and the stress explorer.
 package osmodel
 
 import (
+	"slices"
+
 	"flextm/internal/core"
 	"flextm/internal/cst"
+	"flextm/internal/fault"
 	"flextm/internal/memory"
 	"flextm/internal/signature"
 	"flextm/internal/sim"
@@ -201,4 +207,50 @@ func (m *Manager) abortSuspendedOn(th *core.Thread, enemy int) {
 	for _, s := range m.cmt[enemy] {
 		m.sys.CAS(th.Ctx(), th.Core(), s.TSW, core.TSWActive, core.TSWAborted)
 	}
+}
+
+// SpawnPreemptStorm adds the fault.Preempt driver to e: every quantum
+// cycles it rolls inj and, on a hit, context-switches a victim worker out
+// (saving and summarizing its transactional state via Suspend) for an
+// injector-chosen hold time, then resumes it on its core. Transactions must
+// survive the storm: suspended-transaction conflicts are caught by the
+// summary signatures and arbitration of Section 5. workers[i] runs on core
+// i; the caller sets done[i] when worker i finishes, and the storm stops
+// once every worker has.
+func (m *Manager) SpawnPreemptStorm(e *sim.Engine, inj *fault.Injector, quantum sim.Time, workers []*sim.Ctx, done []bool) {
+	e.Spawn("preempt-storm", 0, func(ctx *sim.Ctx) {
+		for slices.Contains(done, false) {
+			ctx.Advance(quantum)
+			ctx.Sync()
+			if !inj.Fire(-1, fault.Preempt) {
+				continue
+			}
+			victim := int(inj.Amount(fault.Preempt, uint64(len(workers)))) - 1
+			if done[victim] {
+				continue
+			}
+			var susp *Suspended
+			parked := false
+			e.RequestPark(workers[victim], func(v *sim.Ctx) {
+				susp = m.Suspend(v, victim)
+				parked = true
+			})
+			// Wait in virtual time for the victim to actually park; it may
+			// finish its run instead, which is just as good.
+			for !parked && !done[victim] {
+				ctx.Advance(50)
+				ctx.Sync()
+			}
+			if !parked {
+				continue
+			}
+			hold := sim.Time(inj.Amount(fault.Preempt, 4*uint64(quantum)))
+			ctx.Advance(hold)
+			ctx.Sync()
+			if susp != nil { // nil when the victim had no live transaction
+				m.Resume(ctx, victim, susp)
+			}
+			e.Unblock(workers[victim], ctx.Now())
+		}
+	})
 }

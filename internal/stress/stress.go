@@ -17,6 +17,7 @@ package stress
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -193,7 +194,6 @@ func Run(cfg Config) Outcome {
 	e := sim.NewEngine()
 	workerCtx := make([]*sim.Ctx, cfg.Threads)
 	done := make([]bool, cfg.Threads)
-	doneCount := 0
 	for ti := 0; ti < cfg.Threads; ti++ {
 		id := ti
 		workerCtx[id] = e.Spawn(fmt.Sprintf("stress-%d", id), 0, func(ctx *sim.Ctx) {
@@ -203,7 +203,6 @@ func Run(cfg Config) Outcome {
 				stressOp(th, r, cfg, id, account, skew, private[id])
 			}
 			done[id] = true
-			doneCount++
 		})
 	}
 	if inj != nil && cfg.Faults.Rates[fault.Preempt] > 0 {
@@ -211,12 +210,11 @@ func Run(cfg Config) Outcome {
 		if quantum == 0 {
 			quantum = DefaultQuantum
 		}
-		spawnPreemptStorm(e, sys, rt, inj, quantum, workerCtx, done, &doneCount)
+		osmodel.New(sys, rt).SpawnPreemptStorm(e, inj, quantum, workerCtx, done)
 	}
 	var gov *governor.Governor
 	if cfg.Governed {
-		bus := observatory.NewBus()
-		pump := observatory.NewPump(observatory.Config{Interval: GovInterval, Bus: bus})
+		pump := observatory.NewPump(observatory.Config{Interval: GovInterval, Bus: observatory.NewBus()})
 		pump.Bind(sys.Telemetry(), sys.Flight(), observatory.Meta{
 			System: "FlexTM(" + cfg.Mode.String() + ")", Workload: "stress",
 			Threads: cfg.Threads, Cores: mc.Cores,
@@ -224,32 +222,13 @@ func Run(cfg Config) Outcome {
 		gov = governor.New(govConfig())
 		gov.Bind(rt, cfg.Threads)
 		pump.SetAnnotator(gov.Annotate)
-		// Pump before governor: at every shared tick the frame is published
-		// before the governor reads it (equal-time threads resume in spawn
-		// order). Both run GovCalmTail intervals past the last worker's
-		// finish: those empty intervals classify healthy, so any rungs still
-		// raised at the end of the schedule are guaranteed to unwind.
-		e.Spawn("observatory", 0, func(ctx *sim.Ctx) {
-			for tail := GovCalmTail; tail > 0; {
-				if doneCount >= cfg.Threads {
-					tail--
-				}
-				ctx.Advance(GovInterval)
-				ctx.Sync()
-				pump.Tick(ctx.Now())
-			}
-			pump.Finish(ctx.Now())
-		})
-		e.Spawn("governor", 0, func(ctx *sim.Ctx) {
-			for tail := GovCalmTail; tail > 0; {
-				if doneCount >= cfg.Threads {
-					tail--
-				}
-				ctx.Advance(GovInterval)
-				ctx.Sync()
-				gov.Observe(bus.Latest())
-			}
-		})
+		// Both run GovCalmTail intervals past the last worker's finish:
+		// those empty intervals classify healthy, so any rungs still raised
+		// at the end of the schedule are guaranteed to unwind. "Running"
+		// means unfinished: a worker parked by the preempt storm counts.
+		running := func() bool { return slices.Contains(done, false) }
+		pump.Spawn(e, running, GovCalmTail)
+		gov.Spawn(e, pump, running, GovCalmTail)
 	}
 	if blocked := e.Run(); blocked != 0 {
 		out.RunErr = fmt.Sprintf("%d threads blocked: liveness budget exceeded without escalation", blocked)
@@ -381,49 +360,6 @@ func stressOp(th tmapi.Thread, r *sim.Rand, cfg Config, id int,
 	default: // compute: shifts every subsequent interleaving
 		th.Work(sim.Time(r.Intn(400)))
 	}
-}
-
-// spawnPreemptStorm mirrors the chaos campaign's OS preemption driver:
-// every quantum it rolls the injector and, on a hit, parks a victim core
-// (summarizing its transactional state via the OS model) for an
-// injector-chosen hold, then resumes it.
-func spawnPreemptStorm(e *sim.Engine, sys *tmesi.System, rt *core.Runtime,
-	inj *fault.Injector, quantum sim.Time, workerCtx []*sim.Ctx, done []bool, doneCount *int) {
-	m := osmodel.New(sys, rt)
-	threads := len(workerCtx)
-	e.Spawn("preempt-storm", 0, func(ctx *sim.Ctx) {
-		for *doneCount < threads {
-			ctx.Advance(quantum)
-			ctx.Sync()
-			if !inj.Fire(-1, fault.Preempt) {
-				continue
-			}
-			victim := int(inj.Amount(fault.Preempt, uint64(threads))) - 1
-			if done[victim] {
-				continue
-			}
-			var susp *osmodel.Suspended
-			parked := false
-			e.RequestPark(workerCtx[victim], func(v *sim.Ctx) {
-				susp = m.Suspend(v, victim)
-				parked = true
-			})
-			for !parked && !done[victim] {
-				ctx.Advance(50)
-				ctx.Sync()
-			}
-			if !parked {
-				continue
-			}
-			hold := sim.Time(inj.Amount(fault.Preempt, 4*uint64(quantum)))
-			ctx.Advance(hold)
-			ctx.Sync()
-			if susp != nil {
-				m.Resume(ctx, victim, susp)
-			}
-			e.Unblock(workerCtx[victim], ctx.Now())
-		}
-	})
 }
 
 // ExploreResult summarizes a seed sweep.

@@ -82,7 +82,7 @@ func (s *System) casCommit(ctx *sim.Ctx, core int, tsw memory.Addr, old, new uin
 	ln.Data[tsw.Offset()] = new
 	s.stats.FlashCommits++
 	s.tel.Inc(core, telemetry.CtrCommitOK)
-	s.tel.Add(core, telemetry.CtrFlashCommitLines, uint64(len(c.l1.FlashCommit())))
+	s.tel.Add(core, telemetry.CtrFlashCommitLines, uint64(c.l1.FlashCommit()))
 
 	if c.ot != nil && c.ot.Count() == 0 {
 		// Every overflowed line was fetched back before commit: nothing to
