@@ -1,41 +1,62 @@
+//go:build go1.23
+
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine models a chip multiprocessor as a set of hardware threads, each
-// executed by a Go goroutine that is resumed one at a time in virtual-time
-// order. A thread runs uninterrupted between synchronization points (memory
-// operations). At each such point the thread with the smallest virtual clock
-// runs next; ties are broken by thread id, so a simulation is
-// bit-deterministic for a given configuration and seed.
+// a coroutine that is resumed one at a time in virtual-time order. A thread
+// runs uninterrupted between synchronization points (memory operations). At
+// each such point the thread with the smallest virtual clock runs next; ties
+// are broken by thread id, so a simulation is bit-deterministic for a given
+// configuration and seed.
 //
-// There is no scheduler goroutine. A yielding thread that is still strictly
-// the earliest runnable one simply keeps running (the stay-running fast
-// path). Otherwise it pushes itself onto the run queue, pops the earliest
-// thread, resumes it directly and parks. A thread that finishes, or blocks
-// with an empty run queue, hands off the same way; when nothing is left to
-// run it wakes Run instead. Because (now, id) is a strict total order, the
-// run queue pops the same sequence whichever thread does the popping, and
-// the fast path only skips a push and pop that would have returned the
-// yielder itself: the order is exactly that of a central scheduler that
-// resumes the minimum after every yield.
+// Spawn wraps each thread body in one iter.Pull sequence, and Run is the only
+// driver: it pops the earliest runnable thread by (now, id) and resumes it,
+// until the run queue is empty. A yielding thread that is still strictly the
+// earliest runnable one simply keeps running (the stay-running fast path).
+// Otherwise it pushes itself onto the run queue, unless it is blocking, and
+// suspends, which returns control to Run's loop. A finished body simply
+// returns. The fast path only skips a push and pop that would have returned
+// the yielder itself, so the order is exactly that of a central scheduler
+// that resumes the minimum after every yield.
 //
-// Because exactly one thread runs at any instant, and every handoff is a
-// channel operation, simulated machine state needs no locking: every
-// structure in the memory system is touched only by the running thread.
+// Exactly one thread runs at any instant, so simulated machine state needs no
+// locking: every structure in the memory system is touched only by the
+// running thread. A coroutine switch hands the processor over without the Go
+// scheduler, and iter.Pull records every switch as a happens-before edge for
+// the race detector.
+//
+// A body that panics ends Run with a *ThreadPanic that carries the thread's
+// name, the original value and the faulting stack; a body that calls
+// runtime.Goexit ends the goroutine that called Run. Threads still blocked
+// when Run returns stay suspended where they parked (see Run).
+//
+// iter.Pull needs language version go1.23. The engine's file raises its own
+// language version with a go1.23 build constraint instead of bumping go.mod,
+// because modules that require this one (perfbench) pin go 1.22 and would
+// otherwise fail to build.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
 // Time is a point in virtual time, measured in processor cycles.
 type Time = uint64
 
 // Ctx is the execution context of one simulated hardware thread. All methods
-// must be called from the goroutine running the thread's body.
+// must be called from the thread's own body.
 type Ctx struct {
 	id     int
 	name   string
 	now    Time
 	engine *Engine
-	resume chan struct{}
+	// next resumes the thread's coroutine until it suspends or finishes;
+	// only Run calls it. suspend, called from inside the body, returns
+	// control to Run.
+	next    func() (struct{}, bool)
+	suspend func(struct{}) bool
 	// state flags, owned by the running thread (never concurrent)
 	finished bool
 	blocked  bool
@@ -69,7 +90,7 @@ func (c *Ctx) Advance(d Time) { c.now += d }
 // (now, id). Call it immediately before touching shared simulated state (the
 // memory system calls it on every operation). A pending RequestPark is
 // honored first. If the thread is already the earliest, Sync returns without
-// a goroutine switch.
+// a coroutine switch.
 func (c *Ctx) Sync() {
 	if c.descheduleReq {
 		c.park()
@@ -99,9 +120,8 @@ func (c *Ctx) park() {
 
 // yield gives up the processor until c is again the earliest runnable
 // thread. A runnable c that still orders strictly before the run queue's
-// head keeps running. Otherwise c is queued (unless blocked), the earliest
-// thread is resumed directly from c's goroutine, and c parks until some
-// thread pops it in turn.
+// head keeps running. Otherwise c is queued (unless blocked) and suspends
+// until Run pops and resumes it.
 func (c *Ctx) yield() {
 	e := c.engine
 	if !c.blocked {
@@ -110,25 +130,37 @@ func (c *Ctx) yield() {
 		}
 		e.push(c)
 	}
-	e.handoff()
-	<-c.resume
+	c.suspend(struct{}{})
+}
+
+// ThreadPanic is the value Run panics with when a thread's body panics.
+type ThreadPanic struct {
+	Thread string // name of the thread whose body panicked
+	Value  any    // the value the body panicked with
+	Stack  []byte // the body's stack at the panic
+}
+
+// Error names the thread and gives the original value and stack.
+func (p *ThreadPanic) Error() string {
+	return fmt.Sprintf("sim: thread %s panicked: %v\n\n%s", p.Thread, p.Value, p.Stack)
+}
+
+// Unwrap returns the original value when it is an error.
+func (p *ThreadPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
 }
 
 // Engine is a discrete-event scheduler over a set of simulated threads.
 type Engine struct {
 	threads []*Ctx
 	// ready is a binary min-heap ordered by ctxLess.
-	ready []*Ctx
-	// idle is signalled by the thread that finds the run queue empty, which
-	// ends Run.
-	idle    chan struct{}
+	ready   []*Ctx
 	running bool
 }
 
 // NewEngine returns an empty engine.
-func NewEngine() *Engine {
-	return &Engine{idle: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Spawn creates a simulated thread that will run body starting at virtual
 // time start. The body does not begin executing until Run is called.
@@ -141,15 +173,18 @@ func (e *Engine) Spawn(name string, start Time, body func(*Ctx)) *Ctx {
 		name:   name,
 		now:    start,
 		engine: e,
-		resume: make(chan struct{}),
 	}
 	e.threads = append(e.threads, c)
-	go func() {
-		<-c.resume
+	c.next, _ = iter.Pull(func(suspend func(struct{}) bool) {
+		c.suspend = suspend
+		defer func() {
+			if v := recover(); v != nil {
+				panic(&ThreadPanic{Thread: name, Value: v, Stack: debug.Stack()})
+			}
+		}()
 		body(c)
 		c.finished = true
-		e.handoff()
-	}()
+	})
 	e.push(c)
 	return c
 }
@@ -168,8 +203,8 @@ func (e *Engine) Unblock(c *Ctx, at Time) {
 }
 
 // RequestPark asks thread c to park at its next synchronization point.
-// notify, if non-nil, runs in c's goroutine just before it blocks; use it to
-// save state and to learn the park time. If c is the calling thread the park
+// notify, if non-nil, runs in c's body just before it blocks; use it to save
+// state and to learn the park time. If c is the calling thread the park
 // happens at its next Sync.
 func (e *Engine) RequestPark(c *Ctx, notify func(*Ctx)) {
 	if c.finished || c.blocked {
@@ -182,12 +217,19 @@ func (e *Engine) RequestPark(c *Ctx, notify func(*Ctx)) {
 // Run executes threads in virtual-time order until every thread has finished
 // or blocked. It returns the number of threads left blocked (0 means all ran
 // to completion).
+//
+// A thread still blocked when Run returns stays suspended where it parked:
+// its body's defers do not run. An Unblock before a later Run resumes it
+// there. Run must not be called from a simulated thread; a body panic
+// surfaces here as a *ThreadPanic.
 func (e *Engine) Run() int {
+	if e.running {
+		panic("sim: Run while engine is running")
+	}
 	e.running = true
 	defer func() { e.running = false }()
-	if len(e.ready) > 0 {
-		e.pop().resume <- struct{}{}
-		<-e.idle
+	for len(e.ready) > 0 {
+		e.pop().next()
 	}
 	blocked := 0
 	for _, c := range e.threads {
@@ -212,17 +254,6 @@ func (e *Engine) MaxTime() Time {
 
 // Threads returns the threads spawned so far, in id order.
 func (e *Engine) Threads() []*Ctx { return e.threads }
-
-// handoff passes the processor from the calling thread, which must not be
-// runnable or must already be queued, to the earliest queued thread, or to
-// Run when the queue is empty.
-func (e *Engine) handoff() {
-	if len(e.ready) == 0 {
-		e.idle <- struct{}{}
-		return
-	}
-	e.pop().resume <- struct{}{}
-}
 
 // ctxLess orders threads by (now, id), a strict total order.
 func ctxLess(a, b *Ctx) bool {

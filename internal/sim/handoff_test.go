@@ -1,17 +1,18 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // BenchmarkSync prices one Ctx.Sync round trip with 1, 2 and 16 threads
 // runnable. With one thread every Sync takes the stay-running fast path;
-// with more, each Sync whose thread is overtaken hands off directly to the
-// next thread.
+// with more, each Sync whose thread is overtaken suspends to Run's driver
+// loop, which resumes the next thread.
 func BenchmarkSync(b *testing.B) {
 	for _, threads := range []int{1, 2, 16} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
@@ -136,7 +137,8 @@ func runRandomProgram(seed uint64) (trace []resumeEvent, blocked int, violation 
 
 // TestScheduleOrderProperty checks the engine's order guarantee step by
 // step over random programs, for both the stay-running fast path and the
-// direct handoff, and that the schedule is a function of the program alone.
+// switch through the driver loop, and that the schedule is a function of
+// the program alone.
 func TestScheduleOrderProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		trace, blocked, violation := runRandomProgram(seed)
@@ -214,15 +216,8 @@ func TestLastRunnableThreadBlocks(t *testing.T) {
 		c.Sync()
 		c.Block()
 	})
-	done := make(chan int)
-	go func() { done <- e.Run() }()
-	select {
-	case blocked := <-done:
-		if blocked != 3 {
-			t.Fatalf("blocked = %d, want 3", blocked)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return after the last runnable thread blocked")
+	if blocked := e.Run(); blocked != 3 {
+		t.Fatalf("blocked = %d, want 3", blocked)
 	}
 }
 
@@ -253,5 +248,92 @@ func TestUnblockBeforeRun(t *testing.T) {
 	want := []resumeEvent{{1, 100}, {1, 200}, {0, 250}, {1, 300}}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("resume order = %v, want %v", order, want)
+	}
+}
+
+var errFault = errors.New("fault in body")
+
+// faultingFrame is the frame TestBodyPanicSurfacesInRun expects to find in
+// the stack a ThreadPanic carries.
+func faultingFrame() { panic(errFault) }
+
+// recoverRun runs e and returns the value Run panicked with, or nil.
+func recoverRun(e *Engine) (pv any) {
+	defer func() { pv = recover() }()
+	e.Run()
+	return nil
+}
+
+// TestBodyPanicSurfacesInRun checks that a body panic is recoverable from
+// Run's caller as a *ThreadPanic that names the thread, unwraps to the
+// original error and carries the stack of the faulting frame, and that the
+// engine accepts new threads afterwards.
+func TestBodyPanicSurfacesInRun(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("bystander", 0, func(c *Ctx) {
+		for i := 0; i < 4; i++ {
+			c.Advance(1)
+			c.Sync()
+		}
+	})
+	e.Spawn("faulty", 0, func(c *Ctx) {
+		c.Advance(2)
+		c.Sync()
+		faultingFrame()
+	})
+	p, ok := recoverRun(e).(*ThreadPanic)
+	if !ok {
+		t.Fatal("Run did not panic with a *ThreadPanic")
+	}
+	if p.Thread != "faulty" || !strings.Contains(p.Error(), "thread faulty panicked") {
+		t.Fatalf("panic names thread %q (%q), want faulty", p.Thread, p.Error())
+	}
+	if !errors.Is(p, errFault) {
+		t.Fatalf("panic value %v does not unwrap to the body's error", p.Value)
+	}
+	if !strings.Contains(string(p.Stack), "sim.faultingFrame") {
+		t.Fatalf("panic stack does not name the faulting frame:\n%s", p.Stack)
+	}
+	e.Spawn("after", 0, func(c *Ctx) {})
+}
+
+// TestBlockedThreadsStaySuspendedAfterRun pins what Run leaves behind: a
+// thread still blocked when Run returns neither continues nor unwinds (its
+// defers do not run), and an Unblock before the next Run resumes it where
+// it parked.
+func TestBlockedThreadsStaySuspendedAfterRun(t *testing.T) {
+	e := NewEngine()
+	var after, deferred bool
+	var resumedAt Time
+	sleeper := e.Spawn("sleeper", 0, func(c *Ctx) {
+		defer func() { deferred = true }()
+		c.Block()
+		after = true
+		resumedAt = c.Now()
+	})
+	if blocked := e.Run(); blocked != 1 {
+		t.Fatalf("first Run: blocked = %d, want 1", blocked)
+	}
+	if after || deferred {
+		t.Fatalf("blocked thread ran on after Run (after=%v, deferred=%v)", after, deferred)
+	}
+	e.Unblock(sleeper, 40)
+	if blocked := e.Run(); blocked != 0 {
+		t.Fatalf("second Run: blocked = %d, want 0", blocked)
+	}
+	if !after || !deferred || resumedAt != 40 {
+		t.Fatalf("thread did not finish from its park point (after=%v, deferred=%v, resumedAt=%d)",
+			after, deferred, resumedAt)
+	}
+}
+
+// TestRunIsNotReentrant checks that Run called from a simulated thread
+// panics, like Spawn, instead of nesting a second driver.
+func TestRunIsNotReentrant(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("nested", 0, func(c *Ctx) { e.Run() })
+	p, ok := recoverRun(e).(*ThreadPanic)
+	if !ok || p.Value != "sim: Run while engine is running" {
+		t.Fatalf("Run from a thread: panic %v, want sim: Run while engine is running", p)
 	}
 }
