@@ -114,6 +114,9 @@ type Cache struct {
 	victim []Line            // FIFO order: victim[0] is oldest
 	vtags  []memory.LineAddr // vtags[i] == victim[i].Tag
 	clock  uint64
+	// drop, when set, is called with the tag of each line a flash walk
+	// turns Invalid.
+	drop func(memory.LineAddr)
 }
 
 // New returns an empty cache with the given geometry.
@@ -251,6 +254,19 @@ func (c *Cache) Invalidate(l memory.LineAddr) (Line, bool) {
 	return Line{}, false
 }
 
+// OnFlashDrop registers f to be called with the tag of each valid line
+// FlashCommit or FlashAbort turns Invalid, in walk order. The coherence
+// layer uses it to keep its per-line holder index in step with the L1.
+func (c *Cache) OnFlashDrop(f func(memory.LineAddr)) { c.drop = f }
+
+// flashDrop invalidates ln on behalf of a flash walk.
+func (c *Cache) flashDrop(ln *Line) {
+	ln.State = Invalid
+	if c.drop != nil {
+		c.drop(ln.Tag)
+	}
+}
+
 // FlashCommit applies the CAS-Commit success transition to every line:
 // TMI -> M (speculative data becomes the committed copy) and TI -> I.
 // It returns the number of lines committed (TMI, now M).
@@ -262,7 +278,7 @@ func (c *Cache) FlashCommit() int {
 			ln.State = Modified
 			n++
 		case TI:
-			ln.State = Invalid
+			c.flashDrop(ln)
 		}
 	})
 	return n
@@ -275,7 +291,7 @@ func (c *Cache) FlashAbort() int {
 	n := 0
 	c.walkPDI(func(ln *Line) {
 		if ln.State.Speculative() {
-			ln.State = Invalid
+			c.flashDrop(ln)
 			n++
 		}
 	})
@@ -304,17 +320,23 @@ func (c *Cache) ClearAlerts() {
 // It only reads: the victim buffer is not compacted.
 func (c *Cache) Resident() int {
 	n := 0
+	c.EachValid(func(Line) { n++ })
+	return n
+}
+
+// EachValid calls f with every valid line (set array in slot order, then
+// the victim buffer) without touching LRU or PDI state.
+func (c *Cache) EachValid(f func(Line)) {
 	for i := range c.lines {
 		if c.lines[i].State != Invalid {
-			n++
+			f(c.lines[i])
 		}
 	}
 	for i := range c.victim {
 		if c.victim[i].State != Invalid {
-			n++
+			f(c.victim[i])
 		}
 	}
-	return n
 }
 
 // Config returns the cache geometry.

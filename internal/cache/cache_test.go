@@ -298,6 +298,36 @@ func TestResidentDoesNotCompactVictimBuffer(t *testing.T) {
 	}
 }
 
+func TestFlashDropReportsInvalidatedLines(t *testing.T) {
+	// OnFlashDrop must name exactly the valid lines a flash walk turns
+	// Invalid, victim buffer included: TI on commit, TMI and TI on abort.
+	c := small()
+	var dropped []memory.LineAddr
+	c.OnFlashDrop(func(l memory.LineAddr) { dropped = append(dropped, l) })
+	// Set 0 gets 0, 4, 8: line 0 (TI) moves to the victim buffer.
+	c.Insert(Line{Tag: 0, State: TI})
+	c.Insert(Line{Tag: 4, State: TMI})
+	c.Insert(Line{Tag: 8, State: Modified})
+	c.Insert(Line{Tag: 1, State: TI})
+	c.Insert(Line{Tag: 2, State: Shared})
+	c.FlashCommit()
+	if fmt.Sprint(dropped) != "[1 0]" {
+		t.Fatalf("FlashCommit dropped %v, want [1 0] (set array, then victim buffer)", dropped)
+	}
+	dropped = nil
+	c.Lookup(2).State = TI
+	c.Lookup(4).State = TMI // committed to M above; speculative again
+	c.FlashAbort()
+	if fmt.Sprint(dropped) != "[4 2]" {
+		t.Fatalf("FlashAbort dropped %v, want [4 2]", dropped)
+	}
+	var valid []memory.LineAddr
+	c.EachValid(func(ln Line) { valid = append(valid, ln.Tag) })
+	if fmt.Sprint(valid) != "[8]" {
+		t.Fatalf("valid after flash walks = %v, want [8]", valid)
+	}
+}
+
 func TestFlashOpsAreAllocationFree(t *testing.T) {
 	c := New(DefaultL1Config())
 	// Three lines in set 0: one ends up in the victim buffer.

@@ -198,8 +198,14 @@ func (rc RunConfig) TraceRingDepth() int {
 
 // Run executes one configuration and returns its result.
 func Run(rc RunConfig) (Result, error) {
+	res, _, err := run(rc)
+	return res, err
+}
+
+// run is Run that also returns the machine it ran on.
+func run(rc RunConfig) (Result, *tmesi.System, error) {
 	if rc.Threads <= 0 || rc.Threads > rc.Machine.Cores {
-		return Result{}, fmt.Errorf("harness: %d threads on %d cores", rc.Threads, rc.Machine.Cores)
+		return Result{}, nil, fmt.Errorf("harness: %d threads on %d cores", rc.Threads, rc.Machine.Cores)
 	}
 	ops := rc.OpsPerThread
 	if ops == 0 {
@@ -216,7 +222,7 @@ func Run(rc RunConfig) (Result, error) {
 		rc.Observe = observatory.NewPump(observatory.Config{Bus: observatory.NewBus()})
 	}
 	if rc.Govern != nil && rc.Observe.Bus() == nil {
-		return Result{}, fmt.Errorf("harness: governor requires a pump with a bus")
+		return Result{}, nil, fmt.Errorf("harness: governor requires a pump with a bus")
 	}
 	if rc.Observe != nil {
 		rc.Metrics = true
@@ -239,7 +245,7 @@ func Run(rc RunConfig) (Result, error) {
 	}
 	rt, err := NewRuntime(rc.System, sys)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	var orc *oracle.Recorder
 	if fx, ok := rt.(*core.Runtime); ok {
@@ -258,7 +264,7 @@ func Run(rc RunConfig) (Result, error) {
 			rc.Observe.SetAnnotator(rc.Govern.Annotate)
 		}
 	} else if rc.Govern != nil {
-		return Result{}, fmt.Errorf("harness: governor requires a FlexTM runtime, not %s", rc.System)
+		return Result{}, nil, fmt.Errorf("harness: governor requires a FlexTM runtime, not %s", rc.System)
 	}
 	env := &workloads.Env{Image: sys.Image(), Alloc: sys.Alloc(), Raw: sys.ReadWordRaw}
 	w := rc.Workload.New()
@@ -302,11 +308,11 @@ func Run(rc RunConfig) (Result, error) {
 		}
 	}
 	if blocked := e.Run(); blocked != 0 {
-		return Result{}, fmt.Errorf("harness: %d threads blocked", blocked)
+		return Result{}, nil, fmt.Errorf("harness: %d threads blocked", blocked)
 	}
 	if rc.Verify {
 		if err := w.Verify(env); err != nil {
-			return Result{}, fmt.Errorf("harness: %s on %s failed verification: %w",
+			return Result{}, nil, fmt.Errorf("harness: %s on %s failed verification: %w",
 				w.Name(), rc.System, err)
 		}
 	}
@@ -360,7 +366,7 @@ func Run(rc RunConfig) (Result, error) {
 		snap := tel.Snapshot()
 		res.Telemetry = &snap
 	}
-	return res, nil
+	return res, sys, nil
 }
 
 // live is the side threads' "workers still running" predicate for runs

@@ -159,3 +159,39 @@ func TestSignatureIntersectsDisjointIsDefinitive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestMemberKeyMatchesMember(t *testing.T) {
+	// Property: MemberKey answers exactly what Member answers, for a
+	// geometry the key holds and for one too wide to hold (Member fallback).
+	geos := append(validGeometries, Config{Bits: 1024, Banks: 16})
+	f := func(geoPick uint8, inserted, probed []uint32) bool {
+		cfg := geos[int(geoPick)%len(geos)]
+		s := New(cfg)
+		for _, tg := range inserted {
+			s.Insert(memory.LineAddr(tg))
+		}
+		var k Key
+		for _, tg := range append(probed, inserted...) {
+			l := memory.LineAddr(tg)
+			k.Reset(cfg, l)
+			if s.MemberKey(&k) != s.Member(l) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestMemberKeyMismatchedGeometryPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MemberKey with another geometry's key did not panic")
+		}
+	}()
+	var k Key
+	k.Reset(Config{Bits: 1024, Banks: 4}, 7)
+	NewDefault().MemberKey(&k)
+}

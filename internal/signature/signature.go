@@ -79,9 +79,58 @@ func h3(l memory.LineAddr, bank int) uint64 {
 }
 
 func (s *Sig) bit(l memory.LineAddr, bank int) (word, mask int) {
-	h := h3(l, bank) & uint64(s.bankBits-1)
-	idx := bank*s.bankBits + int(h)
+	return bankBit(s.bankBits, l, bank)
+}
+
+// bankBit returns the word index and bit position of l's bit in bank.
+func bankBit(bankBits int, l memory.LineAddr, bank int) (word, mask int) {
+	h := h3(l, bank) & uint64(bankBits-1)
+	idx := bank*bankBits + int(h)
 	return idx / 64, idx % 64
+}
+
+// keyBanks is the number of banks a Key can hold; MemberKey tests a wider
+// geometry through Member.
+const keyBanks = len(bankSalts)
+
+// Key is one line's bit positions under one Config: the word index and
+// mask of its bit in each bank. A coherence probe round tests one line
+// against many signatures of one geometry; a shared Key hashes the line
+// once per bank for all of them.
+type Key struct {
+	cfg  Config
+	line memory.LineAddr
+	word [keyBanks]int
+	mask [keyBanks]uint64
+}
+
+// Reset points k at line l under cfg.
+func (k *Key) Reset(cfg Config, l memory.LineAddr) {
+	k.cfg, k.line = cfg, l
+	if cfg.Banks > keyBanks {
+		return
+	}
+	bankBits := cfg.Bits / cfg.Banks
+	for b := 0; b < cfg.Banks; b++ {
+		w, m := bankBit(bankBits, l, b)
+		k.word[b], k.mask[b] = w, 1<<m
+	}
+}
+
+// MemberKey is Member of k's line. The key's geometry must match.
+func (s *Sig) MemberKey(k *Key) bool {
+	if k.cfg != s.cfg {
+		panic("signature: MemberKey with a key of another geometry")
+	}
+	if s.cfg.Banks > keyBanks {
+		return s.Member(k.line)
+	}
+	for b := 0; b < s.cfg.Banks; b++ {
+		if s.words[k.word[b]]&k.mask[b] == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Insert adds a line address to the signature (the paper's "insert [%r],Sig"

@@ -256,6 +256,23 @@ func BenchmarkMember(b *testing.B) {
 	}
 }
 
+// BenchmarkMemberKey prices a probe round's per-responder test: one key,
+// then a read and a write signature tested with it.
+func BenchmarkMemberKey(b *testing.B) {
+	rs, ws := NewDefault(), NewDefault()
+	for i := 0; i < 100; i++ {
+		rs.Insert(memory.LineAddr(i))
+		ws.Insert(memory.LineAddr(i + 50))
+	}
+	var k Key
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Reset(rs.cfg, memory.LineAddr(i%200))
+		rs.MemberKey(&k)
+		ws.MemberKey(&k)
+	}
+}
+
 func BenchmarkIntersects(b *testing.B) {
 	sa, sb := NewDefault(), NewDefault()
 	for i := 0; i < 50; i++ {

@@ -1,6 +1,8 @@
 package tmesi
 
 import (
+	"math/bits"
+
 	"flextm/internal/cache"
 	"flextm/internal/cst"
 	"flextm/internal/fault"
@@ -109,7 +111,7 @@ func (s *System) casCommit(ctx *sim.Ctx, core int, tsw memory.Addr, old, new uin
 		lat += s.cfg.OTAccess // controller kick-off; streaming is off the critical path
 	}
 
-	s.endTxn(c)
+	s.endTxn(c, core)
 	ctx.Advance(lat)
 	return CommitOK
 }
@@ -130,15 +132,15 @@ func (s *System) flashAbortLocked(c *coreState, core int) {
 	if c.ot != nil {
 		c.ot.Discard()
 	}
-	s.endTxn(c)
+	s.endTxn(c, core)
 }
 
 // endTxn clears the per-transaction hardware state.
-func (s *System) endTxn(c *coreState) {
+func (s *System) endTxn(c *coreState, core int) {
 	c.rsig.Clear()
 	c.wsig.Clear()
 	c.table.ClearAll()
-	c.txnActive = false
+	s.active &^= coreBit(core)
 	if c.alerts.Marks() > 0 {
 		c.l1.ClearAlerts()
 	}
@@ -206,13 +208,13 @@ func (s *System) AlertPending(core int) bool { return s.cores[core].alerts.Pendi
 // It charges no latency; callers are inside an operation that already paid.
 func (s *System) ForceWord(a memory.Addr, v uint64) {
 	line := a.Line()
-	for r := range s.cores {
-		rc := &s.cores[r]
-		if rln := rc.l1.Lookup(line); rln != nil {
+	for rest := s.holdersOf(line); rest != 0; rest &= rest - 1 {
+		r := bits.TrailingZeros64(rest)
+		if rln := s.lookupHolder(r, line); rln != nil {
 			if rln.State == cache.Modified {
 				s.image.WriteLine(line, &rln.Data)
 			}
-			s.invalidateLine(rc, r, rln)
+			s.invalidateLine(&s.cores[r], r, rln)
 		}
 	}
 	s.image.WriteWord(a, v)
@@ -223,9 +225,8 @@ func (s *System) ForceWord(a memory.Addr, v uint64) {
 // for handlers and assertions, not for the simulated-program path.
 func (s *System) ReadWordRaw(a memory.Addr) uint64 {
 	line := a.Line()
-	for r := range s.cores {
-		rc := &s.cores[r]
-		if rln := rc.l1.Lookup(line); rln != nil && rln.State == cache.Modified {
+	for rest := s.holdersOf(line); rest != 0; rest &= rest - 1 {
+		if rln := s.lookupHolder(bits.TrailingZeros64(rest), line); rln != nil && rln.State == cache.Modified {
 			return rln.Data[a.Offset()]
 		}
 	}
@@ -277,6 +278,7 @@ func (s *System) SaveTxnState(ctx *sim.Ctx, core int) *SavedTxn {
 		if ln := c.l1.Lookup(line); ln != nil {
 			c.ot.Insert(line, line, ln.Data)
 			ln.State = cache.Invalid
+			s.holders.drop(line, core)
 		}
 		s.stats.Overflows++
 	}
@@ -290,7 +292,7 @@ func (s *System) SaveTxnState(ctx *sim.Ctx, core int) *SavedTxn {
 	// Abort instruction: revert remaining speculative lines (TI), clear
 	// signatures and CSTs so the next thread starts clean.
 	c.l1.FlashAbort()
-	s.endTxn(c)
+	s.endTxn(c, core)
 	ctx.Advance(s.cfg.TrapLat)
 	return saved
 }
@@ -304,7 +306,7 @@ func (s *System) RestoreTxnState(ctx *sim.Ctx, core int, saved *SavedTxn) {
 	c.wsig.CopyFrom(saved.Wsig)
 	c.table.Restore(saved.CST)
 	c.ot = saved.OT
-	c.txnActive = true
+	s.active |= coreBit(core)
 	ctx.Advance(s.cfg.TrapLat)
 }
 
@@ -361,6 +363,7 @@ func (s *System) FlushTMIToOT(core int, lines []memory.LineAddr) {
 		}
 		c.ot.Insert(line, line, ln.Data)
 		ln.State = cache.Invalid
+		s.holders.drop(line, core)
 		s.stats.Overflows++
 	}
 }

@@ -1,11 +1,14 @@
 package tmesi
 
 import (
+	"math/bits"
+
 	"flextm/internal/cache"
 	"flextm/internal/cst"
 	"flextm/internal/fault"
 	"flextm/internal/flight"
 	"flextm/internal/memory"
+	"flextm/internal/signature"
 	"flextm/internal/sim"
 	"flextm/internal/telemetry"
 )
@@ -158,6 +161,7 @@ func (s *System) TStore(ctx *sim.Ctx, core int, a memory.Addr, v uint64) OpResul
 			lat += pr.lat
 			res.Conflicts = pr.conflicts
 			ln.State = cache.TMI
+			s.holders.add(line, core) // see ensureExclusive
 			s.tel.Inc(core, telemetry.CtrTMIEnter)
 		}
 		ln.Data[a.Offset()] = v
@@ -260,6 +264,10 @@ func (s *System) ensureExclusive(ctx *sim.Ctx, core int, line memory.LineAddr) (
 			pr := s.probe(core, line, reqGETX)
 			lat += pr.lat
 			ln.State = cache.Modified
+			// A hook's ForceWord (strong isolation, or the summary trap)
+			// may have invalidated this very copy mid-probe; the upgrade
+			// revives it, so the holder bit ForceWord cleared comes back.
+			s.holders.add(line, core)
 			return lat, ln
 		}
 	}
@@ -298,32 +306,50 @@ type probeResult struct {
 
 // probe models the directory forwarding a request to the other L1
 // controllers, which test their signatures and adjust their cache state per
-// Figure 1, updating CSTs on both sides.
+// Figure 1, updating CSTs on both sides. Only holders and transactional
+// cores are visited (the package comment's holder index). The masks are
+// read once per round: a core that loses its copy or leaves transactional
+// mode during the round (through the strong-isolation hook) is still
+// visited, and its L1 and signature state, read at the visit, decide what
+// it does, as in a broadcast.
 func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult {
 	var pr probeResult
 	c := &s.cores[core]
 	probed := false
+	held := s.holdersOf(line)
+	visit := (held | s.active) &^ coreBit(core)
+	var key signature.Key
+	keyed := false
+	s.census.Rounds++
 
-	for r := range s.cores {
-		if r == core {
-			continue
-		}
+	for rest := visit; rest != 0; rest &= rest - 1 {
+		r := bits.TrailingZeros64(rest)
 		rc := &s.cores[r]
-		rln := rc.l1.Lookup(line)
-		sigW := rc.txnActive && rc.wsig.Member(line)
-		sigR := rc.txnActive && rc.rsig.Member(line)
+		s.census.Visits++
+		var rln *cache.Line
+		if held&coreBit(r) != 0 {
+			s.census.Lookups++
+			rln = s.lookupHolder(r, line)
+		}
+		active := s.active&coreBit(r) != 0
+		if active && !keyed {
+			key.Reset(s.cfg.Sig, line)
+			keyed = true
+		}
+		sigW := active && rc.wsig.MemberKey(&key)
+		sigR := active && rc.rsig.MemberKey(&key)
 		// Injected Bloom aliasing: force the responder's write signature to
 		// claim membership for a line it never inserted. Sound by the same
 		// argument as a natural false positive — signatures are allowed to
 		// over-approximate — so the protocol must absorb the spurious
 		// Threatened response, CST bits, or strong-isolation abort.
 		injW := false
-		if rc.txnActive && !sigW && s.inj.Fire(core, fault.SigFalsePos) {
+		if active && !sigW && s.inj.Fire(core, fault.SigFalsePos) {
 			sigW = true
 			injW = true
 			s.tel.Inc(r, telemetry.CtrFaultInjected)
 		}
-		if s.tel != nil && rc.txnActive {
+		if s.tel != nil && active {
 			// Split this round's membership tests into true conflicts and
 			// Bloom aliasing, attributed to the signature's owner.
 			s.classifySig(r, rc.wsig, line, sigW)
@@ -337,6 +363,12 @@ func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult
 		// ground truth on whether the signature hit was Bloom aliasing.
 		fpW := injW || (sigW && !injW && rc.wsig.AuditEnabled() && !rc.wsig.Inserted(line))
 		fpR := sigR && rc.rsig.AuditEnabled() && !rc.rsig.Inserted(line)
+		if rln == nil {
+			s.census.NonHolder++
+			if rc.rsig.AuditEnabled() && (!sigW || fpW) && (!sigR || fpR) {
+				s.census.NonHolderAlias++
+			}
+		}
 		probed = true
 		s.stats.Probes++
 		s.tel.Inc(core, telemetry.CtrProbes)
@@ -501,6 +533,7 @@ func (s *System) invalidateLine(rc *coreState, owner int, rln *cache.Line) {
 	}
 	rln.State = cache.Invalid
 	rln.Alert = false
+	s.holders.drop(rln.Tag, owner)
 }
 
 // otFetch checks the core's overflow table for line and fetches it back on
@@ -530,8 +563,14 @@ func (s *System) otFetch(c *coreState, core int, line memory.LineAddr) (memory.L
 // buffer: M lines write back, TMI lines overflow to the OT, others drop.
 func (s *System) insertLine(c *coreState, core int, ln cache.Line) sim.Time {
 	var lat sim.Time
+	s.holders.add(ln.Tag, core)
 	for _, v := range c.l1.Insert(ln) {
 		sp := v.Line
+		if sp.State != cache.Invalid {
+			// An L1 holds at most one valid copy of a line (Insert refuses
+			// resident lines), so core no longer holds this one.
+			s.holders.drop(sp.Tag, core)
+		}
 		if sp.Alert {
 			c.alerts.MarkRemoved()
 			if s.inj.Fire(core, fault.AlertLoss) {

@@ -14,6 +14,20 @@
 // as one parallel probe round filtered by cache residency and signatures;
 // because FlexTM's sharer lists are deliberately conservative and sticky
 // (Section 4.1), this yields identical conflict outcomes.
+//
+// The directory keeps a holder index: per line, a mask of the cores whose
+// L1 (set array or victim buffer) may hold a valid copy, and one mask of
+// the cores running a transaction. The invariant the protocol relies on is
+// a superset one: every valid L1 copy has its core's bit set, and no entry
+// is zero. Bits are set at every fill and cleared at every invalidation,
+// victim-buffer spill, flash drop and OT flush, and by any directory lookup
+// that misses, so the index stays within the lines the L1s hold. A probe
+// round visits only holders and transactional cores, in ascending core
+// order, and looks up only holders; any other core would miss in its L1
+// and have no signature to test, and such a visit changes nothing.
+// ReadWordRaw and ForceWord walk holders only. All cores' signatures share
+// one geometry (WidenSignatures swaps them together), so a round hashes the
+// line once per bank (signature.Key) for all of its membership tests.
 package tmesi
 
 import (
@@ -142,12 +156,11 @@ type Stats struct {
 }
 
 type coreState struct {
-	l1        *cache.Cache
-	rsig      *signature.Sig
-	wsig      *signature.Sig
-	table     cst.Table
-	ot        *overflow.Table
-	txnActive bool
+	l1    *cache.Cache
+	rsig  *signature.Sig
+	wsig  *signature.Sig
+	table cst.Table
+	ot    *overflow.Table
 
 	// AOU state: pending alerts and the count of A-marked lines.
 	alerts aou.Unit
@@ -170,6 +183,18 @@ type System struct {
 	cores []coreState
 	l2    *cache.TagCache
 	stats Stats
+
+	// holders maps a line to the mask of cores whose L1 may hold a valid
+	// copy; active is the mask of cores in transactional mode. See the
+	// package comment for the invariant.
+	holders holderIndex
+	active  uint64
+	census  ProbeCensus
+
+	// broadcast makes probe rounds, ReadWordRaw and ForceWord visit every
+	// core, as the model did before the holder index. Tests set it to
+	// check the index against a full broadcast; nothing else does.
+	broadcast bool
 
 	// tel is the per-mechanism telemetry registry; nil means disabled
 	// (telemetry.Registry methods are nil-safe, so instrumentation sites
@@ -215,8 +240,10 @@ func New(cfg Config) *System {
 		l2:    cache.NewTagCache(cfg.L2Sets, cfg.L2Ways),
 	}
 	for i := range s.cores {
+		l1 := cache.New(cfg.L1)
+		l1.OnFlashDrop(func(line memory.LineAddr) { s.holders.drop(line, i) })
 		s.cores[i] = coreState{
-			l1:   cache.New(cfg.L1),
+			l1:   l1,
 			rsig: signature.New(cfg.Sig),
 			wsig: signature.New(cfg.Sig),
 		}
@@ -236,6 +263,27 @@ func (s *System) Alloc() *memory.Allocator { return s.alloc }
 
 // Stats returns a snapshot of the machine counters.
 func (s *System) Stats() Stats { return s.stats }
+
+// ProbeCensus counts the host work of the directory's probe rounds. It
+// describes the simulator, not the simulated machine, and is kept out of
+// Stats, whose encoding is part of recorded simulation digests.
+type ProbeCensus struct {
+	Rounds  uint64 // forwarding rounds (L1 misses and upgrades that reach the directory)
+	Visits  uint64 // responders visited: holders and transactional cores, requester excluded
+	Lookups uint64 // responder L1 lookups (holders only)
+	// NonHolder counts visits where a responder holding no copy of the
+	// line answered from its signatures alone; NonHolderAlias is the part
+	// of those whose every signature hit was spurious (a Bloom alias or an
+	// injected one), counted only when the signatures are in audit mode.
+	// A sticky sharer (Section 4.1) answers the same way for a line it
+	// really accessed; an alias is a core no directory list would name.
+	NonHolder      uint64
+	NonHolderAlias uint64
+}
+
+// ProbeCensus returns the probe-round counters accumulated since New.
+// A full broadcast would have made Rounds*(Cores-1) lookups.
+func (s *System) ProbeCensus() ProbeCensus { return s.census }
 
 // SetTelemetry attaches (or, with nil, detaches) a telemetry registry. The
 // registry must be sized for at least Config().Cores cores. Attaching also
@@ -316,7 +364,7 @@ func (s *System) Wsig(core int) *signature.Sig { return s.cores[core].wsig }
 func (s *System) OT(core int) *overflow.Table { return s.cores[core].ot }
 
 // TxnActive reports whether core is in transactional mode.
-func (s *System) TxnActive(core int) bool { return s.cores[core].txnActive }
+func (s *System) TxnActive(core int) bool { return s.active&coreBit(core) != 0 }
 
 // SetStrongIsolationHook registers the runtime callback used to abort a
 // transaction whose read/write set conflicts with a non-transactional
@@ -363,11 +411,31 @@ func (s *System) WidenSignatures(cfg signature.Config) error {
 // BeginTxn puts core into transactional mode. Signatures and CSTs are
 // expected to be clear (they are after CASCommit/AbortFlash).
 func (s *System) BeginTxn(core int) {
-	c := &s.cores[core]
-	if c.txnActive {
+	if s.TxnActive(core) {
 		panic(fmt.Sprintf("tmesi: BeginTxn on core %d with active transaction", core))
 	}
-	c.txnActive = true
+	s.active |= coreBit(core)
+}
+
+func coreBit(core int) uint64 { return 1 << uint(core) }
+
+// holdersOf returns the cores to look up for line, in a mask: its holders,
+// or every core in broadcast mode.
+func (s *System) holdersOf(line memory.LineAddr) uint64 {
+	if s.broadcast {
+		return 1<<uint(len(s.cores)) - 1
+	}
+	return s.holders.get(line)
+}
+
+// lookupHolder is core's L1 lookup of line on behalf of the directory. A
+// miss clears core's holder bit.
+func (s *System) lookupHolder(core int, line memory.LineAddr) *cache.Line {
+	ln := s.cores[core].l1.Lookup(line)
+	if ln == nil {
+		s.holders.drop(line, core)
+	}
+	return ln
 }
 
 // netLat is the one-way core-to-L2 network latency.
