@@ -15,6 +15,11 @@
 // ClearAlerts and TMILines visit only marked slots, in the same set-major
 // order as a full walk, plus the whole victim buffer, so they cost
 // O(lines touched since the last walk) rather than O(L1 size).
+//
+// Insert hands victim-buffer spills back in a buffer the cache reuses, so
+// a spill allocates nothing. TagCache, the shared L2's tag array, builds a
+// set's ways the first time the set is touched, so an 8 MB L2 costs what
+// the sets a simulation touches cost, not 16,384 sets up front.
 package cache
 
 import (
@@ -113,7 +118,9 @@ type Cache struct {
 	pdi    []uint64
 	victim []Line            // FIFO order: victim[0] is oldest
 	vtags  []memory.LineAddr // vtags[i] == victim[i].Tag
-	clock  uint64
+	// spill is Insert's result buffer, reused from call to call.
+	spill []Victimized
+	clock uint64
 	// drop, when set, is called with the tag of each line a flash walk
 	// turns Invalid.
 	drop func(memory.LineAddr)
@@ -172,8 +179,11 @@ type Victimized struct {
 
 // Insert places a new line into the cache, evicting as needed. The evicted
 // set line (if any) moves to the victim buffer; anything that falls off the
-// victim buffer is returned for the caller to handle. Insert panics if the
-// line is already present (use Lookup first).
+// victim buffer is returned for the caller to handle, or nil if nothing
+// does. The returned slice is the cache's own buffer: it is valid only
+// until the next Insert on this cache, so the caller must consume (or
+// copy) it first. Insert panics if the line is already present (use
+// Lookup first).
 func (c *Cache) Insert(ln Line) []Victimized {
 	if c.Lookup(ln.Tag) != nil {
 		panic(fmt.Sprintf("cache: Insert of resident line %d", ln.Tag))
@@ -208,12 +218,13 @@ func (c *Cache) fill(i int, ln Line) {
 }
 
 func (c *Cache) pushVictim(ln Line) []Victimized {
+	out := c.spill[:0]
 	if c.cfg.VictimSize == 0 && !(c.cfg.UnboundedTMIVictim && ln.State == TMI) {
-		return []Victimized{{Line: ln}}
+		c.spill = append(out, Victimized{Line: ln})
+		return c.spill
 	}
 	c.victim = append(c.victim, ln)
 	c.vtags = append(c.vtags, ln.Tag)
-	var out []Victimized
 	if c.cfg.VictimSize >= 0 {
 		over := func() int {
 			n := len(c.victim)
@@ -238,6 +249,10 @@ func (c *Cache) pushVictim(ln Line) []Victimized {
 				}
 			}
 		}
+	}
+	c.spill = out
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }
@@ -376,16 +391,25 @@ func (c *Cache) walkPDI(f func(*Line)) {
 // TagCache is a tag-only set-associative cache used for the shared L2
 // timing model: it answers hit/miss and tracks evictions but holds no data
 // (data lives in the committed memory image).
+//
+// The paper's L2 has 16,384 sets, of which one simulation touches a few
+// hundred to a few thousand, so sets are built on first touch: dir maps a
+// set to its ways in ents, which grows in first-touch order.
 type TagCache struct {
-	sets  [][]tagEntry
+	// dir has one entry per set: 0 means the set was never touched,
+	// otherwise the set's ways are ents[dir[s]-1 : dir[s]-1+ways].
+	dir   []int32
+	ents  []tagEntry
+	ways  int
 	mask  uint64
 	clock uint64
 }
 
+// tagEntry is one L2 way. lru == 0 means invalid: Touch bumps the clock
+// before every use, so a valid way's lru is at least 1.
 type tagEntry struct {
-	tag   memory.LineAddr
-	valid bool
-	lru   uint64
+	tag memory.LineAddr
+	lru uint64
 }
 
 // NewTagCache returns a tag cache with the given geometry.
@@ -393,28 +417,30 @@ func NewTagCache(sets, ways int) *TagCache {
 	if sets <= 0 || sets&(sets-1) != 0 || ways <= 0 {
 		panic("cache: invalid tag cache geometry")
 	}
-	s := make([][]tagEntry, sets)
-	for i := range s {
-		s[i] = make([]tagEntry, ways)
-	}
-	return &TagCache{sets: s, mask: uint64(sets - 1)}
+	return &TagCache{dir: make([]int32, sets), ways: ways, mask: uint64(sets - 1)}
 }
 
 // Touch records an access to line l and reports whether it hit, along with
 // any line evicted to make room.
 func (t *TagCache) Touch(l memory.LineAddr) (hit bool, evicted memory.LineAddr, hasEvicted bool) {
 	t.clock++
-	set := t.sets[uint64(l)&t.mask]
+	s := uint64(l) & t.mask
+	if t.dir[s] == 0 {
+		t.dir[s] = int32(len(t.ents)) + 1
+		t.ents = append(t.ents, make([]tagEntry, t.ways)...)
+	}
+	base := int(t.dir[s]) - 1
+	set := t.ents[base : base+t.ways]
+	// The L2 never invalidates a way, so the invalid ways of a set are
+	// the ones after its last fill: the first invalid way ends the search.
 	for i := range set {
-		if set[i].valid && set[i].tag == l {
+		switch {
+		case set[i].lru == 0:
+			set[i] = tagEntry{tag: l, lru: t.clock}
+			return false, 0, false
+		case set[i].tag == l:
 			set[i].lru = t.clock
 			return true, 0, false
-		}
-	}
-	for i := range set {
-		if !set[i].valid {
-			set[i] = tagEntry{tag: l, valid: true, lru: t.clock}
-			return false, 0, false
 		}
 	}
 	vi := 0
@@ -424,6 +450,6 @@ func (t *TagCache) Touch(l memory.LineAddr) (hit bool, evicted memory.LineAddr, 
 		}
 	}
 	old := set[vi].tag
-	set[vi] = tagEntry{tag: l, valid: true, lru: t.clock}
+	set[vi] = tagEntry{tag: l, lru: t.clock}
 	return false, old, true
 }

@@ -347,6 +347,39 @@ func TestFlashOpsAreAllocationFree(t *testing.T) {
 	}
 }
 
+// TestInsertSpillAllocatesNothing checks that an Insert that pushes a line
+// out of the victim buffer hands it back without allocating, both from a
+// full victim buffer and with no victim buffer at all.
+func TestInsertSpillAllocatesNothing(t *testing.T) {
+	for _, cfg := range []Config{DefaultL1Config(), {Sets: 4, Ways: 2, VictimSize: 0}} {
+		c := New(cfg)
+		// Every line maps to set 0; once both ways and the victim buffer
+		// are full, each Insert spills exactly one line.
+		next := 0
+		insert := func() []Victimized {
+			next++
+			return c.Insert(Line{Tag: memory.LineAddr(next * cfg.Sets), State: Modified})
+		}
+		for i := 0; i < cfg.Ways+cfg.VictimSize; i++ {
+			if sp := insert(); sp != nil {
+				t.Fatalf("%+v: fill %d spilled %v, want nil", cfg, i, sp)
+			}
+		}
+		bad := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if sp := insert(); len(sp) != 1 || sp[0].Line.State != Modified {
+				bad++
+			}
+		})
+		if bad != 0 {
+			t.Fatalf("%+v: %d Inserts did not spill exactly one line", cfg, bad)
+		}
+		if allocs != 0 {
+			t.Fatalf("%+v: spilling Insert: %v allocs, want 0", cfg, allocs)
+		}
+	}
+}
+
 func BenchmarkLookup(b *testing.B) {
 	cfg := DefaultL1Config()
 	b.Run("set-hit", func(b *testing.B) {

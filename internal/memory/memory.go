@@ -5,6 +5,11 @@
 // LineWords (8) consecutive words, 64 bytes. The image holds only committed
 // state: speculative values live in L1 TMI lines and overflow tables, never
 // here (see internal/tmesi).
+//
+// The image is sparse and paged: a page of 64 lines (4 KB) is built the
+// first time one of its lines is written, and reads of unbuilt pages
+// return zero without building anything. Setting up a simulation costs one
+// allocation per page its workload writes, not one per line.
 package memory
 
 import "fmt"
@@ -38,20 +43,32 @@ func (l LineAddr) WordOf(off int) Addr { return Addr(uint64(l)*LineWords + uint6
 // LineData is the payload of one cache line.
 type LineData [LineWords]uint64
 
-// Image is the committed memory image. The zero value is not usable; call
-// NewImage.
+// pageLines is the number of lines in one page of the committed image.
+const pageLines = 64
+
+// page holds pageLines consecutive committed lines.
+type page [pageLines]LineData
+
+// Image is the committed memory image. It stores memory in pages of
+// pageLines lines, keyed by line address / pageLines, built on first write
+// and never freed; unwritten memory reads as zero. The last page used is
+// remembered, so runs of accesses to one page skip the map. The zero value
+// is not usable; call NewImage.
 type Image struct {
-	lines map[LineAddr]*LineData
+	pages map[LineAddr]*page
+	// last is the page numbered lastKey, or nil.
+	last    *page
+	lastKey LineAddr
 }
 
 // NewImage returns an empty image; unwritten memory reads as zero.
 func NewImage() *Image {
-	return &Image{lines: make(map[LineAddr]*LineData)}
+	return &Image{pages: make(map[LineAddr]*page)}
 }
 
 // ReadWord returns the committed value at a.
 func (im *Image) ReadWord(a Addr) uint64 {
-	if ld, ok := im.lines[a.Line()]; ok {
+	if ld := im.find(a.Line()); ld != nil {
 		return ld[a.Offset()]
 	}
 	return 0
@@ -64,7 +81,7 @@ func (im *Image) WriteWord(a Addr, v uint64) {
 
 // ReadLine copies the committed contents of line l into dst.
 func (im *Image) ReadLine(l LineAddr, dst *LineData) {
-	if ld, ok := im.lines[l]; ok {
+	if ld := im.find(l); ld != nil {
 		*dst = *ld
 	} else {
 		*dst = LineData{}
@@ -76,16 +93,28 @@ func (im *Image) WriteLine(l LineAddr, src *LineData) {
 	*im.line(l) = *src
 }
 
-// Lines returns the number of lines ever written.
-func (im *Image) Lines() int { return len(im.lines) }
-
-func (im *Image) line(l LineAddr) *LineData {
-	ld, ok := im.lines[l]
-	if !ok {
-		ld = new(LineData)
-		im.lines[l] = ld
+// find returns line l, or nil if its page was never written.
+func (im *Image) find(l LineAddr) *LineData {
+	key := l / pageLines
+	if im.last == nil || im.lastKey != key {
+		p, ok := im.pages[key]
+		if !ok {
+			return nil
+		}
+		im.last, im.lastKey = p, key
 	}
-	return ld
+	return &im.last[l%pageLines]
+}
+
+// line returns line l, building its page if needed.
+func (im *Image) line(l LineAddr) *LineData {
+	if ld := im.find(l); ld != nil {
+		return ld
+	}
+	p := new(page)
+	im.pages[l/pageLines] = p
+	im.last, im.lastKey = p, l/pageLines
+	return &p[l%pageLines]
 }
 
 // Allocator is a bump allocator with per-size free lists over an Image's

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -135,4 +136,87 @@ func TestAllocPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	NewAllocator().Alloc(0)
+}
+
+// TestImageMatchesMap drives an Image and a map of words through the same
+// seeded stream of word and line reads and writes and compares every read.
+// Lines cover addresses below HeapBase, both sides of every page boundary
+// they touch, pages far apart, and lines that are never written.
+func TestImageMatchesMap(t *testing.T) {
+	var lines []LineAddr
+	for _, p := range []LineAddr{0, 1, 2, HeapBase.Line() / pageLines, 1 << 20, 1<<40 + 3} {
+		lines = append(lines, p*pageLines, p*pageLines+1, p*pageLines+pageLines-1, p*pageLines+pageLines)
+		if p > 0 {
+			lines = append(lines, p*pageLines-1)
+		}
+	}
+	never := LineAddr(5*pageLines + 7) // on a page nothing writes
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		im, ref := NewImage(), map[Addr]uint64{}
+		refLine := func(l LineAddr) (d LineData) {
+			for i := range d {
+				d[i] = ref[l.WordOf(i)]
+			}
+			return d
+		}
+		for step := 0; step < 4000; step++ {
+			l := lines[rng.Intn(len(lines))]
+			a := l.WordOf(rng.Intn(LineWords))
+			switch rng.Intn(5) {
+			case 0:
+				v := rng.Uint64()
+				im.WriteWord(a, v)
+				ref[a] = v
+			case 1:
+				var d LineData
+				for i := range d {
+					d[i] = rng.Uint64()
+					ref[l.WordOf(i)] = d[i]
+				}
+				im.WriteLine(l, &d)
+			case 2:
+				if got, want := im.ReadWord(a), ref[a]; got != want {
+					t.Fatalf("seed %d step %d: ReadWord(%d) = %d, map %d", seed, step, a, got, want)
+				}
+			case 3:
+				d := LineData{1, 2, 3} // ReadLine must overwrite all of it
+				im.ReadLine(l, &d)
+				if want := refLine(l); d != want {
+					t.Fatalf("seed %d step %d: ReadLine(%d) = %v, map %v", seed, step, l, d, want)
+				}
+			default:
+				d := LineData{1, 2, 3}
+				im.ReadLine(never, &d)
+				if d != (LineData{}) || im.ReadWord(never.WordOf(rng.Intn(LineWords))) != 0 {
+					t.Fatalf("seed %d step %d: never-written line %d reads %v", seed, step, never, d)
+				}
+			}
+		}
+		for _, l := range lines {
+			var d LineData
+			im.ReadLine(l, &d)
+			if want := refLine(l); d != want {
+				t.Fatalf("seed %d: final ReadLine(%d) = %v, map %v", seed, l, d, want)
+			}
+		}
+	}
+}
+
+// TestImageWordOpsAllocateNothing checks that word reads and writes on
+// pages that exist, alternating between two of them, allocate nothing, and
+// neither do reads of pages that do not.
+func TestImageWordOpsAllocateNothing(t *testing.T) {
+	im := NewImage()
+	a, b := HeapBase, HeapBase+Addr(10*pageLines*LineWords)
+	im.WriteWord(a, 1)
+	im.WriteWord(b, 2)
+	n := testing.AllocsPerRun(100, func() {
+		im.WriteWord(a+3, im.ReadWord(b)+1)
+		im.WriteWord(b+9, im.ReadWord(a)+1)
+		im.ReadWord(b + Addr(pageLines*LineWords))
+	})
+	if n != 0 {
+		t.Fatalf("ReadWord/WriteWord: %v allocs, want 0", n)
+	}
 }

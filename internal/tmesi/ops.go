@@ -564,6 +564,8 @@ func (s *System) otFetch(c *coreState, core int, line memory.LineAddr) (memory.L
 func (s *System) insertLine(c *coreState, core int, ln cache.Line) sim.Time {
 	var lat sim.Time
 	s.holders.add(ln.Tag, core)
+	// Insert returns the L1's reused spill buffer; nothing below inserts
+	// into this L1 again, so the loop finishes with it before it changes.
 	for _, v := range c.l1.Insert(ln) {
 		sp := v.Line
 		if sp.State != cache.Invalid {

@@ -606,3 +606,21 @@ func TestDeterministicStats(t *testing.T) {
 		t.Fatalf("stats differ across identical runs:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestNewAllocationGuard bounds what building the paper's machine costs.
+// Every sweep cell builds one; its 16,384-set L2 is filled in on first
+// touch, so construction should not allocate per L2 set.
+func TestNewAllocationGuard(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { New(DefaultConfig()) }); n > 200 {
+		t.Fatalf("New(DefaultConfig()): %v allocs, want <= 200", n)
+	}
+}
+
+var newSink *System
+
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		newSink = New(DefaultConfig())
+	}
+}
