@@ -52,7 +52,6 @@ import (
 	"flextm/internal/sim"
 	"flextm/internal/stress"
 	"flextm/internal/tmesi"
-	"flextm/internal/trace"
 	"flextm/internal/workloads"
 )
 
@@ -338,9 +337,14 @@ func main() {
 		}
 	}
 	recs := res.Flight.Snapshot()
+	// The summary and the timeline are two views of one attempt DAG.
+	var traced *causal.Report
+	if tracing {
+		traced = causal.Analyze(recs, causal.Options{Cores: machine.Cores})
+	}
 	if *traceStats {
 		fmt.Println("-- trace summary --")
-		trace.Summarize(recs).Print(os.Stdout)
+		traced.Summary(recs).Print(os.Stdout)
 	}
 	m := res.Machine
 	fmt.Printf("machine     L1 %.1f%% hit, %d L2 misses, %d threatened, %d exposed-read, %d overflows, %d alerts\n",
@@ -355,8 +359,7 @@ func main() {
 		res.Telemetry.PrintAttribution(os.Stdout)
 	}
 	if *traceOut != "" {
-		rep := causal.Analyze(recs, causal.Options{Cores: machine.Cores})
-		if err := writeChromeTrace(*traceOut, rep); err != nil {
+		if err := writeChromeTrace(*traceOut, traced); err != nil {
 			fmt.Fprintln(os.Stderr, "flextm:", err)
 			os.Exit(1)
 		}

@@ -18,6 +18,11 @@
 // and a wasted-work ledger charging every aborted attempt's cycles to its
 // killer.
 //
+// The package is the simulator's one attempt fold: Report.Summary derives
+// the lifecycle summary (commit/abort counts, attempt-cycle percentiles,
+// retries per commit, contention-manager outcomes) from the same DAG, and
+// the renderers emit Graphviz, JSON and the Chrome trace_event format.
+//
 // The tracer is purely offline: it consumes the flight recorder's passive
 // records, so traced and untraced runs are bit-identical by construction,
 // and a nil recorder costs zero allocations per event (the flight
@@ -89,12 +94,13 @@ type Attempt struct {
 	Backoff    sim.Time `json:"backoff,omitempty"`    // retry back-off after an abort
 
 	// Abort lineage, meaningful when Outcome == Aborted.
-	KillerCore  int      `json:"killerCore"`            // -1 when unattributed
-	KillerIndex int      `json:"killerIndex"`           // killer's attempt ordinal
-	KillAt      sim.Time `json:"killAt,omitempty"`      // when the killer CASed us
-	KillLine    uint64   `json:"killLine,omitempty"`    // the conflicting line
-	KillFP      bool     `json:"killFP,omitempty"`      // conflict was a signature false positive
-	SelfKill    bool     `json:"selfKill,omitempty"`    // CM abort-self verdict (yielded to KillerCore)
+	KillerCore  int      `json:"killerCore"`         // -1 when unattributed
+	KillerIndex int      `json:"killerIndex"`        // killer's attempt ordinal
+	KillAt      sim.Time `json:"killAt,omitempty"`   // when the killer CASed us
+	KillLine    uint64   `json:"killLine,omitempty"` // the conflicting line
+	KillFP      bool     `json:"killFP,omitempty"`   // conflict was a signature false positive
+	SelfKill    bool     `json:"selfKill,omitempty"` // CM abort-self verdict (yielded to KillerCore)
+	Synthesized bool     `json:"-"`                  // begin lost to ring wrap-around; node invented from a later record
 
 	stalls []stall
 }
@@ -210,6 +216,7 @@ func Analyze(recs []flight.Rec, opts Options) *Report {
 	synth := func(c int, at sim.Time) *Attempt {
 		attempts[c] = append(attempts[c], Attempt{
 			Core: c, Index: len(attempts[c]), Start: at, KillerCore: -1,
+			Synthesized: true,
 		})
 		open[c] = len(attempts[c])
 		return &attempts[c][open[c]-1]

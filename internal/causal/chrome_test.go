@@ -1,4 +1,4 @@
-package trace_test
+package causal
 
 import (
 	"bytes"
@@ -6,14 +6,12 @@ import (
 	"strings"
 	"testing"
 
-	"flextm/internal/causal"
 	"flextm/internal/flight"
-	"flextm/internal/trace"
 )
 
 // chromeDoc mirrors the trace_event JSON for decoding in tests.
 type chromeDoc struct {
-	TraceEvents []trace.ChromeEvent `json:"traceEvents"`
+	TraceEvents []ChromeEvent `json:"traceEvents"`
 }
 
 // exportChrome renders a flight-record stream the way -trace-out does —
@@ -21,7 +19,7 @@ type chromeDoc struct {
 func exportChrome(t *testing.T, recs []flight.Rec) chromeDoc {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := causal.Analyze(recs, causal.Options{}).WriteChrome(&buf); err != nil {
+	if err := Analyze(recs, Options{}).WriteChrome(&buf); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var doc chromeDoc
@@ -40,7 +38,7 @@ func TestChromeInterleavedRetries(t *testing.T) {
 	var s stream
 	s.lifecycle(0, 0, flight.TxnBegin)
 	s.lifecycle(5, 1, flight.TxnBegin)
-	s.add(10, 0, flight.CMStall, 1)
+	s.add(10, 0, flight.CMStall, 1, 0, 0, 0)
 	s.recs[len(s.recs)-1].Dur = 6
 	s.lifecycle(30, 0, flight.TxnAbort)
 	s.lifecycle(40, 1, flight.TxnCommit)
@@ -117,11 +115,11 @@ func killStream() []flight.Rec {
 	var s stream
 	s.lifecycle(0, 0, flight.TxnBegin)
 	s.lifecycle(5, 1, flight.TxnBegin)
-	s.add(20, 1, flight.AbortEnemy, 0)
+	s.add(20, 1, flight.AbortEnemy, 0, 0, 0, 0)
 	s.lifecycle(25, 0, flight.TxnAbort)
 	s.lifecycle(30, 0, flight.TxnBegin)
 	s.lifecycle(40, 1, flight.TxnCommit)
-	s.add(50, 0, flight.AbortEnemy, 1) // victim already committed
+	s.add(50, 0, flight.AbortEnemy, 1, 0, 0, 0) // victim already committed
 	s.lifecycle(60, 0, flight.TxnCommit)
 	return s.recs
 }
@@ -133,7 +131,7 @@ func killStream() []flight.Rec {
 // CAS lost; the victim committed) must emit no dangling flow start.
 func TestChromeKillFlowEvents(t *testing.T) {
 	doc := exportChrome(t, killStream())
-	var starts, finishes []trace.ChromeEvent
+	var starts, finishes []ChromeEvent
 	for _, e := range doc.TraceEvents {
 		switch e.Phase {
 		case "s":
@@ -163,7 +161,7 @@ func TestChromeKillFlowEvents(t *testing.T) {
 // into.
 func TestChromeEventSchemaRoundTrip(t *testing.T) {
 	var first bytes.Buffer
-	if err := causal.Analyze(killStream(), causal.Options{}).WriteChrome(&first); err != nil {
+	if err := Analyze(killStream(), Options{}).WriteChrome(&first); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var doc chromeDoc
@@ -171,7 +169,7 @@ func TestChromeEventSchemaRoundTrip(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	var second bytes.Buffer
-	if err := trace.EncodeChrome(&second, doc.TraceEvents); err != nil {
+	if err := EncodeChrome(&second, doc.TraceEvents); err != nil {
 		t.Fatalf("EncodeChrome: %v", err)
 	}
 	if first.String() != second.String() {
@@ -185,18 +183,16 @@ func TestChromeEventSchemaRoundTrip(t *testing.T) {
 // dur field intact. Zero-dur events must stay dur-less (omitempty), so
 // instants don't grow a spurious dur: 0 on re-encode.
 func TestChromeDurationEventsRoundTrip(t *testing.T) {
-	events := []trace.ChromeEvent{
+	events := []ChromeEvent{
 		{Name: "cm-stall", Cat: "cm", Phase: "X", TS: 24, Dur: 30, PID: 1, TID: 0},
 		{Name: "backoff", Cat: "cm", Phase: "X", TS: 40, Dur: 35, PID: 1, TID: 1},
 		{Name: "decision", Cat: "cm", Phase: "i", TS: 25, PID: 1, TID: 0, Scope: "t"},
 	}
 	var first bytes.Buffer
-	if err := trace.EncodeChrome(&first, events); err != nil {
+	if err := EncodeChrome(&first, events); err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		TraceEvents []trace.ChromeEvent `json:"traceEvents"`
-	}
+	var doc chromeDoc
 	if err := json.Unmarshal(first.Bytes(), &doc); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -211,7 +207,7 @@ func TestChromeDurationEventsRoundTrip(t *testing.T) {
 		t.Fatal("zero-dur instant grew a dur field")
 	}
 	var second bytes.Buffer
-	if err := trace.EncodeChrome(&second, doc.TraceEvents); err != nil {
+	if err := EncodeChrome(&second, doc.TraceEvents); err != nil {
 		t.Fatal(err)
 	}
 	if first.String() != second.String() {

@@ -4,8 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"flextm/internal/trace"
+	"sort"
 )
 
 // WriteJSON writes the report as indented JSON. The encoding is canonical
@@ -81,9 +80,9 @@ func (r *Report) WriteDOT(w io.Writer) {
 // the path's segments so the chain is visible as one contiguous track.
 func (r *Report) WriteChrome(w io.Writer) error {
 	if r == nil {
-		return trace.EncodeChrome(w, nil)
+		return EncodeChrome(w, nil)
 	}
-	var out []trace.ChromeEvent
+	var out []ChromeEvent
 	var flowID uint64
 	for c := range r.PerCore {
 		for i := range r.PerCore[c] {
@@ -98,18 +97,18 @@ func (r *Report) WriteChrome(w io.Writer) error {
 					args["killer"] = a.KillerCore
 				}
 			}
-			out = append(out, trace.ChromeEvent{
+			out = append(out, ChromeEvent{
 				Name: a.Outcome.String(), Cat: "attempt", Phase: "X",
 				TS: float64(a.Start), Dur: float64(a.End - a.Start),
 				PID: 1, TID: a.Core, Args: args,
 			})
 			if a.Outcome == Aborted && a.KillerCore >= 0 && !a.SelfKill && a.KillAt != 0 {
 				flowID++
-				out = append(out, trace.ChromeEvent{
+				out = append(out, ChromeEvent{
 					Name: "kill", Cat: "abort-lineage", Phase: "s",
 					TS: float64(a.KillAt), PID: 1, TID: a.KillerCore, ID: flowID,
 				})
-				out = append(out, trace.ChromeEvent{
+				out = append(out, ChromeEvent{
 					Name: "kill", Cat: "abort-lineage", Phase: "f", BP: "e",
 					TS: float64(a.End), PID: 1, TID: a.Core, ID: flowID,
 				})
@@ -117,7 +116,7 @@ func (r *Report) WriteChrome(w io.Writer) error {
 		}
 	}
 	for _, seg := range r.Path {
-		out = append(out, trace.ChromeEvent{
+		out = append(out, ChromeEvent{
 			Name: seg.Kind, Cat: "critical-path", Phase: "X",
 			TS: float64(seg.Start), Dur: float64(seg.End - seg.Start),
 			PID: 2, TID: 0,
@@ -125,14 +124,40 @@ func (r *Report) WriteChrome(w io.Writer) error {
 		})
 	}
 	for c := range r.PerCore {
-		out = append(out, trace.ChromeEvent{
+		out = append(out, ChromeEvent{
 			Name: "thread_name", Phase: "M", PID: 1, TID: c,
 			Args: map[string]any{"name": fmt.Sprintf("core %d", c)},
 		})
 	}
-	out = append(out, trace.ChromeEvent{
+	out = append(out, ChromeEvent{
 		Name: "thread_name", Phase: "M", PID: 2, TID: 0,
 		Args: map[string]any{"name": "critical path"},
 	})
-	return trace.EncodeChrome(w, out)
+	return EncodeChrome(w, out)
+}
+
+// ChromeEvent is one entry in the Chrome trace_event JSON format, loadable
+// in chrome://tracing and Perfetto. Simulated cycles are written as
+// microseconds (1 cycle == 1 µs), so the viewers' time axis reads directly
+// in cycles.
+type ChromeEvent struct {
+	Name  string         `json:"name"`
+	Cat   string         `json:"cat,omitempty"`
+	Phase string         `json:"ph"`
+	TS    float64        `json:"ts"`
+	Dur   float64        `json:"dur,omitempty"`
+	PID   int            `json:"pid"`
+	TID   int            `json:"tid"`
+	Scope string         `json:"s,omitempty"`
+	ID    uint64         `json:"id,omitempty"`
+	BP    string         `json:"bp,omitempty"`
+	Args  map[string]any `json:"args,omitempty"`
+}
+
+// EncodeChrome writes events as a {"traceEvents": [...]} document in stable
+// timestamp order (metadata and ties keep their insertion order).
+func EncodeChrome(w io.Writer, events []ChromeEvent) error {
+	sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
+	enc := json.NewEncoder(w)
+	return enc.Encode(map[string]any{"traceEvents": events})
 }

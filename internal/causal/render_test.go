@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"flextm/internal/flight"
-	"flextm/internal/trace"
 )
 
 // killChain is the shared render fixture: core 1 kills core 0 once, core 0
@@ -27,7 +26,7 @@ func killChain() *Report {
 // TestWriteChromeCarriesStallDurations: Dur-bearing CMStall and Backoff
 // flight records must fold into the rendered attempt spans — the stall
 // cycles surface in the span's args and the timeline round-trips through
-// trace.EncodeChrome without losing the durations.
+// EncodeChrome without losing the durations.
 func TestWriteChromeCarriesStallDurations(t *testing.T) {
 	var s stream
 	s.add(0, 0, flight.TxnBegin, -1, 0, 0, 0)
@@ -54,9 +53,7 @@ func TestWriteChromeCarriesStallDurations(t *testing.T) {
 	if err := rep.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		TraceEvents []trace.ChromeEvent `json:"traceEvents"`
-	}
+	var doc chromeDoc
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
 	}
@@ -76,9 +73,10 @@ func TestWriteChromeCarriesStallDurations(t *testing.T) {
 		t.Fatal("no attempt span carried the CM stall duration")
 	}
 	// The document must round-trip through EncodeChrome byte-identically —
-	// the same guarantee trace pins for its own duration events.
+	// the same guarantee TestChromeDurationEventsRoundTrip pins for bare
+	// duration events.
 	var second bytes.Buffer
-	if err := trace.EncodeChrome(&second, doc.TraceEvents); err != nil {
+	if err := EncodeChrome(&second, doc.TraceEvents); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != second.String() {

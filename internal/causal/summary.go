@@ -1,10 +1,4 @@
-// Package trace summarizes transaction lifecycles from a run's flight
-// records — commit/abort latencies, retry distributions, and
-// contention-manager outcomes — and owns the Chrome trace_event document
-// format the timeline renderer (internal/causal) emits into. The flight
-// recorder (internal/flight) is the simulator's only lifecycle stream; this
-// package folds it and records nothing itself.
-package trace
+package causal
 
 import (
 	"fmt"
@@ -15,7 +9,8 @@ import (
 	"flextm/internal/sim"
 )
 
-// Summary aggregates a run's transactional behavior.
+// Summary aggregates a run's transactional behavior: the lifecycle view of
+// the attempt DAG that flextm -tracestats prints.
 type Summary struct {
 	Commits, Aborts int
 	// Waits counts contention-manager stalls (cm-stall records);
@@ -29,9 +24,9 @@ type Summary struct {
 	// committing.
 	RetriesPerCommit map[int]int
 	// Orphans counts commit/abort records that arrived with no open
-	// transaction on their core. They indicate a truncated or malformed
-	// stream and are excluded from the commit/abort counts and latency
-	// statistics rather than silently folded in.
+	// transaction on their core (synthesized attempts). They indicate a
+	// truncated or malformed stream and are excluded from the commit/abort
+	// counts and latency statistics rather than silently folded in.
 	Orphans map[flight.Kind]int
 	// OpenAtEnd counts cores whose last transaction never resolved (the
 	// stream ended between begin and commit/abort).
@@ -42,50 +37,15 @@ type Summary struct {
 	Dropped uint64
 }
 
-// Summarize folds a flight-record stream, in record (Seq) order as
-// flight.Recorder.Snapshot returns it, into a Summary.
-func Summarize(recs []flight.Rec) Summary {
+// Summary folds the report's attempts, plus the conflict-handling records
+// and Seq holes of recs (the window the report was analyzed from), into a
+// Summary. A nil report (empty window) yields an empty summary.
+func (r *Report) Summary(recs []flight.Rec) Summary {
 	s := Summary{RetriesPerCommit: map[int]int{}}
-	type open struct {
-		start   sim.Time
-		retries int
-	}
-	cur := map[int16]*open{}
-	orphan := func(k flight.Kind) {
-		if s.Orphans == nil {
-			s.Orphans = map[flight.Kind]int{}
-		}
-		s.Orphans[k]++
-	}
 	var maxSeq uint64
-	for _, r := range recs {
-		maxSeq = max(maxSeq, r.Seq)
-		switch r.Kind {
-		case flight.TxnBegin:
-			if o := cur[r.Core]; o != nil {
-				o.start = r.At // retry of the same transaction
-			} else {
-				cur[r.Core] = &open{start: r.At}
-			}
-		case flight.TxnCommit:
-			o := cur[r.Core]
-			if o == nil {
-				orphan(r.Kind)
-				continue
-			}
-			s.Commits++
-			s.AttemptCycles = append(s.AttemptCycles, r.At-o.start)
-			s.RetriesPerCommit[o.retries]++
-			delete(cur, r.Core)
-		case flight.TxnAbort:
-			o := cur[r.Core]
-			if o == nil {
-				orphan(r.Kind)
-				continue
-			}
-			s.Aborts++
-			s.AttemptCycles = append(s.AttemptCycles, r.At-o.start)
-			o.retries++
+	for _, rec := range recs {
+		maxSeq = max(maxSeq, rec.Seq)
+		switch rec.Kind {
 		case flight.CMStall:
 			s.Waits++
 		case flight.AbortEnemy:
@@ -97,10 +57,47 @@ func Summarize(recs []flight.Rec) Summary {
 	if n := uint64(len(recs)); maxSeq > n {
 		s.Dropped = maxSeq - n
 	}
-	// A committed transaction always deletes its entry, so whatever remains
-	// is unfinished: mid-attempt, or aborted and awaiting a retry that the
-	// stream never saw.
-	s.OpenAtEnd = len(cur)
+	if r == nil {
+		return s
+	}
+	for _, atts := range r.PerCore {
+		retries, last := 0, -1 // last: the core's last attempt with a begin
+		for i := range atts {
+			a := &atts[i]
+			if a.Synthesized {
+				// A commit or abort whose begin was lost: an orphan, and no
+				// retry chain runs through it.
+				if a.Outcome != Open {
+					if s.Orphans == nil {
+						s.Orphans = map[flight.Kind]int{}
+					}
+					k := flight.TxnAbort
+					if a.Outcome == Committed {
+						k = flight.TxnCommit
+					}
+					s.Orphans[k]++
+				}
+				retries = 0
+				continue
+			}
+			last = i
+			switch a.Outcome {
+			case Committed:
+				s.Commits++
+				s.AttemptCycles = append(s.AttemptCycles, a.End-a.Start)
+				s.RetriesPerCommit[retries]++
+				retries = 0
+			case Aborted:
+				s.Aborts++
+				s.AttemptCycles = append(s.AttemptCycles, a.End-a.Start)
+				retries++
+			}
+		}
+		// Mid-attempt, or aborted and awaiting a retry the stream never saw.
+		if last >= 0 && atts[last].Outcome != Committed {
+			s.OpenAtEnd++
+		}
+	}
 	sort.Slice(s.AttemptCycles, func(i, j int) bool { return s.AttemptCycles[i] < s.AttemptCycles[j] })
 	return s
 }

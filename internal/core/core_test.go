@@ -4,13 +4,13 @@ import (
 	"testing"
 
 	"flextm/internal/cache"
+	"flextm/internal/causal"
 	"flextm/internal/cm"
 	"flextm/internal/flight"
 	"flextm/internal/memory"
 	"flextm/internal/sim"
 	"flextm/internal/tmapi"
 	"flextm/internal/tmesi"
-	"flextm/internal/trace"
 )
 
 func testCfg() tmesi.Config {
@@ -539,7 +539,7 @@ func TestTracerRecordsLifecycle(t *testing.T) {
 		t.Fatalf("flight lifecycle records %v, want 40 commits, %d aborts, %d begins",
 			kinds, st.Aborts, 40+st.Aborts)
 	}
-	s := trace.Summarize(recs)
+	s := causal.Analyze(recs, causal.Options{}).Summary(recs)
 	if s.Commits != 40 {
 		t.Fatalf("traced commits = %d, want 40", s.Commits)
 	}

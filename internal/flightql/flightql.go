@@ -1194,12 +1194,14 @@ func (v *value) result() *Result {
 	}
 	out := &Result{Kind: "records", Records: []RecView{}}
 	for i := range v.recs {
-		out.Records = append(out.Records, recView(&v.recs[i]))
+		out.Records = append(out.Records, ViewRec(&v.recs[i]))
 	}
 	return out
 }
 
-func recView(r *flight.Rec) RecView {
+// ViewRec renders one flight record as query results and the observatory's
+// /flight endpoint show it.
+func ViewRec(r *flight.Rec) RecView {
 	rv := RecView{
 		Seq:  r.Seq,
 		At:   uint64(r.At),

@@ -224,84 +224,6 @@ func sweepGrid(sc SweepConfig, figure string, fs []workloads.Factory, systems []
 	return plots, nil
 }
 
-// sweep runs the systems across the thread counts, normalized to 1-thread
-// CGL on the same workload and machine.
-func sweep(sc SweepConfig, f workloads.Factory, systems []SystemName) (Plot, error) {
-	if err := sc.ensureCache(); err != nil {
-		return Plot{}, err
-	}
-	base, err := sc.baseline(f)
-	if err != nil {
-		return Plot{}, err
-	}
-	return sweepWithBase(sc, f, systems, base)
-}
-
-// sweepNormalizedTo normalizes to the 1-thread run of the given system.
-func sweepNormalizedTo(sc SweepConfig, f workloads.Factory, systems []SystemName, norm SystemName) (Plot, error) {
-	if err := sc.ensureCache(); err != nil {
-		return Plot{}, err
-	}
-	res, err := sc.RunCell(RunConfig{
-		System: norm, Workload: f, Threads: 1, OpsPerThread: sc.Ops,
-		Machine: sc.Machine, Verify: sc.Verify,
-	})
-	if err != nil {
-		return Plot{}, err
-	}
-	return sweepWithBase(sc, f, systems, res.Throughput)
-}
-
-// sweepWithBase is the single-workload grid (the harness tests drive it
-// directly); the error text deliberately omits the figure/workload prefix
-// the multi-workload entry points add.
-func sweepWithBase(sc SweepConfig, f workloads.Factory, systems []SystemName, base float64) (Plot, error) {
-	plot := Plot{Workload: f.Name}
-	type cell struct {
-		s   int
-		sys SystemName
-		th  int
-	}
-	var cells []cell
-	for si, sysName := range systems {
-		plot.Series = append(plot.Series, Series{System: sysName, Points: map[int]float64{}})
-		for _, th := range sc.Threads {
-			cells = append(cells, cell{si, sysName, th})
-		}
-	}
-	err := sweepexec.Map(sc.exec(), len(cells),
-		func(i int) (Result, error) {
-			c := cells[i]
-			res, err := sc.RunCell(RunConfig{
-				System: c.sys, Workload: f, Threads: c.th, OpsPerThread: sc.Ops,
-				Machine: sc.Machine, Verify: sc.Verify, Metrics: sc.Metrics,
-				Flight: sc.Flight, Observe: sc.Observe,
-			})
-			if err != nil {
-				return Result{}, fmt.Errorf("%s@%d: %w", c.sys, c.th, err)
-			}
-			return res, nil
-		},
-		func(i int, res Result) error {
-			c := cells[i]
-			sc.observe(res)
-			plot.Series[c.s].Points[c.th] = res.Throughput / base
-			if c.sys == FlexTMEager || c.sys == FlexTMLazy {
-				switch c.th {
-				case 8:
-					plot.Md8, plot.Mx8 = res.MedianConflicts, res.MaxConflicts
-				case 16:
-					plot.Md16, plot.Mx16 = res.MedianConflicts, res.MaxConflicts
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return Plot{}, err
-	}
-	return plot, nil
-}
-
 // MultiprogramPoint is one x-position of Figure 5(e)/(f): appThreads
 // transactional threads share the machine with prime threads on the
 // remaining cores; aborted transactions yield the CPU to prime chunks.

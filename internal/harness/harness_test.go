@@ -13,6 +13,23 @@ import (
 // canonical small test sweep.
 func quickSweep() SweepConfig { return QuickSweep() }
 
+// sweep runs one workload's systems × threads grid the way Figure4 runs its
+// grid, normalized to 1-thread CGL on the same workload and machine.
+func sweep(sc SweepConfig, f workloads.Factory, systems []SystemName) (Plot, error) {
+	if err := sc.ensureCache(); err != nil {
+		return Plot{}, err
+	}
+	base, err := sc.baseline(f)
+	if err != nil {
+		return Plot{}, err
+	}
+	plots, err := sweepGrid(sc, f.Name, []workloads.Factory{f}, [][]SystemName{systems}, []float64{base})
+	if err != nil {
+		return Plot{}, err
+	}
+	return plots[0], nil
+}
+
 func TestRunProducesThroughput(t *testing.T) {
 	f, _ := workloads.ByName("HashTable")
 	res, err := Run(RunConfig{
@@ -84,11 +101,13 @@ func TestFigure5LazyHelpsContendedWorkloads(t *testing.T) {
 	sc.Ops = 400
 	// RBTree shows a solid lazy win; RandomGraph's is narrower in this
 	// model (our eager contention manager avoids the worst mid-flight
-	// abort cascades), so assert lazy is at least competitive there.
+	// abort cascades), so assert lazy is at least competitive there. Both
+	// series share one normalization base, so the ratio does not depend on
+	// which 1-thread run the base is.
 	minRatio := map[string]float64{"RBTree": 1.0, "RandomGraph": 0.95}
 	for _, name := range []string{"RandomGraph", "RBTree"} {
 		f, _ := workloads.ByName(name)
-		plot, err := sweepNormalizedTo(sc, f, []SystemName{FlexTMEager, FlexTMLazy}, FlexTMEager)
+		plot, err := sweep(sc, f, []SystemName{FlexTMEager, FlexTMLazy})
 		if err != nil {
 			t.Fatal(err)
 		}

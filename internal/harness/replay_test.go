@@ -3,13 +3,13 @@ package harness
 import (
 	"testing"
 
+	"flextm/internal/causal"
 	"flextm/internal/fault"
 	"flextm/internal/flightql"
 	"flextm/internal/governor"
 	"flextm/internal/replay"
 	"flextm/internal/telemetry"
 	"flextm/internal/tmesi"
-	"flextm/internal/trace"
 	"flextm/internal/workloads"
 )
 
@@ -62,7 +62,7 @@ func TestReplayIdentityWithLiveTelemetry(t *testing.T) {
 			}
 			// The -tracestats summary folds the same stream: its lifecycle
 			// and conflict-handling counts are the live counters' totals.
-			sum := trace.Summarize(recs)
+			sum := causal.Analyze(recs, causal.Options{}).Summary(recs)
 			tel := res.Telemetry
 			for _, c := range []struct {
 				name string

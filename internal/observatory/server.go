@@ -159,35 +159,23 @@ func (s *Server) handleDOT(w http.ResponseWriter, r *http.Request) {
 	f.Report.WriteDOT(w)
 }
 
-// flightRecJSON is one flight record with its kind spelled out.
-type flightRecJSON struct {
-	At   uint64 `json:"at"`
-	Seq  uint64 `json:"seq"`
-	Core int    `json:"core"`
-	Peer int    `json:"peer"`
-	Kind string `json:"kind"`
-	Aux  uint8  `json:"aux"`
-	Line uint64 `json:"line"`
-}
-
+// handleFlight serves the latest frame's flight window, each record in
+// FlightQL's record view (the shape /query record results take).
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	f := s.bus.Latest()
 	if f == nil {
 		http.Error(w, `{"error":"no frame published yet"}`, http.StatusServiceUnavailable)
 		return
 	}
-	out := make([]flightRecJSON, len(f.Recent))
-	for i, rec := range f.Recent {
-		out[i] = flightRecJSON{
-			At: uint64(rec.At), Seq: rec.Seq, Core: int(rec.Core), Peer: int(rec.Peer),
-			Kind: rec.Kind.String(), Aux: rec.Aux, Line: uint64(rec.Line),
-		}
+	out := make([]flightql.RecView, len(f.Recent))
+	for i := range f.Recent {
+		out[i] = flightql.ViewRec(&f.Recent[i])
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct {
-		Meta    Meta            `json:"meta"`
-		End     uint64          `json:"end"`
-		Records []flightRecJSON `json:"records"`
+		Meta    Meta               `json:"meta"`
+		End     uint64             `json:"end"`
+		Records []flightql.RecView `json:"records"`
 	}{f.Meta, uint64(f.End), out})
 }
 

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"flextm/internal/flight"
 )
 
 func serverFixture(t *testing.T) (*Server, *Bus) {
@@ -82,17 +84,34 @@ func TestDOTAndFlightEndpoints(t *testing.T) {
 	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), "digraph") {
 		t.Fatalf("/conflictgraph.dot status=%d body=%q", rr.Code, rr.Body.String())
 	}
+	// A conflict record with a line and the FP bit: /flight renders it the
+	// way /query does — line in hex, FP split out of the masked aux.
+	f := fullFrame()
+	f.Recent = append(f.Recent, flight.Rec{
+		At: 300, Seq: 3, Core: 1, Peer: 0, Kind: flight.AbortEnemy,
+		Aux: flight.AuxFP | 1, Line: 0x40,
+	})
+	bus.Publish(f)
 	rr = get(t, srv.Handler(), "/flight")
 	var fj struct {
 		Records []struct {
 			Kind string `json:"kind"`
+			Aux  uint8  `json:"aux"`
+			FP   bool   `json:"fp"`
+			Line string `json:"line"`
 		} `json:"records"`
 	}
 	if err := json.Unmarshal(rr.Body.Bytes(), &fj); err != nil {
 		t.Fatalf("/flight is not JSON: %v", err)
 	}
-	if len(fj.Records) != 2 || fj.Records[0].Kind != "begin" {
+	if len(fj.Records) != 3 || fj.Records[0].Kind != "begin" {
 		t.Fatalf("/flight records = %+v", fj.Records)
+	}
+	if r := fj.Records[0]; r.Line != "" || r.FP {
+		t.Fatalf("/flight begin record = %+v, want no line and no fp", r)
+	}
+	if r := fj.Records[2]; r.Line != "0x40" || !r.FP || r.Aux != 1 {
+		t.Fatalf("/flight conflict record = %+v, want line 0x40, fp, aux 1", r)
 	}
 }
 
