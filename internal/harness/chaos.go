@@ -221,7 +221,7 @@ func runChaosCell(spec ChaosSpec, class fault.Class, rate float64, mode core.Mod
 		}
 	}
 	// Invariant 4: the committed history is serializable (oracle verdict).
-	orep := oracle.Check(orc.History(), oracle.Options{})
+	orep := orc.Check(oracle.Options{})
 	for _, v := range orep.Violations {
 		fail("serializability: [%s] %s", v.Kind, v.Summary)
 	}

@@ -343,7 +343,7 @@ func run(rc RunConfig) (Result, *tmesi.System, error) {
 		res.FaultReport = &rep
 	}
 	if orc != nil {
-		res.OracleReport = oracle.Check(orc.History(), oracle.Options{})
+		res.OracleReport = orc.Check(oracle.Options{})
 	}
 	// System throughput: all timed transactions over the global window in
 	// which they executed (first thread's timed start to last thread's

@@ -231,7 +231,7 @@ func livelockDuel(seed uint64, g *governor.Governor, pump *observatory.Pump) (*c
 	if got, want := sys.ReadWordRaw(lineA)+sys.ReadWordRaw(lineB), uint64(2*2*rounds); got != want {
 		return rep, out, fmt.Errorf("%s: line sum = %d, want %d", errPrefix, got, want)
 	}
-	if orep := oracle.Check(orc.History(), oracle.Options{}); !orep.Ok() {
+	if orep := orc.Check(oracle.Options{}); !orep.Ok() {
 		return rep, out, fmt.Errorf("%s: %d serializability violations ([%s] %s)",
 			errPrefix, orep.TotalViolations, orep.Violations[0].Kind, orep.Violations[0].Summary)
 	}

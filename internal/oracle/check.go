@@ -1,8 +1,10 @@
 package oracle
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"flextm/internal/memory"
@@ -138,45 +140,40 @@ func (r *Report) Print(w io.Writer) {
 	}
 }
 
-// txn is one committed transaction reconstructed from the log.
+// The checker runs in O(ops + edges) apart from sorting the written
+// addresses once: every address gets a dense id when a committed operation
+// first names it, and chains, initial values and inference state are
+// slices indexed by that id. Committed transactions refer to their reads and
+// writes by log position instead of copying them.
+
+// opLog is a read-only view of an operation log stored as chunks of
+// 1<<shift ops, every chunk full except the last. A History's flat slice is
+// a single chunk with a shift no position reaches.
+type opLog struct {
+	chunks [][]Op
+	shift  uint
+}
+
+// flatShift makes a single slice one chunk: p>>flatShift is 0 for every int
+// position p.
+const flatShift = 62
+
+func (l opLog) at(p int32) *Op {
+	i := int(p)
+	return &l.chunks[i>>l.shift][i&(1<<l.shift-1)]
+}
+
+// txn is one committed transaction reconstructed from the log; its id is
+// its index in checker.txns (commit order).
 type txn struct {
-	id        int
 	core      int
 	nt        bool
 	beginSeq  uint64
 	commitSeq uint64
 	commitAt  sim.Time
-	ops       []Op // reads and writes, in log order
-}
-
-// lastOwnWrite returns the transaction's most recent write to a strictly
-// before sequence stamp s, if any.
-func (t *txn) lastOwnWrite(a memory.Addr, s uint64) (uint64, bool) {
-	var v uint64
-	found := false
-	for i := range t.ops {
-		op := &t.ops[i]
-		if op.Seq >= s {
-			break
-		}
-		if (op.Kind == OpWrite || op.Kind == OpNTWrite) && op.Addr == a {
-			v, found = op.Val, true
-		}
-	}
-	return v, found
-}
-
-// finalWrites returns the last written value per address — the version the
-// commit published.
-func (t *txn) finalWrites() map[memory.Addr]uint64 {
-	out := make(map[memory.Addr]uint64)
-	for i := range t.ops {
-		op := &t.ops[i]
-		if op.Kind == OpWrite || op.Kind == OpNTWrite {
-			out[op.Addr] = op.Val
-		}
-	}
-	return out
+	// lo and hi bound the transaction's reads and writes, in log order, in
+	// checker.pos (log positions) and checker.aid (address ids).
+	lo, hi int32
 }
 
 // version is one committed value of an address.
@@ -186,51 +183,124 @@ type version struct {
 	commitSeq uint64 // 0 for the initial value
 }
 
+// edgeKind labels a DSR edge.
+type edgeKind uint8
+
+const (
+	kindRW edgeKind = iota
+	kindWR
+	kindWW
+)
+
+var edgeKindNames = [...]string{kindRW: "RW", kindWR: "WR", kindWW: "WW"}
+
+// edge is a DSR edge before its CST hint is rendered (see expand).
+type edge struct {
+	from, to int32
+	kind     edgeKind
+	addr     memory.Addr
+}
+
+// attempt is one core's transaction attempt in flight during collect. Its
+// position buffer is reused by the core's next attempt, so an aborted
+// attempt's storage goes back into service.
+type attempt struct {
+	open     bool
+	beginSeq uint64
+	pos      []int32
+}
+
+// denseCores bounds the core numbers collect indexes directly; a damaged
+// log naming any other core falls back to a map.
+const denseCores = 256
+
 // checker carries the state of one Check invocation.
 type checker struct {
-	opt      Options
-	rep      *Report
-	txns     []*txn
-	chains   map[memory.Addr][]version
-	initial  map[memory.Addr]uint64
-	inferred map[memory.Addr]bool
-	edges    map[[2]int][]Edge // adjacency with labels, deduped by (from,to,kind,addr)
-	edgeSeen map[string]bool
-	adj      map[int][]int
+	opt     Options
+	rep     *Report
+	log     opLog
+	initial map[memory.Addr]uint64 // read only
+
+	txns []txn
+	pos  []int32 // log positions of committed reads and writes, per txn
+	aid  []int32 // address id of each pos entry
+
+	ids     map[memory.Addr]int32
+	addrs   []memory.Addr // id → address
+	known   []bool        // initial value registered or inferred
+	initVal []uint64      // registered initial value
+
+	// Address a's version chain is versions[chainAt[a]:chainAt[a+1]];
+	// entry 0 is the initial (or placeholder) value.
+	chainAt  []int32
+	versions []version
+
+	// edges holds every DSR edge once, in insertion order.
+	edges []edge
+	// depReader/depIdx remember, per address, the last reader that
+	// depended on a version and which one; depMore holds any further
+	// (reader, address, version) a reader depended on.
+	depReader []int32
+	depIdx    []int32
+	depMore   map[[3]int32]struct{}
+
+	// The out-neighbours of txn v are adjTo[adjAt[v]:adjAt[v+1]] in order
+	// of first edge insertion; adjEdge names that first edge.
+	adjAt   []int32
+	adjTo   []int32
+	adjEdge []int32
 }
 
 // Check analyzes a history and returns the verdict. It never panics on
 // malformed input: structural problems are reported in Report.Malformed and
 // the analysis continues with what can be salvaged.
 func Check(h History, opt Options) *Report {
+	return checkLog(opLog{chunks: [][]Op{h.Ops}, shift: flatShift}, h.Initial, opt)
+}
+
+func checkLog(log opLog, initial map[memory.Addr]uint64, opt Options) *Report {
 	if opt.MaxViolations <= 0 {
 		opt.MaxViolations = DefaultMaxViolations
 	}
 	c := &checker{
-		opt:      opt,
-		rep:      &Report{},
-		chains:   make(map[memory.Addr][]version),
-		initial:  make(map[memory.Addr]uint64),
-		inferred: make(map[memory.Addr]bool),
-		edges:    make(map[[2]int][]Edge),
-		edgeSeen: make(map[string]bool),
-		adj:      make(map[int][]int),
+		opt:     opt,
+		rep:     &Report{},
+		log:     log,
+		initial: initial,
+		ids:     make(map[memory.Addr]int32),
 	}
-	for a, v := range h.Initial {
-		c.initial[a] = v
-	}
-	c.collect(h.Ops)
+	c.collect()
 	c.buildChains()
 	c.resolveReads()
+	c.buildAdjacency()
 	c.findCycles()
 	return c.rep
+}
+
+// intern returns a's dense id, registering it on first sight.
+func (c *checker) intern(a memory.Addr) int32 {
+	if id, ok := c.ids[a]; ok {
+		return id
+	}
+	id := int32(len(c.addrs))
+	c.ids[a] = id
+	c.addrs = append(c.addrs, a)
+	v, ok := c.initial[a]
+	c.known = append(c.known, ok)
+	c.initVal = append(c.initVal, v)
+	return id
+}
+
+// chain returns address id a's version chain.
+func (c *checker) chain(a int32) []version {
+	return c.versions[c.chainAt[a]:c.chainAt[a+1]]
 }
 
 // collect reconstructs committed transactions from the raw op stream. Log
 // order is authoritative; the recorded Seq stamps are cross-checked and the
 // ops re-stamped by position when they disagree, so a damaged log cannot
-// break the ordering logic downstream.
-func (c *checker) collect(ops []Op) {
+// break the ordering logic downstream. Log order is then commit order.
+func (c *checker) collect() {
 	malformed := func(format string, args ...interface{}) {
 		if len(c.rep.Malformed) < 32 {
 			c.rep.Malformed = append(c.rep.Malformed, fmt.Sprintf(format, args...))
@@ -238,94 +308,126 @@ func (c *checker) collect(ops []Op) {
 	}
 	var lastSeq uint64
 	restamped := false
-	for i := range ops {
-		if ops[i].Seq <= lastSeq {
-			restamped = true
+	n := 0
+	for _, ch := range c.log.chunks {
+		for i := range ch {
+			if ch[i].Seq <= lastSeq {
+				restamped = true
+			}
+			lastSeq = ch[i].Seq
 		}
-		lastSeq = ops[i].Seq
+		n += len(ch)
 	}
 	if restamped {
 		malformed("non-monotone sequence stamps: re-stamped by log position")
 		// Re-stamp a copy: Check is a pure function of the history, and
 		// callers (schedule replay, the fuzzer's determinism cross-check)
 		// rely on the input surviving untouched.
-		fixed := make([]Op, len(ops))
-		copy(fixed, ops)
+		fixed := make([]Op, 0, n)
+		for _, ch := range c.log.chunks {
+			fixed = append(fixed, ch...)
+		}
 		for i := range fixed {
 			fixed[i].Seq = uint64(i) + 1
 		}
-		ops = fixed
+		c.log = opLog{chunks: [][]Op{fixed}, shift: flatShift}
 	}
 
-	open := make(map[int]*txn) // per-core attempt in flight
-	var committed []*txn
-	for i := range ops {
-		op := ops[i]
-		switch op.Kind {
-		case OpBegin:
-			if open[op.Core] != nil {
-				malformed("core %d: begin at seq %d with an attempt already open (previous discarded)", op.Core, op.Seq)
+	var dense []attempt
+	var sparse map[int]*attempt
+	slot := func(core int) *attempt {
+		if core >= 0 && core < denseCores {
+			if core >= len(dense) {
+				dense = append(dense, make([]attempt, core+1-len(dense))...)
+			}
+			return &dense[core]
+		}
+		if sparse == nil {
+			sparse = make(map[int]*attempt)
+		}
+		a := sparse[core]
+		if a == nil {
+			a = &attempt{}
+			sparse[core] = a
+		}
+		return a
+	}
+	p := int32(-1)
+	for _, ch := range c.log.chunks {
+		for i := range ch {
+			op := &ch[i]
+			p++
+			switch op.Kind {
+			case OpBegin:
+				a := slot(op.Core)
+				if a.open {
+					malformed("core %d: begin at seq %d with an attempt already open (previous discarded)", op.Core, op.Seq)
+					c.rep.Aborted++
+				}
+				a.open, a.beginSeq, a.pos = true, op.Seq, a.pos[:0]
+			case OpRead, OpWrite:
+				a := slot(op.Core)
+				if !a.open {
+					malformed("core %d: %s at seq %d outside any transaction (skipped)", op.Core, op.Kind, op.Seq)
+					continue
+				}
+				a.pos = append(a.pos, p)
+			case OpCommit:
+				a := slot(op.Core)
+				if !a.open {
+					malformed("core %d: commit at seq %d without a begin (skipped)", op.Core, op.Seq)
+					continue
+				}
+				a.open = false
+				c.commit(txn{core: op.Core, beginSeq: a.beginSeq, commitSeq: op.Seq, commitAt: op.At}, a.pos)
+			case OpAbort:
+				a := slot(op.Core)
+				if !a.open {
+					malformed("core %d: abort at seq %d without a begin (skipped)", op.Core, op.Seq)
+					continue
+				}
+				a.open = false
 				c.rep.Aborted++
+			case OpNTRead, OpNTWrite:
+				// A singleton transaction: strong isolation serializes the
+				// access at its own instant, independent of any open attempt.
+				c.commit(txn{core: op.Core, nt: true, beginSeq: op.Seq, commitSeq: op.Seq, commitAt: op.At}, []int32{p})
+			default:
+				malformed("unknown op kind %d at seq %d (skipped)", op.Kind, op.Seq)
 			}
-			open[op.Core] = &txn{core: op.Core, beginSeq: op.Seq}
-		case OpRead, OpWrite:
-			t := open[op.Core]
-			if t == nil {
-				malformed("core %d: %s at seq %d outside any transaction (skipped)", op.Core, op.Kind, op.Seq)
-				continue
-			}
-			t.ops = append(t.ops, op)
-		case OpCommit:
-			t := open[op.Core]
-			if t == nil {
-				malformed("core %d: commit at seq %d without a begin (skipped)", op.Core, op.Seq)
-				continue
-			}
-			t.commitSeq = op.Seq
-			t.commitAt = op.At
-			committed = append(committed, t)
-			open[op.Core] = nil
-		case OpAbort:
-			if open[op.Core] == nil {
-				malformed("core %d: abort at seq %d without a begin (skipped)", op.Core, op.Seq)
-				continue
-			}
-			open[op.Core] = nil
-			c.rep.Aborted++
-		case OpNTRead, OpNTWrite:
-			// A singleton transaction: strong isolation serializes the
-			// access at its own instant, independent of any open attempt.
-			committed = append(committed, &txn{
-				core: op.Core, nt: true,
-				beginSeq: op.Seq, commitSeq: op.Seq, commitAt: op.At,
-				ops: []Op{op},
-			})
-		default:
-			malformed("unknown op kind %d at seq %d (skipped)", op.Kind, op.Seq)
 		}
 	}
-	for _, t := range open {
-		if t != nil {
+	for i := range dense {
+		if dense[i].open {
 			c.rep.Truncated++
 		}
 	}
-	sort.SliceStable(committed, func(i, j int) bool { return committed[i].commitSeq < committed[j].commitSeq })
-	for i, t := range committed {
-		t.id = i
-	}
-	c.txns = committed
-	c.rep.Txns = len(committed)
-	for _, t := range committed {
-		for i := range t.ops {
-			switch t.ops[i].Kind {
-			case OpRead, OpNTRead:
-				c.rep.Reads++
-			case OpWrite, OpNTWrite:
-				c.rep.Writes++
-			}
+	for _, a := range sparse {
+		if a.open {
+			c.rep.Truncated++
 		}
 	}
+	c.rep.Txns = len(c.txns)
 }
+
+// commit appends t with the reads and writes at log positions pos.
+func (c *checker) commit(t txn, pos []int32) {
+	t.lo = int32(len(c.pos))
+	for _, p := range pos {
+		op := c.log.at(p)
+		c.pos = append(c.pos, p)
+		c.aid = append(c.aid, c.intern(op.Addr))
+		if isRead(op.Kind) {
+			c.rep.Reads++
+		} else {
+			c.rep.Writes++
+		}
+	}
+	t.hi = int32(len(c.pos))
+	c.txns = append(c.txns, t)
+}
+
+func isRead(k OpKind) bool { return k == OpRead || k == OpNTRead }
 
 // buildChains derives the per-address version order. Version order is
 // commit order: CAS-Commit publishes a transaction's whole write set
@@ -333,124 +435,132 @@ func (c *checker) collect(ops []Op) {
 // execution makes commit instants totally ordered, so the order is
 // physically exact, not an approximation.
 func (c *checker) buildChains() {
-	for a, v := range c.initial {
-		c.chains[a] = []version{{writer: -1, val: v}}
-	}
-	for _, t := range c.txns {
-		for a, v := range t.finalWrites() {
-			if _, ok := c.chains[a]; !ok {
-				// No registered initial value: leave a placeholder the
-				// inference step may fill in from an early read.
-				c.chains[a] = []version{{writer: -1, val: 0}}
-				c.inferred[a] = false // unknown until a pre-version read fixes it
+	n := len(c.addrs)
+	// Size each chain: its initial entry plus one version per committed
+	// writer (a transaction publishes only its last write to an address).
+	c.chainAt = make([]int32, n+1)
+	last := make([]int32, n) // txn id+1 of the writer last counted
+	for t := range c.txns {
+		for k := c.txns[t].lo; k < c.txns[t].hi; k++ {
+			if a := c.aid[k]; !isRead(c.log.at(c.pos[k]).Kind) && last[a] != int32(t)+1 {
+				last[a] = int32(t) + 1
+				c.chainAt[a+1]++
 			}
-			c.chains[a] = append(c.chains[a], version{writer: t.id, val: v, commitSeq: t.commitSeq})
+		}
+	}
+	for a := 0; a < n; a++ {
+		c.chainAt[a+1] += c.chainAt[a] + 1
+	}
+	// An address without a registered initial value gets a placeholder
+	// (initVal is 0) the inference step may fill in from an early read.
+	c.versions = make([]version, c.chainAt[n])
+	next := last // reused: the next free entry of each chain
+	for a := 0; a < n; a++ {
+		c.versions[c.chainAt[a]] = version{writer: -1, val: c.initVal[a]}
+		next[a] = c.chainAt[a] + 1
+	}
+	for t := range c.txns {
+		tx := &c.txns[t]
+		for k := tx.lo; k < tx.hi; k++ {
+			op := c.log.at(c.pos[k])
+			if isRead(op.Kind) {
+				continue
+			}
+			a := c.aid[k]
+			if v := &c.versions[next[a]-1]; v.writer == t {
+				v.val = op.Val
+				continue
+			}
+			c.versions[next[a]] = version{writer: t, val: op.Val, commitSeq: tx.commitSeq}
+			next[a]++
 		}
 	}
 	// Infer unknown initial values from the earliest read of each address
 	// that precedes its first committed write: nothing else can have
-	// produced that value in a well-formed history.
-	for _, t := range c.txns {
-		for i := range t.ops {
-			op := &t.ops[i]
-			if op.Kind != OpRead && op.Kind != OpNTRead {
+	// produced that value in a well-formed history. An address only ever
+	// read takes whatever its first read saw (conflicting later reads
+	// become phantom violations via the normal path).
+	for t := range c.txns {
+		for k := c.txns[t].lo; k < c.txns[t].hi; k++ {
+			a := c.aid[k]
+			op := c.log.at(c.pos[k])
+			if c.known[a] || !isRead(op.Kind) {
 				continue
 			}
-			chain, ok := c.chains[op.Addr]
-			if !ok {
-				// Address only ever read: its initial value is whatever the
-				// first read saw (conflicting later reads become phantom
-				// violations via the normal path).
-				c.chains[op.Addr] = []version{{writer: -1, val: op.Val}}
-				c.initial[op.Addr] = op.Val
-				c.inferred[op.Addr] = true
-				continue
-			}
-			if _, registered := c.initial[op.Addr]; registered {
-				continue
-			}
-			if done := c.inferred[op.Addr]; done {
-				continue
-			}
+			chain := c.chain(a)
 			firstCommit := uint64(0)
 			if len(chain) > 1 {
 				firstCommit = chain[1].commitSeq
 			}
 			if firstCommit == 0 || op.Seq < firstCommit {
 				chain[0].val = op.Val
-				c.initial[op.Addr] = op.Val
-				c.inferred[op.Addr] = true
+				c.known[a] = true
 			}
 		}
 	}
 	// W→W edges along each chain; adjacent committers suffice for cycle
-	// detection (the rest are implied by transitivity). Addresses are
-	// visited in sorted order: edge insertion order decides adjacency
-	// order, and with it which witness cycle findCycles reports — ranging
-	// over the map here would randomize the report between runs.
-	addrs := make([]memory.Addr, 0, len(c.chains))
-	for a := range c.chains {
-		addrs = append(addrs, a)
+	// detection (the rest are implied by transitivity). A transaction
+	// holds at most one version per chain, so these edges never repeat.
+	// Addresses are visited in ascending order: edge insertion order
+	// decides adjacency order, and with it which witness cycle findCycles
+	// reports.
+	var written []int32
+	for a := 0; a < n; a++ {
+		if c.chainAt[a+1]-c.chainAt[a] > 2 {
+			written = append(written, int32(a))
+		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		chain := c.chains[a]
+	slices.SortFunc(written, func(x, y int32) int { return cmp.Compare(c.addrs[x], c.addrs[y]) })
+	for _, a := range written {
+		chain := c.chain(a)
 		for i := 2; i < len(chain); i++ {
-			from, to := chain[i-1].writer, chain[i].writer
-			if from == to {
-				continue
-			}
-			c.addEdge(Edge{From: from, To: to, Kind: "WW", Addr: a,
-				CST: c.cstHint("WW", from, to)})
+			c.edges = append(c.edges, edge{from: int32(chain[i-1].writer), to: int32(chain[i].writer), kind: kindWW, addr: c.addrs[a]})
 		}
 	}
 }
 
 // currentAt returns the index in chain of the version visible at sequence
-// stamp s (the latest version whose commit precedes s).
+// stamp s (the latest version whose commit precedes s). Commit stamps rise
+// along the chain.
 func currentAt(chain []version, s uint64) int {
-	idx := 0
-	for i := 1; i < len(chain); i++ {
-		if chain[i].commitSeq < s {
-			idx = i
-		} else {
-			break
-		}
-	}
-	return idx
+	return sort.Search(len(chain)-1, func(i int) bool { return chain[i+1].commitSeq >= s })
 }
 
 // resolveReads maps every committed read to the version it observed,
 // accumulating W→R and R→W edges and reporting single-read anomalies.
 func (c *checker) resolveReads() {
-	for _, t := range c.txns {
-		for i := range t.ops {
-			op := &t.ops[i]
-			if op.Kind != OpRead && op.Kind != OpNTRead {
+	n := len(c.addrs)
+	c.depReader = make([]int32, n)
+	c.depIdx = make([]int32, n)
+	// ownBy[a] is the txn id+1 whose latest pending write to a is ownVal[a].
+	ownBy := make([]int32, n)
+	ownVal := make([]uint64, n)
+	for t := range c.txns {
+		tx := &c.txns[t]
+		for k := tx.lo; k < tx.hi; k++ {
+			op := c.log.at(c.pos[k])
+			a := c.aid[k]
+			if !isRead(op.Kind) {
+				ownBy[a], ownVal[a] = int32(t)+1, op.Val
 				continue
 			}
-			c.rep.Reads += 0
-			if own, ok := t.lastOwnWrite(op.Addr, op.Seq); ok {
-				if own != op.Val {
-					c.violate(Violation{
-						Kind: VInternalRead,
-						Summary: fmt.Sprintf("T%d (core %d) read %d at addr %d but its own pending write was %d: broken speculative versioning",
-							t.id, t.core, op.Val, op.Addr, own),
-						Witness: c.witness([]int{t.id}, []memory.Addr{op.Addr}),
+			if ownBy[a] == int32(t)+1 {
+				if own := ownVal[a]; own != op.Val {
+					c.violate(func() Violation {
+						return Violation{
+							Kind: VInternalRead,
+							Summary: fmt.Sprintf("T%d (core %d) read %d at addr %d but its own pending write was %d: broken speculative versioning",
+								t, tx.core, op.Val, op.Addr, own),
+							Witness: c.witness([]int{t}, []memory.Addr{op.Addr}),
+						}
 					})
 				}
 				continue
 			}
-			chain := c.chains[op.Addr]
-			if chain == nil {
-				// Read of an address with neither writes nor an initial
-				// value; chains inference created one for read-only
-				// addresses, so this only happens for damaged logs.
-				continue
-			}
+			chain := c.chain(a)
 			expIdx := currentAt(chain, op.Seq)
 			if chain[expIdx].val == op.Val {
-				c.dependOn(t, op, chain, expIdx)
+				c.dependOn(t, a, expIdx)
 				continue
 			}
 			// Mismatch against the version physically current at the read:
@@ -468,35 +578,39 @@ func (c *checker) resolveReads() {
 			}
 			switch {
 			case stale >= 0:
-				v := Violation{
-					Kind: VStaleRead,
-					Summary: fmt.Sprintf("T%d (core %d) read addr %d = %d (version of T%d) after T%d had already committed %d: lost update",
-						t.id, t.core, op.Addr, op.Val, chain[stale].writer, chain[expIdx].writer, chain[expIdx].val),
-				}
-				c.dependOn(t, op, chain, stale)
-				v.Edges = c.edgesTouching(t.id, op.Addr)
-				v.Witness = c.witness(append(c.writersOf(chain, stale, expIdx), t.id), []memory.Addr{op.Addr})
-				c.violate(v)
+				c.dependOn(t, a, stale)
+				c.violate(func() Violation {
+					return Violation{
+						Kind: VStaleRead,
+						Summary: fmt.Sprintf("T%d (core %d) read addr %d = %d (version of T%d) after T%d had already committed %d: lost update",
+							t, tx.core, op.Addr, op.Val, chain[stale].writer, chain[expIdx].writer, chain[expIdx].val),
+						Edges:   c.edgesTouching(t, op.Addr),
+						Witness: c.witness(append(writersOf(chain, stale, expIdx), t), []memory.Addr{op.Addr}),
+					}
+				})
 			case future >= 0:
-				rel := "before its writer committed"
-				if chain[future].commitSeq > t.commitSeq {
-					rel = "from a writer that committed after the reader"
-				}
-				v := Violation{
-					Kind: VFutureRead,
-					Summary: fmt.Sprintf("T%d (core %d) read addr %d = %d %s (T%d): dirty read of speculative data",
-						t.id, t.core, op.Addr, op.Val, rel, chain[future].writer),
-				}
-				c.dependOn(t, op, chain, future)
-				v.Edges = c.edgesTouching(t.id, op.Addr)
-				v.Witness = c.witness([]int{chain[future].writer, t.id}, []memory.Addr{op.Addr})
-				c.violate(v)
+				c.dependOn(t, a, future)
+				c.violate(func() Violation {
+					rel := "before its writer committed"
+					if chain[future].commitSeq > tx.commitSeq {
+						rel = "from a writer that committed after the reader"
+					}
+					return Violation{
+						Kind: VFutureRead,
+						Summary: fmt.Sprintf("T%d (core %d) read addr %d = %d %s (T%d): dirty read of speculative data",
+							t, tx.core, op.Addr, op.Val, rel, chain[future].writer),
+						Edges:   c.edgesTouching(t, op.Addr),
+						Witness: c.witness([]int{chain[future].writer, t}, []memory.Addr{op.Addr}),
+					}
+				})
 			default:
-				c.violate(Violation{
-					Kind: VPhantomValue,
-					Summary: fmt.Sprintf("T%d (core %d) read addr %d = %d, a value no committed or initial version ever held (expected %d from T%d)",
-						t.id, t.core, op.Addr, op.Val, chain[expIdx].val, chain[expIdx].writer),
-					Witness: c.witness([]int{t.id}, []memory.Addr{op.Addr}),
+				c.violate(func() Violation {
+					return Violation{
+						Kind: VPhantomValue,
+						Summary: fmt.Sprintf("T%d (core %d) read addr %d = %d, a value no committed or initial version ever held (expected %d from T%d)",
+							t, tx.core, op.Addr, op.Val, chain[expIdx].val, chain[expIdx].writer),
+						Witness: c.witness([]int{t}, []memory.Addr{op.Addr}),
+					}
 				})
 			}
 		}
@@ -504,22 +618,41 @@ func (c *checker) resolveReads() {
 }
 
 // dependOn records the W→R edge from the version's writer and the R→W
-// anti-dependency toward the next version's writer.
-func (c *checker) dependOn(t *txn, op *Op, chain []version, idx int) {
-	if w := chain[idx].writer; w >= 0 && w != t.id {
-		c.addEdge(Edge{From: w, To: t.id, Kind: "WR", Addr: op.Addr,
-			CST: c.cstHint("WR", w, t.id)})
+// anti-dependency toward the next version's writer. Both edges name the
+// reader t, so no other reader's edges can repeat them; and the pair is
+// fixed by (address, version), distinct versions giving distinct writers.
+// Deduplicating (t, a, idx) per reader therefore keeps every edge once.
+func (c *checker) dependOn(t int, a int32, idx int) {
+	switch r := int32(t) + 1; {
+	case c.depReader[a] != r:
+		c.depReader[a], c.depIdx[a] = r, int32(idx)
+	case c.depIdx[a] == int32(idx):
+		return
+	default:
+		// The reader saw a second version of the address: rare, and only
+		// in histories with anomalies.
+		key := [3]int32{int32(t), a, int32(idx)}
+		if _, dup := c.depMore[key]; dup {
+			return
+		}
+		if c.depMore == nil {
+			c.depMore = make(map[[3]int32]struct{})
+		}
+		c.depMore[key] = struct{}{}
+	}
+	chain := c.chain(a)
+	if w := chain[idx].writer; w >= 0 && w != t {
+		c.edges = append(c.edges, edge{from: int32(w), to: int32(t), kind: kindWR, addr: c.addrs[a]})
 	}
 	if idx+1 < len(chain) {
-		if w := chain[idx+1].writer; w >= 0 && w != t.id {
-			c.addEdge(Edge{From: t.id, To: w, Kind: "RW", Addr: op.Addr,
-				CST: c.cstHint("RW", t.id, w)})
+		if w := chain[idx+1].writer; w >= 0 && w != t {
+			c.edges = append(c.edges, edge{from: int32(t), to: int32(w), kind: kindRW, addr: c.addrs[a]})
 		}
 	}
 }
 
 // writersOf lists the distinct writer txns of chain[lo..hi].
-func (c *checker) writersOf(chain []version, lo, hi int) []int {
+func writersOf(chain []version, lo, hi int) []int {
 	var ids []int
 	seen := map[int]bool{}
 	for j := lo; j <= hi && j < len(chain); j++ {
@@ -531,53 +664,29 @@ func (c *checker) writersOf(chain []version, lo, hi int) []int {
 	return ids
 }
 
-// cstHint names the CST bits that should have surfaced the dependency, in
-// the paper's terms (Figure 1's CST exchange and Figure 3's commit rule).
-func (c *checker) cstHint(kind string, from, to int) string {
-	cf, ct := c.coreOf(from), c.coreOf(to)
-	switch kind {
-	case "WR":
-		return fmt.Sprintf("writer core %d's W-R should name reader core %d; the writer's commit must abort or scrub the reader", cf, ct)
-	case "RW":
-		return fmt.Sprintf("reader core %d's R-W names writer core %d, whose W-R names the reader: the writer's CAS-Commit must abort the live reader (Figure 3, line 2)", cf, ct)
-	case "WW":
-		return fmt.Sprintf("cores %d and %d hold each other's W-W bits; the first CAS-Commit must abort the other speculative writer", cf, ct)
+// expand renders e for a report, with the CST bits that should have
+// surfaced the dependency, in the paper's terms (Figure 1's CST exchange
+// and Figure 3's commit rule).
+func (c *checker) expand(e edge) Edge {
+	cf, ct := c.txns[e.from].core, c.txns[e.to].core
+	var hint string
+	switch e.kind {
+	case kindWR:
+		hint = fmt.Sprintf("writer core %d's W-R should name reader core %d; the writer's commit must abort or scrub the reader", cf, ct)
+	case kindRW:
+		hint = fmt.Sprintf("reader core %d's R-W names writer core %d, whose W-R names the reader: the writer's CAS-Commit must abort the live reader (Figure 3, line 2)", cf, ct)
+	case kindWW:
+		hint = fmt.Sprintf("cores %d and %d hold each other's W-W bits; the first CAS-Commit must abort the other speculative writer", cf, ct)
 	}
-	return ""
-}
-
-func (c *checker) coreOf(id int) int {
-	if id >= 0 && id < len(c.txns) {
-		return c.txns[id].core
-	}
-	return -1
-}
-
-// addEdge inserts a labeled, deduplicated DSR edge.
-func (c *checker) addEdge(e Edge) {
-	if e.From == e.To {
-		return
-	}
-	key := fmt.Sprintf("%d>%d:%s:%d", e.From, e.To, e.Kind, e.Addr)
-	if c.edgeSeen[key] {
-		return
-	}
-	c.edgeSeen[key] = true
-	k := [2]int{e.From, e.To}
-	if len(c.edges[k]) == 0 {
-		c.adj[e.From] = append(c.adj[e.From], e.To)
-	}
-	c.edges[k] = append(c.edges[k], e)
+	return Edge{From: int(e.from), To: int(e.to), Kind: edgeKindNames[e.kind], Addr: e.addr, CST: hint}
 }
 
 // edgesTouching returns the recorded edges incident to txn id on addr.
 func (c *checker) edgesTouching(id int, a memory.Addr) []Edge {
 	var out []Edge
-	for _, es := range c.edges {
-		for _, e := range es {
-			if e.Addr == a && (e.From == id || e.To == id) {
-				out = append(out, e)
-			}
+	for _, e := range c.edges {
+		if e.addr == a && (int(e.from) == id || int(e.to) == id) {
+			out = append(out, c.expand(e))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -595,8 +704,54 @@ func (c *checker) edgesTouching(id int, a memory.Addr) []Edge {
 	return out
 }
 
+// buildAdjacency lays the edges out by source: each txn's distinct
+// successors in order of their first edge, which is the order the cycle
+// search walks them in.
+func (c *checker) buildAdjacency() {
+	n := len(c.txns)
+	start := make([]int32, n+1)
+	for _, e := range c.edges {
+		start[e.from+1]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	bySrc := make([]int32, len(c.edges))
+	fill := slices.Clone(start[:n])
+	for i, e := range c.edges {
+		bySrc[fill[e.from]] = int32(i)
+		fill[e.from]++
+	}
+	seen := fill // reused: the source+1 that last listed each target
+	clear(seen)
+	c.adjAt = make([]int32, n+1)
+	for v := 0; v < n; v++ {
+		for _, i := range bySrc[start[v]:start[v+1]] {
+			if w := c.edges[i].to; seen[w] != int32(v)+1 {
+				seen[w] = int32(v) + 1
+				c.adjTo = append(c.adjTo, w)
+				c.adjEdge = append(c.adjEdge, i)
+			}
+		}
+		c.adjAt[v+1] = int32(len(c.adjTo))
+	}
+}
+
+func (c *checker) adj(v int) []int32 { return c.adjTo[c.adjAt[v]:c.adjAt[v+1]] }
+
+// firstEdge returns the first edge inserted from → to, if any.
+func (c *checker) firstEdge(from, to int) (edge, bool) {
+	for k := c.adjAt[from]; k < c.adjAt[from+1]; k++ {
+		if int(c.adjTo[k]) == to {
+			return c.edges[c.adjEdge[k]], true
+		}
+	}
+	return edge{}, false
+}
+
 // findCycles runs Tarjan's SCC over the DSR graph and reports one shortest
-// witness cycle per non-trivial component.
+// witness cycle per non-trivial component. Edges never join a txn to
+// itself, so a single-node component is never a cycle.
 func (c *checker) findCycles() {
 	n := len(c.txns)
 	if n == 0 {
@@ -617,11 +772,12 @@ func (c *checker) findCycles() {
 	type frame struct {
 		v, ei int
 	}
+	var frames []frame
 	for start := 0; start < n; start++ {
 		if index[start] != -1 {
 			continue
 		}
-		frames := []frame{{v: start}}
+		frames = append(frames[:0], frame{v: start})
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			v := f.v
@@ -633,8 +789,8 @@ func (c *checker) findCycles() {
 				onStack[v] = true
 			}
 			advanced := false
-			for f.ei < len(c.adj[v]) {
-				w := c.adj[v][f.ei]
+			for succ := c.adj(v); f.ei < len(succ); {
+				w := int(succ[f.ei])
 				f.ei++
 				if index[w] == -1 {
 					frames = append(frames, frame{v: w})
@@ -661,8 +817,6 @@ func (c *checker) findCycles() {
 				}
 				if len(comp) > 1 {
 					sccs = append(sccs, comp)
-				} else if c.selfLoop(comp[0]) {
-					sccs = append(sccs, comp)
 				}
 			}
 			frames = frames[:len(frames)-1]
@@ -680,36 +834,31 @@ func (c *checker) findCycles() {
 		if len(cyc) == 0 {
 			continue
 		}
-		edges := make([]Edge, 0, len(cyc))
-		addrs := map[memory.Addr]bool{}
-		for i := range cyc {
-			from, to := cyc[i], cyc[(i+1)%len(cyc)]
-			es := c.edges[[2]int{from, to}]
-			if len(es) == 0 {
-				continue
+		c.violate(func() Violation {
+			edges := make([]Edge, 0, len(cyc))
+			addrs := map[memory.Addr]bool{}
+			for i := range cyc {
+				e, ok := c.firstEdge(cyc[i], cyc[(i+1)%len(cyc)])
+				if !ok {
+					continue
+				}
+				edges = append(edges, c.expand(e))
+				addrs[e.addr] = true
 			}
-			edges = append(edges, es[0])
-			addrs[es[0].Addr] = true
-		}
-		var as []memory.Addr
-		for a := range addrs {
-			as = append(as, a)
-		}
-		sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-		c.violate(Violation{
-			Kind: VCycle,
-			Summary: fmt.Sprintf("direct-serialization-graph cycle over %d transactions (component of %d): no serial order explains the observed values",
-				len(cyc), len(comp)),
-			Edges:   edges,
-			Witness: c.witness(cyc, as),
+			var as []memory.Addr
+			for a := range addrs {
+				as = append(as, a)
+			}
+			sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
+			return Violation{
+				Kind: VCycle,
+				Summary: fmt.Sprintf("direct-serialization-graph cycle over %d transactions (component of %d): no serial order explains the observed values",
+					len(cyc), len(comp)),
+				Edges:   edges,
+				Witness: c.witness(cyc, as),
+			}
 		})
 	}
-}
-
-// selfLoop reports whether v has an edge to itself (impossible for deduped
-// DSR edges, but kept for robustness against future edge sources).
-func (c *checker) selfLoop(v int) bool {
-	return len(c.edges[[2]int{v, v}]) > 0
 }
 
 // shortestCycle finds a minimal cycle inside one SCC via BFS from its
@@ -730,7 +879,8 @@ func (c *checker) shortestCycle(comp []int) []int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, w := range c.adj[v] {
+		for _, w32 := range c.adj(v) {
+			w := int(w32)
 			if !in[w] {
 				continue
 			}
@@ -769,14 +919,14 @@ func (c *checker) witness(ids []int, addrs []memory.Addr) []WitnessTxn {
 			continue
 		}
 		seen[id] = true
-		t := c.txns[id]
+		t := &c.txns[id]
 		w := WitnessTxn{
-			ID: t.id, Core: t.core, NT: t.nt,
+			ID: id, Core: t.core, NT: t.nt,
 			BeginSeq: t.beginSeq, CommitSeq: t.commitSeq, CommitAt: t.commitAt,
 		}
-		for i := range t.ops {
-			if len(keep) == 0 || keep[t.ops[i].Addr] {
-				w.Ops = append(w.Ops, t.ops[i])
+		for k := t.lo; k < t.hi; k++ {
+			if op := c.log.at(c.pos[k]); len(keep) == 0 || keep[op.Addr] {
+				w.Ops = append(w.Ops, *op)
 			}
 		}
 		out = append(out, w)
@@ -785,10 +935,11 @@ func (c *checker) witness(ids []int, addrs []memory.Addr) []WitnessTxn {
 	return out
 }
 
-// violate records a violation, materializing its witness only under the cap.
-func (c *checker) violate(v Violation) {
+// violate counts a violation and, under the cap, materializes it with its
+// witness; past the cap build is never called.
+func (c *checker) violate(build func() Violation) {
 	c.rep.TotalViolations++
 	if len(c.rep.Violations) < c.opt.MaxViolations {
-		c.rep.Violations = append(c.rep.Violations, v)
+		c.rep.Violations = append(c.rep.Violations, build())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flextm/internal/memory"
+	"flextm/internal/sim"
 )
 
 // hb builds histories fluently for tests. Each call appends one op with an
@@ -369,5 +370,44 @@ func TestReportJSONComposable(t *testing.T) {
 	}
 	if back.TotalViolations != rep.TotalViolations {
 		t.Fatalf("round-trip lost violations: %d != %d", back.TotalViolations, rep.TotalViolations)
+	}
+}
+
+// TestRecordAllocatesOnlyChunks: the log grows a chunk at a time and never
+// re-copies what it holds, so recording allocates one chunk per chunkOps
+// ops beyond what NewRecorder allocates.
+func TestRecordAllocatesOnlyChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const chunks = 16
+	var r *Recorder
+	base := testing.AllocsPerRun(20, func() { r = NewRecorder() })
+	allocs := testing.AllocsPerRun(20, func() {
+		r = NewRecorder()
+		for i := 0; i < chunks*chunkOps; i++ {
+			r.Write(i%16, 0, 8, uint64(i))
+		}
+	})
+	if allocs > base+chunks {
+		t.Errorf("recording %d ops: %v allocs, want NewRecorder's %v + %d chunks", chunks*chunkOps, allocs, base, chunks)
+	}
+	if r.Len() != chunks*chunkOps {
+		t.Fatalf("Len = %d, want %d", r.Len(), chunks*chunkOps)
+	}
+	h := r.History()
+	for i := range h.Ops {
+		if h.Ops[i].Seq != uint64(i)+1 || h.Ops[i].Val != uint64(i) {
+			t.Fatalf("History op %d = %+v", i, h.Ops[i])
+		}
+	}
+}
+
+// BenchmarkRecord prices logging one operation.
+func BenchmarkRecord(b *testing.B) {
+	r := NewRecorder()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Read(i&15, sim.Time(i), memory.Addr(i&1023), uint64(i))
 	}
 }

@@ -44,7 +44,17 @@ type Sig struct {
 	// tests can be split into true hits and Bloom false positives (the
 	// telemetry layer's empirical FP accounting). Hardware has no such
 	// shadow; it exists purely for measurement and is off by default.
-	audit map[memory.LineAddr]struct{}
+	audit *audit
+}
+
+// audit is a signature's measurement state. It sits behind one pointer so
+// that a Sig stays 64 bytes.
+type audit struct {
+	set map[memory.LineAddr]struct{}
+	// fpr memoizes PredictedFPR: fpr[n] is FalsePositiveRate(cfg, n). It
+	// depends on the geometry only, so it survives Clear; every signature
+	// New returns, Clone's and Rehash's included, starts its own.
+	fpr []float64
 }
 
 // New returns an empty signature with the given geometry.
@@ -142,7 +152,7 @@ func (s *Sig) Insert(l memory.LineAddr) {
 	}
 	s.inserts++
 	if s.audit != nil {
-		s.audit[l] = struct{}{}
+		s.audit.set[l] = struct{}{}
 	}
 }
 
@@ -166,7 +176,7 @@ func (s *Sig) Clear() {
 	}
 	s.inserts = 0
 	if s.audit != nil {
-		clear(s.audit)
+		clear(s.audit.set)
 	}
 }
 
@@ -182,8 +192,8 @@ func (s *Sig) Union(other *Sig) {
 	}
 	s.inserts += other.inserts
 	if s.audit != nil && other.audit != nil {
-		for l := range other.audit {
-			s.audit[l] = struct{}{}
+		for l := range other.audit.set {
+			s.audit.set[l] = struct{}{}
 		}
 	}
 }
@@ -197,9 +207,11 @@ func (s *Sig) CopyFrom(other *Sig) {
 	copy(s.words, other.words)
 	s.inserts = other.inserts
 	if s.audit != nil {
-		clear(s.audit)
-		for l := range other.audit {
-			s.audit[l] = struct{}{}
+		clear(s.audit.set)
+		if other.audit != nil {
+			for l := range other.audit.set {
+				s.audit.set[l] = struct{}{}
+			}
 		}
 	}
 }
@@ -227,7 +239,7 @@ func (s *Sig) Rehash(cfg Config) *Sig {
 	}
 	n := New(cfg)
 	n.EnableAudit()
-	for l := range s.audit {
+	for l := range s.audit.set {
 		n.Insert(l)
 	}
 	return n
@@ -238,7 +250,7 @@ func (s *Sig) Rehash(cfg Config) *Sig {
 // empty (FlexTM enables it at telemetry attach, before any transaction).
 func (s *Sig) EnableAudit() {
 	if s.audit == nil {
-		s.audit = make(map[memory.LineAddr]struct{})
+		s.audit = &audit{set: make(map[memory.LineAddr]struct{})}
 	}
 }
 
@@ -249,7 +261,10 @@ func (s *Sig) AuditEnabled() bool { return s.audit != nil }
 // last Clear. Only meaningful with audit enabled; a true Member result with
 // a false Inserted result is a Bloom false positive.
 func (s *Sig) Inserted(l memory.LineAddr) bool {
-	_, ok := s.audit[l]
+	if s.audit == nil {
+		return false
+	}
+	_, ok := s.audit.set[l]
 	return ok
 }
 
@@ -258,16 +273,26 @@ func (s *Sig) Inserted(l memory.LineAddr) bool {
 // count (an upper bound).
 func (s *Sig) Distinct() int {
 	if s.audit != nil {
-		return len(s.audit)
+		return len(s.audit.set)
 	}
 	return s.inserts
 }
 
 // PredictedFPR returns the analytic false-positive estimate for the
 // signature's current occupancy (FalsePositiveRate at Distinct()
-// insertions).
+// insertions), bit for bit. Audit-mode accounting asks once per negative
+// membership test, so with audit on the values are memoized by occupancy;
+// the table holds one float per line the shadow set has ever held at once.
 func (s *Sig) PredictedFPR() float64 {
-	return FalsePositiveRate(s.cfg, s.Distinct())
+	n := s.Distinct()
+	if s.audit == nil {
+		return FalsePositiveRate(s.cfg, n)
+	}
+	a := s.audit
+	for len(a.fpr) <= n {
+		a.fpr = append(a.fpr, FalsePositiveRate(s.cfg, len(a.fpr)))
+	}
+	return a.fpr[n]
 }
 
 // Empty reports whether no address has been inserted since the last Clear.

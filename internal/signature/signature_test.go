@@ -1,8 +1,10 @@
 package signature
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"flextm/internal/memory"
 )
@@ -282,5 +284,79 @@ func BenchmarkIntersects(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sa.Intersects(sb)
+	}
+}
+
+// TestPredictedFPRMatchesFormula holds the memoized PredictedFPR to
+// FalsePositiveRate bit for bit at every occupancy from 0 to 4096, on the
+// paper's geometry and two ablation widths, and across every operation
+// that changes occupancy or geometry.
+func TestPredictedFPRMatchesFormula(t *testing.T) {
+	const maxN = 4096
+	wider := Config{Bits: 8192, Banks: 8}
+	for _, cfg := range []Config{DefaultConfig(), {Bits: 512, Banks: 4}, wider} {
+		same := func(what string, s *Sig, cfg Config, n int) {
+			t.Helper()
+			if s.Distinct() != n {
+				t.Fatalf("%+v %s: Distinct = %d, want %d", cfg, what, s.Distinct(), n)
+			}
+			if got, want := s.PredictedFPR(), FalsePositiveRate(cfg, n); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v %s at n=%d: PredictedFPR = %v, formula %v", cfg, what, n, got, want)
+			}
+		}
+		s := New(cfg)
+		s.EnableAudit()
+		for n := 0; n <= maxN; n++ {
+			same("insert", s, cfg, n)
+			s.Insert(memory.LineAddr(n))
+		}
+		c := s.Clone()
+		same("clone", c, cfg, maxN+1)
+		s.Clear()
+		same("clear", s, cfg, 0)
+		small := New(cfg)
+		small.EnableAudit()
+		for i := 0; i < 300; i++ {
+			small.Insert(memory.LineAddr(1e6 + i))
+		}
+		c.CopyFrom(small)
+		same("copy", c, cfg, 300)
+		s.Insert(1)
+		s.Union(small)
+		same("union", s, cfg, 301)
+		// A rehash into another geometry must compute with the new one.
+		to := wider
+		if cfg == wider {
+			to = DefaultConfig()
+		}
+		r := s.Rehash(to)
+		same("rehash", r, to, 301)
+		for n := 302; n <= maxN; n++ {
+			r.Insert(memory.LineAddr(2e6 + n))
+			same("rehash", r, to, n)
+		}
+	}
+}
+
+// TestSigIsOneCacheLine: probe rounds test many signatures; audit state
+// lives behind a pointer so the fields a test reads fit one 64-byte line.
+func TestSigIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Sig{}); n != 64 {
+		t.Fatalf("Sig is %d bytes, want 64", n)
+	}
+}
+
+// BenchmarkPredictedFPR prices one audit-mode prediction at a steady
+// occupancy, the per-negative-test cost of signature accounting.
+func BenchmarkPredictedFPR(b *testing.B) {
+	s := NewDefault()
+	s.EnableAudit()
+	for i := 0; i < 64; i++ {
+		s.Insert(memory.LineAddr(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.PredictedFPR()
 	}
 }

@@ -144,6 +144,15 @@ func (o *Outcome) Failed() bool {
 
 // Run executes one configuration and checks its history.
 func Run(cfg Config) Outcome {
+	out, orc := Record(cfg)
+	out.Report = orc.Check(oracle.Options{MaxViolations: cfg.MaxViolations})
+	return out
+}
+
+// Record executes one configuration without checking it: the Outcome has
+// no Report yet, and the returned recorder holds the operation log Run
+// would check.
+func Record(cfg Config) (Outcome, *oracle.Recorder) {
 	if cfg.Threads < 2 {
 		cfg.Threads = 2
 	}
@@ -255,8 +264,7 @@ func Run(cfg Config) Outcome {
 		out.GovFinalLevel = gov.Level()
 		out.GovLog = gov.TransitionLog()
 	}
-	out.Report = oracle.Check(orc.History(), oracle.Options{MaxViolations: cfg.MaxViolations})
-	return out
+	return out, orc
 }
 
 // allocLines allocates n one-line cells, writes their initial value into

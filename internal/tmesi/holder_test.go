@@ -335,10 +335,14 @@ func TestForceWordDuringUpgradeRevivesCopy(t *testing.T) {
 // probeRoundSystem returns a 16-core system where core 0 holds line in S,
 // core 1 holds it too, and cores 2..9 run transactions that never touched
 // it: a probe round for line from core 15 visits ten cores, looks up two,
-// and tests sixteen signatures.
-func probeRoundSystem(tb testing.TB) (*System, memory.LineAddr) {
+// and tests sixteen signatures. With audit, telemetry is attached, so every
+// signature keeps its shadow set and every test is classified.
+func probeRoundSystem(tb testing.TB, audit bool) (*System, memory.LineAddr) {
 	tb.Helper()
 	s := New(DefaultConfig())
+	if audit {
+		s.SetTelemetry(telemetry.New(s.cfg.Cores))
+	}
 	line := memory.LineAddr(40)
 	e := sim.NewEngine()
 	e.Spawn("setup", 0, func(ctx *sim.Ctx) {
@@ -355,7 +359,7 @@ func probeRoundSystem(tb testing.TB) (*System, memory.LineAddr) {
 }
 
 func TestProbeRoundAndReadWordRawAllocateNothing(t *testing.T) {
-	s, line := probeRoundSystem(t)
+	s, line := probeRoundSystem(t, false)
 	before := s.ProbeCensus()
 	if n := testing.AllocsPerRun(100, func() { s.probe(15, line, reqGETS) }); n != 0 {
 		t.Errorf("probe round: %v allocs, want 0", n)
@@ -373,8 +377,40 @@ func TestProbeRoundAndReadWordRawAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestAuditedProbeRoundAllocatesNothing covers audit-mode signature
+// accounting: the round's sixteen tests are true negatives, which consult
+// no shadow set, and classifying a true hit or a Bloom false positive
+// allocates nothing either.
+func TestAuditedProbeRoundAllocatesNothing(t *testing.T) {
+	s, line := probeRoundSystem(t, true)
+	before := s.tel.Snapshot()
+	const runs = 100
+	if n := testing.AllocsPerRun(runs, func() { s.probe(15, line, reqGETS) }); n != 0 {
+		t.Errorf("audited probe round: %v allocs, want 0", n)
+	}
+	// AllocsPerRun adds one warm-up call.
+	after := s.tel.Snapshot()
+	if got, want := after.Total(telemetry.CtrSigTrueNeg)-before.Total(telemetry.CtrSigTrueNeg), uint64(16*(runs+1)); got != want {
+		t.Errorf("true negatives = %d, want %d", got, want)
+	}
+	rsig := s.cores[2].rsig
+	read, other := memory.LineAddr(1002), memory.LineAddr(5000)
+	if n := testing.AllocsPerRun(runs, func() {
+		s.classifySig(2, rsig, read, true)
+		s.classifySig(2, rsig, other, true)
+	}); n != 0 {
+		t.Errorf("classifySig of a hit and a false positive: %v allocs, want 0", n)
+	}
+	final := s.tel.Snapshot()
+	for _, c := range []telemetry.Counter{telemetry.CtrSigTruePos, telemetry.CtrSigFalsePos} {
+		if got := final.Total(c) - after.Total(c); got != runs+1 {
+			t.Errorf("%v = %d, want %d", c, got, runs+1)
+		}
+	}
+}
+
 func BenchmarkProbeRound(b *testing.B) {
-	s, line := probeRoundSystem(b)
+	s, line := probeRoundSystem(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -383,7 +419,7 @@ func BenchmarkProbeRound(b *testing.B) {
 }
 
 func BenchmarkReadWordRaw(b *testing.B) {
-	s, line := probeRoundSystem(b)
+	s, line := probeRoundSystem(b, false)
 	for _, bc := range []struct {
 		name string
 		a    memory.Addr

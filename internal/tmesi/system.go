@@ -332,13 +332,14 @@ func (s *System) SetFaultImmunity(core int, on bool) { s.inj.SetImmune(core, on)
 // the precise shadow set: a true hit, a Bloom false positive, or a true
 // negative — accumulating the analytic FP prediction at every
 // ground-truth-negative test so observed and predicted rates are computed
-// over the same population. Called only when telemetry is attached.
+// over the same population. The shadow set is a subset of the filter, so a
+// negative test is a true negative without a lookup. Called only when
+// telemetry is attached.
 func (s *System) classifySig(owner int, sig *signature.Sig, line memory.LineAddr, member bool) {
 	if !sig.AuditEnabled() {
 		return
 	}
-	if sig.Inserted(line) {
-		// No false negatives: member is necessarily true here.
+	if member && sig.Inserted(line) {
 		s.tel.Inc(owner, telemetry.CtrSigTruePos)
 		return
 	}
