@@ -92,6 +92,11 @@ func main() {
 	flag.Var(&queryExprs, "query", "FlightQL query over the run's flight records (repeatable), e.g. 'filter kind == cm-stall | group by line agg sum(dur) | top 5 by sum(dur)'; implies the flight recorder")
 	queryOut := flag.String("query-out", "", "write all -query results as one canonical JSON document to FILE (byte-stable per seed)")
 	flag.Parse()
+	if *stressParallel < 0 {
+		fmt.Fprintln(os.Stderr, "flextm: -parallel must be >= 0")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *profileDOT != "" || *profileJSON != "" {
 		*profile = true
 	}
@@ -503,9 +508,6 @@ func writeGovLog(path string, gov *governor.Governor) error {
 // schedule; with broken=true the logic inverts — the protocol is
 // deliberately damaged, and NOT detecting a violation is the failure.
 func runStress(n int, seed uint64, system, faults string, faultSeed uint64, broken bool, parallel int) {
-	if parallel < 0 {
-		parallel = 1
-	}
 	base := stress.DefaultConfig(seed)
 	if harness.SystemName(system) == harness.FlexTMEager {
 		base.Mode = core.Eager

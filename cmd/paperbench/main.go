@@ -124,6 +124,11 @@ func main() {
 		Verify:  true,
 		Metrics: *metrics || *jsonOut,
 	}
+	if *parallel < 0 {
+		fmt.Fprintln(os.Stderr, "paperbench: -parallel must be >= 0")
+		flag.Usage()
+		os.Exit(2)
+	}
 	sc.Parallel = *parallel
 	if *parallel == 0 {
 		sc.Parallel = -1 // sweepexec maps non-positive workers to GOMAXPROCS
@@ -791,10 +796,6 @@ func oracleSweep(quick bool, parallel int) {
 	if quick {
 		seeds = 4
 	}
-	workers := parallel
-	if workers == 0 {
-		workers = 1
-	}
 	fmt.Fprintln(out, "== Oracle: serializability under schedule exploration ==")
 	var fc fault.Config
 	for cl := fault.Class(0); cl < fault.NumClasses; cl++ {
@@ -806,7 +807,7 @@ func oracleSweep(quick bool, parallel int) {
 		base.Mode = mode
 		base.TinyCache = true
 		base.Faults = fc
-		res := stress.ExploreParallel(base, seeds, workers)
+		res := stress.ExploreParallel(base, seeds, parallel)
 		verdict := "ok"
 		if len(res.Failures) > 0 {
 			failed = true
@@ -829,7 +830,7 @@ func oracleSweep(quick bool, parallel int) {
 	base := stress.DefaultConfig(1)
 	base.Mode = core.Lazy
 	base.BreakWR = true
-	res := stress.ExploreParallel(base, 8, workers)
+	res := stress.ExploreParallel(base, 8, parallel)
 	if len(res.Failures) == 0 {
 		failed = true
 		fmt.Fprintln(out, "broken W-R variant: NOT DETECTED (oracle is blind)")

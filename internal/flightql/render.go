@@ -14,7 +14,7 @@ import (
 // named by Kind. The encoding is canonical for a given input: struct fields
 // in declaration order, slices in their deterministic sort order, no maps —
 // so the same query over the same records produces byte-identical JSON
-// (the property the flightql-smoke CI job byte-diffs).
+// (the property the cli-smoke CI job byte-diffs).
 type Result struct {
 	Kind    string              `json:"kind"` // records, groups, count, state, lines, cores, assert
 	Records []RecView           `json:"records,omitempty"`

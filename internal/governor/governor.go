@@ -6,9 +6,9 @@
 // rung when the run stays unhealthy and lowering one when it stays healthy,
 // with hysteresis and cooldowns so the controller cannot flap.
 //
-// The governor runs as a dedicated simulated thread (Spawn, called right
-// after the observatory pump's Spawn, so at every shared tick the pump
-// publishes frame k before the governor reads it). Every knob it turns is a
+// The governor runs as a dedicated simulated thread that internal/rig
+// spawns right after the observatory pump's, so at every shared tick the
+// pump publishes frame k before the governor reads it (Observe). Every knob it turns is a
 // Go-side runtime field consulted behind a single branch, and the
 // controller itself consumes no randomness, so:
 //
@@ -319,28 +319,6 @@ func (g *Governor) Bind(rt *core.Runtime, threads int) {
 	g.threads = threads
 	g.tel = rt.System().Telemetry()
 	g.fl = rt.System().Flight()
-}
-
-// Spawn adds the governor's thread to e. It paces itself by pump's interval
-// and must be spawned after the pump's thread: at every shared virtual
-// instant the engine resumes equal-time threads in spawn order, so the pump
-// publishes frame k before the governor reads it. Once running reports
-// false it observes tail more intervals, matching the pump's calm tail.
-func (g *Governor) Spawn(e *sim.Engine, pump *observatory.Pump, running func() bool, tail int) {
-	bus, iv := pump.Bus(), pump.Interval()
-	e.Spawn("governor", 0, func(ctx *sim.Ctx) {
-		for {
-			if !running() {
-				if tail == 0 {
-					break
-				}
-				tail--
-			}
-			ctx.Advance(iv)
-			ctx.Sync()
-			g.Observe(bus.Latest())
-		}
-	})
 }
 
 // Level returns the current ladder level (0 = no mitigation in force;

@@ -8,10 +8,9 @@ import (
 	"flextm/internal/conflictgraph"
 	"flextm/internal/core"
 	"flextm/internal/fault"
-	"flextm/internal/flight"
 	"flextm/internal/memory"
 	"flextm/internal/oracle"
-	"flextm/internal/osmodel"
+	"flextm/internal/rig"
 	"flextm/internal/sim"
 	"flextm/internal/sweepexec"
 	"flextm/internal/telemetry"
@@ -116,7 +115,7 @@ func ChaosCampaign(spec ChaosSpec) ChaosResult {
 	}
 	var res ChaosResult
 	// No fn errors and no stop channel, so Map cannot fail.
-	_ = sweepexec.Map(sweepexec.Exec{Workers: chaosWorkers(spec.Parallel)}, len(cells),
+	_ = sweepexec.Map(sweepexec.Exec{Workers: workers(spec.Parallel)}, len(cells),
 		func(i int) (ChaosCell, error) {
 			return runChaosCell(spec, cells[i].class, cells[i].rate, cells[i].mode), nil
 		},
@@ -128,9 +127,9 @@ func ChaosCampaign(spec ChaosSpec) ChaosResult {
 	return res
 }
 
-// chaosWorkers maps the spec's Parallel knob onto the executor's
+// workers maps a Parallel knob (sweeps, chaos, soak) onto the executor's
 // convention (0 means serial here, GOMAXPROCS there).
-func chaosWorkers(parallel int) int {
+func workers(parallel int) int {
 	if parallel == 0 {
 		return 1
 	}
@@ -147,66 +146,49 @@ func runChaosCell(spec ChaosSpec, class fault.Class, rate float64, mode core.Mod
 	cfg := tmesi.DefaultConfig()
 	cfg.Cores = spec.Threads
 	// Tiny L1: forces evictions, alert-line pressure, and OT walks, so
-	// every injection site sees traffic.
+	// every injection site sees traffic. Every cell runs oracle-checked:
+	// the fault campaign is exactly where serializability violations would
+	// hide. The class is mixed into the fault seed so cells draw
+	// independent schedules even for the same spec seed.
 	cfg.L1 = cache.Config{Sets: 4, Ways: 2, VictimSize: 2}
-	sys := tmesi.New(cfg)
-	tel := telemetry.New(spec.Threads)
-	sys.SetTelemetry(tel)
-	sys.SetFlight(flight.New(spec.Threads, 0))
+	r, err := rig.New(rig.Spec{
+		Machine: cfg, Metrics: true, Flight: true, Oracle: true,
+		Faults:  fault.Config{Seed: spec.Seed*0x9E37 + uint64(class) + 1}.WithRate(class, rate),
+		Quantum: spec.Quantum,
+	})
+	if err != nil {
+		fail("%v", err)
+		return cell
+	}
+	sys := r.Sys
 	rt := core.New(sys, mode, cm.NewPolka())
 	rt.SetLiveness(spec.Liveness)
-	// Every cell runs oracle-checked: the fault campaign is exactly where
-	// serializability violations would hide.
-	orc := oracle.NewRecorder()
-	rt.SetOracle(orc)
-	// Mix the class into the seed so cells draw independent schedules even
-	// for the same spec seed.
-	inj := fault.NewInjector(fault.Config{Seed: spec.Seed*0x9E37 + uint64(class) + 1}.WithRate(class, rate))
-	sys.SetFaultInjector(inj)
+	r.SetRuntime(rt)
+	account := r.Lines(spec.Accounts, spec.Initial)
+	private := r.Lines(spec.Threads, 0)
 
-	cells := spec.Accounts
-	base := sys.Alloc().Alloc(cells * memory.LineWords)
-	cellAddr := func(i int) memory.Addr { return base + memory.Addr(i*memory.LineWords) }
-	for i := 0; i < cells; i++ {
-		sys.Image().WriteWord(cellAddr(i), spec.Initial)
-		orc.SetInitial(cellAddr(i), spec.Initial)
-	}
-	private := sys.Alloc().Alloc(spec.Threads * memory.LineWords)
-	for id := 0; id < spec.Threads; id++ {
-		orc.SetInitial(private+memory.Addr(id*memory.LineWords), 0)
-	}
-
-	e := sim.NewEngine()
 	var badSum bool
 	privWrites := make([]uint64, spec.Threads)
-	done := make([]bool, spec.Threads)
-	workerCtx := make([]*sim.Ctx, spec.Threads)
 	for ti := 0; ti < spec.Threads; ti++ {
 		id := ti
-		workerCtx[id] = e.Spawn(fmt.Sprintf("chaos-%d", id), 0, func(ctx *sim.Ctx) {
+		r.Spawn(fmt.Sprintf("chaos-%d", id), func(ctx *sim.Ctx) {
 			th := rt.Bind(ctx, id)
-			r := sim.NewRand(spec.Seed*1000 + uint64(id))
+			rnd := sim.NewRand(spec.Seed*1000 + uint64(id))
 			for n := 0; n < spec.Rounds; n++ {
-				chaosOp(th, r, cells, spec.Initial, cellAddr,
-					private+memory.Addr(id*memory.LineWords), &badSum, &privWrites[id])
+				chaosOp(th, rnd, account, spec.Initial, private[id], &badSum, &privWrites[id])
 			}
-			done[id] = true
 		})
 	}
-	if class == fault.Preempt {
-		osmodel.New(sys, rt).SpawnPreemptStorm(e, inj, spec.Quantum, workerCtx, done)
-	}
-
-	if blocked := e.Run(); blocked != 0 {
-		fail("%d threads blocked: liveness budget exceeded without escalation", blocked)
+	if err := r.Run(); err != nil {
+		fail("%v: liveness budget exceeded without escalation", err)
 	}
 
 	// Invariant 1: conservation of the shared total.
 	var total uint64
-	for i := 0; i < cells; i++ {
-		total += sys.ReadWordRaw(cellAddr(i))
+	for _, a := range account {
+		total += sys.ReadWordRaw(a)
 	}
-	if want := uint64(cells) * spec.Initial; total != want {
+	if want := uint64(len(account)) * spec.Initial; total != want {
 		fail("conservation: total = %d, want %d", total, want)
 	}
 	// Invariant 2: every committed read-only audit saw a consistent sum.
@@ -214,14 +196,13 @@ func runChaosCell(spec ChaosSpec, class fault.Class, rate float64, mode core.Mod
 		fail("consistency: a committed read-only audit observed a wrong total")
 	}
 	// Invariant 3: private slots hold exactly their owner's last write.
-	for id := 0; id < spec.Threads; id++ {
-		p := private + memory.Addr(id*memory.LineWords)
+	for id, p := range private {
 		if got := sys.ReadWordRaw(p); got != privWrites[id] {
 			fail("isolation: private slot %d = %d, want %d", id, got, privWrites[id])
 		}
 	}
 	// Invariant 4: the committed history is serializable (oracle verdict).
-	orep := orc.Check(oracle.Options{})
+	orep := r.Oracle().Check(oracle.Options{})
 	for _, v := range orep.Violations {
 		fail("serializability: [%s] %s", v.Kind, v.Summary)
 	}
@@ -230,13 +211,13 @@ func runChaosCell(spec ChaosSpec, class fault.Class, rate float64, mode core.Mod
 	}
 
 	st := rt.Stats()
-	snap := tel.Snapshot()
+	snap := sys.Telemetry().Snapshot()
 	cell.Commits = st.Commits
 	cell.Aborts = st.Aborts
 	cell.Escalations = st.Escalations
 	cell.WatchdogTrips = snap.Total(telemetry.CtrWatchdogTrip)
-	cell.Injected = inj.Injected()
-	cell.Cycles = e.MaxTime()
+	cell.Injected = r.Injector().Injected()
+	cell.Cycles = r.Engine.MaxTime()
 	if cell.WatchdogTrips > 0 || len(cell.Violations) > 0 {
 		// The run floundered: explain it. The analysis reads the rings
 		// non-destructively and the campaign is deterministic, so the
@@ -253,26 +234,27 @@ func runChaosCell(spec ChaosSpec, class fault.Class, rate float64, mode core.Mod
 // chaosOp performs one operation of the conservation workload: transfers,
 // read-only audits, nested transfers with user aborts, plain private
 // accesses, wide net-zero updates that overflow the L1, and compute.
-func chaosOp(th tmapi.Thread, r *sim.Rand, cells int, initial uint64,
-	cellAddr func(int) memory.Addr, priv memory.Addr, badSum *bool, privWrites *uint64) {
+func chaosOp(th tmapi.Thread, r *sim.Rand, account []memory.Addr, initial uint64,
+	priv memory.Addr, badSum *bool, privWrites *uint64) {
+	cells := len(account)
 	switch r.Intn(6) {
 	case 0: // transfer
 		from, to := r.Intn(cells), r.Intn(cells)
 		amt := uint64(r.Intn(5))
 		th.Atomic(func(tx tmapi.Txn) {
-			f := tx.Load(cellAddr(from))
+			f := tx.Load(account[from])
 			if f < amt {
 				return
 			}
-			tx.Store(cellAddr(from), f-amt)
-			tx.Store(cellAddr(to), tx.Load(cellAddr(to))+amt)
+			tx.Store(account[from], f-amt)
+			tx.Store(account[to], tx.Load(account[to])+amt)
 		})
 	case 1: // read-only audit
 		var total uint64
 		th.Atomic(func(tx tmapi.Txn) {
 			total = 0
 			for i := 0; i < cells; i++ {
-				total += tx.Load(cellAddr(i))
+				total += tx.Load(account[i])
 			}
 		})
 		if total != uint64(cells)*initial {
@@ -282,17 +264,17 @@ func chaosOp(th tmapi.Thread, r *sim.Rand, cells int, initial uint64,
 		from, to := r.Intn(cells), r.Intn(cells)
 		skip := r.Intn(4) == 0
 		th.Atomic(func(tx tmapi.Txn) {
-			f := tx.Load(cellAddr(from))
+			f := tx.Load(account[from])
 			if f == 0 {
 				return
 			}
-			tx.Store(cellAddr(from), f-1)
+			tx.Store(account[from], f-1)
 			th.Atomic(func(inner tmapi.Txn) {
 				if skip {
 					skip = false
 					inner.Abort()
 				}
-				inner.Store(cellAddr(to), inner.Load(cellAddr(to))+1)
+				inner.Store(account[to], inner.Load(account[to])+1)
 			})
 		})
 	case 3: // plain private access (strong isolation side)
@@ -301,10 +283,10 @@ func chaosOp(th tmapi.Thread, r *sim.Rand, cells int, initial uint64,
 	case 4: // wide net-zero ripple: overflows the tiny L1 into the OT
 		th.Atomic(func(tx tmapi.Txn) {
 			for i := 0; i < cells; i++ {
-				tx.Store(cellAddr(i), tx.Load(cellAddr(i))+1)
+				tx.Store(account[i], tx.Load(account[i])+1)
 			}
 			for i := 0; i < cells; i++ {
-				tx.Store(cellAddr(i), tx.Load(cellAddr(i))-1)
+				tx.Store(account[i], tx.Load(account[i])-1)
 			}
 		})
 	default: // compute

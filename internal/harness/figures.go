@@ -3,12 +3,12 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"flextm/internal/cache"
 	"flextm/internal/cm"
 	"flextm/internal/core"
 	"flextm/internal/observatory"
+	"flextm/internal/rig"
 	"flextm/internal/signature"
 	"flextm/internal/sim"
 	"flextm/internal/sweepexec"
@@ -118,7 +118,7 @@ func Figure4(sc SweepConfig) ([]Plot, error) {
 		}
 	}
 	bases := make([]float64, len(fs))
-	err := sweepexec.Map(sc.exec(), len(fs),
+	err := sweepexec.Map(sc.Exec(), len(fs),
 		func(i int) (float64, error) {
 			b, err := sc.baseline(fs[i])
 			if err != nil {
@@ -146,7 +146,7 @@ func Figure5(sc SweepConfig) ([]Plot, error) {
 	}
 	systems := make([][]SystemName, len(fs))
 	bases := make([]float64, len(fs))
-	err := sweepexec.Map(sc.exec(), len(fs),
+	err := sweepexec.Map(sc.Exec(), len(fs),
 		func(i int) (float64, error) {
 			systems[i] = []SystemName{FlexTMEager, FlexTMLazy}
 			res, err := sc.RunCell(RunConfig{
@@ -190,7 +190,7 @@ func sweepGrid(sc SweepConfig, figure string, fs []workloads.Factory, systems []
 			}
 		}
 	}
-	err := sweepexec.Map(sc.exec(), len(cells),
+	err := sweepexec.Map(sc.Exec(), len(cells),
 		func(i int) (Result, error) {
 			c := cells[i]
 			res, err := sc.RunCell(RunConfig{
@@ -251,7 +251,7 @@ func Multiprogram(sc SweepConfig, f workloads.Factory, appThreads []int) ([]Mult
 		{CGL, primeFactory()},
 	}
 	bases := make([]float64, len(baseCells))
-	err := sweepexec.Map(sc.exec(), len(baseCells),
+	err := sweepexec.Map(sc.Exec(), len(baseCells),
 		func(i int) (float64, error) {
 			return isolatedThroughput(sc, baseCells[i].system, baseCells[i].f)
 		},
@@ -272,7 +272,7 @@ func Multiprogram(sc SweepConfig, f workloads.Factory, appThreads []int) ([]Mult
 		}
 	}
 	points := make([]MultiprogramPoint, 0, len(cells))
-	err = sweepexec.Map(sc.exec(), len(cells),
+	err = sweepexec.Map(sc.Exec(), len(cells),
 		func(i int) (MultiprogramPoint, error) {
 			c := cells[i]
 			return multiprogramRun(sc, f, c.mode, c.at, appBase, primeBase)
@@ -300,25 +300,27 @@ func isolatedThroughput(sc SweepConfig, system SystemName, f workloads.Factory) 
 		Ops      int          `json:"ops"`
 	}
 	return cellValue(sc.Cache, "isolated", key{system, f.Name, sc.Machine, sc.Ops}, func() (float64, error) {
-		sys := tmesi.New(sc.Machine)
-		rt, err := NewRuntime(system, sys)
+		r, err := rig.New(rig.Spec{Machine: sc.Machine})
+		if err != nil {
+			return 0, err
+		}
+		rt, err := NewRuntime(system, r.Sys)
 		if err != nil {
 			return 0, err
 		}
 		w := f.New()
-		env := &workloads.Env{Image: sys.Image(), Alloc: sys.Alloc(), Raw: sys.ReadWordRaw}
+		env := &workloads.Env{Image: r.Sys.Image(), Alloc: r.Sys.Alloc(), Raw: r.Sys.ReadWordRaw}
 		w.Setup(env)
-		e := sim.NewEngine()
-		e.Spawn(w.Name(), 0, func(ctx *sim.Ctx) {
+		r.Spawn(w.Name(), func(ctx *sim.Ctx) {
 			th := rt.Bind(ctx, 0)
 			for j := 0; j < sc.Ops; j++ {
 				w.Op(th)
 			}
 		})
-		if blocked := e.Run(); blocked != 0 {
-			return 0, fmt.Errorf("harness: isolated run blocked")
+		if err := r.Run(); err != nil {
+			return 0, fmt.Errorf("harness: isolated run: %w", err)
 		}
-		return float64(sc.Ops) / float64(e.MaxTime()) * 1e6, nil
+		return float64(sc.Ops) / float64(r.Engine.MaxTime()) * 1e6, nil
 	})
 }
 
@@ -346,9 +348,12 @@ func multiprogramRun(sc SweepConfig, f workloads.Factory, mode SystemName, appTh
 func multiprogramRunLive(sc SweepConfig, f workloads.Factory, mode SystemName, appThreads int,
 	appBase, primeBase float64) (MultiprogramPoint, error) {
 
-	cores := sc.Machine.Cores
-	primeThreads := cores - appThreads
-	sys := tmesi.New(sc.Machine)
+	primeThreads := sc.Machine.Cores - appThreads
+	r, err := rig.New(rig.Spec{Machine: sc.Machine})
+	if err != nil {
+		return MultiprogramPoint{}, err
+	}
+	sys := r.Sys
 	env := &workloads.Env{Image: sys.Image(), Alloc: sys.Alloc(), Raw: sys.ReadWordRaw}
 
 	app := f.New()
@@ -375,10 +380,9 @@ func multiprogramRunLive(sc SweepConfig, f workloads.Factory, mode SystemName, a
 	// Fixed wall clock: every thread loops until the deadline, so the
 	// metric is work completed per unit time, as in the paper's plots.
 	deadline := sim.Time(sc.Ops) * multiprogramCyclesPerOp
-	e := sim.NewEngine()
 	for i := 0; i < appThreads; i++ {
 		id := i
-		e.Spawn("app", 0, func(ctx *sim.Ctx) {
+		r.Spawn("app", func(ctx *sim.Ctx) {
 			th := rt.Bind(ctx, id)
 			for ctx.Now() < deadline {
 				app.Op(th)
@@ -387,19 +391,19 @@ func multiprogramRunLive(sc SweepConfig, f workloads.Factory, mode SystemName, a
 	}
 	for i := 0; i < primeThreads; i++ {
 		id := i
-		e.Spawn("prime", 0, func(ctx *sim.Ctx) {
+		r.Spawn("prime", func(ctx *sim.Ctx) {
 			th := primeRT.Bind(ctx, appThreads+id)
 			for ctx.Now() < deadline {
 				prime.Op(th)
 			}
 		})
 	}
-	if blocked := e.Run(); blocked != 0 {
-		return MultiprogramPoint{}, fmt.Errorf("harness: multiprogram run blocked")
+	if err := r.Run(); err != nil {
+		return MultiprogramPoint{}, fmt.Errorf("harness: multiprogram run: %w", err)
 	}
 
 	pt := MultiprogramPoint{AppThreads: appThreads, Mode: mode}
-	elapsed := float64(e.MaxTime())
+	elapsed := float64(r.Engine.MaxTime())
 	if elapsed > 0 {
 		pt.AppNorm = float64(rt.Stats().Commits) / elapsed * 1e6 / appBase
 		pt.PrimeNorm = float64(prime.Completed(env)) / elapsed * 1e6 / primeBase
@@ -445,7 +449,7 @@ func OverflowAblation(sc SweepConfig, names []string, threads int) ([]OverflowRe
 	}
 	out := make([]OverflowResult, 0, len(names))
 	bounded := make([]Result, len(names))
-	err := sweepexec.Map(sc.exec(), 2*len(names),
+	err := sweepexec.Map(sc.Exec(), 2*len(names),
 		func(i int) (Result, error) {
 			machine := small
 			if i%2 == 1 {
@@ -489,11 +493,6 @@ func PrintPlots(w io.Writer, title string, plots []Plot, threads []int) {
 		fmt.Fprintln(w)
 		for _, s := range p.Series {
 			fmt.Fprintf(w, "%-16s", s.System)
-			ths := make([]int, 0, len(s.Points))
-			for th := range s.Points {
-				ths = append(ths, th)
-			}
-			sort.Ints(ths)
 			for _, th := range threads {
 				fmt.Fprintf(w, "%8.2f", s.Points[th])
 			}
@@ -533,7 +532,7 @@ func SignatureAblation(sc SweepConfig, name string, threads int, widths []int) (
 		return nil, err
 	}
 	out := make([]SigResult, 0, len(widths))
-	err := sweepexec.Map(sc.exec(), len(widths),
+	err := sweepexec.Map(sc.Exec(), len(widths),
 		func(i int) (Result, error) {
 			machine := sc.Machine
 			machine.Sig = signature.Config{Bits: widths[i], Banks: 4}
@@ -621,7 +620,7 @@ func ManagerAblation(sc SweepConfig, name string, threads int) ([]ManagerResult,
 		}
 	}
 	out := make([]ManagerResult, 0, len(cells))
-	err := sweepexec.Map(sc.exec(), len(cells),
+	err := sweepexec.Map(sc.Exec(), len(cells),
 		func(i int) (ManagerResult, error) {
 			return runManagerCell(sc, f, cells[i].mode, cells[i].mgr, threads)
 		},
@@ -649,16 +648,18 @@ func runManagerCell(sc SweepConfig, f workloads.Factory, mode core.Mode, mgrName
 			if err != nil {
 				return ManagerResult{}, err
 			}
-			sys := tmesi.New(sc.Machine)
-			rt := core.New(sys, mode, mgr)
-			env := &workloads.Env{Image: sys.Image(), Alloc: sys.Alloc(), Raw: sys.ReadWordRaw}
+			r, err := rig.New(rig.Spec{Machine: sc.Machine})
+			if err != nil {
+				return ManagerResult{}, err
+			}
+			rt := core.New(r.Sys, mode, mgr)
+			env := &workloads.Env{Image: r.Sys.Image(), Alloc: r.Sys.Alloc(), Raw: r.Sys.ReadWordRaw}
 			w := f.New()
 			w.Setup(env)
-			e := sim.NewEngine()
 			spans := make([]sim.Time, threads)
 			for i := 0; i < threads; i++ {
 				id := i
-				e.Spawn("w", 0, func(ctx *sim.Ctx) {
+				r.Spawn("w", func(ctx *sim.Ctx) {
 					th := rt.Bind(ctx, id)
 					for j := 0; j < DefaultWarmup; j++ {
 						w.Op(th)
@@ -670,20 +671,20 @@ func runManagerCell(sc SweepConfig, f workloads.Factory, mode core.Mode, mgrName
 					spans[id] = ctx.Now() - start
 				})
 			}
-			if blocked := e.Run(); blocked != 0 {
-				return ManagerResult{}, fmt.Errorf("manager ablation: %d threads blocked", blocked)
+			if err := r.Run(); err != nil {
+				return ManagerResult{}, fmt.Errorf("manager ablation: %w", err)
 			}
 			if err := w.Verify(env); err != nil {
 				return ManagerResult{}, fmt.Errorf("%s/%s: %w", mode, mgr.Name(), err)
 			}
-			r := ManagerResult{Manager: mgr.Name(), Mode: mode.String()}
+			res := ManagerResult{Manager: mgr.Name(), Mode: mode.String()}
 			for _, d := range spans {
 				if d > 0 {
-					r.Throughput += float64(sc.Ops) / float64(d) * 1e6
+					res.Throughput += float64(sc.Ops) / float64(d) * 1e6
 				}
 			}
 			st := rt.Stats()
-			r.AbortRate = float64(st.Aborts) / float64(st.Commits)
-			return r, nil
+			res.AbortRate = float64(st.Aborts) / float64(st.Commits)
+			return res, nil
 		})
 }

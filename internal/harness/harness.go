@@ -5,6 +5,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 
 	"flextm/internal/baselines/bulk"
@@ -20,6 +21,7 @@ import (
 	"flextm/internal/governor"
 	"flextm/internal/observatory"
 	"flextm/internal/oracle"
+	"flextm/internal/rig"
 	"flextm/internal/sim"
 	"flextm/internal/telemetry"
 	"flextm/internal/tmapi"
@@ -207,47 +209,23 @@ func run(rc RunConfig) (Result, *tmesi.System, error) {
 	if rc.Threads <= 0 || rc.Threads > rc.Machine.Cores {
 		return Result{}, nil, fmt.Errorf("harness: %d threads on %d cores", rc.Threads, rc.Machine.Cores)
 	}
-	ops := rc.OpsPerThread
-	if ops == 0 {
-		ops = DefaultOps
+	ops := cmp.Or(rc.OpsPerThread, DefaultOps)
+	warmup := (cmp.Or(rc.WarmupOps, DefaultWarmup) + rc.Threads - 1) / rc.Threads
+	w := rc.Workload.New()
+	r, err := rig.New(rig.Spec{
+		Machine: rc.Machine, System: string(rc.System), Workload: w.Name(),
+		Metrics: rc.Metrics, Flight: rc.Flight, FlightPerCore: rc.FlightPerCore,
+		Faults: rc.Faults, Oracle: rc.Oracle, Observe: rc.Observe, Govern: rc.Govern,
+	})
+	if err != nil {
+		return Result{}, nil, fmt.Errorf("harness: %w", err)
 	}
-	warmupTotal := rc.WarmupOps
-	if warmupTotal == 0 {
-		warmupTotal = DefaultWarmup
-	}
-	warmup := (warmupTotal + rc.Threads - 1) / rc.Threads
-	if rc.Govern != nil && rc.Observe == nil {
-		// The governor feeds on published frames; give it a private
-		// observation plane when the caller did not attach one.
-		rc.Observe = observatory.NewPump(observatory.Config{Bus: observatory.NewBus()})
-	}
-	if rc.Govern != nil && rc.Observe.Bus() == nil {
-		return Result{}, nil, fmt.Errorf("harness: governor requires a pump with a bus")
-	}
-	if rc.Observe != nil {
-		rc.Metrics = true
-		rc.Flight = true
-	}
-	sys := tmesi.New(rc.Machine)
-	if rc.Metrics {
-		// Attach before NewRuntime: the runtime captures the registry (and
-		// the signatures switch into audit mode) at construction.
-		sys.SetTelemetry(telemetry.New(rc.Machine.Cores))
-	}
-	if rc.Flight {
-		// Attach before NewRuntime for the same reason as telemetry.
-		sys.SetFlight(flight.New(rc.Machine.Cores, rc.FlightPerCore))
-	}
-	var inj *fault.Injector
-	if rc.Faults.Any() {
-		inj = fault.NewInjector(rc.Faults)
-		sys.SetFaultInjector(inj)
-	}
+	sys := r.Sys
 	rt, err := NewRuntime(rc.System, sys)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	var orc *oracle.Recorder
+	r.SetRuntime(rt)
 	if fx, ok := rt.(*core.Runtime); ok {
 		if rc.YieldTo != nil {
 			fx.OnAbortYield = func(th *core.Thread) { rc.YieldTo(th) }
@@ -255,28 +233,16 @@ func run(rc RunConfig) (Result, *tmesi.System, error) {
 		if rc.Liveness != nil {
 			fx.SetLiveness(*rc.Liveness)
 		}
-		if rc.Oracle {
-			orc = oracle.NewRecorder()
-			fx.SetOracle(orc)
-		}
-		if rc.Govern != nil {
-			rc.Govern.Bind(fx, rc.Threads)
-			rc.Observe.SetAnnotator(rc.Govern.Annotate)
-		}
-	} else if rc.Govern != nil {
-		return Result{}, nil, fmt.Errorf("harness: governor requires a FlexTM runtime, not %s", rc.System)
 	}
 	env := &workloads.Env{Image: sys.Image(), Alloc: sys.Alloc(), Raw: sys.ReadWordRaw}
-	w := rc.Workload.New()
 	w.Setup(env)
 
-	e := sim.NewEngine()
 	var workers []*sim.Ctx
 	starts := make([]sim.Time, rc.Threads)
 	ends := make([]sim.Time, rc.Threads)
 	for i := 0; i < rc.Threads; i++ {
 		coreID := i
-		workers = append(workers, e.Spawn(fmt.Sprintf("%s-%d", w.Name(), i), 0, func(ctx *sim.Ctx) {
+		workers = append(workers, r.Spawn(fmt.Sprintf("%s-%d", w.Name(), i), func(ctx *sim.Ctx) {
 			th := rt.Bind(ctx, coreID)
 			for j := 0; j < warmup; j++ {
 				w.Op(th)
@@ -288,27 +254,8 @@ func run(rc RunConfig) (Result, *tmesi.System, error) {
 			ends[coreID] = ctx.Now()
 		}))
 	}
-	if rc.Observe != nil {
-		rc.Observe.Bind(sys.Telemetry(), sys.Flight(), observatory.Meta{
-			System:   string(rc.System),
-			Workload: w.Name(),
-			Threads:  rc.Threads,
-			Cores:    rc.Machine.Cores,
-		})
-		// The side threads stop as soon as every worker has finished or
-		// blocked: a wedged run must not keep the engine alive.
-		running := live(workers)
-		rc.Observe.Spawn(e, running, 0)
-		if rc.Govern != nil {
-			// Observe consumes no randomness and issues no simulated
-			// traffic — every mitigation is a Go-side flip — so a governed
-			// run's schedule diverges from the ungoverned one only through
-			// the mitigations themselves.
-			rc.Govern.Spawn(e, rc.Observe, running, 0)
-		}
-	}
-	if blocked := e.Run(); blocked != 0 {
-		return Result{}, nil, fmt.Errorf("harness: %d threads blocked", blocked)
+	if err := r.Run(); err != nil {
+		return Result{}, nil, fmt.Errorf("harness: %w", err)
 	}
 	if rc.Verify {
 		if err := w.Verify(env); err != nil {
@@ -328,21 +275,21 @@ func run(rc RunConfig) (Result, *tmesi.System, error) {
 		}
 	}
 	res := Result{
-		System:   rc.System,
-		Workload: w.Name(),
-		Threads:  rc.Threads,
-		Commits:  st.Commits,
-		Aborts:   st.Aborts,
-		Cycles:   makespan,
-		Machine:  sys.Stats(),
+		System:      rc.System,
+		Workload:    w.Name(),
+		Threads:     rc.Threads,
+		Commits:     st.Commits,
+		Aborts:      st.Aborts,
+		Cycles:      makespan,
+		Machine:     sys.Stats(),
+		Escalations: st.Escalations,
+		Flight:      sys.Flight(),
 	}
-	res.Escalations = st.Escalations
-	res.Flight = sys.Flight()
-	if inj != nil {
+	if inj := r.Injector(); inj != nil {
 		rep := inj.Report()
 		res.FaultReport = &rep
 	}
-	if orc != nil {
+	if orc := r.Oracle(); orc != nil {
 		res.OracleReport = orc.Check(oracle.Options{})
 	}
 	// System throughput: all timed transactions over the global window in
@@ -367,20 +314,6 @@ func run(rc RunConfig) (Result, *tmesi.System, error) {
 		res.Telemetry = &snap
 	}
 	return res, sys, nil
-}
-
-// live is the side threads' "workers still running" predicate for runs
-// that stop on sim.Ctx.Done: true while some ctx has neither finished nor
-// blocked.
-func live(cs []*sim.Ctx) func() bool {
-	return func() bool {
-		for _, c := range cs {
-			if !c.Done() {
-				return true
-			}
-		}
-		return false
-	}
 }
 
 // Baseline runs single-thread CGL for the workload and returns its

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"flextm/internal/governor"
 	"flextm/internal/telemetry"
 	"flextm/internal/tmesi"
 	"flextm/internal/workloads"
@@ -56,6 +58,31 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(RunConfig{System: "bogus", Workload: f, Threads: 1,
 		Machine: tmesi.DefaultConfig()}); err == nil {
 		t.Fatal("unknown system accepted")
+	}
+}
+
+// TestRunRejectsCoreCountOutOfRange: a machine the directory cannot
+// address is an error from Run, not a panic from tmesi.New.
+func TestRunRejectsCoreCountOutOfRange(t *testing.T) {
+	f, _ := workloads.ByName("HashTable")
+	m := tmesi.DefaultConfig()
+	m.Cores = 65
+	_, err := Run(RunConfig{System: FlexTMLazy, Workload: f, Threads: 8, Machine: m})
+	if err == nil || !strings.Contains(err.Error(), "65 cores") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestGovernorRequiresFlexTM: a governor cannot bind to a software
+// runtime, and Run says so.
+func TestGovernorRequiresFlexTM(t *testing.T) {
+	f, _ := workloads.ByName("HashTable")
+	_, err := Run(RunConfig{
+		System: CGL, Workload: f, Threads: 2, OpsPerThread: 10,
+		Machine: tmesi.DefaultConfig(), Govern: governor.New(governor.Config{}),
+	})
+	if err == nil || err.Error() != "harness: governor requires a FlexTM runtime, not CGL" {
+		t.Fatalf("err = %v", err)
 	}
 }
 

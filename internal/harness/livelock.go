@@ -12,6 +12,7 @@ import (
 	"flextm/internal/memory"
 	"flextm/internal/observatory"
 	"flextm/internal/oracle"
+	"flextm/internal/rig"
 	"flextm/internal/sim"
 	"flextm/internal/telemetry"
 	"flextm/internal/tmapi"
@@ -135,48 +136,36 @@ func livelockDuel(seed uint64, g *governor.Governor, pump *observatory.Pump) (*c
 
 	cfg := tmesi.DefaultConfig()
 	cfg.Cores = 2
-	sys := tmesi.New(cfg)
-	fl := flight.New(cfg.Cores, 0)
-	sys.SetFlight(fl)
 	// Telemetry is always attached: the live classifier needs the registry
 	// when a pump is bound, and the outcome's Trips count must not depend on
 	// whether the run was observed. Counters are passive, so the schedule is
-	// unchanged either way.
-	sys.SetTelemetry(telemetry.New(cfg.Cores))
-	inj := fault.NewInjector(fault.Config{Seed: seed}.WithRate(fault.SigFalsePos, 0.25))
-	sys.SetFaultInjector(inj)
-
+	// unchanged either way. The probe runs oracle-checked: a livelock broken
+	// only by escalation is exactly the kind of run where a serialization
+	// bug would hide.
+	r, err := rig.New(rig.Spec{
+		Machine: cfg, System: string(FlexTMEager), Workload: workload,
+		Metrics: true, Flight: true, Oracle: true,
+		Faults:  fault.Config{Seed: seed}.WithRate(fault.SigFalsePos, 0.25),
+		Observe: pump, Govern: g, Interval: GovernedLivelockInterval, Tail: calmTail,
+	})
+	if err != nil {
+		return nil, LivelockOutcome{}, fmt.Errorf("%s: %w", errPrefix, err)
+	}
+	sys, fl := r.Sys, r.Sys.Flight()
 	rt := core.New(sys, core.Eager, cm.Aggressive{})
-	// The probe runs oracle-checked: a livelock broken only by escalation is
-	// exactly the kind of run where a serialization bug would hide.
-	orc := oracle.NewRecorder()
-	rt.SetOracle(orc)
+	r.SetRuntime(rt)
 	rt.SetLiveness(budget)
 
 	var dumped []flight.Rec
 	rt.OnFlightDump = func(c int, recs []flight.Rec) { dumped = recs }
 
-	if g != nil {
-		if pump == nil {
-			pump = observatory.NewPump(observatory.Config{
-				Interval: GovernedLivelockInterval, Bus: observatory.NewBus(),
-			})
-		}
-		g.Bind(rt, 2)
-		pump.SetAnnotator(g.Annotate)
-	}
-
-	lineA := sys.Alloc().Alloc(memory.LineWords)
-	lineB := sys.Alloc().Alloc(memory.LineWords)
-	orc.SetInitial(lineA, 0)
-	orc.SetInitial(lineB, 0)
+	lines := r.Lines(2, 0)
+	lineA, lineB := lines[0], lines[1]
 
 	const rounds = 40
-	e := sim.NewEngine()
-	var duelists []*sim.Ctx
 	for t := 0; t < 2; t++ {
 		id := t
-		duelists = append(duelists, e.Spawn(fmt.Sprintf("duel-%d", id), 0, func(ctx *sim.Ctx) {
+		r.Spawn(fmt.Sprintf("duel-%d", id), func(ctx *sim.Ctx) {
 			th := rt.BindThread(ctx, id)
 			first, second := lineA, lineB
 			if id == 1 {
@@ -194,21 +183,10 @@ func livelockDuel(seed uint64, g *governor.Governor, pump *observatory.Pump) (*c
 					th.Work(200)
 				})
 			}
-		}))
-	}
-	running := live(duelists)
-	if pump != nil {
-		pump.Bind(sys.Telemetry(), fl, observatory.Meta{
-			System: string(FlexTMEager), Workload: workload,
-			Threads: 2, Cores: cfg.Cores,
 		})
-		pump.Spawn(e, running, calmTail)
 	}
-	if g != nil {
-		g.Spawn(e, pump, running, calmTail)
-	}
-	if blocked := e.Run(); blocked != 0 {
-		return nil, LivelockOutcome{}, fmt.Errorf("%s: %d threads blocked (escalation failed)", errPrefix, blocked)
+	if err := r.Run(); err != nil {
+		return nil, LivelockOutcome{}, fmt.Errorf("%s: %w (escalation failed)", errPrefix, err)
 	}
 
 	st := rt.Stats()
@@ -231,7 +209,7 @@ func livelockDuel(seed uint64, g *governor.Governor, pump *observatory.Pump) (*c
 	if got, want := sys.ReadWordRaw(lineA)+sys.ReadWordRaw(lineB), uint64(2*2*rounds); got != want {
 		return rep, out, fmt.Errorf("%s: line sum = %d, want %d", errPrefix, got, want)
 	}
-	if orep := orc.Check(oracle.Options{}); !orep.Ok() {
+	if orep := r.Oracle().Check(oracle.Options{}); !orep.Ok() {
 		return rep, out, fmt.Errorf("%s: %d serializability violations ([%s] %s)",
 			errPrefix, orep.TotalViolations, orep.Violations[0].Kind, orep.Violations[0].Summary)
 	}

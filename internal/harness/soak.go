@@ -98,7 +98,7 @@ func Soak(sc SoakConfig) SoakResult {
 	}
 	var res SoakResult
 	// No fn errors and no stop channel, so Map cannot fail.
-	_ = sweepexec.Map(sweepexec.Exec{Workers: chaosWorkers(sc.Parallel)}, sc.Cells,
+	_ = sweepexec.Map(sweepexec.Exec{Workers: workers(sc.Parallel)}, sc.Cells,
 		func(i int) (SoakCell, error) { return runSoakCell(sc, uint64(i)), nil },
 		func(i int, cell SoakCell) error {
 			res.Failures += len(cell.Failures)

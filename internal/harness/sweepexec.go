@@ -33,24 +33,17 @@ const CellCacheSchema = "flextm-cell/v1"
 // never decode as a "baseline" entry even under a hash collision.
 func cellSchema(kind string) string { return CellCacheSchema + "/" + kind }
 
-// exec resolves the sweep's executor. Observation forces serial: the
-// shared pump is re-bound per run and its subscribers contract to see one
-// run stream at a time.
-func (sc SweepConfig) exec() sweepexec.Exec {
-	w := sc.Parallel
-	if w == 0 {
-		w = 1
-	}
+// Exec resolves the sweep's executor; commands (cmd/paperbench) that
+// flatten their own grids over sweepexec.Map use it too. Observation
+// forces serial: the shared pump is re-bound per run and its subscribers
+// contract to see one run stream at a time.
+func (sc SweepConfig) Exec() sweepexec.Exec {
+	w := workers(sc.Parallel)
 	if sc.Observe != nil {
 		w = 1
 	}
 	return sweepexec.Exec{Workers: w, Stop: sc.Stop}
 }
-
-// Exec is the exported form of exec, for commands (cmd/paperbench) that
-// flatten their own grids over sweepexec.Map with this sweep's worker
-// count, stop channel, and observation constraint.
-func (sc SweepConfig) Exec() sweepexec.Exec { return sc.exec() }
 
 // ensureCache opens CacheDir into Cache when the caller wired a directory
 // but no store. Called once at the top of each figure function, on its

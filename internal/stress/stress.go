@@ -16,8 +16,8 @@
 package stress
 
 import (
+	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,15 +26,12 @@ import (
 	"flextm/internal/cm"
 	"flextm/internal/core"
 	"flextm/internal/fault"
-	"flextm/internal/flight"
 	"flextm/internal/governor"
 	"flextm/internal/memory"
-	"flextm/internal/observatory"
 	"flextm/internal/oracle"
-	"flextm/internal/osmodel"
+	"flextm/internal/rig"
 	"flextm/internal/sim"
 	"flextm/internal/sweepexec"
-	"flextm/internal/telemetry"
 	"flextm/internal/tmapi"
 	"flextm/internal/tmesi"
 )
@@ -153,18 +150,8 @@ func Run(cfg Config) Outcome {
 // no Report yet, and the returned recorder holds the operation log Run
 // would check.
 func Record(cfg Config) (Outcome, *oracle.Recorder) {
-	if cfg.Threads < 2 {
-		cfg.Threads = 2
-	}
-	if cfg.Rounds < 1 {
-		cfg.Rounds = 1
-	}
-	if cfg.OpsPerTxn < 1 {
-		cfg.OpsPerTxn = 1
-	}
-	if cfg.Accounts < 2 {
-		cfg.Accounts = 2
-	}
+	cfg.Threads, cfg.Rounds = max(cfg.Threads, 2), max(cfg.Rounds, 1)
+	cfg.OpsPerTxn, cfg.Accounts = max(cfg.OpsPerTxn, 1), max(cfg.Accounts, 2)
 	out := Outcome{Config: cfg, Schedule: cfg.Schedule()}
 
 	mc := tmesi.DefaultConfig()
@@ -172,75 +159,50 @@ func Record(cfg Config) (Outcome, *oracle.Recorder) {
 	if cfg.TinyCache {
 		mc.L1 = cache.Config{Sets: 4, Ways: 2, VictimSize: 2}
 	}
-	sys := tmesi.New(mc)
+	spec := rig.Spec{
+		Machine: mc, System: "FlexTM(" + cfg.Mode.String() + ")", Workload: "stress",
+		Oracle: true, Faults: cfg.Faults, Quantum: cmp.Or(cfg.Quantum, DefaultQuantum),
+	}
+	spec.Faults.Seed = cfg.Seed*0x9E3779B97F4A7C15 + 0xA5A5
+	var gov *governor.Governor
 	if cfg.Governed {
-		// The governor classifies from telemetry deltas and flight records,
-		// and signature widening needs audit mode — all passive, so the
-		// worker schedule itself is unchanged by attaching them.
-		sys.SetTelemetry(telemetry.New(mc.Cores))
-		sys.SetFlight(flight.New(mc.Cores, 0))
+		// Pump and governor run GovCalmTail intervals past the last
+		// worker's finish: those empty intervals classify healthy, so any
+		// rungs still raised at the end of the schedule are guaranteed to
+		// unwind.
+		gov = governor.New(govConfig())
+		spec.Govern, spec.Interval, spec.Tail = gov, GovInterval, GovCalmTail
 	}
-	var inj *fault.Injector
-	if cfg.Faults.Any() {
-		fc := cfg.Faults
-		fc.Seed = cfg.Seed*0x9E3779B97F4A7C15 + 0xA5A5
-		inj = fault.NewInjector(fc)
-		sys.SetFaultInjector(inj)
+	r, err := rig.New(spec)
+	if err != nil {
+		out.RunErr = err.Error()
+		return out, oracle.NewRecorder()
 	}
+	sys := r.Sys
 	rt := core.New(sys, cfg.Mode, cm.NewPolka())
 	rt.SetLiveness(stressLiveness())
 	rt.SetWRAborts(!cfg.BreakWR)
-	orc := oracle.NewRecorder()
-	rt.SetOracle(orc)
+	r.SetRuntime(rt)
 
 	// Shared state: conservation accounts, write-skew cells (one per
 	// thread; serializability is their only invariant), and per-thread
 	// private lines probed non-transactionally.
-	account := allocLines(sys, orc, cfg.Accounts, initialBalance)
-	skew := allocLines(sys, orc, cfg.Threads, 0)
-	private := allocLines(sys, orc, cfg.Threads, 0)
+	account := r.Lines(cfg.Accounts, initialBalance)
+	skew := r.Lines(cfg.Threads, 0)
+	private := r.Lines(cfg.Threads, 0)
 
-	e := sim.NewEngine()
-	workerCtx := make([]*sim.Ctx, cfg.Threads)
-	done := make([]bool, cfg.Threads)
 	for ti := 0; ti < cfg.Threads; ti++ {
 		id := ti
-		workerCtx[id] = e.Spawn(fmt.Sprintf("stress-%d", id), 0, func(ctx *sim.Ctx) {
+		r.Spawn(fmt.Sprintf("stress-%d", id), func(ctx *sim.Ctx) {
 			th := rt.Bind(ctx, id)
-			r := sim.NewRand(cfg.Seed*0x1000193 + uint64(id)*0x10001 + 7)
+			rnd := sim.NewRand(cfg.Seed*0x1000193 + uint64(id)*0x10001 + 7)
 			for n := 0; n < cfg.Rounds; n++ {
-				stressOp(th, r, cfg, id, account, skew, private[id])
+				stressOp(th, rnd, cfg, id, account, skew, private[id])
 			}
-			done[id] = true
 		})
 	}
-	if inj != nil && cfg.Faults.Rates[fault.Preempt] > 0 {
-		quantum := cfg.Quantum
-		if quantum == 0 {
-			quantum = DefaultQuantum
-		}
-		osmodel.New(sys, rt).SpawnPreemptStorm(e, inj, quantum, workerCtx, done)
-	}
-	var gov *governor.Governor
-	if cfg.Governed {
-		pump := observatory.NewPump(observatory.Config{Interval: GovInterval, Bus: observatory.NewBus()})
-		pump.Bind(sys.Telemetry(), sys.Flight(), observatory.Meta{
-			System: "FlexTM(" + cfg.Mode.String() + ")", Workload: "stress",
-			Threads: cfg.Threads, Cores: mc.Cores,
-		})
-		gov = governor.New(govConfig())
-		gov.Bind(rt, cfg.Threads)
-		pump.SetAnnotator(gov.Annotate)
-		// Both run GovCalmTail intervals past the last worker's finish:
-		// those empty intervals classify healthy, so any rungs still raised
-		// at the end of the schedule are guaranteed to unwind. "Running"
-		// means unfinished: a worker parked by the preempt storm counts.
-		running := func() bool { return slices.Contains(done, false) }
-		pump.Spawn(e, running, GovCalmTail)
-		gov.Spawn(e, pump, running, GovCalmTail)
-	}
-	if blocked := e.Run(); blocked != 0 {
-		out.RunErr = fmt.Sprintf("%d threads blocked: liveness budget exceeded without escalation", blocked)
+	if err := r.Run(); err != nil {
+		out.RunErr = fmt.Sprintf("%v: liveness budget exceeded without escalation", err)
 	}
 
 	var total uint64
@@ -255,30 +217,14 @@ func Record(cfg Config) (Outcome, *oracle.Recorder) {
 	out.Commits = st.Commits
 	out.Aborts = st.Aborts
 	out.Escalations = st.Escalations
-	if inj != nil {
-		out.Injected = inj.Injected()
-	}
-	out.Cycles = e.MaxTime()
+	out.Injected = r.Injector().Injected()
+	out.Cycles = r.Engine.MaxTime()
 	if gov != nil {
 		out.GovTransitions = len(gov.Transitions())
 		out.GovFinalLevel = gov.Level()
 		out.GovLog = gov.TransitionLog()
 	}
-	return out, orc
-}
-
-// allocLines allocates n one-line cells, writes their initial value into
-// the memory image, and registers it with the oracle.
-func allocLines(sys *tmesi.System, orc *oracle.Recorder, n int, initial uint64) []memory.Addr {
-	out := make([]memory.Addr, n)
-	for i := range out {
-		out[i] = sys.Alloc().Alloc(memory.LineWords)
-		if initial != 0 {
-			sys.Image().WriteWord(out[i], initial)
-		}
-		orc.SetInitial(out[i], initial)
-	}
-	return out
+	return out, r.Oracle()
 }
 
 // stressOp performs one seed-drawn operation. The mix is aimed at the races

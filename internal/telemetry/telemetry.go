@@ -607,10 +607,3 @@ func SortedCounterNames() []string {
 	sort.Strings(out)
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

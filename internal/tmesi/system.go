@@ -226,10 +226,15 @@ type System struct {
 	inj *fault.Injector
 }
 
+// MaxCores is the largest machine New builds: the directory keeps core
+// sets (holders, transactional cores) as 64-bit masks.
+const MaxCores = 64
+
 // New returns a memory system with the given configuration over a fresh
-// committed image.
+// committed image. A core count outside 1..MaxCores is a programming error
+// and panics; callers taking the count from a user check it first.
 func New(cfg Config) *System {
-	if cfg.Cores <= 0 || cfg.Cores > 64 {
+	if cfg.Cores <= 0 || cfg.Cores > MaxCores {
 		panic("tmesi: core count must be in 1..64")
 	}
 	s := &System{
