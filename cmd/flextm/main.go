@@ -17,7 +17,8 @@
 //
 // When an observed run (or one writing artifacts) receives SIGINT/SIGQUIT,
 // the next pump tick flushes partial artifacts — flight-recorder profile,
-// telemetry tables, the windowed attempt timeline — before exiting 130.
+// telemetry tables, the windowed attempt timeline — before exiting 130. A
+// signal during -linger ends the scrape window and also exits 130.
 //
 // Serializability oracle (internal/oracle + internal/stress):
 //
@@ -32,10 +33,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -56,46 +60,116 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "RBTree", "workload name (see -list)")
-	system := flag.String("system", "FlexTM(Lazy)", "TM system: CGL, FlexTM(Eager), FlexTM(Lazy), RTM-F, RSTM, TL2")
-	threads := flag.Int("threads", 8, "number of threads (<= cores)")
-	ops := flag.Int("ops", harness.DefaultOps, "operations per thread")
-	cores := flag.Int("cores", 16, "cores in the simulated CMP")
-	verify := flag.Bool("verify", true, "check structural invariants after the run")
-	traceStats := flag.Bool("tracestats", false, "print a transaction-level trace summary folded from the flight recorder (FlexTM systems)")
-	metrics := flag.Bool("metrics", false, "collect per-mechanism telemetry and print counter + cycle-attribution tables")
-	traceOut := flag.String("trace-out", "", "write the per-core attempt timeline, with kill arrows and a critical-path track, as Chrome trace_event JSON to FILE (open in chrome://tracing or Perfetto)")
-	faults := flag.String("faults", "", "fault injection spec, e.g. 'commit-race:0.3,alert-loss:0.1' or 'all:0.05' (classes: "+faultClassList()+")")
-	faultSeed := flag.Uint64("fault-seed", 1, "fault-schedule seed; same seed + config replays the identical campaign")
-	profile := flag.Bool("profile", false, "record a flight-recorder history and print the conflict-graph contention profile")
-	profileDOT := flag.String("profile-dot", "", "write the conflict graph in Graphviz DOT form to FILE (implies -profile)")
-	profileJSON := flag.String("profile-json", "", "write the full conflict-graph report as JSON to FILE (implies -profile)")
-	causalOn := flag.Bool("causal", false, "reconstruct the attempt DAG and print the makespan critical path with per-line blame")
-	causalJSON := flag.String("causal-json", "", "write the causal report (critical path, blame, wasted-work ledger) as JSON to FILE (implies -causal)")
-	causalDOT := flag.String("causal-dot", "", "write the critical path in Graphviz DOT form to FILE (implies -causal)")
-	oracleOn := flag.Bool("oracle", false, "attach the serializability oracle to the run and print its verdict (FlexTM systems)")
-	stressN := flag.Int("stress", 0, "run N seeds of the oracle-checked stress explorer instead of a workload")
-	stressParallel := flag.Int("parallel", 1, "with -stress: worker goroutines for the explorer (1 = serial, 0 = all CPUs); results identical to serial")
-	seed := flag.Uint64("seed", 1, "base seed for -stress")
-	broken := flag.Bool("broken", false, "with -stress: disable the commit-time W-R aborts (the oracle must catch the break)")
-	schedule := flag.String("schedule", "", "replay one stress schedule string (as printed by -stress failures)")
-	list := flag.Bool("list", false, "list workloads and exit")
-	httpAddr := flag.String("http", "", "serve the live observatory on ADDR (e.g. :8080): /metrics, /snapshot.json, /conflictgraph.dot, /flight, /debug/pprof/")
-	watch := flag.Bool("watch", false, "print one digest line per sampling interval, with sparkline trends and live pathology flags")
-	obsInterval := flag.Uint64("obs-interval", 0, "observation sampling interval in simulated cycles (0 = auto)")
-	linger := flag.Duration("linger", 0, "keep the -http server up for DUR after the run ends (scrape window)")
-	livelock := flag.Bool("livelock", false, "run the dueling-livelock probe instead of a workload (pairs with -watch)")
-	govern := flag.Bool("govern", false, "attach the closed-loop resilience governor (FlexTM systems; with -livelock the probe must self-heal)")
-	governLadder := flag.String("govern-ladder", "", "governor mitigation ladder spec, e.g. 'cm:Polka,backoff:3,admit:auto,sig:4,serialize' (default: built-in ladder)")
-	governLog := flag.String("govern-log", "", "write the governor transition log to FILE after the run")
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGQUIT)
+	// Unbuffered: a send lands only while run listens, which an observed run
+	// does. Any other run ends at once, as under the default signal action.
+	sig := make(chan os.Signal)
+	go func() {
+		s := <-sigc
+		select {
+		case sig <- s:
+			// The flush waits for the next pump tick; a wedged simulation
+			// never ticks again.
+			time.Sleep(3 * time.Second)
+			fmt.Fprintln(os.Stderr, "flextm: no pump tick within 3s of the signal — exiting without flush")
+		default:
+		}
+		os.Exit(130)
+	}()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, sig))
+}
+
+// exitStatus is an error that only sets the exit status: whatever explains
+// it is already printed.
+type exitStatus int
+
+func (s exitStatus) Error() string { return "exit status " + strconv.Itoa(int(s)) }
+
+// errInterrupted ends a run that a signal interrupted.
+const errInterrupted exitStatus = 130
+
+// usageError is a bad flag value; it exits 2, as a flag the flag package
+// rejects does.
+type usageError struct{ error }
+
+// run is flextm with its arguments, output streams and signals passed in,
+// returning the exit status: 0, 1 on a failed run or verdict, 2 on a usage
+// error, 130 on interrupt.
+func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) (code int) {
+	defer func() {
+		// The pump's OnFlush ends an interrupted run by panicking out of the
+		// simulation; the *sim.ThreadPanic unwraps to errInterrupted.
+		if v := recover(); v != nil {
+			if err, ok := v.(error); !ok || !errors.Is(err, errInterrupted) {
+				panic(v)
+			}
+			code = int(errInterrupted)
+		}
+	}()
+	err := flextm(args, stdout, stderr, sig)
+	var status exitStatus
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &status):
+		return int(status)
+	}
+	fmt.Fprintln(stderr, "flextm:", err)
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
+}
+
+func flextm(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
+	fs := flag.NewFlagSet("flextm", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "RBTree", "workload name (see -list)")
+	system := fs.String("system", "FlexTM(Lazy)", "TM system: CGL, FlexTM(Eager), FlexTM(Lazy), RTM-F, RSTM, TL2")
+	threads := fs.Int("threads", 8, "number of threads (<= cores)")
+	ops := fs.Int("ops", harness.DefaultOps, "operations per thread")
+	cores := fs.Int("cores", 16, "cores in the simulated CMP")
+	verify := fs.Bool("verify", true, "check structural invariants after the run")
+	traceStats := fs.Bool("tracestats", false, "print a transaction-level trace summary folded from the flight recorder (FlexTM systems)")
+	metrics := fs.Bool("metrics", false, "collect per-mechanism telemetry and print counter + cycle-attribution tables")
+	traceOut := fs.String("trace-out", "", "write the per-core attempt timeline, with kill arrows and a critical-path track, as Chrome trace_event JSON to FILE (open in chrome://tracing or Perfetto)")
+	faults := fs.String("faults", "", "fault injection spec, e.g. 'commit-race:0.3,alert-loss:0.1' or 'all:0.05' (classes: "+faultClassList()+")")
+	faultSeed := fs.Uint64("fault-seed", 1, "fault-schedule seed; same seed + config replays the identical campaign")
+	profile := fs.Bool("profile", false, "record a flight-recorder history and print the conflict-graph contention profile")
+	profileDOT := fs.String("profile-dot", "", "write the conflict graph in Graphviz DOT form to FILE (implies -profile)")
+	profileJSON := fs.String("profile-json", "", "write the full conflict-graph report as JSON to FILE (implies -profile)")
+	causalOn := fs.Bool("causal", false, "reconstruct the attempt DAG and print the makespan critical path with per-line blame")
+	causalJSON := fs.String("causal-json", "", "write the causal report (critical path, blame, wasted-work ledger) as JSON to FILE (implies -causal)")
+	causalDOT := fs.String("causal-dot", "", "write the critical path in Graphviz DOT form to FILE (implies -causal)")
+	oracleOn := fs.Bool("oracle", false, "attach the serializability oracle to the run and print its verdict (FlexTM systems)")
+	stressN := fs.Int("stress", 0, "run N seeds of the oracle-checked stress explorer instead of a workload")
+	stressParallel := fs.Int("parallel", 1, "with -stress: worker goroutines for the explorer (1 = serial, 0 = all CPUs); results identical to serial")
+	seed := fs.Uint64("seed", 1, "base seed for -stress")
+	broken := fs.Bool("broken", false, "with -stress: disable the commit-time W-R aborts (the oracle must catch the break)")
+	schedule := fs.String("schedule", "", "replay one stress schedule string (as printed by -stress failures)")
+	list := fs.Bool("list", false, "list workloads and exit")
+	httpAddr := fs.String("http", "", "serve the live observatory on ADDR (e.g. :8080): /metrics, /snapshot.json, /conflictgraph.dot, /flight, /debug/pprof/")
+	watch := fs.Bool("watch", false, "print one digest line per sampling interval, with sparkline trends and live pathology flags")
+	obsInterval := fs.Uint64("obs-interval", 0, "observation sampling interval in simulated cycles (0 = auto)")
+	linger := fs.Duration("linger", 0, "keep the -http server up for DUR after the run ends (scrape window)")
+	livelock := fs.Bool("livelock", false, "run the dueling-livelock probe instead of a workload (pairs with -watch)")
+	govern := fs.Bool("govern", false, "attach the closed-loop resilience governor (FlexTM systems; with -livelock the probe must self-heal)")
+	governLadder := fs.String("govern-ladder", "", "governor mitigation ladder spec, e.g. 'cm:Polka,backoff:3,admit:auto,sig:4,serialize' (default: built-in ladder)")
+	governLog := fs.String("govern-log", "", "write the governor transition log to FILE after the run")
 	var queryExprs queryList
-	flag.Var(&queryExprs, "query", "FlightQL query over the run's flight records (repeatable), e.g. 'filter kind == cm-stall | group by line agg sum(dur) | top 5 by sum(dur)'; implies the flight recorder")
-	queryOut := flag.String("query-out", "", "write all -query results as one canonical JSON document to FILE (byte-stable per seed)")
-	flag.Parse()
+	fs.Var(&queryExprs, "query", "FlightQL query over the run's flight records (repeatable), e.g. 'filter kind == cm-stall | group by line agg sum(dur) | top 5 by sum(dur)'; implies the flight recorder")
+	queryOut := fs.String("query-out", "", "write all -query results as one canonical JSON document to FILE (byte-stable per seed)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return exitStatus(2)
+	}
 	if *stressParallel < 0 {
-		fmt.Fprintln(os.Stderr, "flextm: -parallel must be >= 0")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "flextm: -parallel must be >= 0")
+		fs.Usage()
+		return exitStatus(2)
 	}
 	if *profileDOT != "" || *profileJSON != "" {
 		*profile = true
@@ -108,23 +182,47 @@ func main() {
 	// after it.
 	queryCfg, err := newQueryConfig(queryExprs, *queryOut)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "flextm:", err)
-		os.Exit(2)
+		return usageError{err}
 	}
 
 	if *list {
 		for _, f := range workloads.All() {
-			fmt.Println(f.Name)
+			fmt.Fprintln(stdout, f.Name)
 		}
-		return
+		return nil
 	}
 	if *schedule != "" {
-		replaySchedule(*schedule)
-		return
+		return replaySchedule(stdout, *schedule)
 	}
 	if *stressN > 0 {
-		runStress(*stressN, *seed, *system, *faults, *faultSeed, *broken, *stressParallel)
-		return
+		return runStress(stdout, *stressN, *seed, *system, *faults, *faultSeed, *broken, *stressParallel)
+	}
+
+	// What an interrupted workload run leaves behind: the windowed attempt
+	// timeline, the telemetry tables, and the windowed contention profile
+	// (plus its DOT/JSON forms when those were requested). Runs inside the
+	// simulation via the pump's OnFlush, so nothing here races the workers.
+	// A partial artifact that cannot be written is skipped: the run is
+	// ending either way.
+	flushArtifacts := func(fr *observatory.Frame) {
+		if fr.Causal != nil {
+			_ = save(stderr, "trace       partial (window)", *traceOut, fr.Causal.WriteChrome)
+		}
+		fmt.Fprintln(stderr, "-- telemetry at interrupt --")
+		fr.Cum.Print(stderr)
+		fr.Cum.PrintAttribution(stderr)
+		if fr.Report != nil {
+			fmt.Fprintln(stderr, "-- contention profile at interrupt (window) --")
+			fr.Report.Print(stderr)
+			_ = save(stderr, "graph       partial", *profileDOT, fr.Report.WriteDOT)
+			_ = save(stderr, "profile     partial", *profileJSON, reportJSON(fr.Report))
+		}
+		if fr.Causal != nil {
+			fmt.Fprintln(stderr, "-- causal critical path at interrupt (window) --")
+			fr.Causal.Print(stderr)
+			_ = save(stderr, "causal      partial graph", *causalDOT, causalDOTWriter(fr.Causal))
+			_ = save(stderr, "causal      partial report", *causalJSON, fr.Causal.WriteJSON)
+		}
 	}
 
 	// Observation plane. The pump is created whenever there is something to
@@ -133,10 +231,10 @@ func main() {
 	// deterministic and cannot perturb the run.
 	obsOn := *httpAddr != "" || *watch || *livelock || *metrics || *profile || *causalOn || *traceOut != ""
 	var (
-		bus            *observatory.Bus
-		pump           *observatory.Pump
-		flushArtifacts func(*observatory.Frame)
+		bus  *observatory.Bus
+		pump *observatory.Pump
 	)
+	interrupted := make(chan struct{})
 	if obsOn {
 		bus = observatory.NewBus()
 		iv := sim.Time(*obsInterval)
@@ -157,56 +255,58 @@ func main() {
 			Interval: iv,
 			Bus:      bus,
 			OnFlush: func(fr *observatory.Frame) {
-				fmt.Fprintln(os.Stderr, "\nflextm: interrupted — flushing partial artifacts")
-				if flushArtifacts != nil {
+				fmt.Fprintln(stderr, "\nflextm: interrupted — flushing partial artifacts")
+				if !*livelock {
 					flushArtifacts(fr)
 				}
-				os.Exit(130)
+				panic(errInterrupted)
 			},
 		})
-		// SIGINT/SIGQUIT: ask the pump to flush on its next tick, which runs
-		// inside the simulation — the only place artifacts can be written
-		// without racing the run. If the simulation is wedged and never
-		// ticks again, give up after a grace period.
-		sigc := make(chan os.Signal, 2)
-		signal.Notify(sigc, os.Interrupt, syscall.SIGQUIT)
+		// A signal asks the pump to flush on its next tick, which runs inside
+		// the simulation — the only place artifacts can be written without
+		// racing the run — and ends a -linger window.
+		done := make(chan struct{})
+		defer close(done)
 		go func() {
-			<-sigc
-			pump.RequestFlush()
-			time.Sleep(3 * time.Second)
-			fmt.Fprintln(os.Stderr, "flextm: no pump tick within 3s of the signal — exiting without flush")
-			os.Exit(130)
+			select {
+			case <-sig:
+				close(interrupted)
+				pump.RequestFlush()
+			case <-done:
+			}
 		}()
 	}
-	var srv *observatory.Server
 	if *httpAddr != "" {
-		srv = observatory.NewServer(bus)
+		srv := observatory.NewServer(bus)
 		addr, err := srv.Start(*httpAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "flextm:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "observatory http://%s (/metrics /snapshot.json /conflictgraph.dot /flight /debug/pprof/)\n", addr)
+		defer srv.Close()
+		fmt.Fprintf(stderr, "observatory http://%s (/metrics /snapshot.json /conflictgraph.dot /flight /debug/pprof/)\n", addr)
 	}
 	var watchDone chan struct{}
 	if *watch {
 		ch, _ := bus.Subscribe(4096)
 		watchDone = make(chan struct{})
-		wa := observatory.NewWatcher(os.Stdout)
+		wa := observatory.NewWatcher(stdout)
 		wa.AttachBus(bus)
 		go func() {
 			wa.Run(ch)
 			close(watchDone)
 		}()
 	}
-	lingerPhase := func() {
-		if srv == nil || *linger <= 0 {
-			return
+	lingerPhase := func() error {
+		if *httpAddr == "" || *linger <= 0 {
+			return nil
 		}
-		signal.Reset(os.Interrupt, syscall.SIGQUIT)
-		fmt.Fprintf(os.Stderr, "observatory lingering %s for scrapes (Ctrl-C to exit)\n", *linger)
-		time.Sleep(*linger)
-		srv.Close()
+		fmt.Fprintf(stderr, "observatory lingering %s for scrapes (Ctrl-C to exit)\n", *linger)
+		select {
+		case <-time.After(*linger):
+			return nil
+		case <-interrupted:
+			return errInterrupted
+		}
 	}
 
 	// The governor. With -livelock the probe's tested configuration is the
@@ -220,8 +320,7 @@ func main() {
 		if *governLadder != "" {
 			ladder, err := governor.ParseLadder(*governLadder)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "flextm:", err)
-				os.Exit(2)
+				return usageError{err}
 			}
 			gcfg.Ladder = ladder
 		}
@@ -229,19 +328,15 @@ func main() {
 	}
 
 	if *livelock {
-		if gov != nil {
-			runGovernedLivelock(*seed, gov, pump, watchDone, *governLog, causalCfg, queryCfg)
-		} else {
-			runLivelock(*seed, pump, watchDone, causalCfg, queryCfg)
+		if err := runLivelock(stdout, *seed, gov, pump, watchDone, *governLog, causalCfg, queryCfg); err != nil {
+			return err
 		}
-		lingerPhase()
-		return
+		return lingerPhase()
 	}
 
 	f, ok := workloads.ByName(*workload)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "flextm: unknown workload %q (try -list)\n", *workload)
-		os.Exit(2)
+		return usageError{fmt.Errorf("unknown workload %q (try -list)", *workload)}
 	}
 	machine := tmesi.DefaultConfig()
 	machine.Cores = *cores
@@ -249,53 +344,8 @@ func main() {
 	tracing := *traceStats || *traceOut != ""
 	var faultCfg fault.Config
 	if *faults != "" {
-		var err error
-		faultCfg, err = fault.ParseSpec(*faults, *faultSeed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flextm:", err)
-			os.Exit(2)
-		}
-	}
-	// What an interrupted run leaves behind: the windowed attempt timeline,
-	// the telemetry tables, and the windowed contention profile (plus its
-	// DOT/JSON forms when those were requested). Runs inside the simulation
-	// via the pump's OnFlush, so nothing here races the workers.
-	flushArtifacts = func(fr *observatory.Frame) {
-		if *traceOut != "" && fr.Causal != nil {
-			if err := writeChromeTrace(*traceOut, fr.Causal); err == nil {
-				fmt.Fprintf(os.Stderr, "trace       partial (window) -> %s\n", *traceOut)
-			}
-		}
-		fmt.Fprintln(os.Stderr, "-- telemetry at interrupt --")
-		fr.Cum.Print(os.Stderr)
-		fr.Cum.PrintAttribution(os.Stderr)
-		if fr.Report != nil {
-			fmt.Fprintln(os.Stderr, "-- contention profile at interrupt (window) --")
-			fr.Report.Print(os.Stderr)
-			if *profileDOT != "" {
-				if err := writeDOT(*profileDOT, fr.Report); err == nil {
-					fmt.Fprintf(os.Stderr, "graph       partial -> %s\n", *profileDOT)
-				}
-			}
-			if *profileJSON != "" {
-				if err := writeReportJSON(*profileJSON, fr.Report); err == nil {
-					fmt.Fprintf(os.Stderr, "profile     partial -> %s\n", *profileJSON)
-				}
-			}
-		}
-		if fr.Causal != nil {
-			fmt.Fprintln(os.Stderr, "-- causal critical path at interrupt (window) --")
-			fr.Causal.Print(os.Stderr)
-			if *causalDOT != "" {
-				if err := writeCausalDOT(*causalDOT, fr.Causal); err == nil {
-					fmt.Fprintf(os.Stderr, "causal      partial graph -> %s\n", *causalDOT)
-				}
-			}
-			if *causalJSON != "" {
-				if err := writeCausalJSON(*causalJSON, fr.Causal); err == nil {
-					fmt.Fprintf(os.Stderr, "causal      partial report -> %s\n", *causalJSON)
-				}
-			}
+		if faultCfg, err = fault.ParseSpec(*faults, *faultSeed); err != nil {
+			return usageError{err}
 		}
 	}
 	rc := harness.RunConfig{
@@ -319,25 +369,24 @@ func main() {
 	}
 	res, err := harness.Run(rc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "flextm:", err)
-		os.Exit(1)
+		return err
 	}
 	waitWatch(watchDone)
 
-	fmt.Printf("workload    %s\nsystem      %s\nthreads     %d\n", res.Workload, res.System, res.Threads)
-	fmt.Printf("commits     %d\naborts      %d (%.2f per commit)\n",
+	fmt.Fprintf(stdout, "workload    %s\nsystem      %s\nthreads     %d\n", res.Workload, res.System, res.Threads)
+	fmt.Fprintf(stdout, "commits     %d\naborts      %d (%.2f per commit)\n",
 		res.Commits, res.Aborts, float64(res.Aborts)/float64(max(res.Commits, 1)))
-	fmt.Printf("cycles      %d\nthroughput  %.2f txn/Mcycle\n", res.Cycles, res.Throughput)
-	fmt.Printf("conflicts   median %d, max %d (per committed txn)\n", res.MedianConflicts, res.MaxConflicts)
+	fmt.Fprintf(stdout, "cycles      %d\nthroughput  %.2f txn/Mcycle\n", res.Cycles, res.Throughput)
+	fmt.Fprintf(stdout, "conflicts   median %d, max %d (per committed txn)\n", res.MedianConflicts, res.MaxConflicts)
 	if res.Escalations > 0 || *faults != "" {
-		fmt.Printf("escalations %d (serialized-irrevocable fallback commits)\n", res.Escalations)
+		fmt.Fprintf(stdout, "escalations %d (serialized-irrevocable fallback commits)\n", res.Escalations)
 	}
 	if fr := res.FaultReport; fr != nil {
-		fmt.Printf("faults      %d injected of %d rolls (seed %d)\n", fr.Total, rollTotal(*fr), *faultSeed)
+		fmt.Fprintf(stdout, "faults      %d injected of %d rolls (seed %d)\n", fr.Total, rollTotal(*fr), *faultSeed)
 		for _, cl := range fault.Classes() {
 			name := cl.String()
 			if fr.Rolls[name] > 0 || fr.Fired[name] > 0 {
-				fmt.Printf("  %-16s %d/%d\n", name, fr.Fired[name], fr.Rolls[name])
+				fmt.Fprintf(stdout, "  %-16s %d/%d\n", name, fr.Fired[name], fr.Rolls[name])
 			}
 		}
 	}
@@ -348,78 +397,66 @@ func main() {
 		traced = causal.Analyze(recs, causal.Options{Cores: machine.Cores})
 	}
 	if *traceStats {
-		fmt.Println("-- trace summary --")
-		traced.Summary(recs).Print(os.Stdout)
+		fmt.Fprintln(stdout, "-- trace summary --")
+		traced.Summary(recs).Print(stdout)
 	}
 	m := res.Machine
-	fmt.Printf("machine     L1 %.1f%% hit, %d L2 misses, %d threatened, %d exposed-read, %d overflows, %d alerts\n",
+	fmt.Fprintf(stdout, "machine     L1 %.1f%% hit, %d L2 misses, %d threatened, %d exposed-read, %d overflows, %d alerts\n",
 		100*float64(m.L1Hits)/float64(max(m.L1Hits+m.L1Misses, 1)),
 		m.L2Misses, m.ThreatenedResponses, m.ExposedReadResponses, m.Overflows, m.Alerts)
 	// Gate on the flag, not the snapshot: an attached observatory forces
 	// telemetry on, and that must not change the default output.
 	if *metrics && res.Telemetry != nil {
-		fmt.Println("-- telemetry --")
-		res.Telemetry.Print(os.Stdout)
-		fmt.Println("-- cycle attribution --")
-		res.Telemetry.PrintAttribution(os.Stdout)
+		fmt.Fprintln(stdout, "-- telemetry --")
+		res.Telemetry.Print(stdout)
+		fmt.Fprintln(stdout, "-- cycle attribution --")
+		res.Telemetry.PrintAttribution(stdout)
 	}
 	if *traceOut != "" {
-		if err := writeChromeTrace(*traceOut, traced); err != nil {
-			fmt.Fprintln(os.Stderr, "flextm:", err)
-			os.Exit(1)
+		if err := save(stdout, fmt.Sprintf("trace       %d flight records", len(recs)), *traceOut, traced.WriteChrome); err != nil {
+			return err
 		}
-		fmt.Printf("trace       %d flight records -> %s\n", len(recs), *traceOut)
 		if n := res.Flight.Overwritten(); n > 0 {
-			fmt.Printf("WARNING: flight ring overwrote %d records; the timeline covers only the most recent window\n", n)
+			fmt.Fprintf(stdout, "WARNING: flight ring overwrote %d records; the timeline covers only the most recent window\n", n)
 		}
 	}
 	if *profile {
 		rep := conflictgraph.Analyze(recs, conflictgraph.Options{Cores: machine.Cores})
-		fmt.Println("-- contention profile --")
-		rep.Print(os.Stdout)
-		if *profileDOT != "" {
-			if err := writeDOT(*profileDOT, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "flextm:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("graph       -> %s\n", *profileDOT)
+		fmt.Fprintln(stdout, "-- contention profile --")
+		rep.Print(stdout)
+		if err := save(stdout, "graph", *profileDOT, rep.WriteDOT); err != nil {
+			return err
 		}
-		if *profileJSON != "" {
-			if err := writeReportJSON(*profileJSON, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "flextm:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("profile     -> %s\n", *profileJSON)
+		if err := save(stdout, "profile", *profileJSON, reportJSON(rep)); err != nil {
+			return err
 		}
 	}
-	if *causalOn {
-		emitCausal(causalCfg, recs, machine.Cores)
+	if err := emitCausal(stdout, causalCfg, recs, machine.Cores); err != nil {
+		return err
 	}
-	if queryCfg.on() {
-		queryCfg.emit(recs, machine.Cores)
+	if err := queryCfg.emit(stdout, recs, machine.Cores); err != nil {
+		return err
 	}
 	if gov != nil {
-		printGovernor(gov)
-		if err := writeGovLog(*governLog, gov); err != nil {
-			fmt.Fprintln(os.Stderr, "flextm:", err)
-			os.Exit(1)
+		if err := reportGovernor(stdout, gov, *governLog); err != nil {
+			return err
 		}
 	}
 	if rep := res.OracleReport; rep != nil {
-		fmt.Println("-- serializability oracle --")
-		rep.Print(os.Stdout)
+		fmt.Fprintln(stdout, "-- serializability oracle --")
+		rep.Print(stdout)
 		if !rep.Ok() {
-			os.Exit(1)
+			return exitStatus(1)
 		}
 	} else if *oracleOn {
-		fmt.Fprintf(os.Stderr, "flextm: -oracle ignored: %s is not a FlexTM runtime\n", *system)
+		fmt.Fprintf(stderr, "flextm: -oracle ignored: %s is not a FlexTM runtime\n", *system)
 	}
-	lingerPhase()
+	return lingerPhase()
 }
 
 // waitWatch gives the watch goroutine a moment to drain its channel and
-// print the Final frame; the bus never blocks publishers, so the main
-// goroutine must not exit the instant the run does.
+// print the Final frame; the bus never blocks publishers, so the run must
+// not end the instant the simulation does.
 func waitWatch(done chan struct{}) {
 	if done == nil {
 		return
@@ -430,84 +467,76 @@ func waitWatch(done chan struct{}) {
 	}
 }
 
-// runLivelock runs the dueling-livelock probe under the observation plane:
-// the classic demonstration that the watch mode flags an abort cycle while
-// the duel is still running, before the watchdog trips.
-func runLivelock(seed uint64, pump *observatory.Pump, watchDone chan struct{}, causalCfg causalArtifacts, queryCfg queryConfig) {
-	rep, out, err := harness.ObservedLivelockProbe(seed, pump)
+// runLivelock runs the dueling-livelock probe under the observation plane.
+// Ungoverned, it is the classic demonstration that the watch mode flags an
+// abort cycle while the duel is still running, before the watchdog trips.
+// Governed, the watchdog is loosened: the ladder, not the watchdog, must
+// break the cycle, and by run end every rung must have unwound. Either
+// failing is an error.
+func runLivelock(w io.Writer, seed uint64, gov *governor.Governor, pump *observatory.Pump, watchDone chan struct{}, logPath string, causalCfg causalArtifacts, queryCfg queryConfig) error {
+	var (
+		rep *conflictgraph.Report
+		out harness.LivelockOutcome
+		err error
+	)
+	if gov != nil {
+		rep, out, err = harness.GovernedLivelockProbe(seed, gov, pump)
+	} else {
+		rep, out, err = harness.ObservedLivelockProbe(seed, pump)
+	}
 	waitWatch(watchDone)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "flextm:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("livelock    commits %d, aborts %d, escalations %d (watchdog dump: %v)\n",
-		out.Commits, out.Aborts, out.Escalations, out.Dumped)
-	rep.Print(os.Stdout)
-	emitCausal(causalCfg, out.Recs, 0)
-	if queryCfg.on() {
-		queryCfg.emit(out.Recs, 0)
+	if gov != nil {
+		fmt.Fprintf(w, "livelock    commits %d, aborts %d, escalations %d, watchdog trips %d\n",
+			out.Commits, out.Aborts, out.Escalations, out.Trips)
+		if err := reportGovernor(w, gov, logPath); err != nil {
+			return err
+		}
+	} else {
+		fmt.Fprintf(w, "livelock    commits %d, aborts %d, escalations %d (watchdog dump: %v)\n",
+			out.Commits, out.Aborts, out.Escalations, out.Dumped)
 	}
-	if !rep.Has(conflictgraph.AbortCycle) {
-		fmt.Fprintln(os.Stderr, "flextm: livelock probe did not produce an abort cycle")
-		os.Exit(1)
+	rep.Print(w)
+	if err := emitCausal(w, causalCfg, out.Recs, 0); err != nil {
+		return err
 	}
+	if err := queryCfg.emit(w, out.Recs, 0); err != nil {
+		return err
+	}
+	switch {
+	case gov == nil && !rep.Has(conflictgraph.AbortCycle):
+		return errors.New("livelock probe did not produce an abort cycle")
+	case gov != nil && out.Trips > 0:
+		return fmt.Errorf("watchdog tripped %d times; the ladder should have resolved the duel", out.Trips)
+	case gov != nil && gov.Level() != 0:
+		return fmt.Errorf("governor stuck at level %d; mitigations did not unwind", gov.Level())
+	}
+	return nil
 }
 
-// runGovernedLivelock runs the same duel under the resilience governor with
-// a loosened watchdog: the ladder, not the watchdog, must break the cycle,
-// and by run end every rung must have unwound. Either failing exits 1.
-func runGovernedLivelock(seed uint64, gov *governor.Governor, pump *observatory.Pump, watchDone chan struct{}, logPath string, causalCfg causalArtifacts, queryCfg queryConfig) {
-	rep, out, err := harness.GovernedLivelockProbe(seed, gov, pump)
-	waitWatch(watchDone)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flextm:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("livelock    commits %d, aborts %d, escalations %d, watchdog trips %d\n",
-		out.Commits, out.Aborts, out.Escalations, out.Trips)
-	printGovernor(gov)
-	if err := writeGovLog(logPath, gov); err != nil {
-		fmt.Fprintln(os.Stderr, "flextm:", err)
-		os.Exit(1)
-	}
-	rep.Print(os.Stdout)
-	emitCausal(causalCfg, out.Recs, 0)
-	if queryCfg.on() {
-		queryCfg.emit(out.Recs, 0)
-	}
-	if out.Trips > 0 {
-		fmt.Fprintf(os.Stderr, "flextm: watchdog tripped %d times; the ladder should have resolved the duel\n", out.Trips)
-		os.Exit(1)
-	}
-	if gov.Level() != 0 {
-		fmt.Fprintf(os.Stderr, "flextm: governor stuck at level %d; mitigations did not unwind\n", gov.Level())
-		os.Exit(1)
-	}
-}
-
-// printGovernor renders the run's closed-loop summary and transition log.
-func printGovernor(gov *governor.Governor) {
-	fmt.Printf("governor    level %d/%d, %d transitions, last state %s\n",
+// reportGovernor renders the run's closed-loop summary and transition log,
+// and writes the log to path when one is given.
+func reportGovernor(w io.Writer, gov *governor.Governor, path string) error {
+	fmt.Fprintf(w, "governor    level %d/%d, %d transitions, last state %s\n",
 		gov.Level(), len(gov.Config().Ladder), len(gov.Transitions()), gov.LastState())
-	if log := gov.TransitionLog(); log != "" {
-		fmt.Println("-- governor transitions --")
-		fmt.Print(log)
+	log := gov.TransitionLog()
+	if log != "" {
+		fmt.Fprintln(w, "-- governor transitions --")
+		fmt.Fprint(w, log)
 	}
-}
-
-// writeGovLog dumps the transition log for CI artifacts and bit-compares.
-func writeGovLog(path string, gov *governor.Governor) error {
 	if path == "" {
 		return nil
 	}
-	return os.WriteFile(path, []byte(gov.TransitionLog()), 0o644)
+	return os.WriteFile(path, []byte(log), 0o644)
 }
 
 // runStress sweeps the oracle-checked schedule explorer. In normal runs any
 // failure exits non-zero after shrinking it to a minimal replayable
 // schedule; with broken=true the logic inverts — the protocol is
 // deliberately damaged, and NOT detecting a violation is the failure.
-func runStress(n int, seed uint64, system, faults string, faultSeed uint64, broken bool, parallel int) {
+func runStress(w io.Writer, n int, seed uint64, system, faults string, faultSeed uint64, broken bool, parallel int) error {
 	base := stress.DefaultConfig(seed)
 	if harness.SystemName(system) == harness.FlexTMEager {
 		base.Mode = core.Eager
@@ -517,81 +546,91 @@ func runStress(n int, seed uint64, system, faults string, faultSeed uint64, brok
 	if faults != "" {
 		fc, err := fault.ParseSpec(faults, faultSeed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "flextm:", err)
-			os.Exit(2)
+			return usageError{err}
 		}
 		base.Faults = fc
 	}
-	fmt.Printf("stress      %d seeds from %d, mode %s, broken=%v\n", n, seed, base.Mode, broken)
+	fmt.Fprintf(w, "stress      %d seeds from %d, mode %s, broken=%v\n", n, seed, base.Mode, broken)
 	res := stress.ExploreParallel(base, n, parallel)
-	fmt.Printf("explored    %d runs, %d failures\n", res.Runs, len(res.Failures))
+	fmt.Fprintf(w, "explored    %d runs, %d failures\n", res.Runs, len(res.Failures))
 	if len(res.Failures) == 0 {
 		if broken {
-			fmt.Fprintln(os.Stderr, "flextm: broken protocol variant escaped the oracle")
-			os.Exit(1)
+			return errors.New("broken protocol variant escaped the oracle")
 		}
-		return
+		return nil
 	}
 	shrunk := stress.Shrink(res.Failures[0].Config, 64)
-	fmt.Printf("schedule    %s (shrunk from %s)\n", shrunk.Schedule, res.Failures[0].Schedule)
+	fmt.Fprintf(w, "schedule    %s (shrunk from %s)\n", shrunk.Schedule, res.Failures[0].Schedule)
 	if shrunk.RunErr != "" {
-		fmt.Println("run error  ", shrunk.RunErr)
+		fmt.Fprintln(w, "run error  ", shrunk.RunErr)
 	}
 	if shrunk.Report != nil {
-		shrunk.Report.Print(os.Stdout)
+		shrunk.Report.Print(w)
 	}
 	if !broken {
-		os.Exit(1)
+		return exitStatus(1)
 	}
+	return nil
 }
 
 // replaySchedule re-runs one stress schedule string and prints its verdict.
-func replaySchedule(s string) {
+func replaySchedule(w io.Writer, s string) error {
 	cfg, err := stress.ParseSchedule(s)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "flextm:", err)
-		os.Exit(2)
+		return usageError{err}
 	}
 	out := stress.Run(cfg)
-	fmt.Printf("schedule    %s\ncommits     %d\naborts      %d\nescalations %d\ninjected    %d\ncycles      %d\n",
+	fmt.Fprintf(w, "schedule    %s\ncommits     %d\naborts      %d\nescalations %d\ninjected    %d\ncycles      %d\n",
 		out.Schedule, out.Commits, out.Aborts, out.Escalations, out.Injected, out.Cycles)
 	if out.RunErr != "" {
-		fmt.Println("run error  ", out.RunErr)
+		fmt.Fprintln(w, "run error  ", out.RunErr)
 	}
 	if out.Report != nil {
-		out.Report.Print(os.Stdout)
+		out.Report.Print(w)
 	}
 	if out.Failed() {
-		os.Exit(1)
+		return exitStatus(1)
 	}
+	return nil
 }
 
-// writeDOT dumps the conflict graph in Graphviz DOT form.
-func writeDOT(path string, rep *conflictgraph.Report) error {
+// save writes an artifact to path, when one was asked for, and reports it
+// on w as "label -> path".
+func save(w io.Writer, label, path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
 	out, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := rep.WriteDOT(out); err != nil {
+	if err := write(out); err != nil {
 		out.Close()
 		return err
 	}
-	return out.Close()
+	if err := out.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%-11s -> %s\n", label, path)
+	return nil
 }
 
-// writeReportJSON dumps the full structured report.
-func writeReportJSON(path string, rep *conflictgraph.Report) error {
-	out, err := os.Create(path)
-	if err != nil {
-		return err
+// reportJSON renders the full structured conflict-graph report.
+func reportJSON(rep *conflictgraph.Report) func(io.Writer) error {
+	return func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(rep)
 	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		out.Close()
-		return err
+}
+
+// causalDOTWriter adapts the attempt DAG's DOT renderer, which cannot fail,
+// to save.
+func causalDOTWriter(rep *causal.Report) func(io.Writer) error {
+	return func(w io.Writer) error {
+		rep.WriteDOT(w)
+		return nil
 	}
-	return out.Close()
 }
 
 // queryList collects repeated -query flags.
@@ -631,39 +670,25 @@ func (c queryConfig) on() bool { return len(c.parsed) > 0 }
 
 // emit runs the query set over the run's flight records, prints each result
 // as a table, and — with -query-out — writes all results as one canonical
-// JSON document (byte-stable per seed; the CI golden file). cores may be 0:
+// JSON document (byte-stable per seed; the golden file). cores may be 0:
 // replay then sizes the machine from the records.
-func (c queryConfig) emit(recs []flight.Rec, cores int) {
+func (c queryConfig) emit(w io.Writer, recs []flight.Rec, cores int) error {
+	if !c.on() {
+		return nil
+	}
 	env := flightql.Env{Cores: cores}
 	results := make([]flightql.QueryResult, 0, len(c.parsed))
 	for i, q := range c.parsed {
 		res, err := q.RunEnv(recs, env)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "flextm: query %q: %v\n", c.exprs[i], err)
-			os.Exit(1)
+			return fmt.Errorf("query %q: %v", c.exprs[i], err)
 		}
-		fmt.Printf("-- query: %s --\n", c.exprs[i])
-		res.WriteTable(os.Stdout)
+		fmt.Fprintf(w, "-- query: %s --\n", c.exprs[i])
+		res.WriteTable(w)
 		results = append(results, flightql.QueryResult{Query: c.exprs[i], Result: res})
 	}
-	if c.outPath == "" {
-		return
-	}
-	out, err := os.Create(c.outPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flextm:", err)
-		os.Exit(1)
-	}
-	if err := flightql.WriteResultsJSON(out, results); err != nil {
-		out.Close()
-		fmt.Fprintln(os.Stderr, "flextm:", err)
-		os.Exit(1)
-	}
-	if err := out.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "flextm:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("queries     %d results -> %s\n", len(results), c.outPath)
+	return save(w, fmt.Sprintf("queries     %d results", len(results)), c.outPath,
+		func(out io.Writer) error { return flightql.WriteResultsJSON(out, results) })
 }
 
 // causalArtifacts carries the -causal flag family to whichever run path
@@ -677,87 +702,30 @@ type causalArtifacts struct {
 // emitCausal reconstructs the attempt DAG from the run's flight records,
 // prints the critical-path report, and writes any requested artifacts.
 // cores may be 0: Analyze then sizes the machine from the records.
-func emitCausal(cfg causalArtifacts, recs []flight.Rec, cores int) {
+func emitCausal(w io.Writer, cfg causalArtifacts, recs []flight.Rec, cores int) error {
 	if !cfg.on {
-		return
+		return nil
 	}
-	fmt.Println("-- causal critical path --")
+	fmt.Fprintln(w, "-- causal critical path --")
 	rep := causal.Analyze(recs, causal.Options{Cores: cores})
 	if rep == nil {
-		fmt.Println("(no flight records)")
-		return
+		fmt.Fprintln(w, "(no flight records)")
+		return nil
 	}
-	rep.Print(os.Stdout)
-	if cfg.dotPath != "" {
-		if err := writeCausalDOT(cfg.dotPath, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "flextm:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("causal      graph -> %s\n", cfg.dotPath)
-	}
-	if cfg.jsonPath != "" {
-		if err := writeCausalJSON(cfg.jsonPath, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "flextm:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("causal      report -> %s\n", cfg.jsonPath)
-	}
-}
-
-// writeCausalDOT dumps the attempt DAG with the critical path highlighted.
-func writeCausalDOT(path string, rep *causal.Report) error {
-	out, err := os.Create(path)
-	if err != nil {
+	rep.Print(w)
+	if err := save(w, "causal      graph", cfg.dotPath, causalDOTWriter(rep)); err != nil {
 		return err
 	}
-	rep.WriteDOT(out)
-	return out.Close()
-}
-
-// writeCausalJSON dumps the causal report in its canonical (byte-stable
-// per seed) JSON form.
-func writeCausalJSON(path string, rep *causal.Report) error {
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(out); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
-}
-
-// writeChromeTrace dumps the attempt timeline in Chrome trace_event JSON.
-func writeChromeTrace(path string, rep *causal.Report) error {
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteChrome(out); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	return save(w, "causal      report", cfg.jsonPath, rep.WriteJSON)
 }
 
 // faultClassList enumerates the injectable class names for -faults usage.
 func faultClassList() string {
-	s := ""
-	for i, cl := range fault.Classes() {
-		if i > 0 {
-			s += ", "
-		}
-		s += cl.String()
+	var names []string
+	for _, cl := range fault.Classes() {
+		names = append(names, cl.String())
 	}
-	return s
+	return strings.Join(names, ", ")
 }
 
 // rollTotal sums the per-class roll counts of a fault report.

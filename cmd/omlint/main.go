@@ -1,8 +1,8 @@
 // Command omlint validates an OpenMetrics text exposition against the
 // grammar checker in internal/observatory: metric/label name charsets,
 // family typing and sample-suffix legality, label escaping, histogram
-// bucket monotonicity, and the terminal # EOF. CI pipes a live scrape of
-// `flextm -http .../metrics` through it.
+// bucket monotonicity, and the terminal # EOF. cmd/flextm's
+// TestLiveObservatory runs the same checker over a live scrape in-process.
 //
 //	curl -s http://127.0.0.1:8080/metrics | omlint
 //	omlint scrape.txt

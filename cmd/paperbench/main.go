@@ -38,8 +38,9 @@
 // flags regressions between two artifacts (throughput drops and abort-rate
 // growth beyond -threshold, vanished cells, and schema version skew),
 // exiting non-zero when any are found; metrics recorded in only one of the
-// two artifacts are reported as gaps. CI records a quick-sweep artifact per
-// change and compares it against the checked-in baseline.
+// two artifacts are reported as gaps. TestFigure4Sweeps records the
+// quick-sweep artifact and requires its cells to equal the checked-in
+// baseline's.
 //
 // Observation (internal/observatory): -http ADDR serves the live
 // observatory while the sweeps run, and
@@ -59,6 +60,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -81,43 +83,91 @@ import (
 	"flextm/internal/workloads"
 )
 
-// out receives the human-readable tables; stdout normally, stderr under
-// -json so the JSON stream stays machine-parseable.
-var out io.Writer = os.Stdout
-
 func main() {
-	fig := flag.String("fig", "", "figure to regenerate: 4, 5, 5mp, overflow, sig, cm, logtm, chaos, govern, oracle, causal")
-	table := flag.String("table", "", "table to regenerate: 2, 4")
-	all := flag.Bool("all", false, "regenerate everything")
-	quick := flag.Bool("quick", false, "small sweep for a fast smoke run")
-	ops := flag.Int("ops", harness.DefaultOps, "operations per thread per data point")
-	threadList := flag.String("threads", "1,2,4,8,16", "comma-separated thread counts")
-	metrics := flag.Bool("metrics", false, "collect per-mechanism telemetry; print a compact digest per data point")
-	jsonOut := flag.Bool("json", false, "emit one JSON object per data point on stdout; tables move to stderr")
-	traceOut := flag.String("trace-out", "", "write the attempt timeline (kill arrows, critical-path track) of a dedicated FlexTM(Lazy) RBTree run to FILE as Chrome trace_event JSON")
-	benchOut := flag.String("bench-out", "", "record every data point into a canonical BENCH_*.json perf artifact at FILE")
-	benchLabel := flag.String("bench-label", "", "free-form label stored in the -bench-out artifact")
-	compare := flag.Bool("compare", false, "compare two BENCH_*.json artifacts (paperbench -compare OLD NEW); exit non-zero on regressions")
-	threshold := flag.Float64("threshold", 0.10, "relative worsening tolerated by -compare before a cell is flagged")
-	httpAddr := flag.String("http", "", "serve the live observatory on ADDR while the sweeps run (/metrics, /snapshot.json, ...)")
-	obsInterval := flag.Uint64("obs-interval", 0, "observation sampling interval in simulated cycles (0 = auto)")
-	reportOut := flag.String("report", "", "write a self-contained HTML run report of a dedicated observed run to FILE")
-	reportBaseline := flag.String("report-baseline", "BENCH_baseline.json", "baseline artifact for the -report BENCH comparison (section skipped when unreadable)")
-	parallel := flag.Int("parallel", 1, "worker goroutines for sweep cells (1 = serial, 0 = all CPUs); output is byte-identical to serial")
-	cacheDir := flag.String("cache", "", "content-addressed cell cache directory; hits replay cells without simulating")
-	cacheClear := flag.Bool("cache-clear", false, "clear the -cache store before running")
-	benchNotes := flag.String("bench-note", "", "comma-separated key=value notes stored in the -bench-out artifact")
-	flag.Parse()
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	sig := make(chan os.Signal, 1)
+	go func() {
+		sig <- <-sigc
+		// A second signal kills the process outright.
+		signal.Stop(sigc)
+	}()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, sig))
+}
+
+// exitStatus is an error that only sets the exit status: whatever explains
+// it is already printed.
+type exitStatus int
+
+func (s exitStatus) Error() string { return "exit status " + strconv.Itoa(int(s)) }
+
+// run is paperbench with its arguments, output streams and signals passed
+// in, returning the exit status: 0, 1 on a failed sweep or verdict, 2 on a
+// usage error, 130 when a signal stopped the sweep.
+func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
+	err := paperbench(args, stdout, stderr, sig)
+	var status exitStatus
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &status):
+		return int(status)
+	case errors.Is(err, sweepexec.ErrStopped):
+		fmt.Fprintln(stderr, "paperbench: interrupted")
+		return 130
+	}
+	fmt.Fprintln(stderr, "paperbench:", err)
+	return 1
+}
+
+// paper is what every figure step shares.
+type paper struct {
+	sc    harness.SweepConfig
+	out   io.Writer     // the human tables: stdout, or stderr under -json
+	enc   *json.Encoder // the -json stream on stdout; nil without -json
+	quick bool
+}
+
+func paperbench(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
+	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "", "figure to regenerate: 4, 5, 5mp, overflow, sig, cm, logtm, chaos, govern, oracle, causal")
+	table := fs.String("table", "", "table to regenerate: 2, 4")
+	all := fs.Bool("all", false, "regenerate everything")
+	quick := fs.Bool("quick", false, "small sweep for a fast smoke run")
+	ops := fs.Int("ops", harness.DefaultOps, "operations per thread per data point")
+	threadList := fs.String("threads", "1,2,4,8,16", "comma-separated thread counts")
+	metrics := fs.Bool("metrics", false, "collect per-mechanism telemetry; print a compact digest per data point")
+	jsonOut := fs.Bool("json", false, "emit one JSON object per data point on stdout; tables move to stderr")
+	traceOut := fs.String("trace-out", "", "write the attempt timeline (kill arrows, critical-path track) of a dedicated FlexTM(Lazy) RBTree run to FILE as Chrome trace_event JSON")
+	benchOut := fs.String("bench-out", "", "record every data point into a canonical BENCH_*.json perf artifact at FILE")
+	benchLabel := fs.String("bench-label", "", "free-form label stored in the -bench-out artifact")
+	compare := fs.Bool("compare", false, "compare two BENCH_*.json artifacts (paperbench -compare OLD NEW); exit non-zero on regressions")
+	threshold := fs.Float64("threshold", 0.10, "relative worsening tolerated by -compare before a cell is flagged")
+	httpAddr := fs.String("http", "", "serve the live observatory on ADDR while the sweeps run (/metrics, /snapshot.json, ...)")
+	obsInterval := fs.Uint64("obs-interval", 0, "observation sampling interval in simulated cycles (0 = auto)")
+	reportOut := fs.String("report", "", "write a self-contained HTML run report of a dedicated observed run to FILE")
+	reportBaseline := fs.String("report-baseline", "BENCH_baseline.json", "baseline artifact for the -report BENCH comparison (section skipped when unreadable)")
+	parallel := fs.Int("parallel", 1, "worker goroutines for sweep cells (1 = serial, 0 = all CPUs); output is byte-identical to serial")
+	cacheDir := fs.String("cache", "", "content-addressed cell cache directory; hits replay cells without simulating")
+	cacheClear := fs.Bool("cache-clear", false, "clear the -cache store before running")
+	benchNotes := fs.String("bench-note", "", "comma-separated key=value notes stored in the -bench-out artifact")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return exitStatus(2)
+	}
 
 	if *compare {
-		compareArtifacts(flag.Args(), *threshold)
-		return
+		return compareArtifacts(stdout, fs.Args(), *threshold)
 	}
 
+	p := &paper{out: stdout, quick: *quick}
 	if *jsonOut {
-		out = os.Stderr
+		p.out = stderr
+		p.enc = json.NewEncoder(stdout)
 	}
-
 	sc := harness.SweepConfig{
 		Machine: tmesi.DefaultConfig(),
 		Ops:     *ops,
@@ -125,43 +175,42 @@ func main() {
 		Metrics: *metrics || *jsonOut,
 	}
 	if *parallel < 0 {
-		fmt.Fprintln(os.Stderr, "paperbench: -parallel must be >= 0")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "paperbench: -parallel must be >= 0")
+		fs.Usage()
+		return exitStatus(2)
 	}
 	sc.Parallel = *parallel
 	if *parallel == 0 {
 		sc.Parallel = -1 // sweepexec maps non-positive workers to GOMAXPROCS
 	}
-	var store *cellcache.Store
 	if *cacheDir != "" {
-		var err error
-		store, err = cellcache.Open(*cacheDir)
+		store, err := cellcache.Open(*cacheDir)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if *cacheClear {
 			if err := store.Clear(); err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Fprintf(os.Stderr, "cell cache %s cleared\n", store.Dir())
+			fmt.Fprintf(stderr, "cell cache %s cleared\n", store.Dir())
 		}
 		sc.Cache = store
 	} else if *cacheClear {
-		fatal(fmt.Errorf("-cache-clear needs -cache DIR"))
+		return fmt.Errorf("-cache-clear needs -cache DIR")
 	}
-	// SIGINT/SIGTERM close the stop channel: in-flight cells finish, the
-	// sweep returns sweepexec.ErrStopped, and fatal flushes what was emitted
-	// before exiting 130. A second signal kills the process outright.
-	stopCh := make(chan struct{})
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	// A signal closes the stop channel: in-flight cells finish, the sweep
+	// returns sweepexec.ErrStopped, and the partial artifact is flushed
+	// before the 130 exit.
+	stop, done := make(chan struct{}), make(chan struct{})
+	defer close(done)
 	go func() {
-		<-sigCh
-		signal.Stop(sigCh)
-		close(stopCh)
+		select {
+		case <-sig:
+			close(stop)
+		case <-done:
+		}
 	}()
-	sc.Stop = stopCh
+	sc.Stop = stop
 	var bench *benchfmt.Artifact
 	if *benchOut != "" {
 		// Artifact cells carry the attribution split and pathology summary,
@@ -175,25 +224,18 @@ func main() {
 			}
 			k, v, ok := strings.Cut(kv, "=")
 			if !ok {
-				fatal(fmt.Errorf("bad -bench-note %q: want key=value", kv))
+				return fmt.Errorf("bad -bench-note %q: want key=value", kv)
 			}
 			if bench.Notes == nil {
 				bench.Notes = map[string]string{}
 			}
 			bench.Notes[k] = v
 		}
-		flushPartial = func() {
-			if err := bench.WriteFile(*benchOut); err != nil {
-				fmt.Fprintln(os.Stderr, "paperbench: partial artifact:", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "== bench artifact (partial): %d cells -> %s ==\n", len(bench.Cells), *benchOut)
-		}
 	}
 	for _, part := range strings.Split(*threadList, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			fatal(fmt.Errorf("bad -threads: %w", err))
+			return fmt.Errorf("bad -threads: %w", err)
 		}
 		sc.Threads = append(sc.Threads, n)
 	}
@@ -209,123 +251,97 @@ func main() {
 		srv := observatory.NewServer(bus)
 		addr, err := srv.Start(*httpAddr)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "observatory http://%s (/metrics /snapshot.json /conflictgraph.dot /flight /debug/pprof/)\n", addr)
+		fmt.Fprintf(stderr, "observatory http://%s (/metrics /snapshot.json /conflictgraph.dot /flight /debug/pprof/)\n", addr)
 	}
 
 	if *httpAddr != "" && sc.Parallel != 1 {
-		fmt.Fprintln(os.Stderr, "observatory active: sweeps forced serial (-parallel ignored)")
+		fmt.Fprintln(stderr, "observatory active: sweeps forced serial (-parallel ignored)")
 	}
 
-	enc := json.NewEncoder(os.Stdout)
 	// currentFig names the figure whose sweep is running, so bench-artifact
 	// cells key on (figure, system, workload, threads). Cells may execute on
 	// several workers, but results are always emitted — and OnResult fired —
 	// on this goroutine in serial order, so a variable suffices.
 	currentFig := ""
+	var emitErr error
 	sc.OnResult = func(res harness.Result) {
 		if *metrics && res.Telemetry != nil {
-			fmt.Fprintf(out, "  .. %s/%s@%d: %s\n",
+			fmt.Fprintf(p.out, "  .. %s/%s@%d: %s\n",
 				res.System, res.Workload, res.Threads, telemetry.Compact(*res.Telemetry))
 		}
-		if *jsonOut {
-			if err := enc.Encode(newJSONPoint(res)); err != nil {
-				fatal(err)
-			}
+		if p.enc != nil && emitErr == nil {
+			emitErr = p.enc.Encode(newJSONPoint(res))
 		}
 		if bench != nil {
 			bench.Ops = sc.Ops
 			bench.Add(newBenchCell(currentFig, res, sc.Machine.Cores))
 		}
 	}
+	p.sc = sc
 
+	// The steps run in this order whatever order the flags came in; fig
+	// keys the bench-artifact cells of the steps that emit data points.
 	ran := false
-	if *all || *fig == "4" {
+	for _, st := range []struct {
+		on  bool
+		fig string
+		run func() error
+	}{
+		{*all || *fig == "4", "fig4", p.plots("Figure 4: throughput normalized to 1-thread CGL", harness.Figure4)},
+		{*all || *fig == "5", "fig5", p.plots("Figure 5a-d: eager vs lazy, normalized to 1-thread FlexTM(Eager)", harness.Figure5)},
+		{*all || *fig == "5mp", "fig5mp", p.figure5mp},
+		{*all || *fig == "overflow", "overflow", p.overflow},
+		{*all || *fig == "sig", "sig", p.sigAblation},
+		{*all || *fig == "cm", "cm", p.cmAblation},
+		{*all || *fig == "logtm", "logtm", p.logtmComparison},
+		{*all || *fig == "chaos", "", p.chaosCampaign},
+		{*all || *fig == "govern", "", p.governCampaign},
+		{*all || *fig == "oracle", "", p.oracleSweep},
+		{*all || *fig == "causal", "causal", p.causalFigure},
+		{*all || *table == "2", "", p.table2},
+		{*all || *table == "4", "", p.table4},
+		{*traceOut != "", "timeline", func() error { return p.writeTimeline(*traceOut) }},
+		{*reportOut != "", "report", func() error {
+			return p.writeReport(*reportOut, *reportBaseline, bench, *threshold, sim.Time(*obsInterval))
+		}},
+	} {
+		if !st.on {
+			continue
+		}
 		ran = true
-		currentFig = "fig4"
-		figure4(sc)
-	}
-	if *all || *fig == "5" {
-		ran = true
-		currentFig = "fig5"
-		figure5(sc)
-	}
-	if *all || *fig == "5mp" {
-		ran = true
-		currentFig = "fig5mp"
-		figure5mp(sc)
-	}
-	if *all || *fig == "overflow" {
-		ran = true
-		currentFig = "overflow"
-		overflow(sc)
-	}
-	if *all || *fig == "sig" {
-		ran = true
-		currentFig = "sig"
-		sigAblation(sc)
-	}
-	if *all || *fig == "cm" {
-		ran = true
-		currentFig = "cm"
-		cmAblation(sc)
-	}
-	if *all || *fig == "logtm" {
-		ran = true
-		currentFig = "logtm"
-		logtmComparison(sc)
-	}
-	if *all || *fig == "chaos" {
-		ran = true
-		chaosCampaign(sc.Parallel, *quick, *jsonOut, enc)
-	}
-	if *all || *fig == "govern" {
-		ran = true
-		governCampaign(sc.Parallel, *quick, *jsonOut, enc)
-	}
-	if *all || *fig == "oracle" {
-		ran = true
-		oracleSweep(*quick, sc.Parallel)
-	}
-	if *all || *fig == "causal" {
-		ran = true
-		currentFig = "causal"
-		causalFigure(sc)
-	}
-	if *all || *table == "2" {
-		ran = true
-		fmt.Fprintln(out, "== Table 2: area estimation (65nm) ==")
-		fmt.Fprintln(out, area.Table())
-	}
-	if *all || *table == "4" {
-		ran = true
-		table4(sc)
-	}
-	if *traceOut != "" {
-		ran = true
-		currentFig = "timeline"
-		writeTimeline(sc, *traceOut)
-	}
-	if *reportOut != "" {
-		ran = true
-		currentFig = "report"
-		writeReport(sc, *reportOut, *reportBaseline, bench, *threshold, sim.Time(*obsInterval))
+		currentFig = st.fig
+		err := st.run()
+		if err == nil {
+			err = emitErr
+		}
+		if errors.Is(err, sweepexec.ErrStopped) && bench != nil {
+			if werr := bench.WriteFile(*benchOut); werr != nil {
+				fmt.Fprintln(stderr, "paperbench: partial artifact:", werr)
+			} else {
+				fmt.Fprintf(stderr, "== bench artifact (partial): %d cells -> %s ==\n", len(bench.Cells), *benchOut)
+			}
+		}
+		if err != nil {
+			return err
+		}
 	}
 	if !ran && !*cacheClear {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return exitStatus(2)
 	}
 	if bench != nil {
 		if err := bench.WriteFile(*benchOut); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(out, "== bench artifact: %d cells -> %s ==\n", len(bench.Cells), *benchOut)
+		fmt.Fprintf(p.out, "== bench artifact: %d cells -> %s ==\n", len(bench.Cells), *benchOut)
 	}
-	if store != nil {
-		fmt.Fprintf(os.Stderr, "cell %s\n", store.Stats())
+	if sc.Cache != nil {
+		fmt.Fprintf(stderr, "cell %s\n", sc.Cache.Stats())
 	}
+	return nil
 }
 
 // writeReport runs one dedicated observed FlexTM(Lazy)/RBTree point at the
@@ -333,13 +349,9 @@ func main() {
 // the run as a self-contained HTML report. When a bench artifact was
 // recorded this invocation and the baseline artifact is readable, the
 // report embeds their comparison.
-func writeReport(sc harness.SweepConfig, path, baselinePath string, bench *benchfmt.Artifact, threshold float64, iv sim.Time) {
-	threads := 1
-	for _, th := range sc.Threads {
-		if th > threads {
-			threads = th
-		}
-	}
+func (p *paper) writeReport(path, baselinePath string, bench *benchfmt.Artifact, threshold float64, iv sim.Time) error {
+	sc := p.sc
+	threads := max(1, slices.Max(sc.Threads))
 	if iv == 0 {
 		// Finer than the watch default: the report's charts want a few dozen
 		// points out of a single paper-scale run.
@@ -356,7 +368,7 @@ func writeReport(sc harness.SweepConfig, path, baselinePath string, bench *bench
 		Flight: true, FlightPerCore: 1 << 17,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if sc.OnResult != nil {
 		sc.OnResult(res)
@@ -379,22 +391,29 @@ func writeReport(sc harness.SweepConfig, path, baselinePath string, bench *bench
 			d.Compare = &cres
 			d.BaselineLabel = baselinePath
 		} else {
-			fmt.Fprintf(out, "report: baseline %s unreadable, comparison section skipped (%v)\n", baselinePath, err)
+			fmt.Fprintf(p.out, "report: baseline %s unreadable, comparison section skipped (%v)\n", baselinePath, err)
 		}
 	}
-	file, err := os.Create(path)
+	err = writeFile(path, func(w io.Writer) error { return observatory.WriteHTMLReport(w, d) })
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := observatory.WriteHTMLReport(file, d); err != nil {
-		file.Close()
-		fatal(err)
-	}
-	if err := file.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(out, "== report: %d frames from %s/%s@%d -> %s ==\n",
+	fmt.Fprintf(p.out, "== report: %d frames from %s/%s@%d -> %s ==\n",
 		len(d.Frames), res.System, res.Workload, res.Threads, path)
+	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(out); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }
 
 // newBenchCell converts one sweep data point into an artifact cell.
@@ -443,13 +462,13 @@ func newBenchCell(figure string, res harness.Result, cores int) benchfmt.Cell {
 // parsing at the first positional argument, so a trailing `-threshold X`
 // (the natural way to type the command) arrives here rather than in the
 // parsed flag — accept it instead of failing on arg count.
-func compareArtifacts(args []string, threshold float64) {
+func compareArtifacts(w io.Writer, args []string, threshold float64) error {
 	var paths []string
 	for i := 0; i < len(args); i++ {
 		if a := strings.TrimLeft(args[i], "-"); a != args[i] && a == "threshold" && i+1 < len(args) {
 			v, err := strconv.ParseFloat(args[i+1], 64)
 			if err != nil {
-				fatal(fmt.Errorf("-threshold %q: %v", args[i+1], err))
+				return fmt.Errorf("-threshold %q: %v", args[i+1], err)
 			}
 			threshold = v
 			i++
@@ -459,21 +478,22 @@ func compareArtifacts(args []string, threshold float64) {
 	}
 	args = paths
 	if len(args) != 2 {
-		fatal(fmt.Errorf("-compare needs exactly two artifact paths, got %d", len(args)))
+		return fmt.Errorf("-compare needs exactly two artifact paths, got %d", len(args))
 	}
 	oldArt, err := benchfmt.ReadFile(args[0])
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	newArt, err := benchfmt.ReadFile(args[1])
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	res := benchfmt.Compare(oldArt, newArt, threshold)
-	res.Print(os.Stdout)
+	res.Print(w)
 	if !res.Ok() {
-		os.Exit(1)
+		return exitStatus(1)
 	}
+	return nil
 }
 
 // jsonPoint is the machine-readable form of one data point.
@@ -516,13 +536,9 @@ func newJSONPoint(res harness.Result) jsonPoint {
 // writeTimeline runs one flight-recorded FlexTM(Lazy) RBTree point at the
 // sweep's largest thread count and dumps its causal attempt timeline as
 // Chrome trace_event JSON.
-func writeTimeline(sc harness.SweepConfig, path string) {
-	threads := 1
-	for _, th := range sc.Threads {
-		if th > threads {
-			threads = th
-		}
-	}
+func (p *paper) writeTimeline(path string) error {
+	sc := p.sc
+	threads := max(1, slices.Max(sc.Threads))
 	f, _ := workloads.ByName("RBTree")
 	rc := harness.RunConfig{
 		System: harness.FlexTMLazy, Workload: f, Threads: threads,
@@ -532,126 +548,102 @@ func writeTimeline(sc harness.SweepConfig, path string) {
 	rc.FlightPerCore = rc.TraceRingDepth()
 	res, err := harness.Run(rc)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if sc.OnResult != nil {
 		sc.OnResult(res)
 	}
-	file, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
 	recs := res.Flight.Snapshot()
 	rep := causal.Analyze(recs, causal.Options{Cores: sc.Machine.Cores})
-	if err := rep.WriteChrome(file); err != nil {
-		file.Close()
-		fatal(err)
+	if err := writeFile(path, rep.WriteChrome); err != nil {
+		return err
 	}
-	if err := file.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(out, "== timeline: %d flight records from FlexTM(Lazy)/RBTree@%d -> %s ==\n",
+	fmt.Fprintf(p.out, "== timeline: %d flight records from FlexTM(Lazy)/RBTree@%d -> %s ==\n",
 		len(recs), threads, path)
 	if n := res.Flight.Overwritten(); n > 0 {
-		fmt.Fprintf(out, "WARNING: flight ring overwrote %d records; the timeline covers only the most recent window\n", n)
+		fmt.Fprintf(p.out, "WARNING: flight ring overwrote %d records; the timeline covers only the most recent window\n", n)
 	}
+	return nil
 }
 
-// flushPartial, when set, writes the bench artifact recorded so far. fatal
-// calls it on an interrupted sweep so a SIGINT still lands the partial
-// artifact on disk before the conventional 130 exit.
-var flushPartial func()
-
-func fatal(err error) {
-	if errors.Is(err, sweepexec.ErrStopped) {
-		if flushPartial != nil {
-			flushPartial()
+// plots is the step that runs a plotted figure and prints it under title.
+func (p *paper) plots(title string, figure func(harness.SweepConfig) ([]harness.Plot, error)) func() error {
+	return func() error {
+		plots, err := figure(p.sc)
+		if err != nil {
+			return err
 		}
-		fmt.Fprintln(os.Stderr, "paperbench: interrupted")
-		os.Exit(130)
+		harness.PrintPlots(p.out, title, plots, p.sc.Threads)
+		fmt.Fprintln(p.out)
+		return nil
 	}
-	fmt.Fprintln(os.Stderr, "paperbench:", err)
-	os.Exit(1)
 }
 
-func figure4(sc harness.SweepConfig) {
-	plots, err := harness.Figure4(sc)
-	if err != nil {
-		fatal(err)
-	}
-	harness.PrintPlots(out, "Figure 4: throughput normalized to 1-thread CGL", plots, sc.Threads)
-	fmt.Fprintln(out)
-}
-
-func figure5(sc harness.SweepConfig) {
-	plots, err := harness.Figure5(sc)
-	if err != nil {
-		fatal(err)
-	}
-	harness.PrintPlots(out, "Figure 5a-d: eager vs lazy, normalized to 1-thread FlexTM(Eager)", plots, sc.Threads)
-	fmt.Fprintln(out)
-}
-
-func figure5mp(sc harness.SweepConfig) {
-	fmt.Fprintln(out, "== Figure 5e,f: multiprogramming with Prime (normalized to isolated 1-thread runs) ==")
+func (p *paper) figure5mp() error {
+	fmt.Fprintln(p.out, "== Figure 5e,f: multiprogramming with Prime (normalized to isolated 1-thread runs) ==")
 	appThreads := []int{2, 4, 8, 12}
 	for _, name := range []string{"RandomGraph", "LFUCache"} {
 		f, _ := workloads.ByName(name)
-		pts, err := harness.Multiprogram(sc, f, appThreads)
+		pts, err := harness.Multiprogram(p.sc, f, appThreads)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(out, "\n[Prime + %s]\n%-16s %10s %10s %10s\n", name, "mode", "appThreads", "appNorm", "primeNorm")
-		for _, p := range pts {
-			fmt.Fprintf(out, "%-16s %10d %10.2f %10.2f\n", p.Mode, p.AppThreads, p.AppNorm, p.PrimeNorm)
+		fmt.Fprintf(p.out, "\n[Prime + %s]\n%-16s %10s %10s %10s\n", name, "mode", "appThreads", "appNorm", "primeNorm")
+		for _, pt := range pts {
+			fmt.Fprintf(p.out, "%-16s %10d %10.2f %10.2f\n", pt.Mode, pt.AppThreads, pt.AppNorm, pt.PrimeNorm)
 		}
 	}
-	fmt.Fprintln(out)
+	fmt.Fprintln(p.out)
+	return nil
 }
 
-func overflow(sc harness.SweepConfig) {
-	fmt.Fprintln(out, "== Section 7.3: overflow (OT) cost vs unbounded victim buffer ==")
-	res, err := harness.OverflowAblation(sc, []string{"RandomGraph", "RBTree", "HashTable"}, 8)
+func (p *paper) overflow() error {
+	fmt.Fprintln(p.out, "== Section 7.3: overflow (OT) cost vs unbounded victim buffer ==")
+	res, err := harness.OverflowAblation(p.sc, []string{"RandomGraph", "RBTree", "HashTable"}, 8)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprintf(out, "%-14s %10s %10s\n", "workload", "overflows", "slowdown")
+	fmt.Fprintf(p.out, "%-14s %10s %10s\n", "workload", "overflows", "slowdown")
 	for _, r := range res {
-		fmt.Fprintf(out, "%-14s %10d %9.2f%%\n", r.Workload, r.Overflows, (r.Slowdown-1)*100)
+		fmt.Fprintf(p.out, "%-14s %10d %9.2f%%\n", r.Workload, r.Overflows, (r.Slowdown-1)*100)
 	}
-	fmt.Fprintln(out)
+	fmt.Fprintln(p.out)
+	return nil
 }
 
-func sigAblation(sc harness.SweepConfig) {
-	fmt.Fprintln(out, "== Ablation: signature width (FlexTM(Lazy), Vacation-Low, 8 threads) ==")
-	res, err := harness.SignatureAblation(sc, "Vacation-Low", 8, []int{256, 512, 1024, 2048, 4096})
+func (p *paper) sigAblation() error {
+	fmt.Fprintln(p.out, "== Ablation: signature width (FlexTM(Lazy), Vacation-Low, 8 threads) ==")
+	res, err := harness.SignatureAblation(p.sc, "Vacation-Low", 8, []int{256, 512, 1024, 2048, 4096})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprintf(out, "%-8s %14s %14s %14s %14s\n",
+	fmt.Fprintf(p.out, "%-8s %14s %14s %14s %14s\n",
 		"bits", "txn/Mcycle", "aborts/commit", "observed FP", "analytic FP")
 	for _, r := range res {
-		fmt.Fprintf(out, "%-8d %14.1f %14.2f %13.4f%% %13.4f%%\n",
+		fmt.Fprintf(p.out, "%-8d %14.1f %14.2f %13.4f%% %13.4f%%\n",
 			r.Bits, r.Throughput, r.AbortRate, r.ObservedFP*100, r.PredictedFP*100)
 	}
-	fmt.Fprintln(out)
+	fmt.Fprintln(p.out)
+	return nil
 }
 
-func cmAblation(sc harness.SweepConfig) {
-	fmt.Fprintln(out, "== Ablation: contention managers (RandomGraph, 8 threads) ==")
-	res, err := harness.ManagerAblation(sc, "RandomGraph", 8)
+func (p *paper) cmAblation() error {
+	fmt.Fprintln(p.out, "== Ablation: contention managers (RandomGraph, 8 threads) ==")
+	res, err := harness.ManagerAblation(p.sc, "RandomGraph", 8)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprintf(out, "%-8s %-12s %14s %14s\n", "mode", "manager", "txn/Mcycle", "aborts/commit")
+	fmt.Fprintf(p.out, "%-8s %-12s %14s %14s\n", "mode", "manager", "txn/Mcycle", "aborts/commit")
 	for _, r := range res {
-		fmt.Fprintf(out, "%-8s %-12s %14.1f %14.2f\n", r.Mode, r.Manager, r.Throughput, r.AbortRate)
+		fmt.Fprintf(p.out, "%-8s %-12s %14.1f %14.2f\n", r.Mode, r.Manager, r.Throughput, r.AbortRate)
 	}
-	fmt.Fprintln(out)
+	fmt.Fprintln(p.out)
+	return nil
 }
 
-func logtmComparison(sc harness.SweepConfig) {
-	fmt.Fprintln(out, "== Extension: FlexTM vs alternative HTM designs (normalized to 1-thread CGL) ==")
+func (p *paper) logtmComparison() error {
+	sc := p.sc
+	fmt.Fprintln(p.out, "== Extension: FlexTM vs alternative HTM designs (normalized to 1-thread CGL) ==")
 	names := []string{"RBTree", "RandomGraph", "HashTable"}
 	systems := []harness.SystemName{harness.FlexTMEager, harness.FlexTMLazy, harness.LogTM, harness.Bulk}
 	factories := make([]workloads.Factory, len(names))
@@ -664,7 +656,7 @@ func logtmComparison(sc harness.SweepConfig) {
 		func(i int) (float64, error) { return sc.BaselineCell(factories[i]) },
 		func(i int, base float64) error { bases[i] = base; return nil })
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// One flat grid: workload-major, then system, then thread count. The
 	// emit callback runs in index order, so the table prints exactly as the
@@ -675,7 +667,7 @@ func logtmComparison(sc harness.SweepConfig) {
 			w, r := i/perWorkload, i%perWorkload
 			return sc.RunCell(harness.RunConfig{
 				System: systems[r/len(sc.Threads)], Workload: factories[w],
-				Threads: sc.Threads[r%len(sc.Threads)],
+				Threads:      sc.Threads[r%len(sc.Threads)],
 				OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: true,
 				Metrics: sc.Metrics, Flight: sc.Flight,
 			})
@@ -684,64 +676,66 @@ func logtmComparison(sc harness.SweepConfig) {
 			w, r := i/perWorkload, i%perWorkload
 			col := r % len(sc.Threads)
 			if r == 0 {
-				fmt.Fprintf(out, "\n[%s]\n%-16s", names[w], "system")
+				fmt.Fprintf(p.out, "\n[%s]\n%-16s", names[w], "system")
 				for _, th := range sc.Threads {
-					fmt.Fprintf(out, "%8d", th)
+					fmt.Fprintf(p.out, "%8d", th)
 				}
-				fmt.Fprintln(out)
+				fmt.Fprintln(p.out)
 			}
 			if col == 0 {
-				fmt.Fprintf(out, "%-16s", systems[r/len(sc.Threads)])
+				fmt.Fprintf(p.out, "%-16s", systems[r/len(sc.Threads)])
 			}
 			if sc.OnResult != nil {
 				sc.OnResult(res)
 			}
-			fmt.Fprintf(out, "%8.2f", res.Throughput/bases[w])
+			fmt.Fprintf(p.out, "%8.2f", res.Throughput/bases[w])
 			if col == len(sc.Threads)-1 {
-				fmt.Fprintln(out)
+				fmt.Fprintln(p.out)
 			}
 			return nil
 		})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprintln(out)
+	fmt.Fprintln(p.out)
+	return nil
 }
 
 // chaosCampaign sweeps every fault class x rate x mode, asserting the
 // conservation/consistency/isolation invariants in every cell. The campaign
 // is deterministic: same spec, same fault schedule, same table. Any
 // violation makes the run exit non-zero.
-func chaosCampaign(parallel int, quick, jsonOut bool, enc *json.Encoder) {
+func (p *paper) chaosCampaign() error {
 	spec := harness.DefaultChaosSpec()
-	spec.Parallel = parallel
-	if quick {
+	spec.Parallel = p.sc.Parallel
+	if p.quick {
 		spec.Threads = 5
 		spec.Rounds = 25
 		spec.Rates = []float64{0.10}
 	}
-	fmt.Fprintln(out, "== Chaos: fault-injection campaign (invariants under injected faults) ==")
+	fmt.Fprintln(p.out, "== Chaos: fault-injection campaign (invariants under injected faults) ==")
 	res := harness.ChaosCampaign(spec)
-	fmt.Fprintf(out, "%-16s %6s %-6s %9s %8s %6s %6s %9s  %s\n",
+	fmt.Fprintf(p.out, "%-16s %6s %-6s %9s %8s %6s %6s %9s  %s\n",
 		"class", "rate", "mode", "commits", "aborts", "escal", "trips", "injected", "verdict")
 	for _, c := range res.Cells {
 		verdict := "ok"
 		if len(c.Violations) > 0 {
 			verdict = strings.Join(c.Violations, "; ")
 		}
-		fmt.Fprintf(out, "%-16s %6.2f %-6s %9d %8d %6d %6d %9d  %s\n",
+		fmt.Fprintf(p.out, "%-16s %6.2f %-6s %9d %8d %6d %6d %9d  %s\n",
 			c.Class, c.Rate, c.Mode, c.Commits, c.Aborts, c.Escalations,
 			c.WatchdogTrips, c.Injected, verdict)
-		if jsonOut {
-			if err := enc.Encode(c); err != nil {
-				fatal(err)
+		if p.enc != nil {
+			if err := p.enc.Encode(c); err != nil {
+				return err
 			}
 		}
 	}
-	fmt.Fprintln(out)
+	fmt.Fprintln(p.out)
 	if !res.Ok() {
-		fatal(fmt.Errorf("chaos campaign: %d invariant violations", res.Violations))
+		return fmt.Errorf("chaos campaign: %d invariant violations", res.Violations)
 	}
+	return nil
 }
 
 // governCampaign is the closed-loop resilience A/B: a randomized governed
@@ -750,37 +744,38 @@ func chaosCampaign(parallel int, quick, jsonOut bool, enc *json.Encoder) {
 // table contrasts the two sides per cell and reports the governor's
 // transition count and final ladder level; non-convergence or any invariant
 // violation exits non-zero.
-func governCampaign(parallel int, quick, jsonOut bool, enc *json.Encoder) {
-	sc := harness.SoakConfig{Seed: 1, Parallel: parallel}
-	if quick {
-		sc.Cells = 3
-		sc.Rounds = 20
+func (p *paper) governCampaign() error {
+	soak := harness.SoakConfig{Seed: 1, Parallel: p.sc.Parallel}
+	if p.quick {
+		soak.Cells = 3
+		soak.Rounds = 20
 	}
-	fmt.Fprintln(out, "== Govern: governed vs ungoverned twins under randomized chaos ==")
-	res := harness.Soak(sc)
-	fmt.Fprintf(out, "%-9s %8s %8s %6s | %8s %8s %6s | %5s %5s  %s\n",
+	fmt.Fprintln(p.out, "== Govern: governed vs ungoverned twins under randomized chaos ==")
+	res := harness.Soak(soak)
+	fmt.Fprintf(p.out, "%-9s %8s %8s %6s | %8s %8s %6s | %5s %5s  %s\n",
 		"cell", "commits", "aborts", "escal", "commits", "aborts", "escal", "steps", "level", "verdict")
-	fmt.Fprintf(out, "%-9s %25s | %25s |\n", "", "governed", "ungoverned twin")
+	fmt.Fprintf(p.out, "%-9s %25s | %25s |\n", "", "governed", "ungoverned twin")
 	for i, c := range res.Cells {
 		verdict := "ok"
 		if len(c.Failures) > 0 {
 			verdict = strings.Join(c.Failures, "; ")
 		}
-		fmt.Fprintf(out, "%-9s %8d %8d %6d | %8d %8d %6d | %5d %5d  %s\n",
+		fmt.Fprintf(p.out, "%-9s %8d %8d %6d | %8d %8d %6d | %5d %5d  %s\n",
 			fmt.Sprintf("soak-%d", i), c.Commits, c.Aborts, c.Escalations,
 			c.TwinCommits, c.TwinAborts, c.TwinEscalations,
 			c.GovTransitions, c.GovFinalLevel, verdict)
-		fmt.Fprintf(out, "  schedule %s\n", c.Schedule)
-		if jsonOut {
-			if err := enc.Encode(c); err != nil {
-				fatal(err)
+		fmt.Fprintf(p.out, "  schedule %s\n", c.Schedule)
+		if p.enc != nil {
+			if err := p.enc.Encode(c); err != nil {
+				return err
 			}
 		}
 	}
-	fmt.Fprintln(out)
+	fmt.Fprintln(p.out)
 	if !res.Ok() {
-		fatal(fmt.Errorf("govern campaign: %d failed checks", res.Failures))
+		return fmt.Errorf("govern campaign: %d failed checks", res.Failures)
 	}
+	return nil
 }
 
 // oracleSweep is the serializability acceptance gate. Phase 1: a bounded
@@ -791,12 +786,12 @@ func governCampaign(parallel int, quick, jsonOut bool, enc *json.Encoder) {
 // variant (commit-time W-R aborts disabled, Figure 3 line 2 skipped) must
 // detect a violation and shrink it to a minimal replayable schedule. A
 // passing phase 2 is what certifies that phase 1's silence means something.
-func oracleSweep(quick bool, parallel int) {
+func (p *paper) oracleSweep() error {
 	seeds := 16
-	if quick {
+	if p.quick {
 		seeds = 4
 	}
-	fmt.Fprintln(out, "== Oracle: serializability under schedule exploration ==")
+	fmt.Fprintln(p.out, "== Oracle: serializability under schedule exploration ==")
 	var fc fault.Config
 	for cl := fault.Class(0); cl < fault.NumClasses; cl++ {
 		fc = fc.WithRate(cl, 0.05)
@@ -807,21 +802,21 @@ func oracleSweep(quick bool, parallel int) {
 		base.Mode = mode
 		base.TinyCache = true
 		base.Faults = fc
-		res := stress.ExploreParallel(base, seeds, parallel)
+		res := stress.ExploreParallel(base, seeds, p.sc.Parallel)
 		verdict := "ok"
 		if len(res.Failures) > 0 {
 			failed = true
 			verdict = fmt.Sprintf("%d FAILURES", len(res.Failures))
 		}
-		fmt.Fprintf(out, "%-8s %3d seeds x 7 fault classes: %s\n", mode, res.Runs, verdict)
+		fmt.Fprintf(p.out, "%-8s %3d seeds x 7 fault classes: %s\n", mode, res.Runs, verdict)
 		for _, f := range res.Failures {
 			shrunk := stress.Shrink(f.Config, 64)
-			fmt.Fprintf(out, "  schedule %s (shrunk from %s)\n", shrunk.Schedule, f.Schedule)
+			fmt.Fprintf(p.out, "  schedule %s (shrunk from %s)\n", shrunk.Schedule, f.Schedule)
 			if shrunk.RunErr != "" {
-				fmt.Fprintln(out, "  run error:", shrunk.RunErr)
+				fmt.Fprintln(p.out, "  run error:", shrunk.RunErr)
 			}
 			if shrunk.Report != nil {
-				shrunk.Report.Print(out)
+				shrunk.Report.Print(p.out)
 			}
 		}
 	}
@@ -830,26 +825,27 @@ func oracleSweep(quick bool, parallel int) {
 	base := stress.DefaultConfig(1)
 	base.Mode = core.Lazy
 	base.BreakWR = true
-	res := stress.ExploreParallel(base, 8, parallel)
+	res := stress.ExploreParallel(base, 8, p.sc.Parallel)
 	if len(res.Failures) == 0 {
 		failed = true
-		fmt.Fprintln(out, "broken W-R variant: NOT DETECTED (oracle is blind)")
+		fmt.Fprintln(p.out, "broken W-R variant: NOT DETECTED (oracle is blind)")
 	} else {
 		shrunk := stress.Shrink(res.Failures[0].Config, 64)
-		fmt.Fprintf(out, "broken W-R variant: detected in %d/%d seeds; shrunk witness %s\n",
+		fmt.Fprintf(p.out, "broken W-R variant: detected in %d/%d seeds; shrunk witness %s\n",
 			len(res.Failures), res.Runs, shrunk.Schedule)
 		if shrunk.Report != nil {
-			shrunk.Report.Print(out)
+			shrunk.Report.Print(p.out)
 		}
 		if !shrunk.Failed() {
 			failed = true
-			fmt.Fprintln(out, "broken W-R variant: shrink lost the failure")
+			fmt.Fprintln(p.out, "broken W-R variant: shrink lost the failure")
 		}
 	}
-	fmt.Fprintln(out)
+	fmt.Fprintln(p.out)
 	if failed {
-		fatal(fmt.Errorf("oracle sweep failed"))
+		return fmt.Errorf("oracle sweep failed")
 	}
+	return nil
 }
 
 // causalFigure sweeps a contention-heavy pair of workloads over both
@@ -857,9 +853,10 @@ func oracleSweep(quick bool, parallel int) {
 // and tabulating how much of its makespan the critical path explains and
 // which lines that path blames. The cells land in the bench artifact (via
 // OnResult / newBenchCell) with their criticalPath digests attached.
-func causalFigure(sc harness.SweepConfig) {
-	fmt.Fprintln(out, "== Causal: critical path vs makespan (top-3 blame lines per cell) ==")
-	fmt.Fprintf(out, "%-14s %-14s %7s %12s %12s %8s  %s\n",
+func (p *paper) causalFigure() error {
+	sc := p.sc
+	fmt.Fprintln(p.out, "== Causal: critical path vs makespan (top-3 blame lines per cell) ==")
+	fmt.Fprintf(p.out, "%-14s %-14s %7s %12s %12s %8s  %s\n",
 		"system", "workload", "threads", "path(cyc)", "makespan", "cover", "top blame (share of path)")
 	names := []string{"RBTree", "RandomGraph"}
 	systems := []harness.SystemName{harness.FlexTMEager, harness.FlexTMLazy}
@@ -873,7 +870,7 @@ func causalFigure(sc harness.SweepConfig) {
 			w, r := i/perWorkload, i%perWorkload
 			return sc.RunCell(harness.RunConfig{
 				System: systems[r/len(sc.Threads)], Workload: factories[w],
-				Threads: sc.Threads[r%len(sc.Threads)],
+				Threads:      sc.Threads[r%len(sc.Threads)],
 				OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: true,
 				Metrics: sc.Metrics, Flight: true,
 			})
@@ -897,25 +894,33 @@ func causalFigure(sc harness.SweepConfig) {
 					blame += fmt.Sprintf(" (fp %.0f%%)", float64(b.FPCycles)/float64(b.Cycles)*100)
 				}
 			}
-			fmt.Fprintf(out, "%-14s %-14s %7d %12d %12d %7.1f%%  %s\n",
+			fmt.Fprintf(p.out, "%-14s %-14s %7d %12d %12d %7.1f%%  %s\n",
 				res.System, res.Workload, res.Threads, rep.PathCycles,
 				uint64(rep.Makespan), rep.Coverage*100, blame)
 			return nil
 		})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprintln(out)
+	fmt.Fprintln(p.out)
+	return nil
 }
 
-func table4(sc harness.SweepConfig) {
-	fmt.Fprintln(out, "== Table 4b: FlexWatcher vs Discover slowdowns ==")
-	cfg := sc.Machine
+func (p *paper) table2() error {
+	fmt.Fprintln(p.out, "== Table 2: area estimation (65nm) ==")
+	fmt.Fprintln(p.out, area.Table())
+	return nil
+}
+
+func (p *paper) table4() error {
+	fmt.Fprintln(p.out, "== Table 4b: FlexWatcher vs Discover slowdowns ==")
+	cfg := p.sc.Machine
 	cfg.Cores = 2
 	rows, err := flexwatcher.Table4(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprint(out, flexwatcher.PrintTable4(rows))
-	fmt.Fprintln(out)
+	fmt.Fprint(p.out, flexwatcher.PrintTable4(rows))
+	fmt.Fprintln(p.out)
+	return nil
 }

@@ -14,16 +14,16 @@ import (
 // named by Kind. The encoding is canonical for a given input: struct fields
 // in declaration order, slices in their deterministic sort order, no maps —
 // so the same query over the same records produces byte-identical JSON
-// (the property the cli-smoke CI job byte-diffs).
+// (the property cmd/flextm's TestFlightQLGoldenOverLivelockProbe byte-diffs).
 type Result struct {
-	Kind    string              `json:"kind"` // records, groups, count, state, lines, cores, assert
-	Records []RecView           `json:"records,omitempty"`
-	Groups  []Group             `json:"groups,omitempty"`
-	Count   *uint64             `json:"count,omitempty"`
-	State   *replay.State       `json:"state,omitempty"`
-	Lines   []replay.LineState  `json:"lines,omitempty"`
-	Cores   []replay.CoreState  `json:"cores,omitempty"`
-	Assert  *AssertResult       `json:"assert,omitempty"`
+	Kind    string             `json:"kind"` // records, groups, count, state, lines, cores, assert
+	Records []RecView          `json:"records,omitempty"`
+	Groups  []Group            `json:"groups,omitempty"`
+	Count   *uint64            `json:"count,omitempty"`
+	State   *replay.State      `json:"state,omitempty"`
+	Lines   []replay.LineState `json:"lines,omitempty"`
+	Cores   []replay.CoreState `json:"cores,omitempty"`
+	Assert  *AssertResult      `json:"assert,omitempty"`
 }
 
 // RecView is one flight record rendered for output: kind by name, the FP

@@ -60,13 +60,9 @@ type SweepConfig struct {
 	// artifact is byte-identical at any setting. Forced serial while
 	// Observe is attached (the pump is re-bound per run).
 	Parallel int
-	// CacheDir, when non-empty and Cache is nil, opens a content-addressed
-	// cell cache rooted there: cacheable cells replay from the store
-	// instead of simulating. See internal/sweepexec/cache.
-	CacheDir string
-	// Cache is the cell store consulted for every cacheable cell; nil (and
-	// an empty CacheDir) disables caching. Callers wanting hit/miss stats
-	// open the store themselves and set this field.
+	// Cache is the cell store consulted for every cacheable cell: hits
+	// replay from the store instead of simulating (see
+	// internal/sweepexec/cache). nil disables caching.
 	Cache *cellcache.Store
 	// Stop, when non-nil and closed, cancels the sweep between cells: the
 	// figure function returns an error wrapping sweepexec.ErrStopped, with
@@ -106,9 +102,6 @@ func ws2Systems() []SystemName { return []SystemName{CGL, FlexTMEager, TL2} }
 // workload × system × threads grid is flattened into one sweep so every
 // core stays busy across workload boundaries.
 func Figure4(sc SweepConfig) ([]Plot, error) {
-	if err := sc.ensureCache(); err != nil {
-		return nil, err
-	}
 	fs := workloads.All()
 	systems := make([][]SystemName, len(fs))
 	for i, f := range fs {
@@ -136,9 +129,6 @@ func Figure4(sc SweepConfig) ([]Plot, error) {
 // Figure5 regenerates the eager-vs-lazy study on the four contended
 // workloads (Figure 5a-d), normalized to 1-thread FlexTM(Eager).
 func Figure5(sc SweepConfig) ([]Plot, error) {
-	if err := sc.ensureCache(); err != nil {
-		return nil, err
-	}
 	var fs []workloads.Factory
 	for _, name := range []string{"RBTree", "Vacation-High", "LFUCache", "RandomGraph"} {
 		f, _ := workloads.ByName(name)
@@ -238,9 +228,6 @@ type MultiprogramPoint struct {
 
 // Multiprogram runs Figure 5(e)/(f) for the given transactional workload.
 func Multiprogram(sc SweepConfig, f workloads.Factory, appThreads []int) ([]MultiprogramPoint, error) {
-	if err := sc.ensureCache(); err != nil {
-		return nil, err
-	}
 	// Isolated baselines: two independent cells, run as their own phase.
 	type baseCell struct {
 		system SystemName
@@ -431,9 +418,6 @@ type OverflowResult struct {
 // workload contributes two grid cells (bounded, then ideal), emitted in
 // that order.
 func OverflowAblation(sc SweepConfig, names []string, threads int) ([]OverflowResult, error) {
-	if err := sc.ensureCache(); err != nil {
-		return nil, err
-	}
 	small := sc.Machine
 	small.L1 = cache.Config{Sets: 16, Ways: 2, VictimSize: 8}
 	unbounded := small
@@ -528,9 +512,6 @@ func SignatureAblation(sc SweepConfig, name string, threads int, widths []int) (
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown workload %q", name)
 	}
-	if err := sc.ensureCache(); err != nil {
-		return nil, err
-	}
 	out := make([]SigResult, 0, len(widths))
 	err := sweepexec.Map(sc.Exec(), len(widths),
 		func(i int) (Result, error) {
@@ -602,9 +583,6 @@ func managerNames() []string {
 // ManagerAblation compares contention managers on a contended workload in
 // eager mode, where arbitration policy matters most.
 func ManagerAblation(sc SweepConfig, name string, threads int) ([]ManagerResult, error) {
-	if err := sc.ensureCache(); err != nil {
-		return nil, err
-	}
 	f, ok := workloads.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown workload %q", name)

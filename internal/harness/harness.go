@@ -209,6 +209,9 @@ func run(rc RunConfig) (Result, *tmesi.System, error) {
 	if rc.Threads <= 0 || rc.Threads > rc.Machine.Cores {
 		return Result{}, nil, fmt.Errorf("harness: %d threads on %d cores", rc.Threads, rc.Machine.Cores)
 	}
+	if rc.OpsPerThread < 0 || rc.WarmupOps < 0 {
+		return Result{}, nil, fmt.Errorf("harness: negative op count (%d per thread, %d warm-up)", rc.OpsPerThread, rc.WarmupOps)
+	}
 	ops := cmp.Or(rc.OpsPerThread, DefaultOps)
 	warmup := (cmp.Or(rc.WarmupOps, DefaultWarmup) + rc.Threads - 1) / rc.Threads
 	w := rc.Workload.New()

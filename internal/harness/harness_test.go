@@ -18,9 +18,6 @@ func quickSweep() SweepConfig { return QuickSweep() }
 // sweep runs one workload's systems × threads grid the way Figure4 runs its
 // grid, normalized to 1-thread CGL on the same workload and machine.
 func sweep(sc SweepConfig, f workloads.Factory, systems []SystemName) (Plot, error) {
-	if err := sc.ensureCache(); err != nil {
-		return Plot{}, err
-	}
 	base, err := sc.baseline(f)
 	if err != nil {
 		return Plot{}, err
@@ -58,6 +55,16 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(RunConfig{System: "bogus", Workload: f, Threads: 1,
 		Machine: tmesi.DefaultConfig()}); err == nil {
 		t.Fatal("unknown system accepted")
+	}
+	// A negative count used to run no timed ops and report a negative
+	// throughput (Threads*ops < 0).
+	if _, err := Run(RunConfig{System: FlexTMLazy, Workload: f, Threads: 2,
+		OpsPerThread: -3, Machine: tmesi.DefaultConfig()}); err == nil {
+		t.Fatal("negative OpsPerThread accepted")
+	}
+	if _, err := Run(RunConfig{System: FlexTMLazy, Workload: f, Threads: 2,
+		WarmupOps: -1, Machine: tmesi.DefaultConfig()}); err == nil {
+		t.Fatal("negative WarmupOps accepted")
 	}
 }
 

@@ -66,7 +66,7 @@ type SoakResult struct {
 func (r SoakResult) Ok() bool { return r.Failures == 0 }
 
 // TransitionLog concatenates every cell's governor transition log, with a
-// schedule header per cell — the artifact CI uploads.
+// schedule header per cell — what the soak tests print on divergence.
 func (r SoakResult) TransitionLog() string {
 	var b []byte
 	for _, c := range r.Cells {

@@ -45,21 +45,6 @@ func (sc SweepConfig) Exec() sweepexec.Exec {
 	return sweepexec.Exec{Workers: w, Stop: sc.Stop}
 }
 
-// ensureCache opens CacheDir into Cache when the caller wired a directory
-// but no store. Called once at the top of each figure function, on its
-// local copy, so the store flows to every cell of that figure.
-func (sc *SweepConfig) ensureCache() error {
-	if sc.Cache != nil || sc.CacheDir == "" {
-		return nil
-	}
-	s, err := cellcache.Open(sc.CacheDir)
-	if err != nil {
-		return err
-	}
-	sc.Cache = s
-	return nil
-}
-
 // cacheableRun reports whether rc's Result is a pure serializable function
 // of its serializable fields. Runs carrying live hooks (yield,
 // observation, governor), a liveness override, or the oracle are executed

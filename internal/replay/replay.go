@@ -122,19 +122,19 @@ type State struct {
 // simulator also records exactly one flight record of a fixed kind, so a
 // full-stream replay must land on the live registry's numbers exactly.
 var MirroredCounters = []telemetry.Counter{
-	telemetry.CtrTxnCommits,       // TxnCommit
-	telemetry.CtrTxnAborts,        // TxnAbort
-	telemetry.CtrEscalation,       // Escalate
-	telemetry.CtrWatchdogTrip,     // WatchdogTrip
-	telemetry.CtrCMAbortSelf,      // AbortSelf
-	telemetry.CtrCMWait,           // CMStall (count)
-	telemetry.CtrCMWaitCycles,     // CMStall (sum of Dur)
-	telemetry.CtrCMBackoffCycles,  // Backoff (sum of Dur)
-	telemetry.CtrCSTSet,           // CSTSet (+1 requestor, +1 responder)
-	telemetry.CtrAlert,            // AOUAlert
-	telemetry.CtrOTSpill,          // OTSpill
-	telemetry.CtrCommitCSTFail,    // CommitRefused
-	telemetry.CtrGovStep,          // GovStep
+	telemetry.CtrTxnCommits,      // TxnCommit
+	telemetry.CtrTxnAborts,       // TxnAbort
+	telemetry.CtrEscalation,      // Escalate
+	telemetry.CtrWatchdogTrip,    // WatchdogTrip
+	telemetry.CtrCMAbortSelf,     // AbortSelf
+	telemetry.CtrCMWait,          // CMStall (count)
+	telemetry.CtrCMWaitCycles,    // CMStall (sum of Dur)
+	telemetry.CtrCMBackoffCycles, // Backoff (sum of Dur)
+	telemetry.CtrCSTSet,          // CSTSet (+1 requestor, +1 responder)
+	telemetry.CtrAlert,           // AOUAlert
+	telemetry.CtrOTSpill,         // OTSpill
+	telemetry.CtrCommitCSTFail,   // CommitRefused
+	telemetry.CtrGovStep,         // GovStep
 }
 
 // Counter returns a mirrored counter's replayed value for one core. Zero

@@ -272,7 +272,7 @@ func TestWorkersResolution(t *testing.T) {
 	cases := []struct{ workers, n, want int }{
 		{1, 10, 1},
 		{4, 10, 4},
-		{4, 2, 2},   // never more workers than cells
+		{4, 2, 2}, // never more workers than cells
 		{0, 10, runtime.GOMAXPROCS(0)},
 		{-1, 10, runtime.GOMAXPROCS(0)},
 		{8, 0, 1}, // empty grid still resolves to a sane pool

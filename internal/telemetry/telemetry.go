@@ -87,9 +87,9 @@ const (
 	CtrEscalatedCommit // commits completed inside the fallback
 
 	// Resilience governor (internal/governor).
-	CtrGovStep           // mitigation-ladder transitions (raises and lowers)
+	CtrGovStep            // mitigation-ladder transitions (raises and lowers)
 	CtrGovAdmitWaitCycles // cycles threads spent parked at the admission gate
-	CtrGovSigWiden       // live signature widen/rehash operations
+	CtrGovSigWiden        // live signature widen/rehash operations
 
 	NumCounters
 )
