@@ -16,6 +16,7 @@ package flight
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"flextm/internal/memory"
@@ -282,14 +283,12 @@ func (r *Recorder) SnapshotSince(seq uint64) (out []Rec, gap bool) {
 func Restore(cores int, recs []Rec) *Recorder {
 	counts := make([]uint64, cores)
 	var maxSeq, valid uint64
-	seen := make(map[uint64]bool, len(recs))
 	for _, rec := range recs {
 		if int(rec.Core) < 0 || int(rec.Core) >= cores {
 			continue
 		}
 		counts[rec.Core]++
 		valid++
-		seen[rec.Seq] = true
 		if rec.Seq > maxSeq {
 			maxSeq = rec.Seq
 		}
@@ -306,13 +305,7 @@ func Restore(cores int, recs []Rec) *Recorder {
 		// cannot be reconstructed exactly; what SnapshotSince needs is the
 		// global property "some record with Seq > cursor is gone", which
 		// holds for precisely the cursors below the highest missing Seq.
-		var lost uint64
-		for s := maxSeq; s >= 1; s-- {
-			if !seen[s] {
-				lost = s
-				break
-			}
-		}
+		lost := highestMissingSeq(recs, cores, maxSeq)
 		for i := range r.lost {
 			r.lost[i] = lost
 		}
@@ -334,6 +327,33 @@ func Restore(cores int, recs []Rec) *Recorder {
 		r.written[rec.Core]++
 	}
 	return r
+}
+
+// highestMissingSeq returns the highest Seq in [1, maxSeq] that no record
+// naming a core in [0, cores) carries. Restore calls it only when some Seq
+// is missing, so a lossless restore never builds the lookup. Sorting the
+// present Seqs bounds the work by the records, not by maxSeq, which may
+// come from disk.
+func highestMissingSeq(recs []Rec, cores int, maxSeq uint64) uint64 {
+	seqs := make([]uint64, 0, len(recs))
+	for _, rec := range recs {
+		if int(rec.Core) >= 0 && int(rec.Core) < cores {
+			seqs = append(seqs, rec.Seq)
+		}
+	}
+	slices.Sort(seqs)
+	// Walk down from maxSeq: want is the next Seq that must be present.
+	want := maxSeq
+	for i := len(seqs) - 1; i >= 0 && want >= 1; i-- {
+		switch {
+		case seqs[i] > want: // a duplicate of a Seq already matched
+		case seqs[i] == want:
+			want--
+		default:
+			return want
+		}
+	}
+	return want
 }
 
 // Reset discards all records (the rings stay allocated).

@@ -139,3 +139,28 @@ func TestRestoreResetClearsRestoredLoss(t *testing.T) {
 		t.Fatal("post-Reset gap still flagged")
 	}
 }
+
+// TestRestoreFindsHighestMissingSeqInAnyOrder: the highest missing Seq —
+// looked up only when records are missing — does not depend on the order
+// the records arrive in, and records of out-of-range cores do not fill a
+// hole.
+func TestRestoreFindsHighestMissingSeqInAnyOrder(t *testing.T) {
+	recs := []Rec{
+		{Seq: 9, Core: 1}, {Seq: 2, Core: 0}, {Seq: 7, Core: 0},
+		{Seq: 8, Core: 0}, {Seq: 6, Core: 5}, {Seq: 9, Core: 1},
+	}
+	got := Restore(2, recs)
+	// Present on valid cores: 2, 7, 8, 9 (twice). Seq 6 names core 5.
+	for cursor := uint64(0); cursor <= 9; cursor++ {
+		_, gap := got.SnapshotSince(cursor)
+		if want := cursor < 6; gap != want {
+			t.Fatalf("cursor %d: gap=%v, want %v", cursor, gap, want)
+		}
+	}
+	if got.Overwritten() != 9-5 {
+		t.Fatalf("Overwritten = %d, want %d", got.Overwritten(), 9-5)
+	}
+	if lost := highestMissingSeq(nil, 1, 3); lost != 3 {
+		t.Fatalf("no records up to Seq 3: highest missing = %d, want 3", lost)
+	}
+}

@@ -7,11 +7,13 @@ package harness
 // them to sweepexec.Map, which executes cells on SweepConfig.Parallel
 // workers but emits results — and therefore OnResult callbacks and plot
 // folds — in exactly the serial order. The cache sits underneath: a
-// cacheable cell's full Result round-trips through JSON (telemetry
-// snapshot and flight records included), so a warm store replays a sweep
-// without running a single simulation.
+// cacheable cell's full Result round-trips through the run codec
+// (runcodec.go; telemetry snapshot and flight records included), so a warm
+// store replays a sweep without running a single simulation.
 
 import (
+	"encoding/json"
+
 	"flextm/internal/fault"
 	"flextm/internal/flight"
 	"flextm/internal/sim"
@@ -25,9 +27,10 @@ import (
 // CellCacheSchema is the cell cache's code schema version. Bump it on ANY
 // change that alters simulation results — machine timing, protocol logic,
 // workload generation, metric derivation — so stale entries miss instead
-// of resurrecting the old behavior. The version participates in both the
-// key hash and the stored envelope.
-const CellCacheSchema = "flextm-cell/v1"
+// of resurrecting the old behavior, and on any change to an entry's
+// payload encoding. The version participates in both the key hash and the
+// stored envelope. v2: binary entries, with runs in the run codec.
+const CellCacheSchema = "flextm-cell/v2"
 
 // cellSchema namespaces the schema per cell kind, so a "run" entry can
 // never decode as a "baseline" entry even under a hash collision.
@@ -75,8 +78,9 @@ type runKey struct {
 
 // cachedResult is Result's serializable mirror. The flight recorder is
 // flattened to its live records and rebuilt with flight.Restore on a hit;
-// everything else round-trips through encoding/json exactly (integers, and
-// float64 via its shortest-representation encoding).
+// everything else round-trips exactly through the run codec (appendRun,
+// decodeRun). The JSON tags are not the cache format: tests compare live
+// and replayed results through this mirror's JSON.
 type cachedResult struct {
 	System          SystemName          `json:"system"`
 	Workload        string              `json:"workload"`
@@ -140,6 +144,16 @@ func (cv cachedResult) result(cores int) Result {
 	return res
 }
 
+// runCellKey is the cell cache key of a cacheable run.
+func runCellKey(schema string, rc RunConfig) (string, error) {
+	return cellcache.Key(schema, runKey{
+		System: rc.System, Workload: rc.Workload.Name, Threads: rc.Threads,
+		Ops: rc.OpsPerThread, Warmup: rc.WarmupOps, Machine: rc.Machine,
+		Verify: rc.Verify, Metrics: rc.Metrics, Flight: rc.Flight,
+		FlightPerCore: rc.FlightPerCore, Faults: rc.Faults,
+	})
+}
+
 // RunCell executes one sweep cell through the cell cache: a clean hit
 // replays the stored Result without simulating; a miss (or an uncacheable
 // configuration, or no cache) runs live and, on success, stores the
@@ -150,17 +164,15 @@ func (sc SweepConfig) RunCell(rc RunConfig) (Result, error) {
 		return Run(rc)
 	}
 	schema := cellSchema("run")
-	key, err := cellcache.Key(schema, runKey{
-		System: rc.System, Workload: rc.Workload.Name, Threads: rc.Threads,
-		Ops: rc.OpsPerThread, Warmup: rc.WarmupOps, Machine: rc.Machine,
-		Verify: rc.Verify, Metrics: rc.Metrics, Flight: rc.Flight,
-		FlightPerCore: rc.FlightPerCore, Faults: rc.Faults,
-	})
+	key, err := runCellKey(schema, rc)
 	if err != nil {
 		return Run(rc)
 	}
 	var cv cachedResult
-	if sc.Cache.Get(key, schema, &cv) {
+	if sc.Cache.Get(key, schema, func(p []byte) (err error) {
+		cv, err = decodeRun(p)
+		return err
+	}) {
 		return cv.result(rc.Machine.Cores), nil
 	}
 	res, err := Run(rc)
@@ -168,14 +180,16 @@ func (sc SweepConfig) RunCell(rc RunConfig) (Result, error) {
 		return res, err
 	}
 	// A failed Put only costs a future miss; the result is already good.
-	_ = sc.Cache.Put(key, schema, mirrorResult(res))
+	mirror := mirrorResult(res)
+	_ = sc.Cache.Put(key, schema, appendRun(nil, &mirror))
 	return res, nil
 }
 
 // cellValue caches an arbitrary plain-data cell value (a baseline
 // throughput, a multiprogram point, a manager-ablation row) under the
 // canonical encoding of cfg. miss runs the cell live; its error is never
-// cached.
+// cached. These values are a few dozen bytes each, so their payload stays
+// encoding/json: only runs carry enough bytes to earn a codec.
 func cellValue[T any](store *cellcache.Store, kind string, cfg any, miss func() (T, error)) (T, error) {
 	if store == nil {
 		return miss()
@@ -186,14 +200,16 @@ func cellValue[T any](store *cellcache.Store, kind string, cfg any, miss func() 
 		return miss()
 	}
 	var v T
-	if store.Get(key, schema, &v) {
+	if store.Get(key, schema, func(p []byte) error { return json.Unmarshal(p, &v) }) {
 		return v, nil
 	}
 	v, err = miss()
 	if err != nil {
 		return v, err
 	}
-	_ = store.Put(key, schema, v)
+	if p, err := json.Marshal(v); err == nil {
+		_ = store.Put(key, schema, p)
+	}
 	return v, nil
 }
 

@@ -27,8 +27,11 @@
 //
 // A body that panics ends Run with a *ThreadPanic that carries the thread's
 // name, the original value and the faulting stack; a body that calls
-// runtime.Goexit ends the goroutine that called Run. Threads still blocked
-// when Run returns stay suspended where they parked (see Run).
+// runtime.Goexit ends the goroutine that called Run. Either way Run first
+// stops every other unfinished thread: its coroutine unwinds from the point
+// where it suspended, running its defers but touching no further simulated
+// state, so no coroutine outlives the failed run. Threads still blocked
+// when Run returns normally stay suspended where they parked (see Run).
 //
 // iter.Pull needs language version go1.23. The engine's file raises its own
 // language version with a go1.23 build constraint instead of bumping go.mod,
@@ -54,9 +57,10 @@ type Ctx struct {
 	engine *Engine
 	// next resumes the thread's coroutine until it suspends or finishes;
 	// only Run calls it. suspend, called from inside the body, returns
-	// control to Run.
+	// control to Run. stop unwinds a suspended coroutine (see stopAll).
 	next    func() (struct{}, bool)
 	suspend func(struct{}) bool
+	stop    func()
 	// state flags, owned by the running thread (never concurrent)
 	finished bool
 	blocked  bool
@@ -121,7 +125,9 @@ func (c *Ctx) park() {
 // yield gives up the processor until c is again the earliest runnable
 // thread. A runnable c that still orders strictly before the run queue's
 // head keeps running. Otherwise c is queued (unless blocked) and suspends
-// until Run pops and resumes it.
+// until Run pops and resumes it. suspend returns false only when stopAll
+// stopped the coroutine; the body then unwinds with a threadStopped panic
+// instead of touching the machine again.
 func (c *Ctx) yield() {
 	e := c.engine
 	if !c.blocked {
@@ -130,8 +136,14 @@ func (c *Ctx) yield() {
 		}
 		e.push(c)
 	}
-	c.suspend(struct{}{})
+	if !c.suspend(struct{}{}) {
+		panic(threadStopped{})
+	}
 }
+
+// threadStopped is the panic that unwinds a stopped thread's body. Spawn's
+// wrapper swallows it: it is the engine's own signal, not a body fault.
+type threadStopped struct{}
 
 // ThreadPanic is the value Run panics with when a thread's body panics.
 type ThreadPanic struct {
@@ -175,10 +187,13 @@ func (e *Engine) Spawn(name string, start Time, body func(*Ctx)) *Ctx {
 		engine: e,
 	}
 	e.threads = append(e.threads, c)
-	c.next, _ = iter.Pull(func(suspend func(struct{}) bool) {
+	c.next, c.stop = iter.Pull(func(suspend func(struct{}) bool) {
 		c.suspend = suspend
 		defer func() {
 			if v := recover(); v != nil {
+				if _, stopped := v.(threadStopped); stopped {
+					return
+				}
 				panic(&ThreadPanic{Thread: name, Value: v, Stack: debug.Stack()})
 			}
 		}()
@@ -221,16 +236,24 @@ func (e *Engine) RequestPark(c *Ctx, notify func(*Ctx)) {
 // A thread still blocked when Run returns stays suspended where it parked:
 // its body's defers do not run. An Unblock before a later Run resumes it
 // there. Run must not be called from a simulated thread; a body panic
-// surfaces here as a *ThreadPanic.
+// surfaces here as a *ThreadPanic, after every other unfinished thread has
+// been stopped (see stopAll).
 func (e *Engine) Run() int {
 	if e.running {
 		panic("sim: Run while engine is running")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	drained := false
+	defer func() {
+		if !drained {
+			e.stopAll()
+		}
+		e.running = false
+	}()
 	for len(e.ready) > 0 {
 		e.pop().next()
 	}
+	drained = true
 	blocked := 0
 	for _, c := range e.threads {
 		if c.blocked && !c.finished {
@@ -238,6 +261,18 @@ func (e *Engine) Run() int {
 		}
 	}
 	return blocked
+}
+
+// stopAll stops the coroutine of every unfinished thread after a body
+// panic (or Goexit) ended Run, so none stays suspended for good. A stopped
+// coroutine that never started does not run; a suspended one resumes in
+// yield and unwinds with threadStopped.
+func (e *Engine) stopAll() {
+	for _, c := range e.threads {
+		if !c.finished {
+			c.stop()
+		}
+	}
 }
 
 // MaxTime returns the largest local clock across all threads: the makespan

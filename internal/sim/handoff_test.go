@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // BenchmarkSync prices one Ctx.Sync round trip with 1, 2 and 16 threads
@@ -335,5 +337,57 @@ func TestRunIsNotReentrant(t *testing.T) {
 	p, ok := recoverRun(e).(*ThreadPanic)
 	if !ok || p.Value != "sim: Run while engine is running" {
 		t.Fatalf("Run from a thread: panic %v, want sim: Run while engine is running", p)
+	}
+}
+
+// TestBodyPanicStopsEveryThread checks that a recovered body panic leaves
+// no coroutine behind: Run stops the running, queued, blocked and
+// never-started threads, each unwinds its defers without resuming its body,
+// and the goroutine count returns to its baseline.
+func TestBodyPanicStopsEveryThread(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	const threads = 8
+	var unwound, resumed [threads]bool
+	const late = threads - 2 // starts after the fault: never runs
+	for i := 0; i < threads-1; i++ {
+		i := i
+		start := Time(i % 3)
+		if i == late {
+			start = 1000
+		}
+		e.Spawn(fmt.Sprintf("t%d", i), start, func(c *Ctx) {
+			defer func() { unwound[i] = true }()
+			if i == 0 {
+				c.Block() // blocked when the fault hits
+			}
+			for k := 0; k < 100; k++ {
+				c.Advance(1)
+				c.Sync()
+			}
+			resumed[i] = true
+		})
+	}
+	e.Spawn("faulty", 1, func(c *Ctx) {
+		c.Advance(5)
+		c.Sync()
+		faultingFrame()
+	})
+	if _, ok := recoverRun(e).(*ThreadPanic); !ok {
+		t.Fatal("Run did not panic with a *ThreadPanic")
+	}
+	for i := 0; i < threads-1; i++ {
+		if unwound[i] != (i != late) || resumed[i] {
+			t.Errorf("thread t%d: unwound=%v ran to the end=%v", i, unwound[i], resumed[i])
+		}
+	}
+	// A coroutine's goroutine exits as its function returns; poll briefly
+	// in case the runtime reaps it after the switch back.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the recovered panic, %d before", n, base)
 	}
 }

@@ -6,6 +6,10 @@
 // all, and any code change that alters results must bump the schema
 // version, which changes every key and invalidates the whole store.
 //
+// Entries are bytes to the store: callers encode and decode their own
+// payloads, and the store wraps each in a binary envelope that carries the
+// schema and an integrity digest (see magic).
+//
 // The store is defensive by construction: a corrupted, truncated, or
 // stale-schema entry is a miss (the cell re-simulates and overwrites it),
 // never an error. A nil *Store is a valid always-miss cache, so callers
@@ -13,7 +17,9 @@
 package cache
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -21,7 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,25 +122,35 @@ func Key(schema string, config any) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// envelope is the on-disk entry format. Digest covers Payload alone, so a
+// Each on-disk entry is one binary envelope:
+//
+//	magic   "FXTMCELL"
+//	schema  uvarint length, then the schema string
+//	digest  the raw 32-byte sha256 of the payload
+//	payload the caller's bytes, to the end of the file
+//
+// The store never looks inside the payload: the caller encodes it on Put
+// and decodes it on Get. The digest covers the payload alone, so a
 // flipped bit anywhere in the value fails closed as a miss.
-type envelope struct {
-	Schema  string          `json:"schema"`
-	Digest  string          `json:"digest"`
-	Payload json.RawMessage `json:"payload"`
-}
+const magic = "FXTMCELL"
+
+// ext is the entry files' extension. list counts files of any extension,
+// so entries an older store format left behind are still counted, evicted
+// and cleared.
+const ext = ".cell"
 
 func (s *Store) path(key string) string {
 	// Shard by the first byte of the hash to keep directory listings sane
 	// for large stores.
-	return filepath.Join(s.dir, key[:2], key+".json")
+	return filepath.Join(s.dir, key[:2], key+ext)
 }
 
-// Get decodes the entry for key into value and reports whether it was a
-// clean hit. Every failure mode — absent file, unreadable file, malformed
-// JSON, schema skew, digest mismatch, payload/value shape mismatch — is a
-// miss.
-func (s *Store) Get(key, schema string, value any) bool {
+// Get reads the entry for key, hands its payload to decode and reports
+// whether it was a clean hit. Every failure mode — absent file,
+// unreadable file, wrong magic, truncation, schema skew, digest mismatch,
+// a decode error (a payload of the wrong shape) — is a miss; all but the
+// absent or unreadable file also count as corrupt.
+func (s *Store) Get(key, schema string, decode func(payload []byte) error) bool {
 	if s == nil || s.dir == "" {
 		return false
 	}
@@ -144,18 +159,8 @@ func (s *Store) Get(key, schema string, value any) bool {
 		s.misses.Add(1)
 		return false
 	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		s.corrupt.Add(1)
-		s.misses.Add(1)
-		return false
-	}
-	if env.Schema != schema || env.Digest != payloadDigest(env.Payload) {
-		s.corrupt.Add(1)
-		s.misses.Add(1)
-		return false
-	}
-	if err := json.Unmarshal(env.Payload, value); err != nil {
+	payload, ok := openEnvelope(data, schema)
+	if !ok || decode(payload) != nil {
 		s.corrupt.Add(1)
 		s.misses.Add(1)
 		return false
@@ -164,21 +169,41 @@ func (s *Store) Get(key, schema string, value any) bool {
 	return true
 }
 
-// Put stores value under key. Failures are returned but safe to ignore: a
-// failed Put only costs a future miss.
-func (s *Store) Put(key, schema string, value any) error {
+// openEnvelope checks an entry's envelope against schema and returns its payload.
+func openEnvelope(data []byte, schema string) ([]byte, bool) {
+	rest, ok := bytes.CutPrefix(data, []byte(magic))
+	if !ok {
+		return nil, false
+	}
+	n, w := binary.Uvarint(rest)
+	if w <= 0 || n != uint64(len(schema)) || uint64(len(rest)-w) < n+sha256.Size {
+		return nil, false
+	}
+	rest = rest[w:]
+	if string(rest[:n]) != schema {
+		return nil, false
+	}
+	rest = rest[n:]
+	payload := rest[sha256.Size:]
+	if sha256.Sum256(payload) != [sha256.Size]byte(rest[:sha256.Size]) {
+		return nil, false
+	}
+	return payload, true
+}
+
+// Put stores payload under key. Failures are returned but safe to ignore:
+// a failed Put only costs a future miss.
+func (s *Store) Put(key, schema string, payload []byte) error {
 	if s == nil || s.dir == "" {
 		return nil
 	}
-	payload, err := json.Marshal(value)
-	if err != nil {
-		return fmt.Errorf("cellcache: put: %w", err)
-	}
-	env := envelope{Schema: schema, Digest: payloadDigest(payload), Payload: payload}
-	data, err := json.Marshal(&env)
-	if err != nil {
-		return fmt.Errorf("cellcache: put: %w", err)
-	}
+	data := make([]byte, 0, len(magic)+binary.MaxVarintLen64+len(schema)+sha256.Size+len(payload))
+	data = append(data, magic...)
+	data = binary.AppendUvarint(data, uint64(len(schema)))
+	data = append(data, schema...)
+	sum := sha256.Sum256(payload)
+	data = append(data, sum[:]...)
+	data = append(data, payload...)
 	path := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("cellcache: put: %w", err)
@@ -239,7 +264,7 @@ type entry struct {
 	mtime time.Time
 }
 
-// list walks the store's entry files.
+// list walks the store's entry files, whatever their extension.
 func (s *Store) list() ([]entry, error) {
 	var out []entry
 	shards, err := os.ReadDir(s.dir)
@@ -255,7 +280,7 @@ func (s *Store) list() ([]entry, error) {
 			continue
 		}
 		for _, f := range files {
-			if f.IsDir() || !strings.HasSuffix(f.Name(), ".json") {
+			if f.IsDir() {
 				continue
 			}
 			info, err := f.Info()
@@ -326,9 +351,4 @@ func (s *Store) Dir() string {
 		return ""
 	}
 	return s.dir
-}
-
-func payloadDigest(p []byte) string {
-	sum := sha256.Sum256(p)
-	return hex.EncodeToString(sum[:])
 }

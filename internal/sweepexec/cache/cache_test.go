@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
@@ -15,6 +17,28 @@ type payload struct {
 }
 
 const schema = "test-cell/v1"
+
+// put stores v's JSON encoding under key.
+func put(s *Store, key, sch string, v payload) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return s.Put(key, sch, b)
+}
+
+// get decodes the entry under key into out. A payload that is not a JSON
+// payload object is a decode error, so Get counts it corrupt.
+func get(s *Store, key, sch string, out *payload) bool {
+	return s.Get(key, sch, func(b []byte) error {
+		d := json.NewDecoder(bytes.NewReader(b))
+		d.DisallowUnknownFields()
+		return d.Decode(out)
+	})
+}
+
+// entryPath is the file holding key's entry.
+func entryPath(dir, key string) string { return filepath.Join(dir, key[:2], key+ext) }
 
 func mustKey(t *testing.T, sch string, cfg any) string {
 	t.Helper()
@@ -34,13 +58,13 @@ func TestPutGetRoundTrip(t *testing.T) {
 	key := mustKey(t, schema, map[string]any{"workload": "RBTree", "threads": 8})
 
 	var out payload
-	if s.Get(key, schema, &out) {
+	if get(s, key, schema, &out) {
 		t.Fatal("hit on an empty store")
 	}
-	if err := s.Put(key, schema, in); err != nil {
+	if err := put(s, key, schema, in); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Get(key, schema, &out) {
+	if !get(s, key, schema, &out) {
 		t.Fatal("miss after Put")
 	}
 	if out != in {
@@ -66,15 +90,15 @@ func TestSchemaBumpInvalidates(t *testing.T) {
 	if oldKey == newKey {
 		t.Fatal("schema bump did not change the key")
 	}
-	if err := s.Put(oldKey, "cell/v1", payload{Name: "x"}); err != nil {
+	if err := put(s, oldKey, "cell/v1", payload{Name: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	var out payload
-	if s.Get(newKey, "cell/v2", &out) {
+	if get(s, newKey, "cell/v2", &out) {
 		t.Fatal("v2 key hit a v1 entry")
 	}
 	// Same key, different schema in the envelope: fail closed as a miss.
-	if s.Get(oldKey, "cell/v2", &out) {
+	if get(s, oldKey, "cell/v2", &out) {
 		t.Fatal("schema-skewed entry decoded as a hit")
 	}
 	if st := s.Stats(); st.Corrupt != 1 {
@@ -83,36 +107,52 @@ func TestSchemaBumpInvalidates(t *testing.T) {
 }
 
 // TestCorruptedEntryFallsBackToMiss: any damaged entry — truncated,
-// bit-flipped payload, or garbage — is a miss, never an error, and a
-// fresh Put repairs it.
+// bit-flipped, arbitrary bytes, a foreign magic, a skewed schema, or a sound
+// envelope whose payload has the wrong shape — is a miss, never an error,
+// and a fresh Put repairs it.
 func TestCorruptedEntryFallsBackToMiss(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	in := payload{Name: "LFUCache", Count: 7}
 	key := mustKey(t, schema, 1234)
-	if err := s.Put(key, schema, in); err != nil {
+	if err := put(s, key, schema, in); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, key[:2], key+".json")
-
-	corruptions := map[string]func([]byte) []byte{
-		"truncated":   func(b []byte) []byte { return b[:len(b)/2] },
-		"bit-flip":    func(b []byte) []byte { c := append([]byte{}, b...); c[len(c)/2] ^= 0x40; return c },
-		"not-json":    func([]byte) []byte { return []byte("not json at all") },
-		"wrong-shape": func([]byte) []byte { return []byte(`{"schema":"` + schema + `","digest":"x","payload":[1,2]}`) },
-	}
+	path := entryPath(dir, key)
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// envelope builds a well-formed entry around payload, digest included.
+	envelope := func(sch string, payload []byte) []byte {
+		if err := s.Put(key, sch, payload); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	corruptions := map[string]func([]byte) []byte{
+		"truncated":    func(b []byte) []byte { return b[:len(b)/2] },
+		"bit-flip":     func(b []byte) []byte { c := append([]byte{}, b...); c[len(c)/2] ^= 0x40; return c },
+		"not-json":     func([]byte) []byte { return []byte("not json at all") }, // nor an envelope
+		"wrong-magic":  func(b []byte) []byte { c := append([]byte{}, b...); c[0] ^= 0x01; return c },
+		"wrong-schema": func([]byte) []byte { return envelope("test-cell/v0", []byte(`{"name":"LFUCache","count":7}`)) },
+		"wrong-shape":  func([]byte) []byte { return envelope(schema, []byte(`[1,2]`)) },
+		"empty":        func([]byte) []byte { return nil },
+	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
-			if err := os.WriteFile(path, corrupt(orig), 0o644); err != nil {
+			data := corrupt(orig)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			before := s.Stats()
 			var out payload
-			if s.Get(key, schema, &out) {
+			if get(s, key, schema, &out) {
 				t.Fatal("corrupted entry returned a hit")
 			}
 			after := s.Stats()
@@ -120,13 +160,79 @@ func TestCorruptedEntryFallsBackToMiss(t *testing.T) {
 				t.Fatalf("corruption not counted: before %+v after %+v", before, after)
 			}
 			// The cell re-runs live and overwrites: store must recover.
-			if err := s.Put(key, schema, in); err != nil {
+			if err := put(s, key, schema, in); err != nil {
 				t.Fatal(err)
 			}
-			if !s.Get(key, schema, &out) || out != in {
+			if !get(s, key, schema, &out) || out != in {
 				t.Fatalf("store did not recover after overwrite: %+v", out)
 			}
 		})
+	}
+}
+
+// TestEveryPrefixIsAMiss: no proper prefix of an entry is a hit, so a
+// write cut short anywhere fails closed.
+func TestEveryPrefixIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	key := mustKey(t, schema, "prefix")
+	if err := s.Put(key, schema, nil); err != nil {
+		t.Fatal(err)
+	}
+	path := entryPath(dir, key)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accept := func([]byte) error { return nil }
+	if !s.Get(key, schema, accept) {
+		t.Fatal("miss on the intact entry")
+	}
+	for n := 0; n < len(full); n++ {
+		if err := os.WriteFile(path, full[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s.Get(key, schema, accept) {
+			t.Fatalf("%d-byte prefix of a %d-byte entry was a hit", n, len(full))
+		}
+	}
+}
+
+// TestLegacyEntriesAreCountedAndCleared: entry files of any extension —
+// the JSON entries an older store wrote — count toward the eviction
+// bound and are cleared with the rest.
+func TestLegacyEntriesAreCountedAndCleared(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "ab", "ab01.json")
+	if err := os.MkdirAll(filepath.Dir(legacy), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy, []byte(`{"schema":"old"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(legacy, old, old); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := Open(dir)
+	if err := put(s, mustKey(t, schema, 1), schema, payload{Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Len(); got != 2 {
+		t.Fatalf("len = %d, want the new entry plus the legacy one", got)
+	}
+	s.SetMaxEntries(1)
+	if err := put(s, mustKey(t, schema, 2), schema, payload{Count: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Fatalf("eviction kept the oldest (legacy) entry: %v", err)
+	}
+	if err := s.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Len(); got != 0 {
+		t.Fatalf("len = %d after clear", got)
 	}
 }
 
@@ -140,13 +246,13 @@ func TestEvictionDropsOldest(t *testing.T) {
 	base := time.Now().Add(-time.Hour)
 	for i := range keys {
 		keys[i] = mustKey(t, schema, i)
-		if err := s.Put(keys[i], schema, payload{Count: i}); err != nil {
+		if err := put(s, keys[i], schema, payload{Count: i}); err != nil {
 			t.Fatal(err)
 		}
 		// Pin distinct mtimes: filesystem timestamp granularity would
 		// otherwise tie every entry written in the same instant.
 		mt := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(filepath.Join(dir, keys[i][:2], keys[i]+".json"), mt, mt); err != nil {
+		if err := os.Chtimes(entryPath(dir, keys[i]), mt, mt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +261,7 @@ func TestEvictionDropsOldest(t *testing.T) {
 	}
 	var out payload
 	for i, key := range keys {
-		hit := s.Get(key, schema, &out)
+		hit := get(s, key, schema, &out)
 		wantHit := i >= 2 // 0 and 1 are the oldest two of the five
 		if hit != wantHit {
 			t.Errorf("entry %d: hit=%v, want %v", i, hit, wantHit)
@@ -195,12 +301,12 @@ func TestStoreConcurrentPutsAndGets(t *testing.T) {
 					return
 				}
 				var out payload
-				s.Get(k, schema, &out)
-				if err := s.Put(k, schema, payload{Name: "cell", Count: g*perW + i}); err != nil {
+				get(s, k, schema, &out)
+				if err := put(s, k, schema, payload{Name: "cell", Count: g*perW + i}); err != nil {
 					t.Error(err)
 					return
 				}
-				s.Get(k, schema, &out)
+				get(s, k, schema, &out)
 			}
 		}(g)
 	}
@@ -235,7 +341,7 @@ func TestReopenSeedsEvictionCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := s.Put(mustKey(t, schema, i), schema, payload{Count: i}); err != nil {
+		if err := put(s, mustKey(t, schema, i), schema, payload{Count: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +350,7 @@ func TestReopenSeedsEvictionCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.SetMaxEntries(3)
-	if err := s2.Put(mustKey(t, schema, 99), schema, payload{Count: 99}); err != nil {
+	if err := put(s2, mustKey(t, schema, 99), schema, payload{Count: 99}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.Len(); got != 3 {
@@ -259,7 +365,7 @@ func TestClearKeepsRoot(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	key := mustKey(t, schema, "x")
-	if err := s.Put(key, schema, payload{}); err != nil {
+	if err := put(s, key, schema, payload{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Clear(); err != nil {
@@ -272,11 +378,11 @@ func TestClearKeepsRoot(t *testing.T) {
 		t.Fatalf("clear removed the store root: %v", err)
 	}
 	// The store stays usable.
-	if err := s.Put(key, schema, payload{Count: 9}); err != nil {
+	if err := put(s, key, schema, payload{Count: 9}); err != nil {
 		t.Fatal(err)
 	}
 	var out payload
-	if !s.Get(key, schema, &out) || out.Count != 9 {
+	if !get(s, key, schema, &out) || out.Count != 9 {
 		t.Fatal("store unusable after clear")
 	}
 }
@@ -286,10 +392,10 @@ func TestClearKeepsRoot(t *testing.T) {
 func TestNilStoreAlwaysMisses(t *testing.T) {
 	var s *Store
 	var out payload
-	if s.Get("abcd", schema, &out) {
+	if get(s, "abcd", schema, &out) {
 		t.Fatal("nil store hit")
 	}
-	if err := s.Put("abcd", schema, payload{}); err != nil {
+	if err := put(s, "abcd", schema, payload{}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 0 || s.Dir() != "" {
