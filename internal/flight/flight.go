@@ -227,16 +227,43 @@ func (r *Recorder) Snapshot() []Rec {
 	if r == nil {
 		return nil
 	}
-	var out []Rec
+	live := 0
 	for i, ring := range r.rings {
-		n := r.written[i]
-		if n > uint64(len(ring)) {
-			n = uint64(len(ring))
-		}
-		out = append(out, ring[:n]...)
+		live += int(min(r.written[i], uint64(len(ring))))
+	}
+	if live == 0 {
+		return nil
+	}
+	if out, ok := r.placeBySeq(live); ok {
+		return out
+	}
+	out := make([]Rec, 0, live)
+	for i, ring := range r.rings {
+		out = append(out, ring[:min(r.written[i], uint64(len(ring)))]...)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
+}
+
+// placeBySeq is Snapshot without a sort, for a recorder that lost nothing:
+// its live records carry every Seq in 1..live once, so each goes straight
+// to out[Seq-1]. It reports false, and Snapshot sorts, when any record was
+// lost (a wrapped ring, a restored loss) or a Seq is out of place (a
+// restored snapshot from disk may repeat one).
+func (r *Recorder) placeBySeq(live int) ([]Rec, bool) {
+	if uint64(live) != r.seq || r.restoredLost != 0 {
+		return nil, false
+	}
+	out := make([]Rec, live)
+	for i, ring := range r.rings {
+		for _, rec := range ring[:min(r.written[i], uint64(len(ring)))] {
+			if rec.Seq == 0 || rec.Seq > uint64(live) || out[rec.Seq-1].Seq != 0 {
+				return nil, false
+			}
+			out[rec.Seq-1] = rec
+		}
+	}
+	return out, true
 }
 
 // SnapshotSince returns the live records with Seq > seq, sorted by record

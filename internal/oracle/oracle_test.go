@@ -3,6 +3,8 @@ package oracle
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"flextm/internal/memory"
@@ -375,11 +377,16 @@ func TestReportJSONComposable(t *testing.T) {
 
 // TestRecordAllocatesOnlyChunks: the log grows a chunk at a time and never
 // re-copies what it holds, so recording allocates one chunk per chunkOps
-// ops beyond what NewRecorder allocates.
+// ops beyond what NewRecorder allocates. The 60 MB the runs log would
+// trigger collections, and a collection allocates on its own (mark worker
+// goroutines at the first one, the unique package's map cleanup after each
+// one), so the measurement runs with the collector off.
 func TestRecordAllocatesOnlyChunks(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const chunks = 16
 	var r *Recorder
 	base := testing.AllocsPerRun(20, func() { r = NewRecorder() })

@@ -59,6 +59,12 @@ type audit struct {
 
 // New returns an empty signature with the given geometry.
 func New(cfg Config) *Sig {
+	return &Sig{cfg: cfg, bankBits: cfg.bankBits(), words: make([]uint64, cfg.Bits/64)}
+}
+
+// bankBits returns the width of one bank, panicking on a geometry no
+// signature can have.
+func (cfg Config) bankBits() int {
 	if cfg.Banks <= 0 || cfg.Bits <= 0 || cfg.Bits%(64*cfg.Banks) != 0 {
 		panic("signature: invalid config")
 	}
@@ -66,7 +72,7 @@ func New(cfg Config) *Sig {
 	if bankBits&(bankBits-1) != 0 {
 		panic("signature: bank size must be a power of two")
 	}
-	return &Sig{cfg: cfg, bankBits: bankBits, words: make([]uint64, cfg.Bits/64)}
+	return bankBits
 }
 
 // NewDefault returns an empty signature with the paper's geometry.
@@ -80,8 +86,11 @@ var bankSalts = [...]uint64{
 	0x85EBCA77C2B2AE63, 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53, 0x2545F4914F6CDD1D,
 }
 
-func h3(l memory.LineAddr, bank int) uint64 {
-	x := uint64(l) * bankSalts[bank%len(bankSalts)]
+func h3(l memory.LineAddr, bank int) uint64 { return hash(l, bankSalts[bank%len(bankSalts)]) }
+
+// hash is h3 with the bank's salt.
+func hash(l memory.LineAddr, salt uint64) uint64 {
+	x := uint64(l) * salt
 	x ^= x >> 33
 	x *= 0xFF51AFD7ED558CCD
 	x ^= x >> 29
@@ -99,19 +108,19 @@ func bankBit(bankBits int, l memory.LineAddr, bank int) (word, mask int) {
 	return idx / 64, idx % 64
 }
 
-// keyBanks is the number of banks a Key can hold; MemberKey tests a wider
-// geometry through Member.
+// keyBanks is the number of banks a Key can hold; a wider geometry's key
+// hashes its line at each use instead (Member's path).
 const keyBanks = len(bankSalts)
 
-// Key is one line's bit positions under one Config: the word index and
-// mask of its bit in each bank. A coherence probe round tests one line
-// against many signatures of one geometry; a shared Key hashes the line
-// once per bank for all of them.
+// Key is one line's bit positions under one Config: the filter bit of the
+// line in each bank, as an index into the whole filter (word bit>>6,
+// position bit&63). A coherence probe round tests one line against many
+// signatures of one geometry; a shared Key hashes the line once per bank
+// for all of them.
 type Key struct {
 	cfg  Config
 	line memory.LineAddr
-	word [keyBanks]int
-	mask [keyBanks]uint64
+	bit  [keyBanks]uint32
 }
 
 // Reset points k at line l under cfg.
@@ -120,11 +129,26 @@ func (k *Key) Reset(cfg Config, l memory.LineAddr) {
 	if cfg.Banks > keyBanks {
 		return
 	}
-	bankBits := cfg.Bits / cfg.Banks
-	for b := 0; b < cfg.Banks; b++ {
-		w, m := bankBit(bankBits, l, b)
-		k.word[b], k.mask[b] = w, 1<<m
+	shift := cfg.bankShift()
+	for b, salt := range bankSalts[:cfg.Banks] {
+		k.bit[b] = uint32(b<<shift) | uint32(hash(l, salt)&(1<<shift-1))
 	}
+}
+
+// bankShift is log2 of the bank width. Bits is Banks times a power of two,
+// so it is the difference of their trailing zeros, without a division.
+func (cfg Config) bankShift() uint {
+	return uint(bits.TrailingZeros(uint(cfg.Bits)) - bits.TrailingZeros(uint(cfg.Banks)))
+}
+
+// bitAt returns the filter bit of k's line in bank b, hashing it when the
+// geometry is too wide for the key to hold.
+func (k *Key) bitAt(b int) int {
+	if k.cfg.Banks <= keyBanks {
+		return int(k.bit[b])
+	}
+	w, m := bankBit(k.cfg.Bits/k.cfg.Banks, k.line, b)
+	return w*64 + m
 }
 
 // MemberKey is Member of k's line. The key's geometry must match.
@@ -136,11 +160,37 @@ func (s *Sig) MemberKey(k *Key) bool {
 		return s.Member(k.line)
 	}
 	for b := 0; b < s.cfg.Banks; b++ {
-		if s.words[k.word[b]]&k.mask[b] == 0 {
+		i := k.bit[b]
+		if s.words[i>>6]&(1<<(i&63)) == 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// InsertKey is Insert of k's line, and reports whether any filter bit was
+// newly set: false means the filter already answered Member of the line
+// with true, so only the insert count and the audit shadow set changed.
+// The key's geometry must match.
+func (s *Sig) InsertKey(k *Key) bool {
+	if k.cfg != s.cfg {
+		panic("signature: InsertKey with a key of another geometry")
+	}
+	if s.cfg.Banks > keyBanks {
+		fresh := !s.Member(k.line)
+		s.Insert(k.line)
+		return fresh
+	}
+	var fresh uint64
+	for b := 0; b < s.cfg.Banks; b++ {
+		i := k.bit[b]
+		w := &s.words[i>>6]
+		m := uint64(1) << (i & 63)
+		fresh |= m &^ *w
+		*w |= m
+	}
+	s.noteInsert(k.line)
+	return fresh != 0
 }
 
 // Insert adds a line address to the signature (the paper's "insert [%r],Sig"
@@ -150,6 +200,11 @@ func (s *Sig) Insert(l memory.LineAddr) {
 		w, m := s.bit(l, b)
 		s.words[w] |= 1 << m
 	}
+	s.noteInsert(l)
+}
+
+// noteInsert counts an insert of l and shadows it in audit mode.
+func (s *Sig) noteInsert(l memory.LineAddr) {
 	s.inserts++
 	if s.audit != nil {
 		s.audit.set[l] = struct{}{}

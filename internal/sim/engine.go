@@ -10,14 +10,16 @@
 // configuration and seed.
 //
 // Spawn wraps each thread body in one iter.Pull sequence, and Run is the only
-// driver: it pops the earliest runnable thread by (now, id) and resumes it,
-// until the run queue is empty. A yielding thread that is still strictly the
-// earliest runnable one simply keeps running (the stay-running fast path).
-// Otherwise it pushes itself onto the run queue, unless it is blocking, and
-// suspends, which returns control to Run's loop. A finished body simply
-// returns. The fast path only skips a push and pop that would have returned
-// the yielder itself, so the order is exactly that of a central scheduler
-// that resumes the minimum after every yield.
+// driver: it resumes the earliest runnable thread by (now, id), until the run
+// queue is empty. A yielding thread that is still strictly the earliest
+// runnable one simply keeps running (the stay-running fast path). Otherwise,
+// unless it is blocking, it takes the run queue's minimum slot (one sift-down
+// in place of a push and a pop) and names the thread it displaced as the
+// next to run; then it suspends, which returns control to Run's loop, and Run
+// resumes the named thread before it pops anything. A blocking thread just
+// suspends, and Run pops the minimum. A finished body simply returns. Either
+// way the order is exactly that of a central scheduler that resumes the
+// minimum after every yield.
 //
 // Exactly one thread runs at any instant, so simulated machine state needs no
 // locking: every structure in the memory system is touched only by the
@@ -131,10 +133,10 @@ func (c *Ctx) park() {
 func (c *Ctx) yield() {
 	e := c.engine
 	if !c.blocked {
-		if len(e.ready) == 0 || ctxLess(c, e.ready[0]) {
+		if len(e.ready) == 0 || c.before(e.ready[0]) {
 			return
 		}
-		e.push(c)
+		e.next = e.replaceMin(c)
 	}
 	if !c.suspend(struct{}{}) {
 		panic(threadStopped{})
@@ -166,9 +168,39 @@ func (p *ThreadPanic) Unwrap() error {
 // Engine is a discrete-event scheduler over a set of simulated threads.
 type Engine struct {
 	threads []*Ctx
-	// ready is a binary min-heap ordered by ctxLess.
-	ready   []*Ctx
+	// ready is a binary min-heap of the runnable threads, ordered by
+	// (now, id). Each entry carries its thread's key, so sifting never
+	// loads a Ctx.
+	ready []entry
+	// next is the thread a yielder displaced from the heap's minimum: the
+	// earliest runnable thread, which Run resumes before popping.
+	next    *Ctx
 	running bool
+}
+
+// entry is one run-queue slot: a thread and its (now, id) key when queued.
+// A queued thread's clock does not change: only a running thread advances
+// its own, and Unblock sets a blocked one's before queueing it.
+type entry struct {
+	now Time
+	id  int
+	c   *Ctx
+}
+
+// less orders entries by (now, id), a strict total order.
+func (a *entry) less(b *entry) bool {
+	if a.now != b.now {
+		return a.now < b.now
+	}
+	return a.id < b.id
+}
+
+// before reports whether c orders before the queued entry q.
+func (c *Ctx) before(q entry) bool {
+	if c.now != q.now {
+		return c.now < q.now
+	}
+	return c.id < q.id
 }
 
 // NewEngine returns an empty engine.
@@ -246,12 +278,21 @@ func (e *Engine) Run() int {
 	drained := false
 	defer func() {
 		if !drained {
+			e.next = nil
 			e.stopAll()
 		}
 		e.running = false
 	}()
-	for len(e.ready) > 0 {
-		e.pop().next()
+	for {
+		c := e.next
+		if c != nil {
+			e.next = nil
+		} else if len(e.ready) > 0 {
+			c = e.pop()
+		} else {
+			break
+		}
+		c.next()
 	}
 	drained = true
 	blocked := 0
@@ -290,23 +331,15 @@ func (e *Engine) MaxTime() Time {
 // Threads returns the threads spawned so far, in id order.
 func (e *Engine) Threads() []*Ctx { return e.threads }
 
-// ctxLess orders threads by (now, id), a strict total order.
-func ctxLess(a, b *Ctx) bool {
-	if a.now != b.now {
-		return a.now < b.now
-	}
-	return a.id < b.id
-}
-
 func (e *Engine) push(c *Ctx) {
 	if c.inHeap {
 		panic(fmt.Sprintf("sim: thread %s pushed twice", c.name))
 	}
 	c.inHeap = true
-	h := append(e.ready, c)
+	h := append(e.ready, entry{c.now, c.id, c})
 	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !ctxLess(h[i], h[p]) {
+		if !h[i].less(&h[p]) {
 			break
 		}
 		h[i], h[p] = h[p], h[i]
@@ -317,26 +350,48 @@ func (e *Engine) push(c *Ctx) {
 
 func (e *Engine) pop() *Ctx {
 	h := e.ready
-	c := h[0]
+	c := h[0].c
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = nil
-	h = h[:n]
+	h[n] = entry{}
+	e.ready = h[:n]
+	e.siftDown()
+	c.inHeap = false
+	return c
+}
+
+// replaceMin queues c in the minimum's slot and returns the thread it
+// displaced: a push of c and a pop in one sift-down. The caller has checked
+// that c does not order before the minimum, so the displaced thread is the
+// earliest of the queue and c.
+func (e *Engine) replaceMin(c *Ctx) *Ctx {
+	if c.inHeap {
+		panic(fmt.Sprintf("sim: thread %s pushed twice", c.name))
+	}
+	min := e.ready[0].c
+	min.inHeap = false
+	c.inHeap = true
+	e.ready[0] = entry{c.now, c.id, c}
+	e.siftDown()
+	return min
+}
+
+// siftDown restores the heap order after the root entry changed.
+func (e *Engine) siftDown() {
+	h := e.ready
+	n := len(h)
 	for i := 0; ; {
 		m := i
-		if l := 2*i + 1; l < n && ctxLess(h[l], h[m]) {
+		if l := 2*i + 1; l < n && h[l].less(&h[m]) {
 			m = l
 		}
-		if r := 2*i + 2; r < n && ctxLess(h[r], h[m]) {
+		if r := 2*i + 2; r < n && h[r].less(&h[m]) {
 			m = r
 		}
 		if m == i {
-			break
+			return
 		}
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	e.ready = h
-	c.inHeap = false
-	return c
 }

@@ -89,7 +89,7 @@ func runRandomProgram(seed uint64) (trace []resumeEvent, blocked int, violation 
 			return
 		}
 		for _, o := range e.Threads() {
-			if o != c && !o.Done() && ctxLess(o, c) {
+			if o != c && !o.Done() && o.before(entry{now: c.now, id: c.id}) {
 				violation = fmt.Sprintf("%s resumed at %d before %s at %d",
 					c.name, c.now, o.name, o.now)
 				return

@@ -137,8 +137,7 @@ func (s *System) flashAbortLocked(c *coreState, core int) {
 
 // endTxn clears the per-transaction hardware state.
 func (s *System) endTxn(c *coreState, core int) {
-	c.rsig.Clear()
-	c.wsig.Clear()
+	s.sigClear(c, core)
 	c.table.ClearAll()
 	s.active &^= coreBit(core)
 	if c.alerts.Marks() > 0 {
@@ -240,20 +239,11 @@ func (s *System) SetSigWatch(core int, on bool) { s.cores[core].sigWatch = on }
 // WatchInsert adds a line to core's read or write signature for monitoring
 // purposes (Table 4a's "insert" with Sig = Rsig or Wsig).
 func (s *System) WatchInsert(core int, a memory.Addr, write bool) {
-	c := &s.cores[core]
-	if write {
-		c.wsig.Insert(a.Line())
-	} else {
-		c.rsig.Insert(a.Line())
-	}
+	s.sigInsert(&s.cores[core], core, a.Line(), write)
 }
 
 // ClearSigs zeroes core's signatures (Table 4a's "clear").
-func (s *System) ClearSigs(core int) {
-	c := &s.cores[core]
-	c.rsig.Clear()
-	c.wsig.Clear()
-}
+func (s *System) ClearSigs(core int) { s.sigClear(&s.cores[core], core) }
 
 // SaveTxnState captures the hardware transactional state of core for a
 // context switch (Section 5): TMI lines move to the overflow table, and the
@@ -302,8 +292,7 @@ func (s *System) SaveTxnState(ctx *sim.Ctx, core int) *SavedTxn {
 // in the OT and is fetched back on demand via the Osig.
 func (s *System) RestoreTxnState(ctx *sim.Ctx, core int, saved *SavedTxn) {
 	c := &s.cores[core]
-	c.rsig.CopyFrom(saved.Rsig)
-	c.wsig.CopyFrom(saved.Wsig)
+	s.sigRestore(c, core, saved.Rsig, saved.Wsig)
 	c.table.Restore(saved.CST)
 	c.ot = saved.OT
 	s.active |= coreBit(core)
@@ -332,10 +321,10 @@ func (s *System) RaiseAlert(core int, a memory.Addr) {
 func (s *System) RemapLine(core int, oldLine, newLine memory.LineAddr) {
 	c := &s.cores[core]
 	if c.rsig.Member(oldLine) {
-		c.rsig.Insert(newLine)
+		s.sigInsert(c, core, newLine, false)
 	}
 	if c.wsig.Member(oldLine) {
-		c.wsig.Insert(newLine)
+		s.sigInsert(c, core, newLine, true)
 	}
 	if c.ot != nil {
 		c.ot.RetagPhysical(oldLine, newLine)

@@ -418,6 +418,18 @@ func BenchmarkProbeRound(b *testing.B) {
 	}
 }
 
+// BenchmarkProbeRoundAudited is BenchmarkProbeRound with telemetry
+// attached: the round visits every transactional core and classifies its
+// sixteen signature tests, all true negatives.
+func BenchmarkProbeRoundAudited(b *testing.B) {
+	s, line := probeRoundSystem(b, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.probe(15, line, reqGETS)
+	}
+}
+
 func BenchmarkReadWordRaw(b *testing.B) {
 	s, line := probeRoundSystem(b, false)
 	for _, bc := range []struct {

@@ -40,7 +40,7 @@ func (s *System) TLoad(ctx *sim.Ctx, core int, a memory.Addr) OpResult {
 
 	if ln := c.l1.Lookup(line); ln != nil {
 		s.stats.L1Hits++
-		c.rsig.Insert(line)
+		s.sigInsert(c, core, line, false)
 		res.Val = ln.Data[a.Offset()]
 		ctx.Advance(lat)
 		return res
@@ -49,7 +49,7 @@ func (s *System) TLoad(ctx *sim.Ctx, core int, a memory.Addr) OpResult {
 
 	if data, ok, otLat := s.otFetch(c, core, line); ok {
 		lat += otLat + s.insertLine(c, core, cache.Line{Tag: line, State: cache.TMI, Data: data})
-		c.rsig.Insert(line)
+		s.sigInsert(c, core, line, false)
 		res.Val = data[a.Offset()]
 		ctx.Advance(lat)
 		return res
@@ -71,7 +71,7 @@ func (s *System) TLoad(ctx *sim.Ctx, core int, a memory.Addr) OpResult {
 		st = cache.Shared
 	}
 	lat += s.insertLine(c, core, cache.Line{Tag: line, State: st, Data: data})
-	c.rsig.Insert(line)
+	s.sigInsert(c, core, line, false)
 	res.Val = data[a.Offset()]
 	res.Conflicts = pr.conflicts
 	ctx.Advance(lat)
@@ -165,7 +165,7 @@ func (s *System) TStore(ctx *sim.Ctx, core int, a memory.Addr, v uint64) OpResul
 			s.tel.Inc(core, telemetry.CtrTMIEnter)
 		}
 		ln.Data[a.Offset()] = v
-		c.wsig.Insert(line)
+		s.sigInsert(c, core, line, true)
 		ctx.Advance(lat)
 		return res
 	}
@@ -174,7 +174,7 @@ func (s *System) TStore(ctx *sim.Ctx, core int, a memory.Addr, v uint64) OpResul
 	if data, ok, otLat := s.otFetch(c, core, line); ok {
 		data[a.Offset()] = v
 		lat += otLat + s.insertLine(c, core, cache.Line{Tag: line, State: cache.TMI, Data: data})
-		c.wsig.Insert(line)
+		s.sigInsert(c, core, line, true)
 		ctx.Advance(lat)
 		return res
 	} else {
@@ -190,7 +190,7 @@ func (s *System) TStore(ctx *sim.Ctx, core int, a memory.Addr, v uint64) OpResul
 	data[a.Offset()] = v
 	s.tel.Inc(core, telemetry.CtrTMIEnter)
 	lat += s.insertLine(c, core, cache.Line{Tag: line, State: cache.TMI, Data: data})
-	c.wsig.Insert(line)
+	s.sigInsert(c, core, line, true)
 	res.Conflicts = pr.conflicts
 	ctx.Advance(lat)
 	return res
@@ -306,38 +306,64 @@ type probeResult struct {
 
 // probe models the directory forwarding a request to the other L1
 // controllers, which test their signatures and adjust their cache state per
-// Figure 1, updating CSTs on both sides. Only holders and transactional
-// cores are visited (the package comment's holder index). The masks are
-// read once per round: a core that loses its copy or leaves transactional
-// mode during the round (through the strong-isolation hook) is still
-// visited, and its L1 and signature state, read at the visit, decide what
-// it does, as in a broadcast.
+// Figure 1, updating CSTs on both sides. The round visits holders and
+// transactional cores (the package comment's holder index), in ascending
+// order, and reads every transactional core's signature hits from the
+// sliced index at once. The masks are read once per round: a core that
+// loses its copy or leaves transactional mode during the round (through
+// the strong-isolation hook) is still visited, and its L1 and signature
+// state, read at the visit, decide what it does, as in a broadcast.
+// Without telemetry or a fault injector, a visit to a transactional core
+// that holds no copy and whose signatures miss changes nothing, and the
+// round skips it; it still counts in the census.
 func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult {
 	var pr probeResult
 	c := &s.cores[core]
 	probed := false
 	held := s.holdersOf(line)
-	visit := (held | s.active) &^ coreBit(core)
+	self := coreBit(core)
+	all := (held | s.active) &^ self
+	s.census.Rounds++
+	s.census.Visits += uint64(bits.OnesCount64(all))
 	var key signature.Key
 	keyed := false
-	s.census.Rounds++
-
-	for rest := visit; rest != 0; rest &= rest - 1 {
-		r := bits.TrailingZeros64(rest)
-		rc := &s.cores[r]
-		s.census.Visits++
-		var rln *cache.Line
-		if held&coreBit(r) != 0 {
-			s.census.Lookups++
-			rln = s.lookupHolder(r, line)
-		}
-		active := s.active&coreBit(r) != 0
-		if active && !keyed {
+	var hitW, hitR uint64
+	// hits (re)reads the signature hits of the transactional cores.
+	hits := func() {
+		if !keyed && s.active&^self != 0 {
 			key.Reset(s.cfg.Sig, line)
 			keyed = true
 		}
-		sigW := active && rc.wsig.MemberKey(&key)
-		sigR := active && rc.rsig.MemberKey(&key)
+		if keyed {
+			hitW, hitR = s.wslices.Hits(&key), s.rslices.Hits(&key)
+		}
+	}
+	// skip is whether a visit that would change nothing may be skipped:
+	// with telemetry each visit classifies its tests, and with an injector
+	// it may roll an injected alias.
+	skip := s.tel == nil && s.inj == nil && !s.sigScan
+	hits()
+	visit := all
+	if skip {
+		visit &= held | (hitW|hitR)&s.active
+	}
+
+	for rest := visit; rest != 0; {
+		r := bits.TrailingZeros64(rest)
+		rest &= rest - 1
+		rb := coreBit(r)
+		rc := &s.cores[r]
+		var rln *cache.Line
+		if held&rb != 0 {
+			s.census.Lookups++
+			rln = s.lookupHolder(r, line)
+		}
+		active := s.active&rb != 0
+		sigW := active && hitW&rb != 0
+		sigR := active && hitR&rb != 0
+		if s.sigScan && active {
+			sigW, sigR = rc.wsig.MemberKey(&key), rc.rsig.MemberKey(&key)
+		}
 		// Injected Bloom aliasing: force the responder's write signature to
 		// claim membership for a line it never inserted. Sound by the same
 		// argument as a natural false positive — signatures are allowed to
@@ -352,8 +378,7 @@ func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult
 		if s.tel != nil && active {
 			// Split this round's membership tests into true conflicts and
 			// Bloom aliasing, attributed to the signature's owner.
-			s.classifySig(r, rc.wsig, line, sigW)
-			s.classifySig(r, rc.rsig, line, sigR)
+			s.classifyTests(r, rc, line, sigW, sigR)
 		}
 		if rln == nil && !sigW && !sigR {
 			continue
@@ -425,6 +450,13 @@ func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult
 				s.tel.Inc(r, telemetry.CtrStrongIsoAbort)
 				if s.strongIsolationHook != nil {
 					s.strongIsolationHook(r)
+					// The hook may have changed any core's signatures or
+					// transactional mode: re-read the hits and re-filter
+					// the cores still to visit.
+					hits()
+					if rest = all &^ (rb<<1 - 1); skip {
+						rest &= held | (hitW|hitR)&s.active
+					}
 				}
 			}
 		}

@@ -25,9 +25,15 @@
 // round visits only holders and transactional cores, in ascending core
 // order, and looks up only holders; any other core would miss in its L1
 // and have no signature to test, and such a visit changes nothing.
-// ReadWordRaw and ForceWord walk holders only. All cores' signatures share
-// one geometry (WidenSignatures swaps them together), so a round hashes the
-// line once per bank (signature.Key) for all of its membership tests.
+// ReadWordRaw and ForceWord walk holders only.
+//
+// The directory also keeps every core's Rsig and Wsig bit-sliced: for each
+// filter bit, the mask of the cores whose signature has it set (rslices,
+// wslices). All cores' signatures share one geometry (WidenSignatures swaps
+// them together), so a round hashes its line once and ANDs the masks at its
+// bank positions to learn every core's signature hits, as the controllers
+// test their own signatures in parallel. Every change to a core's
+// signatures goes through sigs.go, which keeps the index exact.
 package tmesi
 
 import (
@@ -173,6 +179,12 @@ type coreState struct {
 	// stall behind the committed OT's copy-back.
 	drainSig   *signature.Sig
 	drainUntil sim.Time
+
+	// rppm and wppm cache predictedPPM of the signatures in audit mode;
+	// filter lets a repeated insert skip hashing its line (sigs.go). The
+	// filter comes last so the fields every op reads share cache lines.
+	rppm, wppm uint64
+	filter     insertFilter
 }
 
 // System is the simulated memory system shared by all cores.
@@ -191,10 +203,18 @@ type System struct {
 	active  uint64
 	census  ProbeCensus
 
+	// rslices and wslices index every core's Rsig and Wsig by filter bit
+	// (slot = core); see the package comment and sigs.go.
+	rslices, wslices *signature.Slices
+
 	// broadcast makes probe rounds, ReadWordRaw and ForceWord visit every
-	// core, as the model did before the holder index. Tests set it to
-	// check the index against a full broadcast; nothing else does.
+	// core, as the model did before the holder index. sigScan makes probe
+	// rounds visit every holder and transactional core and test each one's
+	// signatures with MemberKey, as the model did before the sliced index.
+	// Tests set them to check the indexes against the old rounds; nothing
+	// else does.
 	broadcast bool
+	sigScan   bool
 
 	// tel is the per-mechanism telemetry registry; nil means disabled
 	// (telemetry.Registry methods are nil-safe, so instrumentation sites
@@ -238,20 +258,22 @@ func New(cfg Config) *System {
 		panic("tmesi: core count must be in 1..64")
 	}
 	s := &System{
-		cfg:   cfg,
-		image: memory.NewImage(),
-		alloc: memory.NewAllocator(),
-		cores: make([]coreState, cfg.Cores),
-		l2:    cache.NewTagCache(cfg.L2Sets, cfg.L2Ways),
+		cfg:     cfg,
+		image:   memory.NewImage(),
+		alloc:   memory.NewAllocator(),
+		cores:   make([]coreState, cfg.Cores),
+		l2:      cache.NewTagCache(cfg.L2Sets, cfg.L2Ways),
+		rslices: signature.NewSlices(cfg.Sig, cfg.Cores),
+		wslices: signature.NewSlices(cfg.Sig, cfg.Cores),
 	}
 	for i := range s.cores {
 		l1 := cache.New(cfg.L1)
 		l1.OnFlashDrop(func(line memory.LineAddr) { s.holders.drop(line, i) })
-		s.cores[i] = coreState{
-			l1:   l1,
-			rsig: signature.New(cfg.Sig),
-			wsig: signature.New(cfg.Sig),
-		}
+		c := &s.cores[i]
+		c.l1 = l1
+		c.rsig = signature.New(cfg.Sig)
+		c.wsig = signature.New(cfg.Sig)
+		c.filter.reset()
 	}
 	return s
 }
@@ -301,8 +323,13 @@ func (s *System) SetTelemetry(r *telemetry.Registry) {
 		return
 	}
 	for i := range s.cores {
-		s.cores[i].rsig.EnableAudit()
-		s.cores[i].wsig.EnableAudit()
+		c := &s.cores[i]
+		c.rsig.EnableAudit()
+		c.wsig.EnableAudit()
+		// Lines inserted before audit was on are missing from the shadow
+		// sets; a repeated insert must add them.
+		c.filter.reset()
+		c.refreshPPM()
 	}
 }
 
@@ -409,8 +436,9 @@ func (s *System) WidenSignatures(cfg signature.Config) error {
 		s.tel.Inc(i, telemetry.CtrGovSigWiden)
 	}
 	// Future consumers of the geometry (overflow Osig construction, summary
-	// building, width ablations) must see the new shape.
+	// building, width ablations, probe keys) must see the new shape.
 	s.cfg.Sig = cfg
+	s.reindexSigs()
 	return nil
 }
 
