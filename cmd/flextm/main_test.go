@@ -88,6 +88,9 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-parallel", "-1", "-stress", "2"}, 2, "flextm: -parallel must be >= 0"},
 		{[]string{"-workload", "Nope"}, 2, `flextm: unknown workload "Nope" (try -list)`},
 		{[]string{"-query-out", "q.json"}, 2, "flextm: -query-out needs at least one -query"},
+		// A scale that is not a power of two once panicked in the
+		// governor thread, widening to a geometry no signature can have.
+		{[]string{"-livelock", "-govern", "-govern-ladder", "sig:3"}, 2, `flextm: governor: bad signature scale "3"`},
 		{[]string{"-schedule", "s5,t2,r3,o1,a2,lazy,broken"}, 1, ""},
 		{[]string{"-threads", "99"}, 1, "flextm: harness: 99 threads on 16 cores"},
 		// A negative op count once ran no ops and printed a negative

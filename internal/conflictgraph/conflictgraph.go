@@ -31,18 +31,22 @@ import (
 	"flextm/internal/sim"
 )
 
+// Fixed analysis thresholds.
+const (
+	// starvationRun is the consecutive-abort run length on one core that
+	// qualifies as starvation.
+	starvationRun = 8
+	// topLines caps the hot-line ranking.
+	topLines = 10
+)
+
 // Options tune the analysis thresholds.
 type Options struct {
 	// Cores is the machine's core count; 0 infers it from the records.
 	Cores int
-	// StarvationRun is the consecutive-abort run length on one core that
-	// qualifies as starvation. <=0 selects 8.
-	StarvationRun int
 	// CycleMinKills is the per-edge kill count below which an abort edge is
 	// ignored when searching for dueling cycles. <=0 selects 2.
 	CycleMinKills uint64
-	// TopLines caps the hot-line ranking. <=0 selects 10.
-	TopLines int
 }
 
 func (o Options) withDefaults(recs []flight.Rec) Options {
@@ -59,14 +63,8 @@ func (o Options) withDefaults(recs []flight.Rec) Options {
 			o.Cores = 1
 		}
 	}
-	if o.StarvationRun <= 0 {
-		o.StarvationRun = 8
-	}
 	if o.CycleMinKills == 0 {
 		o.CycleMinKills = 2
-	}
-	if o.TopLines <= 0 {
-		o.TopLines = 10
 	}
 	return o
 }
@@ -253,7 +251,7 @@ func Analyze(recs []flight.Rec, opts Options) *Report {
 			conflicted[c] = 0
 			killedBy[c] = 0
 			abortRun[c]++
-			if abortRun[c] >= opts.StarvationRun {
+			if abortRun[c] >= starvationRun {
 				p := starved[c]
 				if p == nil {
 					p = &Pathology{Kind: StarvationChain, Cores: []int{c}}
@@ -372,8 +370,8 @@ func Analyze(recs []flight.Rec, opts Options) *Report {
 		}
 		return a.Line < b.Line
 	})
-	if len(rep.HotLines) > opts.TopLines {
-		rep.HotLines = rep.HotLines[:opts.TopLines]
+	if len(rep.HotLines) > topLines {
+		rep.HotLines = rep.HotLines[:topLines]
 	}
 
 	rep.Pathologies = append(rep.Pathologies, cyclePathologies(rep.AbortEdges, n, opts.CycleMinKills)...)

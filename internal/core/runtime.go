@@ -253,9 +253,6 @@ func (rt *Runtime) Mode() Mode { return rt.mode }
 // System returns the underlying memory system.
 func (rt *Runtime) System() *tmesi.System { return rt.sys }
 
-// SetCosts overrides the software cost model.
-func (rt *Runtime) SetCosts(c Costs) { rt.costs = c }
-
 // SetCleanWR toggles the paper's spurious-abort avoidance (a committer
 // scrubs its bit from the W-R register of everyone in its R-W).
 func (rt *Runtime) SetCleanWR(on bool) { rt.cleanWR = on }

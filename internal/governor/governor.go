@@ -135,8 +135,8 @@ func LadderSpec(ladder []Action) string {
 }
 
 // ParseLadder parses a comma-separated rung list: "cm:NAME", "backoff:N",
-// "admit:N" (or "admit:auto" for half the worker count), "sig:N",
-// "serialize".
+// "admit:N" (or "admit:auto" for half the worker count), "sig:N" (N a
+// power of two of at least 2), "serialize".
 func ParseLadder(spec string) ([]Action, error) {
 	var ladder []Action
 	for _, tok := range strings.Split(spec, ",") {
@@ -170,8 +170,8 @@ func ParseLadder(spec string) ([]Action, error) {
 			a = Action{Kind: ActAdmit, Limit: n}
 		case "sig":
 			n, err := strconv.Atoi(arg)
-			if err != nil || n < 2 {
-				return nil, fmt.Errorf("governor: bad signature scale %q", arg)
+			if err != nil || n < 2 || n&(n-1) != 0 {
+				return nil, fmt.Errorf("governor: bad signature scale %q (want a power of two of at least 2)", arg)
 			}
 			a = Action{Kind: ActSigWiden, Scale: n}
 		case "serialize":

@@ -67,6 +67,8 @@ func TestParseLadderRejectsBadSpecs(t *testing.T) {
 		"backoff:x",
 		"admit:0", // cap must be >= 1
 		"sig:1",   // scale must be >= 2
+		"sig:3",   // scale must be a power of two
+		"sig:12",
 		"serialize:1",
 		"flood:3", // unknown rung
 	} {

@@ -35,7 +35,7 @@ import (
 // Spec describes one run's machine, instruments and side threads.
 type Spec struct {
 	// Machine is the simulated CMP. New rejects a core count outside
-	// 1..tmesi.MaxCores.
+	// 1..tmesi.MaxCores and a signature geometry that Validate rejects.
 	Machine tmesi.Config
 	// System and Workload name the run in observation frames; System also
 	// names the runtime when a governor cannot bind to it.
@@ -89,6 +89,9 @@ type Rig struct {
 func New(spec Spec) (*Rig, error) {
 	if c := spec.Machine.Cores; c < 1 || c > tmesi.MaxCores {
 		return nil, fmt.Errorf("machine with %d cores: core count must be in 1..%d", c, tmesi.MaxCores)
+	}
+	if err := spec.Machine.Sig.Validate(); err != nil {
+		return nil, err
 	}
 	if spec.Govern != nil && spec.Observe == nil {
 		// The governor feeds on published frames.

@@ -161,9 +161,9 @@ func TestSignatureIntersectsDisjointIsDefinitive(t *testing.T) {
 }
 
 func TestMemberKeyMatchesMember(t *testing.T) {
-	// Property: MemberKey answers exactly what Member answers, for a
-	// geometry the key holds and for one too wide to hold (Member fallback).
-	geos := append(validGeometries, Config{Bits: 1024, Banks: 16})
+	// Property: MemberKey answers exactly what Member answers, up to the
+	// most banks and the widest filter a geometry can have.
+	geos := append(validGeometries, Config{Bits: MaxBits, Banks: 8})
 	f := func(geoPick uint8, inserted, probed []uint32) bool {
 		cfg := geos[int(geoPick)%len(geos)]
 		s := New(cfg)

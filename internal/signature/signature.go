@@ -10,6 +10,7 @@
 package signature
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -22,12 +23,46 @@ const (
 	DefaultBits = 2048
 	// DefaultBanks is the number of independently hashed banks.
 	DefaultBanks = 4
+	// MaxBits is the widest filter Validate accepts: a filter bit must fit
+	// the uint16 bit lists of Slices.
+	MaxBits = 1 << 16
 )
 
-// Config describes a signature's geometry.
+// Config describes a signature's geometry; Validate says which are valid.
 type Config struct {
-	Bits  int // total width; must be a multiple of 64*Banks
+	Bits  int // total width
 	Banks int // number of banks (hash functions)
+}
+
+// Validate reports whether cfg is a geometry a signature can have: 1 to 8
+// banks, because each bank hashes with its own salt; banks whose width is
+// a power of two of at least 64 bits; and at most MaxBits bits in all.
+func (cfg Config) Validate() error {
+	if cfg.Banks < 1 || cfg.Banks > len(bankSalts) {
+		return fmt.Errorf("signature: %d banks, want 1 to %d", cfg.Banks, len(bankSalts))
+	}
+	if cfg.Bits < 1 || cfg.Bits > MaxBits {
+		return fmt.Errorf("signature: %d bits, want 1 to %d", cfg.Bits, MaxBits)
+	}
+	if bank := cfg.Bits / cfg.Banks; bank*cfg.Banks != cfg.Bits || bank < 64 || bank&(bank-1) != 0 {
+		return fmt.Errorf("signature: %d bits in %d banks: a bank must be a power of two of at least 64 bits", cfg.Bits, cfg.Banks)
+	}
+	return nil
+}
+
+// mustShift returns the bank shift of cfg, panicking on a geometry that
+// Validate rejects.
+func (cfg Config) mustShift() uint {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	return cfg.bankShift()
+}
+
+// bankShift is log2 of the bank width. Bits is Banks times a power of two,
+// so it is the difference of their trailing zeros, without a division.
+func (cfg Config) bankShift() uint {
+	return uint(bits.TrailingZeros(uint(cfg.Bits)) - bits.TrailingZeros(uint(cfg.Banks)))
 }
 
 // DefaultConfig returns the paper's 2048-bit, 4-banked geometry.
@@ -36,10 +71,10 @@ func DefaultConfig() Config { return Config{Bits: DefaultBits, Banks: DefaultBan
 // Sig is a Bloom-filter signature over cache-line addresses. The zero value
 // is not usable; call New.
 type Sig struct {
-	cfg      Config
-	bankBits int
-	words    []uint64 // Bits/64 words, bank-major
-	inserts  int
+	cfg     Config
+	shift   uint     // log2 of the bank width
+	words   []uint64 // Bits/64 words, bank-major
+	inserts int
 	// audit, when non-nil, shadows the inserted set precisely so membership
 	// tests can be split into true hits and Bloom false positives (the
 	// telemetry layer's empirical FP accounting). Hardware has no such
@@ -57,38 +92,25 @@ type audit struct {
 	fpr []float64
 }
 
-// New returns an empty signature with the given geometry.
+// New returns an empty signature with the given geometry. It panics on a
+// geometry that Validate rejects.
 func New(cfg Config) *Sig {
-	return &Sig{cfg: cfg, bankBits: cfg.bankBits(), words: make([]uint64, cfg.Bits/64)}
-}
-
-// bankBits returns the width of one bank, panicking on a geometry no
-// signature can have.
-func (cfg Config) bankBits() int {
-	if cfg.Banks <= 0 || cfg.Bits <= 0 || cfg.Bits%(64*cfg.Banks) != 0 {
-		panic("signature: invalid config")
-	}
-	bankBits := cfg.Bits / cfg.Banks
-	if bankBits&(bankBits-1) != 0 {
-		panic("signature: bank size must be a power of two")
-	}
-	return bankBits
+	return &Sig{cfg: cfg, shift: cfg.mustShift(), words: make([]uint64, cfg.Bits/64)}
 }
 
 // NewDefault returns an empty signature with the paper's geometry.
 func NewDefault() *Sig { return New(DefaultConfig()) }
 
-// h3 mixes a line address with a per-bank constant. The multiply-xorshift
-// construction approximates the H3 hash family used in hardware signature
-// studies; what matters for fidelity is independence across banks.
+// bankSalts holds one salt per bank, so a geometry has at most
+// len(bankSalts) banks.
 var bankSalts = [...]uint64{
 	0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5,
 	0x85EBCA77C2B2AE63, 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53, 0x2545F4914F6CDD1D,
 }
 
-func h3(l memory.LineAddr, bank int) uint64 { return hash(l, bankSalts[bank%len(bankSalts)]) }
-
-// hash is h3 with the bank's salt.
+// hash mixes a line address with a bank's salt. The multiply-xorshift
+// construction approximates the H3 hash family used in hardware signature
+// studies; what matters for fidelity is independence across banks.
 func hash(l memory.LineAddr, salt uint64) uint64 {
 	x := uint64(l) * salt
 	x ^= x >> 33
@@ -97,20 +119,12 @@ func hash(l memory.LineAddr, salt uint64) uint64 {
 	return x
 }
 
-func (s *Sig) bit(l memory.LineAddr, bank int) (word, mask int) {
-	return bankBit(s.bankBits, l, bank)
+// bankBit is line l's filter bit in bank b, whose salt is salt, in a
+// geometry whose banks are 1<<shift bits wide: word bit>>6, position
+// bit&63.
+func bankBit(l memory.LineAddr, b int, salt uint64, shift uint) uint {
+	return uint(b)<<shift | uint(hash(l, salt)&(1<<shift-1))
 }
-
-// bankBit returns the word index and bit position of l's bit in bank.
-func bankBit(bankBits int, l memory.LineAddr, bank int) (word, mask int) {
-	h := h3(l, bank) & uint64(bankBits-1)
-	idx := bank*bankBits + int(h)
-	return idx / 64, idx % 64
-}
-
-// keyBanks is the number of banks a Key can hold; a wider geometry's key
-// hashes its line at each use instead (Member's path).
-const keyBanks = len(bankSalts)
 
 // Key is one line's bit positions under one Config: the filter bit of the
 // line in each bank, as an index into the whole filter (word bit>>6,
@@ -118,37 +132,17 @@ const keyBanks = len(bankSalts)
 // signatures of one geometry; a shared Key hashes the line once per bank
 // for all of them.
 type Key struct {
-	cfg  Config
-	line memory.LineAddr
-	bit  [keyBanks]uint32
+	cfg Config
+	bit [len(bankSalts)]uint32
 }
 
-// Reset points k at line l under cfg.
+// Reset points k at line l under cfg, a valid geometry.
 func (k *Key) Reset(cfg Config, l memory.LineAddr) {
-	k.cfg, k.line = cfg, l
-	if cfg.Banks > keyBanks {
-		return
-	}
+	k.cfg = cfg
 	shift := cfg.bankShift()
 	for b, salt := range bankSalts[:cfg.Banks] {
-		k.bit[b] = uint32(b<<shift) | uint32(hash(l, salt)&(1<<shift-1))
+		k.bit[b] = uint32(bankBit(l, b, salt, shift))
 	}
-}
-
-// bankShift is log2 of the bank width. Bits is Banks times a power of two,
-// so it is the difference of their trailing zeros, without a division.
-func (cfg Config) bankShift() uint {
-	return uint(bits.TrailingZeros(uint(cfg.Bits)) - bits.TrailingZeros(uint(cfg.Banks)))
-}
-
-// bitAt returns the filter bit of k's line in bank b, hashing it when the
-// geometry is too wide for the key to hold.
-func (k *Key) bitAt(b int) int {
-	if k.cfg.Banks <= keyBanks {
-		return int(k.bit[b])
-	}
-	w, m := bankBit(k.cfg.Bits/k.cfg.Banks, k.line, b)
-	return w*64 + m
 }
 
 // MemberKey is Member of k's line. The key's geometry must match.
@@ -156,11 +150,7 @@ func (s *Sig) MemberKey(k *Key) bool {
 	if k.cfg != s.cfg {
 		panic("signature: MemberKey with a key of another geometry")
 	}
-	if s.cfg.Banks > keyBanks {
-		return s.Member(k.line)
-	}
-	for b := 0; b < s.cfg.Banks; b++ {
-		i := k.bit[b]
+	for _, i := range k.bit[:s.cfg.Banks] {
 		if s.words[i>>6]&(1<<(i&63)) == 0 {
 			return false
 		}
@@ -168,37 +158,12 @@ func (s *Sig) MemberKey(k *Key) bool {
 	return true
 }
 
-// InsertKey is Insert of k's line, and reports whether any filter bit was
-// newly set: false means the filter already answered Member of the line
-// with true, so only the insert count and the audit shadow set changed.
-// The key's geometry must match.
-func (s *Sig) InsertKey(k *Key) bool {
-	if k.cfg != s.cfg {
-		panic("signature: InsertKey with a key of another geometry")
-	}
-	if s.cfg.Banks > keyBanks {
-		fresh := !s.Member(k.line)
-		s.Insert(k.line)
-		return fresh
-	}
-	var fresh uint64
-	for b := 0; b < s.cfg.Banks; b++ {
-		i := k.bit[b]
-		w := &s.words[i>>6]
-		m := uint64(1) << (i & 63)
-		fresh |= m &^ *w
-		*w |= m
-	}
-	s.noteInsert(k.line)
-	return fresh != 0
-}
-
 // Insert adds a line address to the signature (the paper's "insert [%r],Sig"
 // instruction, Table 4a).
 func (s *Sig) Insert(l memory.LineAddr) {
-	for b := 0; b < s.cfg.Banks; b++ {
-		w, m := s.bit(l, b)
-		s.words[w] |= 1 << m
+	for b, salt := range bankSalts[:s.cfg.Banks] {
+		i := bankBit(l, b, salt, s.shift)
+		s.words[i>>6] |= 1 << (i & 63)
 	}
 	s.noteInsert(l)
 }
@@ -214,9 +179,9 @@ func (s *Sig) noteInsert(l memory.LineAddr) {
 // Member reports whether l may have been inserted (the paper's "member"
 // instruction). False positives are possible; false negatives are not.
 func (s *Sig) Member(l memory.LineAddr) bool {
-	for b := 0; b < s.cfg.Banks; b++ {
-		w, m := s.bit(l, b)
-		if s.words[w]&(1<<m) == 0 {
+	for b, salt := range bankSalts[:s.cfg.Banks] {
+		i := bankBit(l, b, salt, s.shift)
+		if s.words[i>>6]&(1<<(i&63)) == 0 {
 			return false
 		}
 	}
@@ -378,8 +343,8 @@ func (s *Sig) Inserts() int { return s.inserts }
 // hardware hash, e.g. for overflow-table indexing.
 func (s *Sig) ReadHash(l memory.LineAddr) uint64 {
 	var h uint64
-	for b := 0; b < s.cfg.Banks; b++ {
-		h = h<<16 | (h3(l, b) & uint64(s.bankBits-1))
+	for b, salt := range bankSalts[:s.cfg.Banks] {
+		h = h<<16 | uint64(bankBit(l, b, salt, s.shift)&(1<<s.shift-1))
 	}
 	return h
 }

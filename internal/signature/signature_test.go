@@ -187,6 +187,42 @@ func TestInvalidConfigPanics(t *testing.T) {
 	}
 }
 
+// TestValidate holds the supported geometries: 1 to 8 banks, each a power
+// of two of at least 64 bits, at most MaxBits in all. Every geometry the
+// simulator builds is among them: the -fig sig widths and each of them
+// widened 4x, the governor's default sig rung.
+func TestValidate(t *testing.T) {
+	for _, tc := range []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{Bits: 512, Banks: 8}, true},
+		{Config{Bits: 576, Banks: 9}, false},
+		{Config{Bits: 1024, Banks: 16}, false},
+		{Config{Bits: MaxBits, Banks: 2}, true},
+		{Config{Bits: MaxBits, Banks: 8}, true},
+		{Config{Bits: 2 * MaxBits, Banks: 2}, false},
+		{Config{Bits: 64 * 3, Banks: 1}, false},
+		{Config{Bits: 64 * 3, Banks: 3}, true},
+		{Config{Bits: 96, Banks: 3}, false},
+		{Config{Bits: 100, Banks: 4}, false},
+		{Config{Bits: 0, Banks: 4}, false},
+		{Config{Bits: -2048, Banks: 4}, false},
+		{Config{Bits: 2048, Banks: 0}, false},
+	} {
+		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%+v.Validate() = %v, want ok %v", tc.cfg, err, tc.ok)
+		}
+	}
+	for _, bits := range []int{256, 512, 1024, 2048, 4096} {
+		for _, cfg := range []Config{{Bits: bits, Banks: 4}, {Bits: 4 * bits, Banks: 4}} {
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("%+v: %v", cfg, err)
+			}
+		}
+	}
+}
+
 func TestCopyFromOverwrites(t *testing.T) {
 	a, b := NewDefault(), NewDefault()
 	a.Insert(1)

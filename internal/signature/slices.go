@@ -39,16 +39,15 @@ type Slices struct {
 	masks []uint64
 	lane  uint
 	// bits[slot*listStride:][:n[slot]] are the slot's set bits while
-	// n[slot] <= listed; a larger n[slot] means the list overflowed.
-	// listed is listCap, or 0 for a geometry too wide for uint16 bits.
-	bits   []uint16
-	n      []uint8
-	listed int
+	// n[slot] <= listCap; a larger n[slot] means the list overflowed.
+	bits []uint16
+	n    []uint8
 }
 
 // NewSlices returns an empty index of slots signatures with geometry cfg.
+// It panics on a geometry that Validate rejects.
 func NewSlices(cfg Config, slots int) *Slices {
-	cfg.bankBits() // panics on an invalid geometry
+	cfg.mustShift()
 	if slots <= 0 || slots > maxSlots {
 		panic("signature: slot count must be in 1..64")
 	}
@@ -56,18 +55,13 @@ func NewSlices(cfg Config, slots int) *Slices {
 	for 1<<lane < slots {
 		lane++
 	}
-	x := &Slices{
-		cfg:    cfg,
-		masks:  make([]uint64, cfg.Bits>>(6-lane)),
-		lane:   lane,
-		bits:   make([]uint16, slots*listStride),
-		n:      make([]uint8, slots),
-		listed: listCap,
+	return &Slices{
+		cfg:   cfg,
+		masks: make([]uint64, cfg.Bits>>(6-lane)),
+		lane:  lane,
+		bits:  make([]uint16, slots*listStride),
+		n:     make([]uint8, slots),
 	}
-	if cfg.Bits > 1<<16 {
-		x.listed = 0
-	}
-	return x
 }
 
 // Mask returns the slots whose signature has filter bit i set.
@@ -90,12 +84,6 @@ func (x *Slices) Hits(k *Key) uint64 {
 		panic("signature: Hits with a key of another geometry")
 	}
 	h := x.laneMask()
-	if x.cfg.Banks > keyBanks {
-		for b := 0; b < x.cfg.Banks; b++ {
-			h &= x.at(uint(k.bitAt(b)))
-		}
-		return h
-	}
 	for _, i := range k.bit[:x.cfg.Banks] {
 		h &= x.at(uint(i))
 	}
@@ -110,24 +98,14 @@ func (x *Slices) Insert(slot int, s *Sig, l memory.LineAddr) {
 	if s.cfg != cfg {
 		panic("signature: Insert into a signature of another geometry")
 	}
-	if cfg.Banks > keyBanks {
-		var k Key
-		k.Reset(cfg, l)
-		if s.InsertKey(&k) {
-			for b := 0; b < cfg.Banks; b++ {
-				x.set(slot, k.bitAt(b))
-			}
-		}
-		return
-	}
-	shift := cfg.bankShift() & 63
+	shift := s.shift
 	words, masks := s.words, x.masks
 	wordShift, lane := (6-x.lane)&63, x.lane&63
 	bit := uint64(1) << uint(slot&63)
 	list := (*[listStride]uint16)(x.bits[slot*listStride:])
 	n := uint(x.n[slot])
 	for b, salt := range bankSalts[:cfg.Banks] {
-		i := uint(b)<<shift | uint(hash(l, salt)&(1<<shift-1))
+		i := bankBit(l, b, salt, shift)
 		w := &words[i>>6]
 		old := *w
 		*w = old | 1<<(i&63)
@@ -139,7 +117,7 @@ func (x *Slices) Insert(slot int, s *Sig, l memory.LineAddr) {
 		list[min(n, listCap)] = uint16(i)
 		n += uint(fresh)
 	}
-	if n > uint(x.listed) {
+	if n > listCap {
 		n = listCap + 1
 	}
 	x.n[slot] = uint8(n)
@@ -150,7 +128,7 @@ func (x *Slices) Insert(slot int, s *Sig, l memory.LineAddr) {
 func (x *Slices) set(slot, i int) {
 	w, off := x.lanePos(uint(i))
 	x.masks[w] |= 1 << uint(slot) << off
-	if n := int(x.n[slot]); n < x.listed {
+	if n := int(x.n[slot]); n < listCap {
 		x.bits[slot*listStride+n] = uint16(i)
 		x.n[slot]++
 	} else {
@@ -162,7 +140,7 @@ func (x *Slices) set(slot, i int) {
 func (x *Slices) Clear(slot int, s *Sig) {
 	bit := uint64(1) << uint(slot)
 	masks, words, lane := x.masks, s.words, x.lane
-	if n := int(x.n[slot]); n <= x.listed {
+	if n := int(x.n[slot]); n <= listCap {
 		for _, i := range x.bits[slot*listStride:][:n] {
 			masks[i>>(6-lane)] &^= bit << (i << lane & 63)
 			words[i>>6] = 0

@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,6 +140,11 @@ const magic = "FXTMCELL"
 // and cleared.
 const ext = ".cell"
 
+// tmpPrefix starts the name of every file a Put is still writing. list
+// skips such files, so an eviction pass never removes one between its
+// write and its rename.
+const tmpPrefix = ".put-"
+
 func (s *Store) path(key string) string {
 	// Shard by the first byte of the hash to keep directory listings sane
 	// for large stores.
@@ -209,13 +215,25 @@ func (s *Store) Put(key, schema string, payload []byte) error {
 		return fmt.Errorf("cellcache: put: %w", err)
 	}
 	// Write-then-rename so a crash mid-write leaves no half-entry for a
-	// future Get to read (it would be caught by the digest anyway).
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	// future Get to read (it would be caught by the digest anyway). Each
+	// Put writes a temp file of its own, so two Puts of one key never
+	// share one.
+	f, err := os.CreateTemp(filepath.Dir(path), tmpPrefix+"*")
+	if err != nil {
 		return fmt.Errorf("cellcache: put: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return fmt.Errorf("cellcache: put: %w", err)
 	}
 	s.puts.Add(1)
@@ -264,7 +282,8 @@ type entry struct {
 	mtime time.Time
 }
 
-// list walks the store's entry files, whatever their extension.
+// list walks the store's entry files, whatever their extension, skipping
+// the temp files of Puts in flight.
 func (s *Store) list() ([]entry, error) {
 	var out []entry
 	shards, err := os.ReadDir(s.dir)
@@ -280,7 +299,7 @@ func (s *Store) list() ([]entry, error) {
 			continue
 		}
 		for _, f := range files {
-			if f.IsDir() {
+			if f.IsDir() || strings.HasPrefix(f.Name(), tmpPrefix) {
 				continue
 			}
 			info, err := f.Info()

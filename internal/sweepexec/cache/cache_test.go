@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -328,6 +329,67 @@ func TestStoreConcurrentPutsAndGets(t *testing.T) {
 	// straggler per worker.
 	if got := s.Len(); got > bound+workers {
 		t.Fatalf("len = %d, eviction never enforced the %d-entry bound", got, bound)
+	}
+}
+
+// TestConcurrentPutsAtTightBound: with every Put past the bound, each
+// eviction pass races other Puts between their write and their rename,
+// and Puts of one key race each other. Every Put must succeed, and no
+// listing may count a Put's temp file as an entry.
+func TestConcurrentPutsAtTightBound(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetMaxEntries(1)
+	const workers, perW = 6, 30
+	done := make(chan struct{})
+	listed := make(chan error, 1)
+	go func() {
+		defer close(listed)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			entries, err := s.list()
+			if err != nil {
+				continue
+			}
+			for _, e := range entries {
+				if filepath.Ext(e.path) != ext {
+					listed <- fmt.Errorf("list counted %s", e.path)
+					return
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perW; i++ {
+				// Even workers share their keys, odd ones have their own.
+				k := mustKey(t, schema, [2]int{g % 2 * g, i})
+				if err := put(s, k, schema, payload{Count: i}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	if err := <-listed; err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Puts != workers*perW {
+		t.Fatalf("puts = %d, want %d: %+v", st.Puts, workers*perW, st)
+	}
+	if got := s.Len(); got > workers {
+		t.Fatalf("len = %d, want at most one straggler per worker past the 1-entry bound", got)
 	}
 }
 

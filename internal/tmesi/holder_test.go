@@ -393,13 +393,12 @@ func TestAuditedProbeRoundAllocatesNothing(t *testing.T) {
 	if got, want := after.Total(telemetry.CtrSigTrueNeg)-before.Total(telemetry.CtrSigTrueNeg), uint64(16*(runs+1)); got != want {
 		t.Errorf("true negatives = %d, want %d", got, want)
 	}
-	rsig := s.cores[2].rsig
 	read, other := memory.LineAddr(1002), memory.LineAddr(5000)
 	if n := testing.AllocsPerRun(runs, func() {
-		s.classifySig(2, rsig, read, true)
-		s.classifySig(2, rsig, other, true)
+		s.classifyTest(2, s.cores[2].rsig, s.cores[2].rppm, read, true)
+		s.classifyTest(2, s.cores[2].rsig, s.cores[2].rppm, other, true)
 	}); n != 0 {
-		t.Errorf("classifySig of a hit and a false positive: %v allocs, want 0", n)
+		t.Errorf("classifying a read-signature hit and a false positive: %v allocs, want 0", n)
 	}
 	final := s.tel.Snapshot()
 	for _, c := range []telemetry.Counter{telemetry.CtrSigTruePos, telemetry.CtrSigFalsePos} {

@@ -47,30 +47,16 @@ func (s *System) TLoad(ctx *sim.Ctx, core int, a memory.Addr) OpResult {
 	}
 	s.stats.L1Misses++
 
-	if data, ok, otLat := s.otFetch(c, core, line); ok {
-		lat += otLat + s.insertLine(c, core, cache.Line{Tag: line, State: cache.TMI, Data: data})
-		s.sigInsert(c, core, line, false)
-		res.Val = data[a.Offset()]
-		ctx.Advance(lat)
-		return res
-	} else {
-		lat += otLat
-	}
-
-	lat += s.l2Round() + s.drainStallLat(ctx, core, line)
-	pr := s.probe(core, line, reqGETST)
-	lat += pr.lat + s.fillLat(line)
-
-	var data memory.LineData
-	s.image.ReadLine(line, &data)
-	st := cache.Exclusive
-	if pr.threatened {
+	data, fromOT, pr, missLat := s.miss(ctx, c, core, line, reqGETST)
+	st := pr.readState()
+	switch {
+	case fromOT:
+		st = cache.TMI
+	case pr.threatened:
 		st = cache.TI
 		s.tel.Inc(core, telemetry.CtrTIEnter)
-	} else if pr.copiesRemain {
-		st = cache.Shared
 	}
-	lat += s.insertLine(c, core, cache.Line{Tag: line, State: st, Data: data})
+	lat += missLat + s.insertLine(c, core, cache.Line{Tag: line, State: st, Data: data})
 	s.sigInsert(c, core, line, false)
 	res.Val = data[a.Offset()]
 	res.Conflicts = pr.conflicts
@@ -98,26 +84,13 @@ func (s *System) Load(ctx *sim.Ctx, core int, a memory.Addr) OpResult {
 	}
 	s.stats.L1Misses++
 
-	if data, ok, otLat := s.otFetch(c, core, line); ok {
-		lat += otLat + s.insertLine(c, core, cache.Line{Tag: line, State: cache.TMI, Data: data})
-		res.Val = data[a.Offset()]
-		ctx.Advance(lat)
-		return res
-	} else {
-		lat += otLat
-	}
-
-	lat += s.l2Round() + s.drainStallLat(ctx, core, line)
-	pr := s.probe(core, line, reqGETS)
-	lat += pr.lat + s.fillLat(line)
-
-	var data memory.LineData
-	s.image.ReadLine(line, &data)
+	data, fromOT, pr, missLat := s.miss(ctx, c, core, line, reqGETS)
+	lat += missLat
 	res.Val = data[a.Offset()]
 	if !pr.threatened {
-		st := cache.Exclusive
-		if pr.copiesRemain {
-			st = cache.Shared
+		st := pr.readState()
+		if fromOT {
+			st = cache.TMI
 		}
 		lat += s.insertLine(c, core, cache.Line{Tag: line, State: st, Data: data})
 	}
@@ -156,12 +129,9 @@ func (s *System) TStore(ctx *sim.Ctx, core int, a memory.Addr, v uint64) OpResul
 		case cache.Shared, cache.TI:
 			// Upgrade requires a TGETX so other sharers are invalidated
 			// and conflicts are detected.
-			lat += s.l2Round()
-			pr := s.probe(core, line, reqTGETX)
-			lat += pr.lat
+			pr, upLat := s.upgrade(core, line, ln, reqTGETX, cache.TMI)
+			lat += upLat
 			res.Conflicts = pr.conflicts
-			ln.State = cache.TMI
-			s.holders.add(line, core) // see ensureExclusive
 			s.tel.Inc(core, telemetry.CtrTMIEnter)
 		}
 		ln.Data[a.Offset()] = v
@@ -171,25 +141,12 @@ func (s *System) TStore(ctx *sim.Ctx, core int, a memory.Addr, v uint64) OpResul
 	}
 	s.stats.L1Misses++
 
-	if data, ok, otLat := s.otFetch(c, core, line); ok {
-		data[a.Offset()] = v
-		lat += otLat + s.insertLine(c, core, cache.Line{Tag: line, State: cache.TMI, Data: data})
-		s.sigInsert(c, core, line, true)
-		ctx.Advance(lat)
-		return res
-	} else {
-		lat += otLat
-	}
-
-	lat += s.l2Round() + s.drainStallLat(ctx, core, line)
-	pr := s.probe(core, line, reqTGETX)
-	lat += pr.lat + s.fillLat(line)
-
-	var data memory.LineData
-	s.image.ReadLine(line, &data)
+	data, fromOT, pr, missLat := s.miss(ctx, c, core, line, reqTGETX)
 	data[a.Offset()] = v
-	s.tel.Inc(core, telemetry.CtrTMIEnter)
-	lat += s.insertLine(c, core, cache.Line{Tag: line, State: cache.TMI, Data: data})
+	if !fromOT {
+		s.tel.Inc(core, telemetry.CtrTMIEnter)
+	}
+	lat += missLat + s.insertLine(c, core, cache.Line{Tag: line, State: cache.TMI, Data: data})
 	s.sigInsert(c, core, line, true)
 	res.Conflicts = pr.conflicts
 	ctx.Advance(lat)
@@ -260,40 +217,47 @@ func (s *System) ensureExclusive(ctx *sim.Ctx, core int, line memory.LineAddr) (
 			ln.State = cache.Modified
 			return lat, ln
 		case cache.Shared, cache.TI:
-			lat += s.l2Round()
-			pr := s.probe(core, line, reqGETX)
-			lat += pr.lat
-			ln.State = cache.Modified
-			// A hook's ForceWord (strong isolation, or the summary trap)
-			// may have invalidated this very copy mid-probe; the upgrade
-			// revives it, so the holder bit ForceWord cleared comes back.
-			s.holders.add(line, core)
-			return lat, ln
+			_, upLat := s.upgrade(core, line, ln, reqGETX, cache.Modified)
+			return lat + upLat, ln
 		}
 	}
 	s.stats.L1Misses++
-	if data, ok, otLat := s.otFetch(c, core, line); ok {
+	data, fromOT, _, missLat := s.miss(ctx, c, core, line, reqGETX)
+	st := cache.Modified
+	if fromOT {
 		// Own overflowed speculative line: restore as TMI and write into it.
-		lat += otLat + s.insertLine(c, core, cache.Line{Tag: line, State: cache.TMI, Data: data})
-		return lat, c.l1.Lookup(line)
-	} else {
-		lat += otLat
+		st = cache.TMI
 	}
-	lat += s.l2Round() + s.drainStallLat(ctx, core, line)
-	pr := s.probe(core, line, reqGETX)
-	lat += pr.lat + s.fillLat(line)
-	var data memory.LineData
-	s.image.ReadLine(line, &data)
-	lat += s.insertLine(c, core, cache.Line{Tag: line, State: cache.Modified, Data: data})
+	lat += missLat + s.insertLine(c, core, cache.Line{Tag: line, State: st, Data: data})
 	return lat, c.l1.Lookup(line)
 }
 
-// fpAux maps a false-positive verdict onto the flight-record Aux bit.
-func fpAux(fp bool) uint8 {
-	if fp {
-		return flight.AuxFP
+// miss takes core's L1 miss on line below the L1: to its overflow table,
+// and when the table has no copy, to the L2 with a forwarding round of
+// kind. It returns the line's data, whether it came from the overflow
+// table (then no round was made), the round's result and the latency
+// past the L1 access.
+func (s *System) miss(ctx *sim.Ctx, c *coreState, core int, line memory.LineAddr, kind reqKind) (data memory.LineData, fromOT bool, pr probeResult, lat sim.Time) {
+	if data, fromOT, lat = s.otFetch(c, core, line); fromOT {
+		return data, true, pr, lat
 	}
-	return 0
+	lat += s.l2Round() + s.drainStallLat(ctx, core, line)
+	pr = s.probe(core, line, kind)
+	lat += pr.lat + s.fillLat(line)
+	s.image.ReadLine(line, &data)
+	return data, false, pr, lat
+}
+
+// upgrade takes core's S or TI copy ln of line to state st with a
+// forwarding round of kind, and returns the round's result and latency.
+// A hook's ForceWord (strong isolation, or the summary trap) may have
+// invalidated this very copy mid-round; the upgrade revives it, so the
+// holder bit ForceWord cleared comes back.
+func (s *System) upgrade(core int, line memory.LineAddr, ln *cache.Line, kind reqKind, st cache.State) (probeResult, sim.Time) {
+	pr := s.probe(core, line, kind)
+	ln.State = st
+	s.holders.add(line, core)
+	return pr, s.l2Round() + pr.lat
 }
 
 // probeResult summarizes one forwarding round.
@@ -302,6 +266,15 @@ type probeResult struct {
 	threatened   bool
 	copiesRemain bool // a valid remote copy remains after the round (S vs E)
 	lat          sim.Time
+}
+
+// readState is the state a read miss fills its line in when the round
+// left it unthreatened.
+func (pr probeResult) readState() cache.State {
+	if pr.copiesRemain {
+		return cache.Shared
+	}
+	return cache.Exclusive
 }
 
 // probe models the directory forwarding a request to the other L1
@@ -318,7 +291,6 @@ type probeResult struct {
 // round skips it; it still counts in the census.
 func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult {
 	var pr probeResult
-	c := &s.cores[core]
 	probed := false
 	held := s.holdersOf(line)
 	self := coreBit(core)
@@ -378,7 +350,8 @@ func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult
 		if s.tel != nil && active {
 			// Split this round's membership tests into true conflicts and
 			// Bloom aliasing, attributed to the signature's owner.
-			s.classifyTests(r, rc, line, sigW, sigR)
+			s.classifyTest(r, rc.wsig, rc.wppm, line, sigW)
+			s.classifyTest(r, rc.rsig, rc.rppm, line, sigR)
 		}
 		if rln == nil && !sigW && !sigR {
 			continue
@@ -411,38 +384,13 @@ func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult
 		switch kind {
 		case reqGETS, reqGETST:
 			if sigW {
-				pr.threatened = true
-				s.stats.ThreatenedResponses++
-				s.tel.Inc(core, telemetry.CtrThreatened)
-				pr.conflicts = append(pr.conflicts, Conflict{Responder: r, Msg: Threatened, Line: line, FP: fpW})
-				if kind == reqGETST {
-					rc.table.Set(cst.WR, core)
-					c.table.Set(cst.RW, r)
-					s.tel.Inc(r, telemetry.CtrCSTSet)
-					s.tel.Inc(core, telemetry.CtrCSTSet)
-					s.fl.Rec(core, s.now, flight.CSTSet, r, uint8(cst.RW)|fpAux(fpW), line)
-				}
+				s.respond(&pr, kind, core, r, line, Threatened, fpW, cst.RW, cst.WR)
 			}
 		case reqTGETX:
 			if sigW {
-				pr.threatened = true
-				s.stats.ThreatenedResponses++
-				s.tel.Inc(core, telemetry.CtrThreatened)
-				pr.conflicts = append(pr.conflicts, Conflict{Responder: r, Msg: Threatened, Line: line, FP: fpW})
-				rc.table.Set(cst.WW, core)
-				c.table.Set(cst.WW, r)
-				s.tel.Inc(r, telemetry.CtrCSTSet)
-				s.tel.Inc(core, telemetry.CtrCSTSet)
-				s.fl.Rec(core, s.now, flight.CSTSet, r, uint8(cst.WW)|fpAux(fpW), line)
+				s.respond(&pr, kind, core, r, line, Threatened, fpW, cst.WW, cst.WW)
 			} else if sigR {
-				s.stats.ExposedReadResponses++
-				s.tel.Inc(core, telemetry.CtrExposedRead)
-				pr.conflicts = append(pr.conflicts, Conflict{Responder: r, Msg: ExposedRead, Line: line, FP: fpR})
-				rc.table.Set(cst.RW, core)
-				c.table.Set(cst.WR, r)
-				s.tel.Inc(r, telemetry.CtrCSTSet)
-				s.tel.Inc(core, telemetry.CtrCSTSet)
-				s.fl.Rec(core, s.now, flight.CSTSet, r, uint8(cst.WR)|fpAux(fpR), line)
+				s.respond(&pr, kind, core, r, line, ExposedRead, fpR, cst.WR, cst.RW)
 			}
 		case reqGETX:
 			if sigW || sigR {
@@ -543,6 +491,34 @@ func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult
 		}
 	}
 	return pr
+}
+
+// respond records responder r's Figure 1 response msg to core's request of
+// kind for line; fp is whether the responder's signature hit was a false
+// positive. A transactional request also exchanges CST bits: reqCST in
+// core's table names r, and respCST in r's table names core.
+func (s *System) respond(pr *probeResult, kind reqKind, core, r int, line memory.LineAddr, msg ResponseMsg, fp bool, reqCST, respCST cst.Kind) {
+	if msg == Threatened {
+		pr.threatened = true
+		s.stats.ThreatenedResponses++
+		s.tel.Inc(core, telemetry.CtrThreatened)
+	} else {
+		s.stats.ExposedReadResponses++
+		s.tel.Inc(core, telemetry.CtrExposedRead)
+	}
+	pr.conflicts = append(pr.conflicts, Conflict{Responder: r, Msg: msg, Line: line, FP: fp})
+	if !kind.transactional() {
+		return
+	}
+	s.cores[r].table.Set(respCST, core)
+	s.cores[core].table.Set(reqCST, r)
+	s.tel.Inc(r, telemetry.CtrCSTSet)
+	s.tel.Inc(core, telemetry.CtrCSTSet)
+	aux := uint8(reqCST)
+	if fp {
+		aux |= flight.AuxFP
+	}
+	s.fl.Rec(core, s.now, flight.CSTSet, r, aux, line)
 }
 
 // invalidateLine drops a remote copy, firing an AOU alert if the line

@@ -221,7 +221,7 @@ func runSigStream(t *testing.T, seed int64, sig signature.Config, scan, withTel,
 // without telemetry and a fault injector, in a narrow, the paper's and a
 // many-banked geometry.
 func TestSigIndexMatchesMemberKey(t *testing.T) {
-	geoms := []signature.Config{{Bits: 256, Banks: 4}, signature.DefaultConfig(), {Bits: 1024, Banks: 16}}
+	geoms := []signature.Config{{Bits: 256, Banks: 4}, signature.DefaultConfig(), {Bits: 512, Banks: 8}}
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, g := range geoms {
 			for _, mode := range []struct{ tel, inj bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
@@ -245,6 +245,51 @@ func TestSigIndexMatchesMemberKey(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestRefusedWidenChangesNothing: WidenSignatures refuses a geometry that
+// signature.Config.Validate rejects before it touches any signature, the
+// sliced indexes or the machine's geometry, so the run goes on as if the
+// governor's rung had not fired.
+func TestRefusedWidenChangesNothing(t *testing.T) {
+	cfg := smallCfg()
+	s := New(cfg)
+	s.SetTelemetry(telemetry.New(cfg.Cores))
+	for c := 0; c < cfg.Cores; c++ {
+		s.BeginTxn(c)
+		for l := 0; l < 10; l++ {
+			s.WatchInsert(c, memory.LineAddr(c*100+l).WordOf(0), l%3 == 0)
+		}
+	}
+	// state is everything a widen replaces: the geometry, each signature
+	// (pointer and contents) and each index (pointer and every mask).
+	state := func() []any {
+		out := []any{s.cfg.Sig, s.rslices, s.wslices}
+		for i := range s.cores {
+			for _, sig := range []*signature.Sig{s.cores[i].rsig, s.cores[i].wsig} {
+				out = append(out, sig, sig.PopCount(), sig.Inserts(), sig.Distinct())
+			}
+		}
+		for _, x := range []*signature.Slices{s.rslices, s.wslices} {
+			for b := 0; b < s.cfg.Sig.Bits; b++ {
+				out = append(out, x.Mask(b))
+			}
+		}
+		return out
+	}
+	before := state()
+	for _, g := range []signature.Config{
+		{Bits: 3 * cfg.Sig.Bits, Banks: cfg.Sig.Banks},
+		{Bits: 64 * cfg.Sig.Bits, Banks: cfg.Sig.Banks},
+		{Bits: cfg.Sig.Bits, Banks: 16},
+	} {
+		if err := s.WidenSignatures(g); err == nil {
+			t.Fatalf("WidenSignatures(%+v) = nil, want a refusal", g)
+		}
+		if !reflect.DeepEqual(state(), before) {
+			t.Fatalf("refused WidenSignatures(%+v) changed the signatures or their index", g)
 		}
 	}
 }

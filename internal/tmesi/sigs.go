@@ -66,8 +66,8 @@ func (f *insertFilter) reset() {
 	}
 }
 
-// predictedPPM is the audit-mode FP prediction classifySig charges a
-// negative test of sig, in whole ppm.
+// predictedPPM is the audit-mode FP prediction classifyTest charges a
+// ground-truth-negative test of sig, in whole ppm.
 func predictedPPM(sig *signature.Sig) uint64 { return uint64(sig.PredictedFPR() * 1e6) }
 
 // refreshPPM recomputes c's cached predictions after its signatures'
@@ -131,20 +131,24 @@ func (s *System) reindexSigs() {
 	}
 }
 
-// classifyTests is classifySig for both of responder r's signatures in a
-// probe round. A negative test, most of them, is a true negative charged
-// the cached prediction, without touching the signature's shadow set.
-func (s *System) classifyTests(r int, rc *coreState, line memory.LineAddr, sigW, sigR bool) {
-	if sigW {
-		s.classifySig(r, rc.wsig, line, true)
-	} else if rc.wsig.AuditEnabled() {
-		s.tel.Add(r, telemetry.CtrSigPredFPpm, rc.wppm)
-		s.tel.Inc(r, telemetry.CtrSigTrueNeg)
+// classifyTest records responder r's test of line against sig in a probe
+// round, checked against the precise shadow set in audit mode: a hit is a
+// true positive or a Bloom false positive, and a miss is a true negative
+// without a lookup, the shadow set being a subset of the filter. Every
+// ground-truth negative is charged ppm, the core's cached prediction for
+// sig, so observed and predicted rates cover the same population.
+func (s *System) classifyTest(r int, sig *signature.Sig, ppm uint64, line memory.LineAddr, hit bool) {
+	if !sig.AuditEnabled() {
+		return
 	}
-	if sigR {
-		s.classifySig(r, rc.rsig, line, true)
-	} else if rc.rsig.AuditEnabled() {
-		s.tel.Add(r, telemetry.CtrSigPredFPpm, rc.rppm)
-		s.tel.Inc(r, telemetry.CtrSigTrueNeg)
+	ctr := telemetry.CtrSigTrueNeg
+	if hit {
+		if sig.Inserted(line) {
+			s.tel.Inc(r, telemetry.CtrSigTruePos)
+			return
+		}
+		ctr = telemetry.CtrSigFalsePos
 	}
+	s.tel.Add(r, telemetry.CtrSigPredFPpm, ppm)
+	s.tel.Inc(r, ctr)
 }

@@ -360,29 +360,6 @@ func (s *System) FaultInjector() *fault.Injector { return s.inj }
 // injector.
 func (s *System) SetFaultImmunity(core int, on bool) { s.inj.SetImmune(core, on) }
 
-// classifySig records the outcome of one signature membership test against
-// the precise shadow set: a true hit, a Bloom false positive, or a true
-// negative — accumulating the analytic FP prediction at every
-// ground-truth-negative test so observed and predicted rates are computed
-// over the same population. The shadow set is a subset of the filter, so a
-// negative test is a true negative without a lookup. Called only when
-// telemetry is attached.
-func (s *System) classifySig(owner int, sig *signature.Sig, line memory.LineAddr, member bool) {
-	if !sig.AuditEnabled() {
-		return
-	}
-	if member && sig.Inserted(line) {
-		s.tel.Inc(owner, telemetry.CtrSigTruePos)
-		return
-	}
-	s.tel.Add(owner, telemetry.CtrSigPredFPpm, uint64(sig.PredictedFPR()*1e6))
-	if member {
-		s.tel.Inc(owner, telemetry.CtrSigFalsePos)
-	} else {
-		s.tel.Inc(owner, telemetry.CtrSigTrueNeg)
-	}
-}
-
 // CST returns core's conflict summary tables; they are software-visible
 // registers in FlexTM.
 func (s *System) CST(core int) *cst.Table { return &s.cores[core].table }
@@ -416,12 +393,17 @@ func (s *System) InstallSummary(rs, ws *signature.Sig, hook func(requestor int, 
 // geometry, re-inserting each filter's precise member set so no conflict
 // information is lost mid-transaction (Sig.Rehash). All cores change
 // together — Intersects/Union/CopyFrom require matching geometries, so a
-// partial widen would panic at the next cross-core test. It refuses (with
-// an error, not a panic: the governor retries on its next tick) when audit
-// mode is off (no ground truth to rehash from — practically, when telemetry
-// is detached) or while OS summary signatures are installed (they were
-// built in the old geometry and would mismatch every per-core test).
+// partial widen would panic at the next cross-core test. It refuses, with
+// an error and before it changes anything, a geometry cfg.Validate
+// rejects. It also refuses (the governor retries on its next tick) when
+// audit mode is off (no ground truth to rehash from — practically, when
+// telemetry is detached) or while OS summary signatures are installed
+// (they were built in the old geometry and would mismatch every per-core
+// test).
 func (s *System) WidenSignatures(cfg signature.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if s.summaryR != nil || s.summaryW != nil {
 		return fmt.Errorf("tmesi: cannot rehash signatures while summary signatures are installed")
 	}
