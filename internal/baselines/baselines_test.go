@@ -31,11 +31,11 @@ func systems() map[string]func() (tmapi.Runtime, *tmesi.System) {
 		},
 		"RSTM": func() (tmapi.Runtime, *tmesi.System) {
 			sys := tmesi.New(cfg)
-			return rstm.New(sys, cm.NewPolka()), sys
+			return rstm.New(sys), sys
 		},
 		"RTM-F": func() (tmapi.Runtime, *tmesi.System) {
 			sys := tmesi.New(cfg)
-			return rtmf.New(sys, cm.NewPolka()), sys
+			return rtmf.New(sys), sys
 		},
 		"FlexTM-Lazy": func() (tmapi.Runtime, *tmesi.System) {
 			sys := tmesi.New(cfg)
@@ -155,7 +155,7 @@ func TestRSTMValidationCostGrowsWithReadSet(t *testing.T) {
 	cfg := tmesi.DefaultConfig()
 	cfg.Cores = 2
 	sys := tmesi.New(cfg)
-	rt := rstm.New(sys, cm.NewPolka())
+	rt := rstm.New(sys)
 	base := sys.Alloc().Alloc(128 * memory.LineWords)
 	measure := func(n int) sim.Time {
 		var cost sim.Time
@@ -187,7 +187,7 @@ func TestRTMFUsesPDINotClones(t *testing.T) {
 	cfg := tmesi.DefaultConfig()
 	cfg.Cores = 2
 	sys := tmesi.New(cfg)
-	rt := rtmf.New(sys, cm.NewPolka())
+	rt := rtmf.New(sys)
 	x := sys.Alloc().Alloc(1)
 	runAll(t, rt, func(th tmapi.Thread) {
 		th.Atomic(func(tx tmapi.Txn) { tx.Store(x, 5) })

@@ -12,220 +12,132 @@
 package bulk
 
 import (
+	"flextm/internal/baselines/driver"
 	"flextm/internal/memory"
 	"flextm/internal/sim"
 	"flextm/internal/tmapi"
 	"flextm/internal/tmesi"
 )
 
-// Status-word values.
-const (
-	stActive    = 1
-	stCommitted = 2
-	stAborted   = 3
-)
-
-const statusSlots = 64
-
 // Runtime is a Bulk-style instance.
 type Runtime struct {
-	sys     *tmesi.System
-	token   memory.Addr // global commit token
-	status  []memory.Addr
-	arenas  [][]memory.Addr
-	arenaIx []int
-	stats   []tmapi.Stats
+	driver.Tally
+	sys    *tmesi.System
+	token  memory.Addr // global commit token
+	status *driver.StatusRing
 }
 
 // New returns a Bulk-style runtime over sys.
 func New(sys *tmesi.System) *Runtime {
-	cores := sys.Config().Cores
-	rt := &Runtime{
-		sys:     sys,
-		token:   sys.Alloc().Alloc(memory.LineWords),
-		status:  make([]memory.Addr, cores),
-		arenas:  make([][]memory.Addr, cores),
-		arenaIx: make([]int, cores),
-		stats:   make([]tmapi.Stats, cores),
-	}
-	for c := 0; c < cores; c++ {
-		slots := make([]memory.Addr, statusSlots)
-		for i := range slots {
-			slots[i] = sys.Alloc().Alloc(memory.LineWords)
-		}
-		rt.arenas[c] = slots
-	}
+	rt := &Runtime{Tally: driver.NewTally(sys.Config().Cores), sys: sys}
+	rt.token = sys.Alloc().Alloc(memory.LineWords)
+	rt.status = driver.NewStatusRing(sys, nil)
 	return rt
 }
 
 // Name implements tmapi.Runtime.
 func (rt *Runtime) Name() string { return "Bulk" }
 
-// Stats implements tmapi.Runtime.
-func (rt *Runtime) Stats() tmapi.Stats {
-	var total tmapi.Stats
-	for i := range rt.stats {
-		total.Commits += rt.stats[i].Commits
-		total.Aborts += rt.stats[i].Aborts
-	}
-	return total
-}
-
 // Bind implements tmapi.Runtime.
 func (rt *Runtime) Bind(ctx *sim.Ctx, core int) tmapi.Thread {
-	return &thread{
-		rt:   rt,
-		ctx:  ctx,
-		core: core,
-		rnd:  sim.NewRand(uint64(core)*0x9E3779B9 + 0xB01C),
-	}
+	th := &thread{rt: rt}
+	th.Thread = rt.Tally.Thread(ctx, core, 0xB01C, th, txn{th})
+	return th
 }
 
 type thread struct {
+	driver.Thread
 	rt     *Runtime
-	ctx    *sim.Ctx
-	core   int
-	rnd    *sim.Rand
-	depth  int
 	status memory.Addr
-	aborts int
 }
 
-func (th *thread) Core() int       { return th.core }
-func (th *thread) Ctx() *sim.Ctx   { return th.ctx }
-func (th *thread) Rand() *sim.Rand { return th.rnd }
-func (th *thread) Work(d sim.Time) { th.ctx.Advance(d) }
 func (th *thread) Load(a memory.Addr) uint64 {
-	return th.rt.sys.Load(th.ctx, th.core, a).Val
+	return th.rt.sys.Load(th.Ctx(), th.Core(), a).Val
 }
 func (th *thread) Store(a memory.Addr, v uint64) {
-	th.rt.sys.Store(th.ctx, th.core, a, v)
+	th.rt.sys.Store(th.Ctx(), th.Core(), a, v)
 }
 
-// Atomic implements tmapi.Thread.
-func (th *thread) Atomic(body func(tmapi.Txn)) {
-	if th.depth > 0 {
-		th.depth++
-		defer func() { th.depth-- }()
-		body(txn{th})
-		return
-	}
-	for {
-		if th.attempt(body) {
-			th.rt.stats[th.core].Commits++
-			th.aborts = 0
-			return
-		}
-		th.rt.stats[th.core].Aborts++
-		th.aborts++
-		shift := th.aborts
-		if shift > 8 {
-			shift = 8
-		}
-		th.ctx.Advance(sim.Time(th.rnd.Intn(64<<uint(shift) + 1)))
-	}
-}
-
-func (th *thread) attempt(body func(tmapi.Txn)) (ok bool) {
-	th.depth = 1
-	defer func() {
-		th.depth = 0
-		if r := recover(); r != nil {
-			if _, isAbort := r.(tmapi.AbortError); !isAbort {
-				panic(r)
-			}
-			th.onAbort()
-		}
-	}()
-	th.begin()
-	body(txn{th})
-	th.commit()
-	return true
-}
-
-func abort() { panic(tmapi.AbortError{}) }
-
-func (th *thread) begin() {
-	rt, sys := th.rt, th.rt.sys
-	i := rt.arenaIx[th.core]
-	rt.arenaIx[th.core] = (i + 1) % statusSlots
-	th.status = rt.arenas[th.core][i]
-	sys.Store(th.ctx, th.core, th.status, stActive)
-	rt.status[th.core] = th.status
-	sys.ALoad(th.ctx, th.core, th.status)
-	sys.BeginTxn(th.core)
-	th.ctx.Advance(30)
+// Begin implements driver.Protocol.
+func (th *thread) Begin() {
+	sys := th.rt.sys
+	th.status = th.rt.status.Begin(&th.Thread)
+	sys.ALoad(th.Ctx(), th.Core(), th.status)
+	sys.BeginTxn(th.Core())
+	th.Work(30)
 	th.checkAlert()
 }
 
-func (th *thread) onAbort() {
+// Rollback implements driver.Protocol.
+func (th *thread) Rollback() {
 	sys := th.rt.sys
-	if sys.TxnActive(th.core) {
-		sys.AbortFlash(th.ctx, th.core)
+	if sys.TxnActive(th.Core()) {
+		sys.AbortFlash(th.Ctx(), th.Core())
 	}
-	th.ctx.Advance(20)
+	th.Work(20)
 }
+
+// Backoff implements driver.Protocol.
+func (th *thread) Backoff(n int) sim.Time { return driver.Backoff(th.Rand(), 64, n, 8) }
 
 // checkAlert: a committer's broadcast aborted us.
 func (th *thread) checkAlert() {
 	sys := th.rt.sys
-	if _, ok := sys.TakeAlert(th.core); !ok {
+	if _, ok := sys.TakeAlert(th.Core()); !ok {
 		return
 	}
-	if sys.ReadWordRaw(th.status) == stAborted {
-		abort()
+	if sys.ReadWordRaw(th.status) == driver.Aborted {
+		driver.Abort()
 	}
-	sys.ALoad(th.ctx, th.core, th.status)
+	sys.ALoad(th.Ctx(), th.Core(), th.status)
 }
 
-// commit acquires the global token, broadcasts the write signature, aborts
-// every transaction whose signatures intersect it, flash-commits, and
-// releases the token. Commits are fully serialized — the cost FlexTM's
-// CSTs eliminate.
-func (th *thread) commit() {
+// Commit implements driver.Protocol: acquire the global token, broadcast
+// the write signature, abort every transaction whose signatures intersect
+// it, flash-commit, and release the token. Commits are fully serialized —
+// the cost FlexTM's CSTs eliminate.
+func (th *thread) Commit() bool {
 	rt, sys := th.rt, th.rt.sys
 	cores := sys.Config().Cores
 
 	// Acquire the commit token.
-	for spin := 0; ; spin++ {
+	for {
 		th.checkAlert() // we may be aborted while waiting for the token
-		if sys.Load(th.ctx, th.core, rt.token).Val == 0 {
-			if _, ok := sys.CAS(th.ctx, th.core, rt.token, 0, uint64(th.core)+1); ok {
+		if th.Load(rt.token) == 0 {
+			if _, ok := sys.CAS(th.Ctx(), th.Core(), rt.token, 0, uint64(th.Core())+1); ok {
 				break
 			}
 		}
-		th.ctx.Advance(sim.Time(16 + th.rnd.Intn(64)))
+		th.Work(sim.Time(16 + th.Rand().Intn(64)))
 	}
 	// Last chance before becoming the committer; from here on the token is
 	// held, so an abort must release it before unwinding.
-	sys.TakeAlert(th.core)
-	if sys.ReadWordRaw(th.status) == stAborted {
-		sys.Store(th.ctx, th.core, rt.token, 0)
-		abort()
+	sys.TakeAlert(th.Core())
+	if sys.ReadWordRaw(th.status) == driver.Aborted {
+		th.Store(rt.token, 0)
+		driver.Abort()
 	}
 
 	// Broadcast: one message round carrying Wsig; every other processor
 	// compares against its own signatures and self-aborts on intersection
 	// (false positives included, as in Bulk).
-	wsig := sys.Wsig(th.core).Clone() // survives the commit's flash clear
+	wsig := sys.Wsig(th.Core()).Clone() // survives the commit's flash clear
 	broadcast := func() {
-		th.ctx.Advance(sim.Time(10 + 2*cores)) // message round + compares
+		th.Work(sim.Time(10 + 2*cores)) // message round + compares
 		for r := 0; r < cores; r++ {
-			if r == th.core || !sys.TxnActive(r) {
+			if r == th.Core() || !sys.TxnActive(r) {
 				continue
 			}
 			if sys.Rsig(r).Intersects(wsig) || sys.Wsig(r).Intersects(wsig) {
-				sys.ForceWord(rt.status[r], stAborted)
+				sys.ForceWord(rt.status.Of(r), driver.Aborted)
 			}
 		}
 	}
 	broadcast()
 
-	switch sys.CASCommitNoCST(th.ctx, th.core, th.status, stActive, stCommitted) {
-	case tmesi.CommitAborted:
-		sys.Store(th.ctx, th.core, rt.token, 0)
-		abort()
-	default:
+	if sys.CASCommitNoCST(th.Ctx(), th.Core(), th.status, driver.Active, driver.Committed) == tmesi.CommitAborted {
+		th.Store(rt.token, 0)
+		driver.Abort()
 	}
 	// In hardware the broadcast and the commit are one bus-ordered action;
 	// here they are separate simulated operations, so a reader can slip in
@@ -233,7 +145,8 @@ func (th *thread) commit() {
 	// reader that now sees the committed values may be aborted spuriously,
 	// which is safe).
 	broadcast()
-	sys.Store(th.ctx, th.core, rt.token, 0)
+	th.Store(rt.token, 0)
+	return true
 }
 
 // txn adapts the thread to tmapi.Txn over PDI.
@@ -242,7 +155,7 @@ type txn struct{ th *thread }
 // Load implements tmapi.Txn.
 func (t txn) Load(a memory.Addr) uint64 {
 	th := t.th
-	v := th.rt.sys.TLoad(th.ctx, th.core, a).Val
+	v := th.rt.sys.TLoad(th.Ctx(), th.Core(), a).Val
 	th.checkAlert()
 	return v
 }
@@ -250,7 +163,7 @@ func (t txn) Load(a memory.Addr) uint64 {
 // Store implements tmapi.Txn.
 func (t txn) Store(a memory.Addr, v uint64) {
 	th := t.th
-	th.rt.sys.TStore(th.ctx, th.core, a, v)
+	th.rt.sys.TStore(th.Ctx(), th.Core(), a, v)
 	th.checkAlert()
 }
 

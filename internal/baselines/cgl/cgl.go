@@ -5,6 +5,7 @@
 package cgl
 
 import (
+	"flextm/internal/baselines/driver"
 	"flextm/internal/memory"
 	"flextm/internal/sim"
 	"flextm/internal/tmapi"
@@ -13,88 +14,64 @@ import (
 
 // Runtime is a coarse-grain lock "TM".
 type Runtime struct {
-	sys   *tmesi.System
-	lock  *Spinlock
-	stats []tmapi.Stats
+	driver.Tally
+	sys  *tmesi.System
+	lock *Spinlock
 }
 
 // New returns a CGL runtime over sys.
 func New(sys *tmesi.System) *Runtime {
-	return &Runtime{
-		sys:   sys,
-		lock:  NewSpinlock(sys),
-		stats: make([]tmapi.Stats, sys.Config().Cores),
-	}
+	return &Runtime{Tally: driver.NewTally(sys.Config().Cores), sys: sys, lock: NewSpinlock(sys)}
 }
 
 // Name implements tmapi.Runtime.
 func (rt *Runtime) Name() string { return "CGL" }
 
-// Stats implements tmapi.Runtime.
-func (rt *Runtime) Stats() tmapi.Stats {
-	var total tmapi.Stats
-	for i := range rt.stats {
-		total.Commits += rt.stats[i].Commits
-		total.Aborts += rt.stats[i].Aborts
-	}
-	return total
-}
-
 // Bind implements tmapi.Runtime.
 func (rt *Runtime) Bind(ctx *sim.Ctx, core int) tmapi.Thread {
-	return &thread{
-		rt:   rt,
-		ctx:  ctx,
-		core: core,
-		rnd:  sim.NewRand(uint64(core)*0x9E3779B9 + 0xC61),
-	}
+	th := &thread{rt: rt}
+	th.Thread = rt.Tally.Thread(ctx, core, 0xC61, th, txn{th})
+	return th
 }
 
+// thread's protocol brackets each Atomic section with the global lock;
+// sections are not speculative, so they always commit.
 type thread struct {
-	rt    *Runtime
-	ctx   *sim.Ctx
-	core  int
-	rnd   *sim.Rand
-	depth int
+	driver.Thread
+	rt *Runtime
 }
 
-func (th *thread) Core() int       { return th.core }
-func (th *thread) Ctx() *sim.Ctx   { return th.ctx }
-func (th *thread) Rand() *sim.Rand { return th.rnd }
-func (th *thread) Work(d sim.Time) { th.ctx.Advance(d) }
 func (th *thread) Load(a memory.Addr) uint64 {
-	return th.rt.sys.Load(th.ctx, th.core, a).Val
+	return th.rt.sys.Load(th.Ctx(), th.Core(), a).Val
 }
 func (th *thread) Store(a memory.Addr, v uint64) {
-	th.rt.sys.Store(th.ctx, th.core, a, v)
+	th.rt.sys.Store(th.Ctx(), th.Core(), a, v)
 }
 
-// Atomic implements tmapi.Thread by bracketing body with the global lock.
-func (th *thread) Atomic(body func(tmapi.Txn)) {
-	if th.depth > 0 {
-		th.depth++
-		defer func() { th.depth-- }()
-		body(txn{th})
-		return
-	}
-	th.rt.lock.Acquire(th.ctx, th.core, th.rnd)
-	th.depth = 1
-	defer func() {
-		th.depth = 0
-		th.rt.lock.Release(th.ctx, th.core)
-		th.rt.stats[th.core].Commits++
-	}()
-	body(txn{th})
+// Begin implements driver.Protocol.
+func (th *thread) Begin() { th.rt.lock.Acquire(th.Ctx(), th.Core(), th.Rand()) }
+
+// Commit implements driver.Protocol.
+func (th *thread) Commit() bool {
+	th.rt.lock.Release(th.Ctx(), th.Core())
+	return true
 }
+
+// Rollback implements driver.Protocol; nothing in a CGL section raises an
+// abort, but one would leave the lock free for the retry.
+func (th *thread) Rollback() { th.rt.lock.Release(th.Ctx(), th.Core()) }
+
+// Backoff implements driver.Protocol.
+func (th *thread) Backoff(int) sim.Time { return 0 }
 
 // txn adapts lock-protected plain access to tmapi.Txn.
 type txn struct{ th *thread }
 
 // Load implements tmapi.Txn.
-func (t txn) Load(a memory.Addr) uint64 { return t.th.rt.sys.Load(t.th.ctx, t.th.core, a).Val }
+func (t txn) Load(a memory.Addr) uint64 { return t.th.Load(a) }
 
 // Store implements tmapi.Txn.
-func (t txn) Store(a memory.Addr, v uint64) { t.th.rt.sys.Store(t.th.ctx, t.th.core, a, v) }
+func (t txn) Store(a memory.Addr, v uint64) { t.th.Store(a, v) }
 
 // Abort is meaningless under a lock; CGL sections are not speculative.
 // Workloads only call Abort for explicit retry, which none of the paper's

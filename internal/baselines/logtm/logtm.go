@@ -19,14 +19,12 @@
 package logtm
 
 import (
+	"flextm/internal/baselines/driver"
 	"flextm/internal/memory"
 	"flextm/internal/sim"
 	"flextm/internal/tmapi"
 	"flextm/internal/tmesi"
 )
-
-// Headers is the size of the ownership-header table.
-const Headers = 1 << 13
 
 const (
 	hWriter = 0 // word 0: writer core + 1, or 0
@@ -36,29 +34,29 @@ const (
 // logWords is the per-thread undo-log capacity (address/value pairs).
 const logWords = 8192
 
+// stallLimit bounds how many back-off rounds a younger transaction waits
+// before the age rule makes it abort itself.
+const stallLimit = 20
+
 // Runtime is a LogTM-SE-style instance.
 type Runtime struct {
+	driver.Tally
 	sys     *tmesi.System
-	headers memory.Addr
+	headers driver.Headers
 	logs    []memory.Addr
 	stamps  []uint64 // begin timestamps (age) per core
 	clock   uint64
-	stats   []tmapi.Stats
-	// StallLimit bounds how many back-off rounds a younger transaction
-	// waits before the age rule makes it abort itself.
-	StallLimit int
 }
 
 // New returns a LogTM runtime over sys.
 func New(sys *tmesi.System) *Runtime {
 	cores := sys.Config().Cores
 	rt := &Runtime{
-		sys:        sys,
-		headers:    sys.Alloc().Alloc(Headers * memory.LineWords),
-		logs:       make([]memory.Addr, cores),
-		stamps:     make([]uint64, cores),
-		stats:      make([]tmapi.Stats, cores),
-		StallLimit: 20,
+		Tally:   driver.NewTally(cores),
+		sys:     sys,
+		headers: driver.NewHeaders(sys),
+		logs:    make([]memory.Addr, cores),
+		stamps:  make([]uint64, cores),
 	}
 	for i := range rt.logs {
 		rt.logs[i] = sys.Alloc().Alloc(logWords)
@@ -69,29 +67,11 @@ func New(sys *tmesi.System) *Runtime {
 // Name implements tmapi.Runtime.
 func (rt *Runtime) Name() string { return "LogTM" }
 
-// Stats implements tmapi.Runtime.
-func (rt *Runtime) Stats() tmapi.Stats {
-	var total tmapi.Stats
-	for i := range rt.stats {
-		total.Commits += rt.stats[i].Commits
-		total.Aborts += rt.stats[i].Aborts
-	}
-	return total
-}
-
 // Bind implements tmapi.Runtime.
 func (rt *Runtime) Bind(ctx *sim.Ctx, core int) tmapi.Thread {
-	return &thread{
-		rt:   rt,
-		ctx:  ctx,
-		core: core,
-		rnd:  sim.NewRand(uint64(core)*0x9E3779B9 + 0x106),
-	}
-}
-
-func (rt *Runtime) headerOf(l memory.LineAddr) memory.Addr {
-	h := uint64(l) * 0xC2B2AE3D27D4EB4F
-	return rt.headers + memory.Addr((h%Headers)*memory.LineWords)
+	th := &thread{rt: rt}
+	th.Thread = rt.Tally.Thread(ctx, core, 0x106, th, txn{th})
+	return th
 }
 
 type undoEntry struct {
@@ -100,11 +80,8 @@ type undoEntry struct {
 }
 
 type thread struct {
-	rt    *Runtime
-	ctx   *sim.Ctx
-	core  int
-	rnd   *sim.Rand
-	depth int
+	driver.Thread
+	rt *Runtime
 
 	stamp    uint64
 	undo     []undoEntry // mirrored in simulated memory at rt.logs[core]
@@ -112,119 +89,71 @@ type thread struct {
 	writeOrd []memory.Addr // deterministic release order
 	readHdr  map[memory.Addr]bool
 	readOrd  []memory.Addr
-	aborts   int
 }
 
-func (th *thread) Core() int       { return th.core }
-func (th *thread) Ctx() *sim.Ctx   { return th.ctx }
-func (th *thread) Rand() *sim.Rand { return th.rnd }
-func (th *thread) Work(d sim.Time) { th.ctx.Advance(d) }
 func (th *thread) Load(a memory.Addr) uint64 {
-	return th.rt.sys.Load(th.ctx, th.core, a).Val
+	return th.rt.sys.Load(th.Ctx(), th.Core(), a).Val
 }
 func (th *thread) Store(a memory.Addr, v uint64) {
-	th.rt.sys.Store(th.ctx, th.core, a, v)
+	th.rt.sys.Store(th.Ctx(), th.Core(), a, v)
 }
 
-// Atomic implements tmapi.Thread.
-func (th *thread) Atomic(body func(tmapi.Txn)) {
-	if th.depth > 0 {
-		th.depth++
-		defer func() { th.depth-- }()
-		body(txn{th})
-		return
-	}
-	for {
-		th.begin()
-		if th.attempt(body) {
-			th.rt.stats[th.core].Commits++
-			th.aborts = 0
-			return
-		}
-		th.rt.stats[th.core].Aborts++
-		th.aborts++
-		shift := th.aborts
-		if shift > 8 {
-			shift = 8
-		}
-		th.ctx.Advance(sim.Time(th.rnd.Intn(64<<uint(shift) + 1)))
-	}
-}
-
-func (th *thread) begin() {
+// Begin implements driver.Protocol.
+func (th *thread) Begin() {
 	rt := th.rt
 	rt.clock++
 	th.stamp = rt.clock
-	rt.stamps[th.core] = th.stamp
+	rt.stamps[th.Core()] = th.stamp
 	th.undo = th.undo[:0]
 	th.writeHdr = make(map[memory.Addr]bool)
 	th.writeOrd = th.writeOrd[:0]
 	th.readHdr = make(map[memory.Addr]bool)
 	th.readOrd = th.readOrd[:0]
-	th.ctx.Advance(20) // register checkpoint + log pointer setup
+	th.Work(20) // register checkpoint + log pointer setup
 }
 
-func (th *thread) attempt(body func(tmapi.Txn)) (ok bool) {
-	th.depth = 1
-	defer func() {
-		th.depth = 0
-		if r := recover(); r != nil {
-			if _, isAbort := r.(tmapi.AbortError); !isAbort {
-				panic(r)
-			}
-			th.rollback()
-		}
-	}()
-	body(txn{th})
-	th.commit()
-	return true
-}
-
-func abort() { panic(tmapi.AbortError{}) }
+// Backoff implements driver.Protocol.
+func (th *thread) Backoff(n int) sim.Time { return driver.Backoff(th.Rand(), 64, n, 8) }
 
 // stall models a NACKed request: back off and retry; the age rule aborts a
 // younger transaction that has waited too long (deadlock avoidance).
 func (th *thread) stall(attempt int, ownerStamp uint64) {
-	if attempt >= th.rt.StallLimit && th.stamp > ownerStamp {
-		abort() // younger yields to older: no deadlock
+	if attempt >= stallLimit && th.stamp > ownerStamp {
+		driver.Abort() // younger yields to older: no deadlock
 	}
-	shift := attempt
-	if shift > 6 {
-		shift = 6
-	}
-	th.ctx.Advance(sim.Time(16 + th.rnd.Intn(16<<uint(shift))))
+	th.Work(sim.Time(16 + th.Rand().Intn(16<<uint(min(attempt, 6)))))
 }
 
 // openRead registers this core as a reader of the line, stalling while a
 // remote writer owns it.
 func (th *thread) openRead(line memory.LineAddr) {
 	rt, sys := th.rt, th.rt.sys
-	hdr := rt.headerOf(line)
+	hdr := rt.headers.Of(line)
 	if th.readHdr[hdr] || th.writeHdr[hdr] {
 		return
 	}
-	myBit := uint64(1) << uint(th.core)
+	myBit := uint64(1) << uint(th.Core())
 	for attempt := 0; ; attempt++ {
-		w := sys.Load(th.ctx, th.core, hdr+hWriter).Val
-		if w != 0 && int(w-1) != th.core {
+		w := th.Load(hdr + hWriter)
+		if w != 0 && int(w-1) != th.Core() {
 			th.stall(attempt, rt.stamps[w-1])
 			continue
 		}
 		// Publish our reader bit (atomic RMW on the header's reader word).
 		for {
-			cur := sys.Load(th.ctx, th.core, hdr+hReader).Val
-			if _, ok := sys.CAS(th.ctx, th.core, hdr+hReader, cur, cur|myBit); ok {
+			cur := th.Load(hdr + hReader)
+			if _, ok := sys.CAS(th.Ctx(), th.Core(), hdr+hReader, cur, cur|myBit); ok {
 				break
 			}
 		}
 		// Re-check the writer: one may have acquired (and begun writing in
 		// place) between our check and the bit publication. If so, retreat
 		// and stall — reading now could observe uncommitted data.
-		w = sys.Load(th.ctx, th.core, hdr+hWriter).Val
-		if w != 0 && int(w-1) != th.core {
+		w = th.Load(hdr + hWriter)
+		if w != 0 && int(w-1) != th.Core() {
 			for {
-				cur := sys.Load(th.ctx, th.core, hdr+hReader).Val
-				if _, ok := sys.CAS(th.ctx, th.core, hdr+hReader, cur, cur&^myBit); ok {
+				cur := th.Load(hdr + hReader)
+				if _, ok := sys.CAS(th.Ctx(), th.Core(), hdr+hReader, cur, cur&^myBit); ok {
 					break
 				}
 			}
@@ -241,39 +170,36 @@ func (th *thread) openRead(line memory.LineAddr) {
 // readers or a writer hold it.
 func (th *thread) openWrite(line memory.LineAddr) {
 	rt, sys := th.rt, th.rt.sys
-	hdr := rt.headerOf(line)
+	hdr := rt.headers.Of(line)
 	if th.writeHdr[hdr] {
 		return
 	}
 	for attempt := 0; ; attempt++ {
-		w := sys.Load(th.ctx, th.core, hdr+hWriter).Val
-		if w != 0 && int(w-1) != th.core {
+		w := th.Load(hdr + hWriter)
+		if w != 0 && int(w-1) != th.Core() {
 			th.stall(attempt, rt.stamps[w-1])
 			continue
 		}
-		if w == 0 {
-			if _, ok := sys.CAS(th.ctx, th.core, hdr+hWriter, 0, uint64(th.core)+1); !ok {
+		if w == 0 { // else already ours
+			if _, ok := sys.CAS(th.Ctx(), th.Core(), hdr+hWriter, 0, uint64(th.Core())+1); !ok {
 				continue
 			}
-			th.writeHdr[hdr] = true
-			th.writeOrd = append(th.writeOrd, hdr)
-		} else {
-			th.writeHdr[hdr] = true // already ours
-			th.writeOrd = append(th.writeOrd, hdr)
 		}
+		th.writeHdr[hdr] = true
+		th.writeOrd = append(th.writeOrd, hdr)
 		break
 	}
 	// Wait out foreign readers (LogTM NACKs the writer until they drain).
-	myBit := uint64(1) << uint(th.core)
+	myBit := uint64(1) << uint(th.Core())
 	for attempt := 0; ; attempt++ {
-		r := sys.Load(th.ctx, th.core, hdr+hReader).Val
+		r := th.Load(hdr + hReader)
 		if r&^myBit == 0 {
 			return
 		}
 		// Age rule against the oldest reader we are stuck behind.
 		oldest := uint64(1 << 63)
 		for c := 0; c < len(rt.stamps); c++ {
-			if r&(1<<uint(c)) != 0 && c != th.core && rt.stamps[c] < oldest {
+			if r&(1<<uint(c)) != 0 && c != th.Core() && rt.stamps[c] < oldest {
 				oldest = rt.stamps[c]
 			}
 		}
@@ -281,19 +207,21 @@ func (th *thread) openWrite(line memory.LineAddr) {
 	}
 }
 
-// commit is fast: release ownership, truncate the log.
-func (th *thread) commit() {
+// Commit implements driver.Protocol. It is fast: release ownership,
+// truncate the log.
+func (th *thread) Commit() bool {
 	th.release()
-	th.ctx.Advance(10) // log pointer reset
+	th.Work(10) // log pointer reset
+	return true
 }
 
-// rollback walks the undo log in reverse, restoring old values in place,
-// then releases ownership — LogTM's expensive abort path.
-func (th *thread) rollback() {
-	sys := th.rt.sys
+// Rollback implements driver.Protocol: walk the undo log in reverse,
+// restoring old values in place, then release ownership — LogTM's
+// expensive abort path.
+func (th *thread) Rollback() {
 	for i := len(th.undo) - 1; i >= 0; i-- {
-		sys.Store(th.ctx, th.core, th.undo[i].addr, th.undo[i].old)
-		th.ctx.Advance(4) // log walk instructions
+		th.Store(th.undo[i].addr, th.undo[i].old)
+		th.Work(4) // log walk instructions
 	}
 	th.release()
 }
@@ -303,16 +231,16 @@ func (th *thread) rollback() {
 func (th *thread) release() {
 	sys := th.rt.sys
 	for _, hdr := range th.writeOrd {
-		sys.Store(th.ctx, th.core, hdr+hWriter, 0)
+		th.Store(hdr+hWriter, 0)
 	}
-	myBit := uint64(1) << uint(th.core)
+	myBit := uint64(1) << uint(th.Core())
 	for _, hdr := range th.readOrd {
 		for {
-			cur := sys.Load(th.ctx, th.core, hdr+hReader).Val
+			cur := th.Load(hdr + hReader)
 			if cur&myBit == 0 {
 				break
 			}
-			if _, ok := sys.CAS(th.ctx, th.core, hdr+hReader, cur, cur&^myBit); ok {
+			if _, ok := sys.CAS(th.Ctx(), th.Core(), hdr+hReader, cur, cur&^myBit); ok {
 				break
 			}
 		}
@@ -326,22 +254,21 @@ type txn struct{ th *thread }
 func (t txn) Load(a memory.Addr) uint64 {
 	th := t.th
 	th.openRead(a.Line())
-	return th.rt.sys.Load(th.ctx, th.core, a).Val
+	return th.Load(a)
 }
 
 // Store implements tmapi.Txn: log the old value, then write in place.
 func (t txn) Store(a memory.Addr, v uint64) {
 	th := t.th
 	th.openWrite(a.Line())
-	sys := th.rt.sys
-	old := sys.Load(th.ctx, th.core, a).Val
+	old := th.Load(a)
 	if len(th.undo) < logWords/2 {
-		slot := th.rt.logs[th.core] + memory.Addr(2*len(th.undo))
-		sys.Store(th.ctx, th.core, slot, uint64(a))
-		sys.Store(th.ctx, th.core, slot+1, old)
+		slot := th.rt.logs[th.Core()] + memory.Addr(2*len(th.undo))
+		th.Store(slot, uint64(a))
+		th.Store(slot+1, old)
 	}
 	th.undo = append(th.undo, undoEntry{addr: a, old: old})
-	sys.Store(th.ctx, th.core, a, v)
+	th.Store(a, v)
 }
 
 // Abort implements tmapi.Txn.

@@ -12,21 +12,11 @@
 package rstm
 
 import (
-	"flextm/internal/cm"
+	"flextm/internal/baselines/driver"
 	"flextm/internal/memory"
 	"flextm/internal/sim"
 	"flextm/internal/tmapi"
 	"flextm/internal/tmesi"
-)
-
-// Headers is the size of the object-header table.
-const Headers = 1 << 13
-
-// Status-word values.
-const (
-	stActive    = 1
-	stCommitted = 2
-	stAborted   = 3
 )
 
 // header encoding: version<<8 | (owner+1); low byte 0 means unowned.
@@ -34,75 +24,42 @@ const ownerMask = 0xFF
 
 // Runtime is an RSTM instance.
 type Runtime struct {
+	driver.Tally
 	sys     *tmesi.System
-	mgr     cm.Manager
-	headers memory.Addr
-	status  []memory.Addr // per-core current status word (fresh per txn)
-	arenas  [][]memory.Addr
-	arenaIx []int
+	headers driver.Headers
+	status  *driver.StatusRing
+	arb     *driver.Arbiter
 	clones  []memory.Addr // per-core clone arena (ring of lines)
 	cloneIx []int
-	karma   []int
-	stats   []tmapi.Stats
 }
 
-const statusSlots = 64
 const cloneLines = 512
 
-// New returns an RSTM runtime over sys using manager mgr.
-func New(sys *tmesi.System, mgr cm.Manager) *Runtime {
+// New returns an RSTM runtime over sys with the Polka contention manager.
+func New(sys *tmesi.System) *Runtime {
 	cores := sys.Config().Cores
 	rt := &Runtime{
+		Tally:   driver.NewTally(cores),
 		sys:     sys,
-		mgr:     mgr,
-		headers: sys.Alloc().Alloc(Headers * memory.LineWords),
-		status:  make([]memory.Addr, cores),
-		arenas:  make([][]memory.Addr, cores),
-		arenaIx: make([]int, cores),
+		headers: driver.NewHeaders(sys),
 		clones:  make([]memory.Addr, cores),
 		cloneIx: make([]int, cores),
-		karma:   make([]int, cores),
-		stats:   make([]tmapi.Stats, cores),
 	}
-	for c := 0; c < cores; c++ {
-		slots := make([]memory.Addr, statusSlots)
-		for i := range slots {
-			slots[i] = sys.Alloc().Alloc(memory.LineWords)
-		}
-		rt.arenas[c] = slots
+	rt.status = driver.NewStatusRing(sys, func(c int) {
 		rt.clones[c] = sys.Alloc().Alloc(cloneLines * memory.LineWords)
-	}
+	})
+	rt.arb = driver.NewArbiter(rt.status)
 	return rt
 }
 
 // Name implements tmapi.Runtime.
 func (rt *Runtime) Name() string { return "RSTM" }
 
-// Stats implements tmapi.Runtime.
-func (rt *Runtime) Stats() tmapi.Stats {
-	var total tmapi.Stats
-	for i := range rt.stats {
-		total.Commits += rt.stats[i].Commits
-		total.Aborts += rt.stats[i].Aborts
-	}
-	return total
-}
-
 // Bind implements tmapi.Runtime.
 func (rt *Runtime) Bind(ctx *sim.Ctx, core int) tmapi.Thread {
-	return &thread{
-		rt:   rt,
-		ctx:  ctx,
-		core: core,
-		rnd:  sim.NewRand(uint64(core)*0x9E3779B9 + 0x57A),
-	}
-}
-
-// headerOf maps a line to its header word. Headers sit on distinct cache
-// lines so that acquiring one object does not invalidate neighbors.
-func (rt *Runtime) headerOf(l memory.LineAddr) memory.Addr {
-	h := uint64(l) * 0xC2B2AE3D27D4EB4F
-	return rt.headers + memory.Addr((h%Headers)*memory.LineWords)
+	th := &thread{rt: rt}
+	th.Thread = rt.Tally.Thread(ctx, core, 0x57A, th, txn{th})
+	return th
 }
 
 type readEntry struct {
@@ -118,89 +75,46 @@ type writeEntry struct {
 }
 
 type thread struct {
-	rt    *Runtime
-	ctx   *sim.Ctx
-	core  int
-	rnd   *sim.Rand
-	depth int
+	driver.Thread
+	rt *Runtime
 
 	status  memory.Addr
 	reads   []readEntry
 	opened  map[memory.LineAddr]bool // lines already opened read-only
 	writes  []writeEntry
 	written map[memory.LineAddr]int // line -> index in writes
-	aborts  int
 }
 
-func (th *thread) Core() int       { return th.core }
-func (th *thread) Ctx() *sim.Ctx   { return th.ctx }
-func (th *thread) Rand() *sim.Rand { return th.rnd }
-func (th *thread) Work(d sim.Time) { th.ctx.Advance(d) }
 func (th *thread) Load(a memory.Addr) uint64 {
-	return th.rt.sys.Load(th.ctx, th.core, a).Val
+	return th.rt.sys.Load(th.Ctx(), th.Core(), a).Val
 }
 func (th *thread) Store(a memory.Addr, v uint64) {
-	th.rt.sys.Store(th.ctx, th.core, a, v)
+	th.rt.sys.Store(th.Ctx(), th.Core(), a, v)
 }
 
-// Atomic implements tmapi.Thread.
-func (th *thread) Atomic(body func(tmapi.Txn)) {
-	if th.depth > 0 {
-		th.depth++
-		defer func() { th.depth-- }()
-		body(txn{th})
-		return
-	}
-	for {
-		th.begin()
-		if th.attempt(body) {
-			th.rt.stats[th.core].Commits++
-			th.aborts = 0
-			return
-		}
-		th.rt.stats[th.core].Aborts++
-		th.aborts++
-		th.ctx.Advance(th.rt.mgr.RetryBackoff(th.aborts, th.rnd))
-	}
-}
-
-func (th *thread) begin() {
+// Begin implements driver.Protocol.
+func (th *thread) Begin() {
 	rt := th.rt
-	i := rt.arenaIx[th.core]
-	rt.arenaIx[th.core] = (i + 1) % statusSlots
-	th.status = rt.arenas[th.core][i]
-	rt.sys.Store(th.ctx, th.core, th.status, stActive)
-	rt.status[th.core] = th.status
-	rt.karma[th.core] = 0
+	th.status = rt.status.Begin(&th.Thread)
+	rt.arb.Karma[th.Core()] = 0
 	th.reads = th.reads[:0]
 	th.opened = make(map[memory.LineAddr]bool)
 	th.writes = th.writes[:0]
 	th.written = make(map[memory.LineAddr]int)
-	rt.cloneIx[th.core] = 0
+	rt.cloneIx[th.Core()] = 0
 }
 
-func (th *thread) attempt(body func(tmapi.Txn)) (ok bool) {
-	th.depth = 1
-	defer func() {
-		th.depth = 0
-		if r := recover(); r != nil {
-			if _, isAbort := r.(tmapi.AbortError); !isAbort {
-				panic(r)
-			}
-			th.releaseAll(false)
-		}
-	}()
-	body(txn{th})
-	return th.commit()
-}
+// Rollback implements driver.Protocol.
+func (th *thread) Rollback() { th.releaseAll(false) }
 
-func abort() { panic(tmapi.AbortError{}) }
+// Backoff implements driver.Protocol.
+func (th *thread) Backoff(n int) sim.Time { return th.rt.arb.RetryBackoff(&th.Thread, n) }
 
 // checkSelf polls the transaction's own status word: invisible readers must
 // notice remote aborts themselves.
 func (th *thread) checkSelf() {
-	if th.rt.sys.Load(th.ctx, th.core, th.status).Val == stAborted {
-		abort()
+	if th.Load(th.status) == driver.Aborted {
+		driver.Abort()
 	}
 }
 
@@ -208,19 +122,18 @@ func (th *thread) checkSelf() {
 // performed on each open). This is the quadratic cost the paper measures at
 // up to 80% of RandomGraph's execution time.
 func (th *thread) validate() {
-	sys := th.rt.sys
 	for _, re := range th.reads {
-		h := sys.Load(th.ctx, th.core, re.hdr).Val
-		th.ctx.Advance(2) // loop + compare instructions
+		h := th.Load(re.hdr)
+		th.Work(2) // loop + compare instructions
 		if h != re.ver {
 			// Acquiring the object ourselves is fine only if its version
 			// has not advanced since we read it; otherwise the read is
 			// stale even though we now own the header.
-			if owner := h & ownerMask; owner != 0 && int(owner-1) == th.core &&
+			if owner := h & ownerMask; owner != 0 && int(owner-1) == th.Core() &&
 				h&^uint64(ownerMask) == re.ver&^uint64(ownerMask) {
 				continue
 			}
-			abort()
+			driver.Abort()
 		}
 	}
 }
@@ -235,23 +148,21 @@ const (
 	readIndWork = 5
 )
 
-// openRO performs the read-side protocol for line and returns the header
-// value observed.
+// openRO performs the read-side protocol for line.
 func (th *thread) openRO(line memory.LineAddr) {
-	rt, sys := th.rt, th.rt.sys
-	hdr := rt.headerOf(line)
-	th.ctx.Advance(openROWork)
+	hdr := th.rt.headers.Of(line)
+	th.Work(openROWork)
 	th.checkSelf()
 	for attempt := 0; ; attempt++ {
-		h := sys.Load(th.ctx, th.core, hdr).Val
+		h := th.Load(hdr)
 		owner := h & ownerMask
-		if owner == 0 || int(owner-1) == th.core {
+		if owner == 0 || int(owner-1) == th.Core() {
 			th.reads = append(th.reads, readEntry{hdr: hdr, ver: h})
 			break
 		}
 		th.contend(int(owner-1), attempt)
 	}
-	rt.karma[th.core]++
+	th.rt.arb.Karma[th.Core()]++
 	th.validate()
 }
 
@@ -262,74 +173,60 @@ func (th *thread) openRW(line memory.LineAddr) memory.Addr {
 	if i, ok := th.written[line]; ok {
 		return th.writes[i].clone
 	}
-	hdr := rt.headerOf(line)
-	th.ctx.Advance(openRWWork)
+	hdr := rt.headers.Of(line)
+	th.Work(openRWWork)
 	th.checkSelf()
 	var pre uint64
 	for attempt := 0; ; attempt++ {
-		h := sys.Load(th.ctx, th.core, hdr).Val
+		h := th.Load(hdr)
 		owner := h & ownerMask
 		if owner == 0 {
-			if _, ok := sys.CAS(th.ctx, th.core, hdr, h, h|uint64(th.core+1)); ok {
+			if _, ok := sys.CAS(th.Ctx(), th.Core(), hdr, h, h|uint64(th.Core()+1)); ok {
 				pre = h
 				break
 			}
 			continue
 		}
-		if int(owner-1) == th.core {
-			// Shouldn't happen (written map covers it), but be safe.
+		if int(owner-1) == th.Core() {
+			// A line this transaction already wrote shares the header
+			// (their headers.Of collide): it is ours already, and both
+			// write entries release it to the same version.
 			pre = h &^ ownerMask
 			break
 		}
 		th.contend(int(owner-1), attempt)
 	}
 	// Clone: copy the canonical line into the thread's clone arena.
-	ci := rt.cloneIx[th.core]
+	ci := rt.cloneIx[th.Core()]
 	if ci >= cloneLines {
 		panic("rstm: transaction write set exceeds clone arena")
 	}
-	rt.cloneIx[th.core]++
-	clone := rt.clones[th.core] + memory.Addr(ci*memory.LineWords)
+	rt.cloneIx[th.Core()]++
+	clone := rt.clones[th.Core()] + memory.Addr(ci*memory.LineWords)
 	for w := 0; w < memory.LineWords; w++ {
-		v := sys.Load(th.ctx, th.core, line.WordOf(w)).Val
-		sys.Store(th.ctx, th.core, clone+memory.Addr(w), v)
+		th.Store(clone+memory.Addr(w), th.Load(line.WordOf(w)))
 	}
 	th.writes = append(th.writes, writeEntry{line: line, hdr: hdr, ver: pre, clone: clone})
 	th.written[line] = len(th.writes) - 1
-	rt.karma[th.core]++
+	rt.arb.Karma[th.Core()]++
 	th.validate()
 	return clone
 }
 
-// contend consults the contention manager about a conflicting owner.
+// contend consults the contention manager about a conflicting owner; the
+// loop that called it re-reads the header, which an aborted enemy releases.
 func (th *thread) contend(enemy int, attempt int) {
-	rt := th.rt
-	dec, wait := rt.mgr.OnConflict(cm.Conflict{
-		Me: th.core, Enemy: enemy,
-		MyKarma: rt.karma[th.core], EnemyKarma: rt.karma[enemy],
-		Attempt: attempt,
-	}, th.rnd)
-	switch dec {
-	case cm.AbortSelf:
-		abort()
-	case cm.AbortEnemy:
-		rt.sys.CAS(th.ctx, th.core, rt.status[enemy], stActive, stAborted)
-		// Loop re-reads the header; the enemy releases it on its abort.
-		th.ctx.Advance(64)
-	case cm.Wait:
-		th.ctx.Advance(wait)
-	}
-	if attempt > 30 {
-		abort() // bounded patience: never spin forever on a stuck owner
+	th.rt.arb.Arbitrate(&th.Thread, enemy, attempt, 64)
+	if attempt > driver.Patience {
+		driver.Abort()
 	}
 }
 
-// commit validates once more, swings the status word, copies clones back,
-// and releases headers with bumped versions.
-func (th *thread) commit() bool {
-	sys := th.rt.sys
+// Commit implements driver.Protocol: validate once more, swing the status
+// word, copy clones back, and release headers with bumped versions.
+func (th *thread) Commit() bool {
 	th.validate()
-	if _, ok := sys.CAS(th.ctx, th.core, th.status, stActive, stCommitted); !ok {
+	if _, ok := th.rt.sys.CAS(th.Ctx(), th.Core(), th.status, driver.Active, driver.Committed); !ok {
 		th.releaseAll(false)
 		return false
 	}
@@ -340,16 +237,14 @@ func (th *thread) commit() bool {
 // releaseAll publishes (commit=true) or discards (commit=false) clones and
 // releases every acquired header.
 func (th *thread) releaseAll(commit bool) {
-	sys := th.rt.sys
 	for _, we := range th.writes {
 		if commit {
 			for w := 0; w < memory.LineWords; w++ {
-				v := sys.Load(th.ctx, th.core, we.clone+memory.Addr(w)).Val
-				sys.Store(th.ctx, th.core, we.line.WordOf(w), v)
+				th.Store(we.line.WordOf(w), th.Load(we.clone+memory.Addr(w)))
 			}
-			sys.Store(th.ctx, th.core, we.hdr, we.ver+(1<<8)) // new version, unowned
+			th.Store(we.hdr, we.ver+(1<<8)) // new version, unowned
 		} else {
-			sys.Store(th.ctx, th.core, we.hdr, we.ver)
+			th.Store(we.hdr, we.ver)
 		}
 	}
 }
@@ -362,21 +257,19 @@ func (t txn) Load(a memory.Addr) uint64 {
 	th := t.th
 	line := a.Line()
 	if i, ok := th.written[line]; ok {
-		return th.rt.sys.Load(th.ctx, th.core, th.writes[i].clone+memory.Addr(a.Offset())).Val
+		return th.Load(th.writes[i].clone + memory.Addr(a.Offset()))
 	}
 	if !th.opened[line] {
 		th.openRO(line)
 		th.opened[line] = true
 	}
-	th.ctx.Advance(readIndWork) // pointer indirection through the header
-	return th.rt.sys.Load(th.ctx, th.core, a).Val
+	th.Work(readIndWork) // pointer indirection through the header
+	return th.Load(a)
 }
 
 // Store implements tmapi.Txn.
 func (t txn) Store(a memory.Addr, v uint64) {
-	th := t.th
-	clone := th.openRW(a.Line())
-	th.rt.sys.Store(th.ctx, th.core, clone+memory.Addr(a.Offset()), v)
+	t.th.Store(t.th.openRW(a.Line())+memory.Addr(a.Offset()), v)
 }
 
 // Abort implements tmapi.Txn.

@@ -12,88 +12,44 @@
 package rtmf
 
 import (
-	"flextm/internal/cm"
+	"flextm/internal/baselines/driver"
 	"flextm/internal/memory"
 	"flextm/internal/sim"
 	"flextm/internal/tmapi"
 	"flextm/internal/tmesi"
 )
 
-// Headers is the size of the object-header table.
-const Headers = 1 << 13
-
-// Status-word values.
-const (
-	stActive    = 1
-	stCommitted = 2
-	stAborted   = 3
-)
-
 const ownerMask = 0xFF
 
 // Runtime is an RTM-F instance.
 type Runtime struct {
+	driver.Tally
 	sys     *tmesi.System
-	mgr     cm.Manager
-	headers memory.Addr
-	status  []memory.Addr
-	arenas  [][]memory.Addr
-	arenaIx []int
-	karma   []int
-	stats   []tmapi.Stats
+	headers driver.Headers
+	status  *driver.StatusRing
+	arb     *driver.Arbiter
 }
 
-const statusSlots = 64
-
-// New returns an RTM-F runtime over sys using manager mgr.
-func New(sys *tmesi.System, mgr cm.Manager) *Runtime {
-	cores := sys.Config().Cores
+// New returns an RTM-F runtime over sys with the Polka contention manager.
+func New(sys *tmesi.System) *Runtime {
 	rt := &Runtime{
+		Tally:   driver.NewTally(sys.Config().Cores),
 		sys:     sys,
-		mgr:     mgr,
-		headers: sys.Alloc().Alloc(Headers * memory.LineWords),
-		status:  make([]memory.Addr, cores),
-		arenas:  make([][]memory.Addr, cores),
-		arenaIx: make([]int, cores),
-		karma:   make([]int, cores),
-		stats:   make([]tmapi.Stats, cores),
+		headers: driver.NewHeaders(sys),
+		status:  driver.NewStatusRing(sys, nil),
 	}
-	for c := 0; c < cores; c++ {
-		slots := make([]memory.Addr, statusSlots)
-		for i := range slots {
-			slots[i] = sys.Alloc().Alloc(memory.LineWords)
-		}
-		rt.arenas[c] = slots
-	}
+	rt.arb = driver.NewArbiter(rt.status)
 	return rt
 }
 
 // Name implements tmapi.Runtime.
 func (rt *Runtime) Name() string { return "RTM-F" }
 
-// Stats implements tmapi.Runtime.
-func (rt *Runtime) Stats() tmapi.Stats {
-	var total tmapi.Stats
-	for i := range rt.stats {
-		total.Commits += rt.stats[i].Commits
-		total.Aborts += rt.stats[i].Aborts
-	}
-	return total
-}
-
 // Bind implements tmapi.Runtime.
 func (rt *Runtime) Bind(ctx *sim.Ctx, core int) tmapi.Thread {
-	return &thread{
-		rt:   rt,
-		ctx:  ctx,
-		core: core,
-		rnd:  sim.NewRand(uint64(core)*0x9E3779B9 + 0xF17),
-	}
-}
-
-func (rt *Runtime) headerOf(l memory.LineAddr) memory.Addr {
-	h := uint64(l) * 0xC2B2AE3D27D4EB4F
-	return rt.headers + memory.Addr((h%Headers)*memory.LineWords)
+	th := &thread{rt: rt}
+	th.Thread = rt.Tally.Thread(ctx, core, 0xF17, th, txn{th})
+	return th
 }
 
 type readEntry struct {
@@ -107,113 +63,73 @@ type writeEntry struct {
 }
 
 type thread struct {
-	rt    *Runtime
-	ctx   *sim.Ctx
-	core  int
-	rnd   *sim.Rand
-	depth int
+	driver.Thread
+	rt *Runtime
 
 	status   memory.Addr
 	reads    []readEntry
 	readHdr  map[memory.Addr]int // header addr -> reads index
 	writes   []writeEntry
 	writeHdr map[memory.Addr]bool
-	aborts   int
 }
 
-func (th *thread) Core() int       { return th.core }
-func (th *thread) Ctx() *sim.Ctx   { return th.ctx }
-func (th *thread) Rand() *sim.Rand { return th.rnd }
-func (th *thread) Work(d sim.Time) { th.ctx.Advance(d) }
 func (th *thread) Load(a memory.Addr) uint64 {
-	return th.rt.sys.Load(th.ctx, th.core, a).Val
+	return th.rt.sys.Load(th.Ctx(), th.Core(), a).Val
 }
 func (th *thread) Store(a memory.Addr, v uint64) {
-	th.rt.sys.Store(th.ctx, th.core, a, v)
+	th.rt.sys.Store(th.Ctx(), th.Core(), a, v)
 }
 
-// Atomic implements tmapi.Thread.
-func (th *thread) Atomic(body func(tmapi.Txn)) {
-	if th.depth > 0 {
-		th.depth++
-		defer func() { th.depth-- }()
-		body(txn{th})
-		return
-	}
-	for {
-		th.begin()
-		if th.attempt(body) {
-			th.rt.stats[th.core].Commits++
-			th.aborts = 0
-			return
-		}
-		th.rt.stats[th.core].Aborts++
-		th.aborts++
-		th.ctx.Advance(th.rt.mgr.RetryBackoff(th.aborts, th.rnd))
-	}
-}
-
-func (th *thread) begin() {
+// Begin implements driver.Protocol.
+func (th *thread) Begin() {
 	rt, sys := th.rt, th.rt.sys
-	i := rt.arenaIx[th.core]
-	rt.arenaIx[th.core] = (i + 1) % statusSlots
-	th.status = rt.arenas[th.core][i]
-	sys.Store(th.ctx, th.core, th.status, stActive)
-	rt.status[th.core] = th.status
-	sys.ALoad(th.ctx, th.core, th.status)
-	rt.karma[th.core] = 0
+	th.status = rt.status.Begin(&th.Thread)
+	sys.ALoad(th.Ctx(), th.Core(), th.status)
+	rt.arb.Karma[th.Core()] = 0
 	th.reads = th.reads[:0]
 	th.readHdr = make(map[memory.Addr]int)
 	th.writes = th.writes[:0]
 	th.writeHdr = make(map[memory.Addr]bool)
-	sys.BeginTxn(th.core)
-	th.ctx.Advance(40) // register checkpoint
+	sys.BeginTxn(th.Core())
+	th.Work(40) // register checkpoint
 	th.checkAlert()
 }
 
-func (th *thread) attempt(body func(tmapi.Txn)) (ok bool) {
-	th.depth = 1
-	defer func() {
-		th.depth = 0
-		if r := recover(); r != nil {
-			if _, isAbort := r.(tmapi.AbortError); !isAbort {
-				panic(r)
-			}
-			th.onAbort()
-		}
-	}()
-	body(txn{th})
-	return th.commit()
-}
-
-func abort() { panic(tmapi.AbortError{}) }
-
-func (th *thread) onAbort() {
+// Rollback implements driver.Protocol: drop the speculative cache state
+// and release acquired headers so peers stop seeing us as owner.
+func (th *thread) Rollback() {
 	sys := th.rt.sys
-	if sys.TxnActive(th.core) {
-		sys.AbortFlash(th.ctx, th.core)
+	if sys.TxnActive(th.Core()) {
+		sys.AbortFlash(th.Ctx(), th.Core())
 	}
-	// Release acquired headers so peers stop seeing us as owner.
-	for _, we := range th.writes {
-		sys.Store(th.ctx, th.core, we.hdr, we.ver)
-	}
-	th.ctx.Advance(30)
+	th.release()
 }
+
+// release restores every acquired header's pre-acquire version.
+func (th *thread) release() {
+	for _, we := range th.writes {
+		th.Store(we.hdr, we.ver)
+	}
+	th.Work(30)
+}
+
+// Backoff implements driver.Protocol.
+func (th *thread) Backoff(n int) sim.Time { return th.rt.arb.RetryBackoff(&th.Thread, n) }
 
 // checkAlert handles AOU alerts: a changed status word means we were
 // aborted; a changed read-set header means a writer acquired an object we
 // read, which RTM-F's handler arbitrates.
 func (th *thread) checkAlert() {
 	sys := th.rt.sys
-	line, ok := sys.TakeAlert(th.core)
+	line, ok := sys.TakeAlert(th.Core())
 	if !ok {
 		return
 	}
-	if sys.Load(th.ctx, th.core, th.status).Val == stAborted {
-		abort()
+	if th.Load(th.status) == driver.Aborted {
+		driver.Abort()
 	}
 	if line == th.status.Line() {
-		sys.ALoad(th.ctx, th.core, th.status) // spurious: re-arm
+		sys.ALoad(th.Ctx(), th.Core(), th.status) // spurious: re-arm
 		return
 	}
 	// A watched header changed: re-read it and arbitrate.
@@ -222,9 +138,9 @@ func (th *thread) checkAlert() {
 	if !tracked {
 		return
 	}
-	h := sys.Load(th.ctx, th.core, hdrAddr).Val
+	h := th.Load(hdrAddr)
 	if h == th.reads[i].ver {
-		sys.ALoad(th.ctx, th.core, hdrAddr) // false alarm (eviction): re-arm
+		sys.ALoad(th.Ctx(), th.Core(), hdrAddr) // false alarm (eviction): re-arm
 		return
 	}
 	if owner := h & ownerMask; owner != 0 && !th.writeHdr[hdrAddr] {
@@ -232,37 +148,24 @@ func (th *thread) checkAlert() {
 		return
 	}
 	// Version advanced: the writer committed; our read is stale.
-	abort()
+	driver.Abort()
 }
 
 // conflictWithOwner arbitrates an eager read-write conflict detected via
 // AOU on a header in our read set.
 func (th *thread) conflictWithOwner(enemy int, hdrAddr memory.Addr, readIx int) {
-	rt, sys := th.rt, th.rt.sys
 	for attempt := 0; ; attempt++ {
-		dec, wait := rt.mgr.OnConflict(cm.Conflict{
-			Me: th.core, Enemy: enemy,
-			MyKarma: rt.karma[th.core], EnemyKarma: rt.karma[enemy],
-			Attempt: attempt,
-		}, th.rnd)
-		switch dec {
-		case cm.AbortSelf:
-			abort()
-		case cm.AbortEnemy:
-			sys.CAS(th.ctx, th.core, rt.status[enemy], stActive, stAborted)
-		case cm.Wait:
-			th.ctx.Advance(wait)
-		}
-		h := sys.Load(th.ctx, th.core, hdrAddr).Val
+		th.rt.arb.Arbitrate(&th.Thread, enemy, attempt, 0)
+		h := th.Load(hdrAddr)
 		if h&ownerMask == 0 {
 			if h == th.reads[readIx].ver {
-				sys.ALoad(th.ctx, th.core, hdrAddr)
+				th.rt.sys.ALoad(th.Ctx(), th.Core(), hdrAddr)
 				return // enemy aborted; our read still valid
 			}
-			abort() // enemy committed; stale read
+			driver.Abort() // enemy committed; stale read
 		}
-		if attempt > 30 {
-			abort()
+		if attempt > driver.Patience {
+			driver.Abort()
 		}
 	}
 }
@@ -276,42 +179,40 @@ const (
 
 // openRO records and ALoads the header of a line on first read.
 func (th *thread) openRO(line memory.LineAddr) {
-	rt, sys := th.rt, th.rt.sys
-	hdr := rt.headerOf(line)
+	hdr := th.rt.headers.Of(line)
 	if _, ok := th.readHdr[hdr]; ok || th.writeHdr[hdr] {
 		return
 	}
-	th.ctx.Advance(openROWork)
+	th.Work(openROWork)
 	for attempt := 0; ; attempt++ {
-		h := sys.Load(th.ctx, th.core, hdr).Val
+		h := th.Load(hdr)
 		th.checkAlert()
 		owner := h & ownerMask
-		if owner == 0 || int(owner-1) == th.core {
+		if owner == 0 || int(owner-1) == th.Core() {
 			th.reads = append(th.reads, readEntry{hdr: hdr, ver: h})
 			th.readHdr[hdr] = len(th.reads) - 1
-			sys.ALoad(th.ctx, th.core, hdr)
+			th.rt.sys.ALoad(th.Ctx(), th.Core(), hdr)
 			th.checkAlert()
 			break
 		}
 		th.contendOnOpen(int(owner-1), attempt)
 	}
-	rt.karma[th.core]++
+	th.rt.arb.Karma[th.Core()]++
 }
 
 // openRW acquires the header of a line on first write.
 func (th *thread) openRW(line memory.LineAddr) {
-	rt, sys := th.rt, th.rt.sys
-	hdr := rt.headerOf(line)
+	hdr := th.rt.headers.Of(line)
 	if th.writeHdr[hdr] {
 		return
 	}
-	th.ctx.Advance(openRWWork)
+	th.Work(openRWWork)
 	for attempt := 0; ; attempt++ {
-		h := sys.Load(th.ctx, th.core, hdr).Val
+		h := th.Load(hdr)
 		th.checkAlert()
 		owner := h & ownerMask
 		if owner == 0 {
-			if _, ok := sys.CAS(th.ctx, th.core, hdr, h, h|uint64(th.core+1)); ok {
+			if _, ok := th.rt.sys.CAS(th.Ctx(), th.Core(), hdr, h, h|uint64(th.Core()+1)); ok {
 				// Record before anything that can panic, or the header
 				// would stay acquired forever after an abort.
 				th.writes = append(th.writes, writeEntry{hdr: hdr, ver: h})
@@ -322,57 +223,35 @@ func (th *thread) openRW(line memory.LineAddr) {
 			th.checkAlert()
 			continue
 		}
-		if int(owner-1) == th.core {
+		if int(owner-1) == th.Core() {
 			th.writeHdr[hdr] = true
 			break
 		}
 		th.contendOnOpen(int(owner-1), attempt)
 	}
-	rt.karma[th.core]++
+	th.rt.arb.Karma[th.Core()]++
 }
 
 // contendOnOpen arbitrates a write-write (or write-after-read) conflict
 // found while opening an object.
 func (th *thread) contendOnOpen(enemy int, attempt int) {
-	rt, sys := th.rt, th.rt.sys
-	dec, wait := rt.mgr.OnConflict(cm.Conflict{
-		Me: th.core, Enemy: enemy,
-		MyKarma: rt.karma[th.core], EnemyKarma: rt.karma[enemy],
-		Attempt: attempt,
-	}, th.rnd)
-	switch dec {
-	case cm.AbortSelf:
-		abort()
-	case cm.AbortEnemy:
-		sys.CAS(th.ctx, th.core, rt.status[enemy], stActive, stAborted)
-		th.ctx.Advance(64)
-	case cm.Wait:
-		th.ctx.Advance(wait)
-	}
+	th.rt.arb.Arbitrate(&th.Thread, enemy, attempt, 64)
 	th.checkAlert()
-	if attempt > 30 {
-		abort()
+	if attempt > driver.Patience {
+		driver.Abort()
 	}
 }
 
-// commit publishes: CAS the status word, flash-commit the PDI state, bump
-// and release headers.
-func (th *thread) commit() bool {
-	rt, sys := th.rt, th.rt.sys
-	switch sys.CASCommitNoCST(th.ctx, th.core, th.status, stActive, stCommitted) {
-	case tmesi.CommitAborted:
-		// Speculative cache state already reverted; release headers.
-		for _, we := range th.writes {
-			sys.Store(th.ctx, th.core, we.hdr, we.ver)
-		}
-		th.ctx.Advance(30)
+// Commit implements driver.Protocol: CAS the status word, flash-commit the
+// PDI state, bump and release headers.
+func (th *thread) Commit() bool {
+	if th.rt.sys.CASCommitNoCST(th.Ctx(), th.Core(), th.status, driver.Active, driver.Committed) == tmesi.CommitAborted {
+		th.release() // speculative cache state already reverted
 		return false
-	default:
 	}
 	for _, we := range th.writes {
-		sys.Store(th.ctx, th.core, we.hdr, we.ver+(1<<8))
+		th.Store(we.hdr, we.ver+(1<<8))
 	}
-	_ = rt
 	return true
 }
 
@@ -384,7 +263,7 @@ type txn struct{ th *thread }
 func (t txn) Load(a memory.Addr) uint64 {
 	th := t.th
 	th.openRO(a.Line())
-	v := th.rt.sys.TLoad(th.ctx, th.core, a).Val
+	v := th.rt.sys.TLoad(th.Ctx(), th.Core(), a).Val
 	th.checkAlert()
 	return v
 }
@@ -393,7 +272,7 @@ func (t txn) Load(a memory.Addr) uint64 {
 func (t txn) Store(a memory.Addr, v uint64) {
 	th := t.th
 	th.openRW(a.Line())
-	th.rt.sys.TStore(th.ctx, th.core, a, v)
+	th.rt.sys.TStore(th.Ctx(), th.Core(), a, v)
 	th.checkAlert()
 }
 

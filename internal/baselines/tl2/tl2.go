@@ -9,6 +9,7 @@
 package tl2
 
 import (
+	"flextm/internal/baselines/driver"
 	"flextm/internal/memory"
 	"flextm/internal/sim"
 	"flextm/internal/tmapi"
@@ -26,28 +27,28 @@ const logWords = 4096
 // Lock-word encoding: version<<1, low bit set while write-locked.
 const lockedBit = 1
 
+// spinLimit bounds how long a committer waits on a locked stripe before
+// aborting.
+const spinLimit = 8
+
 // Runtime is a TL2 instance.
 type Runtime struct {
+	driver.Tally
 	sys   *tmesi.System
 	clock memory.Addr // global version clock
 	locks memory.Addr // stripe lock words, one per word to avoid pathological false sharing beyond hashing
 	logs  []memory.Addr
-	stats []tmapi.Stats
-	// SpinLimit bounds how long a reader/writer waits on a locked stripe
-	// before aborting.
-	SpinLimit int
 }
 
 // New returns a TL2 runtime over sys.
 func New(sys *tmesi.System) *Runtime {
 	cores := sys.Config().Cores
 	rt := &Runtime{
-		sys:       sys,
-		clock:     sys.Alloc().Alloc(memory.LineWords),
-		locks:     sys.Alloc().Alloc(Stripes),
-		logs:      make([]memory.Addr, cores),
-		stats:     make([]tmapi.Stats, cores),
-		SpinLimit: 8,
+		Tally: driver.NewTally(cores),
+		sys:   sys,
+		clock: sys.Alloc().Alloc(memory.LineWords),
+		locks: sys.Alloc().Alloc(Stripes),
+		logs:  make([]memory.Addr, cores),
 	}
 	for i := range rt.logs {
 		rt.logs[i] = sys.Alloc().Alloc(logWords)
@@ -58,24 +59,11 @@ func New(sys *tmesi.System) *Runtime {
 // Name implements tmapi.Runtime.
 func (rt *Runtime) Name() string { return "TL2" }
 
-// Stats implements tmapi.Runtime.
-func (rt *Runtime) Stats() tmapi.Stats {
-	var total tmapi.Stats
-	for i := range rt.stats {
-		total.Commits += rt.stats[i].Commits
-		total.Aborts += rt.stats[i].Aborts
-	}
-	return total
-}
-
 // Bind implements tmapi.Runtime.
 func (rt *Runtime) Bind(ctx *sim.Ctx, core int) tmapi.Thread {
-	return &thread{
-		rt:   rt,
-		ctx:  ctx,
-		core: core,
-		rnd:  sim.NewRand(uint64(core)*0x9E3779B9 + 0x71E2),
-	}
+	th := &thread{rt: rt}
+	th.Thread = rt.Tally.Thread(ctx, core, 0x71E2, th, txn{th})
+	return th
 }
 
 // stripeOf maps an address to its lock word (line granularity hash).
@@ -85,11 +73,8 @@ func (rt *Runtime) stripeOf(a memory.Addr) memory.Addr {
 }
 
 type thread struct {
-	rt    *Runtime
-	ctx   *sim.Ctx
-	core  int
-	rnd   *sim.Rand
-	depth int
+	driver.Thread
+	rt *Runtime
 
 	rv       uint64
 	readSet  []memory.Addr // stripe addresses with observed versions
@@ -97,68 +82,30 @@ type thread struct {
 	writeMap map[memory.Addr]uint64 // address -> buffered value (redo)
 	writeOrd []memory.Addr          // insertion order for deterministic commit
 	logPos   int
-	aborts   int
 }
 
-func (th *thread) Core() int       { return th.core }
-func (th *thread) Ctx() *sim.Ctx   { return th.ctx }
-func (th *thread) Rand() *sim.Rand { return th.rnd }
-func (th *thread) Work(d sim.Time) { th.ctx.Advance(d) }
 func (th *thread) Load(a memory.Addr) uint64 {
-	return th.rt.sys.Load(th.ctx, th.core, a).Val
+	return th.rt.sys.Load(th.Ctx(), th.Core(), a).Val
 }
 func (th *thread) Store(a memory.Addr, v uint64) {
-	th.rt.sys.Store(th.ctx, th.core, a, v)
+	th.rt.sys.Store(th.Ctx(), th.Core(), a, v)
 }
 
-// Atomic implements tmapi.Thread.
-func (th *thread) Atomic(body func(tmapi.Txn)) {
-	if th.depth > 0 {
-		th.depth++
-		defer func() { th.depth-- }()
-		body(txn{th})
-		return
-	}
-	for {
-		th.begin()
-		if th.attempt(body) {
-			th.rt.stats[th.core].Commits++
-			th.aborts = 0
-			return
-		}
-		th.rt.stats[th.core].Aborts++
-		th.aborts++
-		shift := th.aborts
-		if shift > 10 {
-			shift = 10
-		}
-		th.ctx.Advance(sim.Time(th.rnd.Intn(32<<uint(shift) + 1)))
-	}
-}
-
-func (th *thread) begin() {
-	th.rv = th.rt.sys.Load(th.ctx, th.core, th.rt.clock).Val
+// Begin implements driver.Protocol.
+func (th *thread) Begin() {
+	th.rv = th.Load(th.rt.clock)
 	th.readSet = th.readSet[:0]
 	th.readVer = th.readVer[:0]
 	th.writeMap = make(map[memory.Addr]uint64)
 	th.writeOrd = th.writeOrd[:0]
 }
 
-func (th *thread) attempt(body func(tmapi.Txn)) (ok bool) {
-	th.depth = 1
-	defer func() {
-		th.depth = 0
-		if r := recover(); r != nil {
-			if _, isAbort := r.(tmapi.AbortError); !isAbort {
-				panic(r)
-			}
-		}
-	}()
-	body(txn{th})
-	return th.commit()
-}
+// Rollback implements driver.Protocol: TL2 writes nothing shared before
+// its commit, which releases its own locks when it fails.
+func (th *thread) Rollback() {}
 
-func abort() { panic(tmapi.AbortError{}) }
+// Backoff implements driver.Protocol.
+func (th *thread) Backoff(n int) sim.Time { return driver.Backoff(th.Rand(), 32, n, 10) }
 
 // txn adapts the thread to tmapi.Txn with TL2 semantics.
 type txn struct{ th *thread }
@@ -169,17 +116,17 @@ func (t txn) Load(a memory.Addr) uint64 {
 	th := t.th
 	if v, ok := th.writeMap[a]; ok {
 		// Bloom-filter + write-set lookup cost in real TL2; one cycle here.
-		th.ctx.Advance(1)
+		th.Work(1)
 		return v
 	}
 	// Read barrier instructions (bloom filter check, logging, bookkeeping).
-	th.ctx.Advance(20)
-	sys, stripe := th.rt.sys, th.rt.stripeOf(a)
-	l1 := sys.Load(th.ctx, th.core, stripe).Val
-	v := sys.Load(th.ctx, th.core, a).Val
-	l2 := sys.Load(th.ctx, th.core, stripe).Val
+	th.Work(20)
+	stripe := th.rt.stripeOf(a)
+	l1 := th.Load(stripe)
+	v := th.Load(a)
+	l2 := th.Load(stripe)
 	if l1 != l2 || l1&lockedBit != 0 || l1>>1 > th.rv {
-		abort()
+		driver.Abort()
 	}
 	th.readSet = append(th.readSet, stripe)
 	th.readVer = append(th.readVer, l1)
@@ -193,19 +140,19 @@ func (t txn) Store(a memory.Addr, v uint64) {
 		th.writeOrd = append(th.writeOrd, a)
 	}
 	th.writeMap[a] = v
-	th.ctx.Advance(25) // write barrier instructions
+	th.Work(25) // write barrier instructions
 	// Redo-log append traffic: one store into the thread's log ring.
-	log := th.rt.logs[th.core] + memory.Addr(th.logPos%logWords)
+	log := th.rt.logs[th.Core()] + memory.Addr(th.logPos%logWords)
 	th.logPos++
-	th.rt.sys.Store(th.ctx, th.core, log, v)
+	th.Store(log, v)
 }
 
 // Abort implements tmapi.Txn.
 func (t txn) Abort() { panic(tmapi.AbortError{UserRequested: true}) }
 
-// commit runs the TL2 commit protocol: lock the write set, bump the global
-// clock, validate the read set, write back, release.
-func (th *thread) commit() bool {
+// Commit implements driver.Protocol with TL2's commit: lock the write set,
+// bump the global clock, validate the read set, write back, release.
+func (th *thread) Commit() bool {
 	sys := th.rt.sys
 	if len(th.writeOrd) == 0 {
 		return true // read-only fast path
@@ -217,7 +164,7 @@ func (th *thread) commit() bool {
 	locked := make(map[memory.Addr]bool)
 	fail := func() bool {
 		for i, s := range held {
-			sys.Store(th.ctx, th.core, s, heldVer[i])
+			th.Store(s, heldVer[i])
 		}
 		return false
 	}
@@ -227,16 +174,16 @@ func (th *thread) commit() bool {
 			continue
 		}
 		got := false
-		for spin := 0; spin < th.rt.SpinLimit; spin++ {
-			cur := sys.Load(th.ctx, th.core, s).Val
+		for spin := 0; spin < spinLimit; spin++ {
+			cur := th.Load(s)
 			if cur&lockedBit != 0 {
-				th.ctx.Advance(sim.Time(32 + th.rnd.Intn(64)))
+				th.Work(sim.Time(32 + th.Rand().Intn(64)))
 				continue
 			}
 			if cur>>1 > th.rv {
 				return fail()
 			}
-			if _, ok := sys.CAS(th.ctx, th.core, s, cur, cur|lockedBit); ok {
+			if _, ok := sys.CAS(th.Ctx(), th.Core(), s, cur, cur|lockedBit); ok {
 				held = append(held, s)
 				heldVer = append(heldVer, cur)
 				locked[s] = true
@@ -250,7 +197,7 @@ func (th *thread) commit() bool {
 	}
 
 	// Phase 2: increment the global clock.
-	wv := sys.FetchAdd(th.ctx, th.core, th.rt.clock, 1) + 1
+	wv := sys.FetchAdd(th.Ctx(), th.Core(), th.rt.clock, 1) + 1
 
 	// Phase 3: validate the read set (skip if rv+1 == wv: nothing changed).
 	if wv != th.rv+1 {
@@ -258,7 +205,7 @@ func (th *thread) commit() bool {
 			if locked[s] {
 				continue // we hold it
 			}
-			cur := sys.Load(th.ctx, th.core, s).Val
+			cur := th.Load(s)
 			if cur != th.readVer[i] {
 				return fail()
 			}
@@ -267,11 +214,11 @@ func (th *thread) commit() bool {
 
 	// Phase 4: write back and release with the new version.
 	for _, a := range th.writeOrd {
-		th.ctx.Advance(8) // commit loop bookkeeping
-		sys.Store(th.ctx, th.core, a, th.writeMap[a])
+		th.Work(8) // commit loop bookkeeping
+		th.Store(a, th.writeMap[a])
 	}
 	for _, s := range held {
-		sys.Store(th.ctx, th.core, s, wv<<1)
+		th.Store(s, wv<<1)
 	}
 	return true
 }

@@ -100,8 +100,16 @@ type Action struct {
 	// Limit is the admission cap for ActAdmit (0 = half the bound threads,
 	// minimum 1).
 	Limit int
-	// Scale multiplies the signature width for ActSigWiden (0 = 4x).
+	// Scale multiplies the signature width for ActSigWiden (below 2 = 4x).
 	Scale int
+}
+
+// sigScale is the width multiplier an ActSigWiden rung applies.
+func (a Action) sigScale() int {
+	if a.Scale < 2 {
+		return 4
+	}
+	return a.Scale
 }
 
 // Spec returns the rung's canonical spec-string form.
@@ -117,7 +125,7 @@ func (a Action) Spec() string {
 		}
 		return fmt.Sprintf("admit:%d", a.Limit)
 	case ActSigWiden:
-		return fmt.Sprintf("sig:%d", a.Scale)
+		return fmt.Sprintf("sig:%d", a.sigScale())
 	case ActSerialize:
 		return "serialize"
 	}
@@ -508,12 +516,8 @@ func (g *Governor) apply(a Action) undoRec {
 	case ActSigWiden:
 		sys := rt.System()
 		u.prevSig = sys.Config().Sig
-		scale := a.Scale
-		if scale < 2 {
-			scale = 4
-		}
 		next := u.prevSig
-		next.Bits *= scale
+		next.Bits *= a.sigScale()
 		u.sigApplied = sys.WidenSignatures(next) == nil
 	case ActSerialize:
 		u.prevSerial = rt.ForceSerial()

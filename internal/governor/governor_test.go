@@ -59,6 +59,35 @@ func TestLadderSpecRoundTrips(t *testing.T) {
 	}
 }
 
+// TestDefaultSigScaleRoundTrips: a programmatic sig rung whose Scale is
+// left at 0 or 1 widens 4x, and its spec must name that scale, so that
+// LadderSpec parses back to rungs that widen the same geometry.
+func TestDefaultSigScaleRoundTrips(t *testing.T) {
+	ladder := []Action{{Kind: ActSigWiden}, {Kind: ActSigWiden, Scale: 1}, {Kind: ActSigWiden, Scale: 8}}
+	spec := LadderSpec(ladder)
+	if spec != "sig:4,sig:4,sig:8" {
+		t.Fatalf("LadderSpec = %q, want sig:4,sig:4,sig:8", spec)
+	}
+	parsed, err := ParseLadder(spec)
+	if err != nil {
+		t.Fatalf("ParseLadder(%q): %v", spec, err)
+	}
+	widened := func(a Action) int {
+		g, rt := boundGovernor(t, Config{})
+		rt.System().SetTelemetry(telemetry.New(rt.System().Config().Cores)) // rehash needs audit mode
+		before := rt.System().Config().Sig.Bits
+		if u := g.apply(a); !u.sigApplied {
+			t.Fatalf("%+v: widening refused", a)
+		}
+		return rt.System().Config().Sig.Bits / before
+	}
+	for i, a := range ladder {
+		if got, want := widened(parsed[i]), widened(a); got != want {
+			t.Errorf("rung %d: %q widens %dx, %+v widens %dx", i, parsed[i].Spec(), got, a, want)
+		}
+	}
+}
+
 func TestParseLadderRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{
 		"",                // empty

@@ -60,9 +60,9 @@ func NewRuntime(name SystemName, sys *tmesi.System) (tmapi.Runtime, error) {
 	case FlexTMLazy:
 		return core.New(sys, core.Lazy, cm.NewPolka()), nil
 	case RTMF:
-		return rtmf.New(sys, cm.NewPolka()), nil
+		return rtmf.New(sys), nil
 	case RSTM:
-		return rstm.New(sys, cm.NewPolka()), nil
+		return rstm.New(sys), nil
 	case TL2:
 		return tl2.New(sys), nil
 	case LogTM:

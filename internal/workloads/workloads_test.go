@@ -82,7 +82,7 @@ func TestAllWorkloadsConcurrentEager(t *testing.T) {
 func TestRBTreeOnSoftwareTMs(t *testing.T) {
 	for name, mk := range map[string]func(*tmesi.System) tmapi.Runtime{
 		"TL2":  func(s *tmesi.System) tmapi.Runtime { return tl2.New(s) },
-		"RSTM": func(s *tmesi.System) tmapi.Runtime { return rstm.New(s, cm.NewPolka()) },
+		"RSTM": func(s *tmesi.System) tmapi.Runtime { return rstm.New(s) },
 	} {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
