@@ -26,18 +26,17 @@ type baseline struct {
 }
 
 // baselineRuntimes lists the runtimes in a fixed order. The allocation
-// counts are what each runtime's own per-transaction state costs: RSTM,
-// RTM-F and LogTM build two lookup maps per attempt and fill the ones the
-// body touches, TL2 builds its redo map and the commit's lock set, and
-// Bulk clones the write signature it broadcasts; CGL allocates nothing.
+// counts are what each runtime's own per-transaction state costs: none,
+// since every runtime clears and reuses its lookup maps, TL2 its commit's
+// lock set, and Bulk the copy of the write signature it broadcasts.
 func baselineRuntimes() []baseline {
 	return []baseline{
 		{"CGL", func(s *tmesi.System) tmapi.Runtime { return cgl.New(s) }, 0},
-		{"RSTM", func(s *tmesi.System) tmapi.Runtime { return rstm.New(s) }, 4},
-		{"TL2", func(s *tmesi.System) tmapi.Runtime { return tl2.New(s) }, 4},
-		{"RTM-F", func(s *tmesi.System) tmapi.Runtime { return rtmf.New(s) }, 4},
-		{"LogTM", func(s *tmesi.System) tmapi.Runtime { return logtm.New(s) }, 4},
-		{"Bulk", func(s *tmesi.System) tmapi.Runtime { return bulk.New(s) }, 2},
+		{"RSTM", func(s *tmesi.System) tmapi.Runtime { return rstm.New(s) }, 0},
+		{"TL2", func(s *tmesi.System) tmapi.Runtime { return tl2.New(s) }, 0},
+		{"RTM-F", func(s *tmesi.System) tmapi.Runtime { return rtmf.New(s) }, 0},
+		{"LogTM", func(s *tmesi.System) tmapi.Runtime { return logtm.New(s) }, 0},
+		{"Bulk", func(s *tmesi.System) tmapi.Runtime { return bulk.New(s) }, 0},
 	}
 }
 
@@ -83,8 +82,8 @@ func allocsPer(f func()) float64 {
 }
 
 // TestAtomicAllocations holds each runtime's allocations per committed
-// transaction to its count before the runtimes shared one driver, and a
-// nested Atomic, which merges into the enclosing transaction, to none.
+// transaction to its count, and a nested Atomic, which merges into the
+// enclosing transaction, to none.
 func TestAtomicAllocations(t *testing.T) {
 	for _, bl := range baselineRuntimes() {
 		t.Run(bl.name, func(t *testing.T) {

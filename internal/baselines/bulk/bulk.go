@@ -14,6 +14,7 @@ package bulk
 import (
 	"flextm/internal/baselines/driver"
 	"flextm/internal/memory"
+	"flextm/internal/signature"
 	"flextm/internal/sim"
 	"flextm/internal/tmapi"
 	"flextm/internal/tmesi"
@@ -49,6 +50,9 @@ type thread struct {
 	driver.Thread
 	rt     *Runtime
 	status memory.Addr
+	// wsig holds the write signature a commit broadcasts, copied out
+	// because the commit's flash clear empties the core's own.
+	wsig *signature.Sig
 }
 
 func (th *thread) Load(a memory.Addr) uint64 {
@@ -121,7 +125,12 @@ func (th *thread) Commit() bool {
 	// Broadcast: one message round carrying Wsig; every other processor
 	// compares against its own signatures and self-aborts on intersection
 	// (false positives included, as in Bulk).
-	wsig := sys.Wsig(th.Core()).Clone() // survives the commit's flash clear
+	own := sys.Wsig(th.Core())
+	if th.wsig == nil || th.wsig.Config() != own.Config() {
+		th.wsig = signature.New(own.Config())
+	}
+	th.wsig.CopyFrom(own)
+	wsig := th.wsig
 	broadcast := func() {
 		th.Work(sim.Time(10 + 2*cores)) // message round + compares
 		for r := 0; r < cores; r++ {

@@ -105,9 +105,9 @@ func (th *thread) Begin() {
 	th.stamp = rt.clock
 	rt.stamps[th.Core()] = th.stamp
 	th.undo = th.undo[:0]
-	th.writeHdr = make(map[memory.Addr]bool)
+	th.writeHdr = driver.ResetMap(th.writeHdr)
 	th.writeOrd = th.writeOrd[:0]
-	th.readHdr = make(map[memory.Addr]bool)
+	th.readHdr = driver.ResetMap(th.readHdr)
 	th.readOrd = th.readOrd[:0]
 	th.Work(20) // register checkpoint + log pointer setup
 }

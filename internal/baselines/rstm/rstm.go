@@ -98,9 +98,9 @@ func (th *thread) Begin() {
 	th.status = rt.status.Begin(&th.Thread)
 	rt.arb.Karma[th.Core()] = 0
 	th.reads = th.reads[:0]
-	th.opened = make(map[memory.LineAddr]bool)
+	th.opened = driver.ResetMap(th.opened)
 	th.writes = th.writes[:0]
-	th.written = make(map[memory.LineAddr]int)
+	th.written = driver.ResetMap(th.written)
 	rt.cloneIx[th.Core()] = 0
 }
 

@@ -87,9 +87,9 @@ func (th *thread) Begin() {
 	sys.ALoad(th.Ctx(), th.Core(), th.status)
 	rt.arb.Karma[th.Core()] = 0
 	th.reads = th.reads[:0]
-	th.readHdr = make(map[memory.Addr]int)
+	th.readHdr = driver.ResetMap(th.readHdr)
 	th.writes = th.writes[:0]
-	th.writeHdr = make(map[memory.Addr]bool)
+	th.writeHdr = driver.ResetMap(th.writeHdr)
 	sys.BeginTxn(th.Core())
 	th.Work(40) // register checkpoint
 	th.checkAlert()

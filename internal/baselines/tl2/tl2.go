@@ -82,6 +82,12 @@ type thread struct {
 	writeMap map[memory.Addr]uint64 // address -> buffered value (redo)
 	writeOrd []memory.Addr          // insertion order for deterministic commit
 	logPos   int
+
+	// The commit's lock set, reused across commits: the stripes it holds,
+	// their versions before locking, and the same stripes as a set.
+	held    []memory.Addr
+	heldVer []uint64
+	locked  map[memory.Addr]bool
 }
 
 func (th *thread) Load(a memory.Addr) uint64 {
@@ -96,7 +102,7 @@ func (th *thread) Begin() {
 	th.rv = th.Load(th.rt.clock)
 	th.readSet = th.readSet[:0]
 	th.readVer = th.readVer[:0]
-	th.writeMap = make(map[memory.Addr]uint64)
+	th.writeMap = driver.ResetMap(th.writeMap)
 	th.writeOrd = th.writeOrd[:0]
 }
 
@@ -159,18 +165,17 @@ func (th *thread) Commit() bool {
 	}
 
 	// Phase 1: acquire stripe locks (deduplicated, deterministic order).
-	held := make([]memory.Addr, 0, len(th.writeOrd))
-	heldVer := make([]uint64, 0, len(th.writeOrd))
-	locked := make(map[memory.Addr]bool)
+	th.held, th.heldVer = th.held[:0], th.heldVer[:0]
+	th.locked = driver.ResetMap(th.locked)
 	fail := func() bool {
-		for i, s := range held {
-			th.Store(s, heldVer[i])
+		for i, s := range th.held {
+			th.Store(s, th.heldVer[i])
 		}
 		return false
 	}
 	for _, a := range th.writeOrd {
 		s := th.rt.stripeOf(a)
-		if locked[s] {
+		if th.locked[s] {
 			continue
 		}
 		got := false
@@ -184,9 +189,9 @@ func (th *thread) Commit() bool {
 				return fail()
 			}
 			if _, ok := sys.CAS(th.Ctx(), th.Core(), s, cur, cur|lockedBit); ok {
-				held = append(held, s)
-				heldVer = append(heldVer, cur)
-				locked[s] = true
+				th.held = append(th.held, s)
+				th.heldVer = append(th.heldVer, cur)
+				th.locked[s] = true
 				got = true
 				break
 			}
@@ -202,7 +207,7 @@ func (th *thread) Commit() bool {
 	// Phase 3: validate the read set (skip if rv+1 == wv: nothing changed).
 	if wv != th.rv+1 {
 		for i, s := range th.readSet {
-			if locked[s] {
+			if th.locked[s] {
 				continue // we hold it
 			}
 			cur := th.Load(s)
@@ -217,7 +222,7 @@ func (th *thread) Commit() bool {
 		th.Work(8) // commit loop bookkeeping
 		th.Store(a, th.writeMap[a])
 	}
-	for _, s := range held {
+	for _, s := range th.held {
 		th.Store(s, wv<<1)
 	}
 	return true

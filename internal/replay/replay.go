@@ -21,7 +21,10 @@
 package replay
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"flextm/internal/cst"
@@ -163,10 +166,13 @@ func (s *State) CounterTotal(c telemetry.Counter) uint64 {
 // is sorted on a copy first. cores sizes the per-core tables and is grown
 // to cover any core a record names.
 func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
-	if !sort.SliceIsSorted(recs, func(a, b int) bool { return recs[a].Seq < recs[b].Seq }) {
-		sorted := append([]flight.Rec(nil), recs...)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a].Seq < sorted[b].Seq })
-		recs = sorted
+	for i := 1; i < len(recs); i++ {
+		if recs[i].Seq < recs[i-1].Seq {
+			sorted := append([]flight.Rec(nil), recs...)
+			sort.Slice(sorted, func(a, b int) bool { return sorted[a].Seq < sorted[b].Seq })
+			recs = sorted
+			break
+		}
 	}
 	for _, r := range recs {
 		if int(r.Core) >= cores {
@@ -188,33 +194,7 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 	for i := range st.Cores {
 		st.Cores[i].Core = i
 	}
-	type lineAcc struct {
-		lastWriter int
-		writers    map[int]bool
-		readers    map[int]bool
-		conflicts  uint64
-	}
-	lines := map[uint64]*lineAcc{}
-	lineOf := func(addr uint64) *lineAcc {
-		la := lines[addr]
-		if la == nil {
-			la = &lineAcc{lastWriter: -1, writers: map[int]bool{}, readers: map[int]bool{}}
-			lines[addr] = la
-		}
-		return la
-	}
-	// Distinct lines touched inside each core's open attempt.
-	open := make([]map[uint64]bool, cores)
-	touch := func(c int, addr uint64) {
-		if addr == 0 {
-			return
-		}
-		if open[c] == nil {
-			open[c] = map[uint64]bool{}
-		}
-		open[c][addr] = true
-	}
-
+	f := newFold(st)
 	for i := range recs {
 		r := &recs[i]
 		if r.At > cycle {
@@ -236,13 +216,13 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 			if cs.Status != Serialized {
 				cs.Status = Running
 			}
-			open[c] = nil
+			f.closeAttempt(c)
 		case flight.TxnCommit:
 			ctr[telemetry.CtrTxnCommits]++
 			cs.Commits++
 			cs.ConsecAborts = 0
 			cs.Status = Idle
-			open[c] = nil
+			f.closeAttempt(c)
 		case flight.TxnAbort:
 			ctr[telemetry.CtrTxnAborts]++
 			cs.Aborts++
@@ -250,7 +230,7 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 			if cs.Status != Serialized {
 				cs.Status = Aborted
 			}
-			open[c] = nil
+			f.closeAttempt(c)
 		case flight.Escalate:
 			ctr[telemetry.CtrEscalation]++
 			cs.Escalations++
@@ -263,7 +243,7 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 		case flight.CMStall:
 			ctr[telemetry.CtrCMWait]++
 			ctr[telemetry.CtrCMWaitCycles] += uint64(r.Dur)
-			touch(c, uint64(r.Line))
+			f.touch(c, uint64(r.Line))
 		case flight.Backoff:
 			ctr[telemetry.CtrCMBackoffCycles] += uint64(r.Dur)
 		case flight.CSTSet:
@@ -275,41 +255,41 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 				st.counters[p][telemetry.CtrCSTSet]++
 			}
 			if addr := uint64(r.Line); addr != 0 {
-				la := lineOf(addr)
+				la := f.line(addr)
 				la.conflicts++
 				// Aux's low bits carry the cst.Kind recorded in the
 				// requestor's table: RW = requestor read / responder wrote,
 				// WR = requestor wrote / responder read, WW = both wrote.
 				switch cst.Kind(r.Aux & flight.AuxMask) {
 				case cst.RW:
-					la.readers[c] = true
+					f.add(la.readers, c)
 					if p >= 0 {
-						la.writers[p] = true
+						f.add(la.writers, p)
 						la.lastWriter = p
 					}
 				case cst.WR:
-					la.writers[c] = true
+					f.add(la.writers, c)
 					la.lastWriter = c
 					if p >= 0 {
-						la.readers[p] = true
+						f.add(la.readers, p)
 					}
 				case cst.WW:
-					la.writers[c] = true
+					f.add(la.writers, c)
 					la.lastWriter = c
 					if p >= 0 {
-						la.writers[p] = true
+						f.add(la.writers, p)
 					}
 				}
-				touch(c, addr)
+				f.touch(c, addr)
 				if p >= 0 && p < cores {
-					touch(p, addr)
+					f.touch(p, addr)
 				}
 			}
 		case flight.AOUAlert:
 			ctr[telemetry.CtrAlert]++
 		case flight.OTSpill:
 			ctr[telemetry.CtrOTSpill]++
-			touch(c, uint64(r.Line))
+			f.touch(c, uint64(r.Line))
 		case flight.CommitRefused:
 			ctr[telemetry.CtrCommitCSTFail]++
 		case flight.GovStep:
@@ -317,29 +297,128 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 			st.GovLevel = int(r.Aux)
 		}
 	}
-
-	for c := range open {
-		st.Cores[c].SigLines = len(open[c])
-	}
-	addrs := make([]uint64, 0, len(lines))
-	for a := range lines {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		la := lines[a]
-		ls := LineState{Line: a, LastWriter: la.lastWriter, Conflicts: la.conflicts}
-		for w := range la.writers {
-			ls.Writers = append(ls.Writers, w)
-		}
-		for rd := range la.readers {
-			ls.Readers = append(ls.Readers, rd)
-		}
-		sort.Ints(ls.Writers)
-		sort.Ints(ls.Readers)
-		st.Lines = append(st.Lines, ls)
-	}
+	f.finish()
 	return st
+}
+
+// fold is At's scratch state. Its sets are reused rather than remade: a
+// core's open-attempt set is emptied by bumping the core's generation, and
+// every line's writer and reader sets are bitsets in one shared slab.
+type fold struct {
+	st *State
+	// lines accumulates each conflict line, in first-seen order; lineIx
+	// maps an address to its index there.
+	lines  []lineAcc
+	lineIx map[uint64]int
+	// slab holds two core bitsets per line, words long each.
+	slab  []uint64
+	words int
+	// seen holds, per core and line, the generation of the core's attempt
+	// that last touched the line; gen is each core's current generation.
+	// A line counts toward the core's SigLines once per generation.
+	seen map[coreLine]uint32
+	gen  []uint32
+}
+
+type lineAcc struct {
+	addr       uint64
+	lastWriter int
+	// writers and readers are the offsets of the line's core bitsets in
+	// the fold's slab.
+	writers, readers int
+	conflicts        uint64
+}
+
+type coreLine struct {
+	core int
+	line uint64
+}
+
+func newFold(st *State) *fold {
+	f := &fold{
+		st:     st,
+		lineIx: map[uint64]int{},
+		words:  (len(st.Cores) + 63) / 64,
+		seen:   map[coreLine]uint32{},
+		gen:    make([]uint32, len(st.Cores)),
+	}
+	for c := range f.gen {
+		f.gen[c] = 1
+	}
+	return f
+}
+
+// line returns addr's accumulator, adding an empty one on first sight.
+func (f *fold) line(addr uint64) *lineAcc {
+	i, ok := f.lineIx[addr]
+	if !ok {
+		i = len(f.lines)
+		f.lineIx[addr] = i
+		off := len(f.slab)
+		f.slab = append(f.slab, make([]uint64, 2*f.words)...)
+		f.lines = append(f.lines, lineAcc{addr: addr, lastWriter: -1, writers: off, readers: off + f.words})
+	}
+	return &f.lines[i]
+}
+
+// add puts core c in the bitset at offset set.
+func (f *fold) add(set, c int) {
+	f.slab[set+c/64] |= 1 << (c % 64)
+}
+
+// cores lists the bitset at offset set in ascending order, nil when empty.
+func (f *fold) cores(set int) []int {
+	n := 0
+	for _, w := range f.slab[set : set+f.words] {
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
+	for i, w := range f.slab[set : set+f.words] {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, i*64+bits.TrailingZeros64(w))
+		}
+	}
+	return out
+}
+
+// touch counts addr toward core c's open attempt, once per attempt.
+func (f *fold) touch(c int, addr uint64) {
+	if addr == 0 {
+		return
+	}
+	k := coreLine{c, addr}
+	if f.seen[k] != f.gen[c] {
+		f.seen[k] = f.gen[c]
+		f.st.Cores[c].SigLines++
+	}
+}
+
+// closeAttempt empties core c's open-attempt set.
+func (f *fold) closeAttempt(c int) {
+	f.gen[c]++
+	f.st.Cores[c].SigLines = 0
+}
+
+// finish writes the lines, sorted by address, into the state.
+func (f *fold) finish() {
+	if len(f.lines) == 0 {
+		return
+	}
+	slices.SortFunc(f.lines, func(a, b lineAcc) int { return cmp.Compare(a.addr, b.addr) })
+	f.st.Lines = make([]LineState, len(f.lines))
+	for i := range f.lines {
+		la := &f.lines[i]
+		f.st.Lines[i] = LineState{
+			Line:       la.addr,
+			LastWriter: la.lastWriter,
+			Writers:    f.cores(la.writers),
+			Readers:    f.cores(la.readers),
+			Conflicts:  la.conflicts,
+		}
+	}
 }
 
 // Final folds the whole stream: the state at the last record's cycle.

@@ -418,8 +418,8 @@ func BenchmarkProbeRound(b *testing.B) {
 }
 
 // BenchmarkProbeRoundAudited is BenchmarkProbeRound with telemetry
-// attached: the round visits every transactional core and classifies its
-// sixteen signature tests, all true negatives.
+// attached: the round's sixteen signature tests are all true negatives,
+// charged to the eight transactional cores it skips.
 func BenchmarkProbeRoundAudited(b *testing.B) {
 	s, line := probeRoundSystem(b, true)
 	b.ReportAllocs()

@@ -286,9 +286,10 @@ func (pr probeResult) readState() cache.State {
 // loses its copy or leaves transactional mode during the round (through
 // the strong-isolation hook) is still visited, and its L1 and signature
 // state, read at the visit, decide what it does, as in a broadcast.
-// Without telemetry or a fault injector, a visit to a transactional core
-// that holds no copy and whose signatures miss changes nothing, and the
-// round skips it; it still counts in the census.
+// Without a fault injector, a visit to a transactional core that holds no
+// copy and whose signatures miss changes nothing but telemetry, and the
+// round skips it; it still counts in the census, and with telemetry its
+// two tests are charged as true negatives.
 func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult {
 	var pr probeResult
 	probed := false
@@ -311,13 +312,20 @@ func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult
 		}
 	}
 	// skip is whether a visit that would change nothing may be skipped:
-	// with telemetry each visit classifies its tests, and with an injector
-	// it may roll an injected alias.
-	skip := s.tel == nil && s.inj == nil && !s.sigScan
+	// with an injector it may roll an injected alias. owed holds the
+	// skipped cores whose true negatives telemetry is still to be charged.
+	// Visits change no core's signatures or transactional mode, so the
+	// charge waits for the end of the round, or for a strong-isolation hook
+	// call, which may change both.
+	skip := s.inj == nil && !s.sigScan
 	hits()
 	visit := all
+	var owed uint64
 	if skip {
 		visit &= held | (hitW|hitR)&s.active
+		if s.tel != nil {
+			owed = all &^ visit
+		}
 	}
 
 	for rest := visit; rest != 0; {
@@ -397,6 +405,9 @@ func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult
 				s.stats.StrongIsolationAborts++
 				s.tel.Inc(r, telemetry.CtrStrongIsoAbort)
 				if s.strongIsolationHook != nil {
+					if owed != 0 {
+						s.chargeTrueNegatives(owed & (rb - 1))
+					}
 					s.strongIsolationHook(r)
 					// The hook may have changed any core's signatures or
 					// transactional mode: re-read the hits and re-filter
@@ -404,6 +415,9 @@ func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult
 					hits()
 					if rest = all &^ (rb<<1 - 1); skip {
 						rest &= held | (hitW|hitR)&s.active
+						if s.tel != nil {
+							owed = all &^ (rb<<1 - 1) &^ rest
+						}
 					}
 				}
 			}
@@ -451,6 +465,10 @@ func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult
 			// even TMI copies are dropped.
 			s.invalidateLine(rc, r, rln)
 		}
+	}
+
+	if owed != 0 {
+		s.chargeTrueNegatives(owed)
 	}
 
 	// Summary-signature check for descheduled transactions (Section 5):

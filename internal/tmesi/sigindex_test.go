@@ -63,6 +63,8 @@ type sigStream struct {
 	census []ProbeCensus
 	flight []flight.Rec
 	tel    telemetry.Snapshot
+	// tels holds the telemetry after each op, when attached.
+	tels []telemetry.Snapshot
 }
 
 // runSigStream drives a seeded random multi-core op stream through a fresh
@@ -74,7 +76,8 @@ type sigStream struct {
 // index invariant after every op. Beyond runHolderStream's ops, the stream
 // inserts watch lines and clears signatures, on cores in and out of
 // transactions, and its strong-isolation hook does both to other cores
-// mid-round, so a round must re-read its hits after the hook.
+// mid-round, or aborts one, so a round must re-read its hits and the
+// transactional cores after the hook.
 func runSigStream(t *testing.T, seed int64, sig signature.Config, scan, withTel, withInj, check bool) sigStream {
 	t.Helper()
 	const (
@@ -120,6 +123,10 @@ func runSigStream(t *testing.T, seed int64, sig signature.Config, scan, withTel,
 			s.WatchInsert(o, addr(), rng.Intn(2) == 0)
 		case 1:
 			s.ClearSigs(o)
+		case 2:
+			if o != v && s.TxnActive(o) {
+				s.flashAbortLocked(&s.cores[o], o)
+			}
 		}
 	})
 	saved := make([]*SavedTxn, cores)
@@ -200,6 +207,9 @@ func runSigStream(t *testing.T, seed int64, sig signature.Config, scan, withTel,
 			}
 			out.obs = append(out.obs, o)
 			out.census = append(out.census, s.ProbeCensus())
+			if withTel {
+				out.tels = append(out.tels, s.Telemetry().Snapshot())
+			}
 			if check {
 				checkSigIndex(t, s, o.Op)
 			}
@@ -245,6 +255,31 @@ func TestSigIndexMatchesMemberKey(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestAuditedSkipMatchesBroadcast checks the true negatives that audited
+// probe rounds charge for the transactional cores they skip against
+// rounds that visit and classify every one (the MemberKey broadcast): with
+// telemetry attached, the same random op streams must leave the same
+// telemetry after every op, in each geometry.
+func TestAuditedSkipMatchesBroadcast(t *testing.T) {
+	geoms := []signature.Config{{Bits: 256, Banks: 4}, signature.DefaultConfig(), {Bits: 512, Banks: 8}}
+	for seed := int64(4); seed <= 9; seed++ {
+		for _, g := range geoms {
+			t.Run(fmt.Sprintf("seed%d/%dx%d", seed, g.Bits, g.Banks), func(t *testing.T) {
+				skip := runSigStream(t, seed, g, false, true, false, false)
+				scan := runSigStream(t, seed, g, true, true, false, false)
+				for i := range scan.tels {
+					if !reflect.DeepEqual(skip.tels[i], scan.tels[i]) {
+						t.Fatalf("op %s: telemetry diverges from broadcast rounds", scan.obs[i].Op)
+					}
+				}
+				if skip.tel.Total(telemetry.CtrSigTrueNeg) == 0 {
+					t.Fatal("stream charged no true negatives")
+				}
+			})
 		}
 	}
 }

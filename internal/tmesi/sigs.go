@@ -1,6 +1,8 @@
 package tmesi
 
 import (
+	"math/bits"
+
 	"flextm/internal/memory"
 	"flextm/internal/signature"
 	"flextm/internal/telemetry"
@@ -128,6 +130,20 @@ func (s *System) reindexSigs() {
 		s.wslices.Load(i, c.wsig)
 		c.filter.reset()
 		c.refreshPPM()
+	}
+}
+
+// chargeTrueNegatives charges each core of set that is still transactional
+// the two signature tests a probe round skipped: neither signature hit, so
+// both are true negatives, each charged its cached prediction, as
+// classifyTest would. It runs only with telemetry attached, which puts
+// every signature in audit mode (SetTelemetry).
+func (s *System) chargeTrueNegatives(set uint64) {
+	for set &= s.active; set != 0; set &= set - 1 {
+		r := bits.TrailingZeros64(set)
+		rc := &s.cores[r]
+		s.tel.Add(r, telemetry.CtrSigTrueNeg, 2)
+		s.tel.Add(r, telemetry.CtrSigPredFPpm, rc.wppm+rc.rppm)
 	}
 }
 
