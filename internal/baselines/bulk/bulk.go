@@ -41,7 +41,7 @@ func (rt *Runtime) Name() string { return "Bulk" }
 
 // Bind implements tmapi.Runtime.
 func (rt *Runtime) Bind(ctx *sim.Ctx, core int) tmapi.Thread {
-	th := &thread{rt: rt}
+	th := &thread{rt: rt, wsig: signature.New(rt.sys.Config().Sig)}
 	th.Thread = rt.Tally.Thread(ctx, core, 0xB01C, th, txn{th})
 	return th
 }
@@ -125,12 +125,8 @@ func (th *thread) Commit() bool {
 	// Broadcast: one message round carrying Wsig; every other processor
 	// compares against its own signatures and self-aborts on intersection
 	// (false positives included, as in Bulk).
-	own := sys.Wsig(th.Core())
-	if th.wsig == nil || th.wsig.Config() != own.Config() {
-		th.wsig = signature.New(own.Config())
-	}
-	th.wsig.CopyFrom(own)
 	wsig := th.wsig
+	wsig.CopyFrom(sys.Wsig(th.Core()))
 	broadcast := func() {
 		th.Work(sim.Time(10 + 2*cores)) // message round + compares
 		for r := 0; r < cores; r++ {

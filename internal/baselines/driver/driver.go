@@ -120,19 +120,3 @@ func Abort() { panic(tmapi.AbortError{}) }
 func Backoff(rnd *sim.Rand, base, n, maxShift int) sim.Time {
 	return sim.Time(rnd.Intn(base<<uint(min(n, maxShift)) + 1))
 }
-
-// reuseLimit is the most entries a lookup map may hold and still be
-// cleared for the next attempt. Clearing walks the map's whole table, so a
-// map that one long transaction grew is dropped instead, and the short
-// attempts after it do not pay for its size.
-const reuseLimit = 256
-
-// ResetMap returns m emptied for a new attempt: m itself, cleared, unless
-// it is nil or holds more than reuseLimit entries, when it is a new map.
-func ResetMap[K comparable, V any](m map[K]V) map[K]V {
-	if m == nil || len(m) > reuseLimit {
-		return make(map[K]V)
-	}
-	clear(m)
-	return m
-}

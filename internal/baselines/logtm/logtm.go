@@ -69,7 +69,7 @@ func (rt *Runtime) Name() string { return "LogTM" }
 
 // Bind implements tmapi.Runtime.
 func (rt *Runtime) Bind(ctx *sim.Ctx, core int) tmapi.Thread {
-	th := &thread{rt: rt}
+	th := &thread{rt: rt, writeHdr: make(map[memory.Addr]bool), readHdr: make(map[memory.Addr]bool)}
 	th.Thread = rt.Tally.Thread(ctx, core, 0x106, th, txn{th})
 	return th
 }
@@ -105,9 +105,9 @@ func (th *thread) Begin() {
 	th.stamp = rt.clock
 	rt.stamps[th.Core()] = th.stamp
 	th.undo = th.undo[:0]
-	th.writeHdr = driver.ResetMap(th.writeHdr)
+	clear(th.writeHdr)
 	th.writeOrd = th.writeOrd[:0]
-	th.readHdr = driver.ResetMap(th.readHdr)
+	clear(th.readHdr)
 	th.readOrd = th.readOrd[:0]
 	th.Work(20) // register checkpoint + log pointer setup
 }

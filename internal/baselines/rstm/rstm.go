@@ -57,7 +57,7 @@ func (rt *Runtime) Name() string { return "RSTM" }
 
 // Bind implements tmapi.Runtime.
 func (rt *Runtime) Bind(ctx *sim.Ctx, core int) tmapi.Thread {
-	th := &thread{rt: rt}
+	th := &thread{rt: rt, opened: make(map[memory.LineAddr]bool), written: make(map[memory.LineAddr]int)}
 	th.Thread = rt.Tally.Thread(ctx, core, 0x57A, th, txn{th})
 	return th
 }
@@ -98,9 +98,9 @@ func (th *thread) Begin() {
 	th.status = rt.status.Begin(&th.Thread)
 	rt.arb.Karma[th.Core()] = 0
 	th.reads = th.reads[:0]
-	th.opened = driver.ResetMap(th.opened)
+	clear(th.opened)
 	th.writes = th.writes[:0]
-	th.written = driver.ResetMap(th.written)
+	clear(th.written)
 	rt.cloneIx[th.Core()] = 0
 }
 

@@ -47,7 +47,7 @@ func (rt *Runtime) Name() string { return "RTM-F" }
 
 // Bind implements tmapi.Runtime.
 func (rt *Runtime) Bind(ctx *sim.Ctx, core int) tmapi.Thread {
-	th := &thread{rt: rt}
+	th := &thread{rt: rt, readHdr: make(map[memory.Addr]int), writeHdr: make(map[memory.Addr]bool)}
 	th.Thread = rt.Tally.Thread(ctx, core, 0xF17, th, txn{th})
 	return th
 }
@@ -87,9 +87,9 @@ func (th *thread) Begin() {
 	sys.ALoad(th.Ctx(), th.Core(), th.status)
 	rt.arb.Karma[th.Core()] = 0
 	th.reads = th.reads[:0]
-	th.readHdr = driver.ResetMap(th.readHdr)
+	clear(th.readHdr)
 	th.writes = th.writes[:0]
-	th.writeHdr = driver.ResetMap(th.writeHdr)
+	clear(th.writeHdr)
 	sys.BeginTxn(th.Core())
 	th.Work(40) // register checkpoint
 	th.checkAlert()

@@ -61,7 +61,7 @@ func (rt *Runtime) Name() string { return "TL2" }
 
 // Bind implements tmapi.Runtime.
 func (rt *Runtime) Bind(ctx *sim.Ctx, core int) tmapi.Thread {
-	th := &thread{rt: rt}
+	th := &thread{rt: rt, writeMap: make(map[memory.Addr]uint64), locked: make(map[memory.Addr]bool)}
 	th.Thread = rt.Tally.Thread(ctx, core, 0x71E2, th, txn{th})
 	return th
 }
@@ -102,7 +102,7 @@ func (th *thread) Begin() {
 	th.rv = th.Load(th.rt.clock)
 	th.readSet = th.readSet[:0]
 	th.readVer = th.readVer[:0]
-	th.writeMap = driver.ResetMap(th.writeMap)
+	clear(th.writeMap)
 	th.writeOrd = th.writeOrd[:0]
 }
 
@@ -166,7 +166,7 @@ func (th *thread) Commit() bool {
 
 	// Phase 1: acquire stripe locks (deduplicated, deterministic order).
 	th.held, th.heldVer = th.held[:0], th.heldVer[:0]
-	th.locked = driver.ResetMap(th.locked)
+	clear(th.locked)
 	fail := func() bool {
 		for i, s := range th.held {
 			th.Store(s, th.heldVer[i])

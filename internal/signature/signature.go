@@ -274,9 +274,6 @@ func (s *Sig) EnableAudit() {
 	}
 }
 
-// Config returns the signature's geometry.
-func (s *Sig) Config() Config { return s.cfg }
-
 // AuditEnabled reports whether the precise shadow set is maintained.
 func (s *Sig) AuditEnabled() bool { return s.audit != nil }
 
