@@ -151,17 +151,13 @@ func BenchmarkFigure5MP(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepSerial and BenchmarkSweepParallel time the same
-// Figure-5-shaped grid on one worker and on every CPU. The parallel run
+// BenchmarkSweep times a Figure-5-shaped grid on GOMAXPROCS workers: run
+// it with -cpu 1,N to compare one worker against N. Every worker count
 // produces byte-identical plots (pinned by internal/sweepexec's identity
 // tests); the measured speedup is recorded in BENCH_baseline.json's
 // "sweepSpeedup" note whenever the baseline is regenerated.
-func BenchmarkSweepSerial(b *testing.B)   { benchmarkSweep(b, 1) }
-func BenchmarkSweepParallel(b *testing.B) { benchmarkSweep(b, -1) }
-
-func benchmarkSweep(b *testing.B, parallel int) {
+func BenchmarkSweep(b *testing.B) {
 	sc := benchSweep()
-	sc.Parallel = parallel
 	for i := 0; i < b.N; i++ {
 		if _, err := harness.Figure5(sc); err != nil {
 			b.Fatal(err)

@@ -144,7 +144,6 @@ func flextm(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error
 	causalDOT := fs.String("causal-dot", "", "write the critical path in Graphviz DOT form to FILE (implies -causal)")
 	oracleOn := fs.Bool("oracle", false, "attach the serializability oracle to the run and print its verdict (FlexTM systems)")
 	stressN := fs.Int("stress", 0, "run N seeds of the oracle-checked stress explorer instead of a workload")
-	stressParallel := fs.Int("parallel", 1, "with -stress: worker goroutines for the explorer (1 = serial, 0 = all CPUs); results identical to serial")
 	seed := fs.Uint64("seed", 1, "base seed for -stress")
 	broken := fs.Bool("broken", false, "with -stress: disable the commit-time W-R aborts (the oracle must catch the break)")
 	schedule := fs.String("schedule", "", "replay one stress schedule string (as printed by -stress failures)")
@@ -164,11 +163,6 @@ func flextm(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
-		return exitStatus(2)
-	}
-	if *stressParallel < 0 {
-		fmt.Fprintln(stderr, "flextm: -parallel must be >= 0")
-		fs.Usage()
 		return exitStatus(2)
 	}
 	if *profileDOT != "" || *profileJSON != "" {
@@ -195,7 +189,7 @@ func flextm(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error
 		return replaySchedule(stdout, *schedule)
 	}
 	if *stressN > 0 {
-		return runStress(stdout, *stressN, *seed, *system, *faults, *faultSeed, *broken, *stressParallel)
+		return runStress(stdout, *stressN, *seed, *system, *faults, *faultSeed, *broken)
 	}
 
 	// What an interrupted workload run leaves behind: the windowed attempt
@@ -474,16 +468,7 @@ func waitWatch(done chan struct{}) {
 // break the cycle, and by run end every rung must have unwound. Either
 // failing is an error.
 func runLivelock(w io.Writer, seed uint64, gov *governor.Governor, pump *observatory.Pump, watchDone chan struct{}, logPath string, causalCfg causalArtifacts, queryCfg queryConfig) error {
-	var (
-		rep *conflictgraph.Report
-		out harness.LivelockOutcome
-		err error
-	)
-	if gov != nil {
-		rep, out, err = harness.GovernedLivelockProbe(seed, gov, pump)
-	} else {
-		rep, out, err = harness.ObservedLivelockProbe(seed, pump)
-	}
+	rep, out, err := harness.LivelockProbe(seed, gov, pump)
 	waitWatch(watchDone)
 	if err != nil {
 		return err
@@ -536,7 +521,7 @@ func reportGovernor(w io.Writer, gov *governor.Governor, path string) error {
 // failure exits non-zero after shrinking it to a minimal replayable
 // schedule; with broken=true the logic inverts — the protocol is
 // deliberately damaged, and NOT detecting a violation is the failure.
-func runStress(w io.Writer, n int, seed uint64, system, faults string, faultSeed uint64, broken bool, parallel int) error {
+func runStress(w io.Writer, n int, seed uint64, system, faults string, faultSeed uint64, broken bool) error {
 	base := stress.DefaultConfig(seed)
 	if harness.SystemName(system) == harness.FlexTMEager {
 		base.Mode = core.Eager
@@ -551,7 +536,7 @@ func runStress(w io.Writer, n int, seed uint64, system, faults string, faultSeed
 		base.Faults = fc
 	}
 	fmt.Fprintf(w, "stress      %d seeds from %d, mode %s, broken=%v\n", n, seed, base.Mode, broken)
-	res := stress.ExploreParallel(base, n, parallel)
+	res := stress.Explore(base, n)
 	fmt.Fprintf(w, "explored    %d runs, %d failures\n", res.Runs, len(res.Failures))
 	if len(res.Failures) == 0 {
 		if broken {

@@ -85,7 +85,6 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-list"}, 0, ""},
 		{[]string{"-h"}, 0, "Usage of flextm:"},
 		{[]string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
-		{[]string{"-parallel", "-1", "-stress", "2"}, 2, "flextm: -parallel must be >= 0"},
 		{[]string{"-workload", "Nope"}, 2, `flextm: unknown workload "Nope" (try -list)`},
 		{[]string{"-query-out", "q.json"}, 2, "flextm: -query-out needs at least one -query"},
 		// A scale that is not a power of two once panicked in the

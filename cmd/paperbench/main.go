@@ -21,10 +21,11 @@
 // attempt timeline of a dedicated flight-recorded run as Chrome trace_event
 // JSON.
 //
-// -parallel N executes sweep cells on N worker goroutines (0 = all CPUs)
-// with results gathered in deterministic serial order, so every artifact —
-// tables, -json stream, -bench-out, causal digests — is byte-identical to
-// a serial run. -cache DIR keeps a content-addressed cell cache: a warm
+// Sweep cells run on GOMAXPROCS worker goroutines, a pool that
+// internal/sweepexec alone sizes (GOMAXPROCS=1 gives a serial run), with
+// results gathered in deterministic serial order, so every artifact —
+// tables, -json stream, -bench-out, causal digests — is byte-identical at
+// any worker count. -cache DIR keeps a content-addressed cell cache: a warm
 // re-run replays every cell from disk without simulating (-cache-clear
 // empties the store first). SIGINT stops the sweep at the next cell
 // boundary, flushes the partial -bench-out artifact, and exits 130.
@@ -148,7 +149,6 @@ func paperbench(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) e
 	obsInterval := fs.Uint64("obs-interval", 0, "observation sampling interval in simulated cycles (0 = auto)")
 	reportOut := fs.String("report", "", "write a self-contained HTML run report of a dedicated observed run to FILE")
 	reportBaseline := fs.String("report-baseline", "BENCH_baseline.json", "baseline artifact for the -report BENCH comparison (section skipped when unreadable)")
-	parallel := fs.Int("parallel", 1, "worker goroutines for sweep cells (1 = serial, 0 = all CPUs); output is byte-identical to serial")
 	cacheDir := fs.String("cache", "", "content-addressed cell cache directory; hits replay cells without simulating")
 	cacheClear := fs.Bool("cache-clear", false, "clear the -cache store before running")
 	benchNotes := fs.String("bench-note", "", "comma-separated key=value notes stored in the -bench-out artifact")
@@ -173,15 +173,6 @@ func paperbench(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) e
 		Ops:     *ops,
 		Verify:  true,
 		Metrics: *metrics || *jsonOut,
-	}
-	if *parallel < 0 {
-		fmt.Fprintln(stderr, "paperbench: -parallel must be >= 0")
-		fs.Usage()
-		return exitStatus(2)
-	}
-	sc.Parallel = *parallel
-	if *parallel == 0 {
-		sc.Parallel = -1 // sweepexec maps non-positive workers to GOMAXPROCS
 	}
 	if *cacheDir != "" {
 		store, err := cellcache.Open(*cacheDir)
@@ -255,10 +246,6 @@ func paperbench(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) e
 		}
 		defer srv.Close()
 		fmt.Fprintf(stderr, "observatory http://%s (/metrics /snapshot.json /conflictgraph.dot /flight /debug/pprof/)\n", addr)
-	}
-
-	if *httpAddr != "" && sc.Parallel != 1 {
-		fmt.Fprintln(stderr, "observatory active: sweeps forced serial (-parallel ignored)")
 	}
 
 	// currentFig names the figure whose sweep is running, so bench-artifact
@@ -707,7 +694,6 @@ func (p *paper) logtmComparison() error {
 // violation makes the run exit non-zero.
 func (p *paper) chaosCampaign() error {
 	spec := harness.DefaultChaosSpec()
-	spec.Parallel = p.sc.Parallel
 	if p.quick {
 		spec.Threads = 5
 		spec.Rounds = 25
@@ -745,7 +731,7 @@ func (p *paper) chaosCampaign() error {
 // transition count and final ladder level; non-convergence or any invariant
 // violation exits non-zero.
 func (p *paper) governCampaign() error {
-	soak := harness.SoakConfig{Seed: 1, Parallel: p.sc.Parallel}
+	soak := harness.SoakConfig{Seed: 1}
 	if p.quick {
 		soak.Cells = 3
 		soak.Rounds = 20
@@ -802,7 +788,7 @@ func (p *paper) oracleSweep() error {
 		base.Mode = mode
 		base.TinyCache = true
 		base.Faults = fc
-		res := stress.ExploreParallel(base, seeds, p.sc.Parallel)
+		res := stress.Explore(base, seeds)
 		verdict := "ok"
 		if len(res.Failures) > 0 {
 			failed = true
@@ -825,7 +811,7 @@ func (p *paper) oracleSweep() error {
 	base := stress.DefaultConfig(1)
 	base.Mode = core.Lazy
 	base.BreakWR = true
-	res := stress.ExploreParallel(base, 8, p.sc.Parallel)
+	res := stress.Explore(base, 8)
 	if len(res.Failures) == 0 {
 		failed = true
 		fmt.Fprintln(p.out, "broken W-R variant: NOT DETECTED (oracle is blind)")

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +38,14 @@ func (s *syncBuffer) String() string {
 type output struct {
 	code           int
 	stdout, stderr string
+}
+
+// withProcs runs fn at GOMAXPROCS n, and so on n sweep workers, then
+// restores the old setting. The setting is process-wide: only sequential
+// tests may call it.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
 }
 
 func paperbenchRun(args ...string) output {
@@ -76,7 +85,6 @@ func TestExitStatus(t *testing.T) {
 		{nil, 2, "Usage of paperbench:"},
 		{[]string{"-h"}, 0, "Usage of paperbench:"},
 		{[]string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
-		{[]string{"-parallel", "-1", "-fig", "4"}, 2, "paperbench: -parallel must be >= 0"},
 		{[]string{"-compare", "../../BENCH_baseline.json"}, 1, "-compare needs exactly two artifact paths, got 1"},
 		{[]string{"-table", "2"}, 0, ""},
 		// A negative op count once ran no ops and emitted a negative
@@ -91,32 +99,33 @@ func TestExitStatus(t *testing.T) {
 	}
 }
 
-// TestFigure4Sweeps runs the quick Figure 4 sweep four times — serial and
-// at -parallel 4, each against a cold and then a warm cell cache — and
-// checks the determinism contract, the cache and the checked-in baseline
-// on those runs.
+// TestFigure4Sweeps runs the quick Figure 4 sweep four times — at
+// GOMAXPROCS 1 (serial) and 4, each against a cold and then a warm cell
+// cache — and checks the determinism contract, the cache and the
+// checked-in baseline on those runs.
 func TestFigure4Sweeps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("four quick Figure 4 sweeps; the sweep identity tests in internal/sweepexec cover the pool under -race")
 	}
 	dir := t.TempDir()
-	sweep := func(name, cache string, extra ...string) (output, []byte) {
+	sweep := func(name, cache string, procs int) (o output, art []byte) {
 		t.Helper()
 		runDir := filepath.Join(dir, name)
 		if err := os.Mkdir(runDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		args := append([]string{"-quick", "-fig", "4", "-metrics", "-json",
-			"-bench-out", filepath.Join(runDir, "BENCH.json"), "-cache", filepath.Join(dir, cache)}, extra...)
-		o := mustRun(t, args...)
+		withProcs(procs, func() {
+			o = mustRun(t, "-quick", "-fig", "4", "-metrics", "-json",
+				"-bench-out", filepath.Join(runDir, "BENCH.json"), "-cache", filepath.Join(dir, cache))
+		})
 		// The artifact path is the only thing that differs between runs.
 		o.stderr = strings.ReplaceAll(o.stderr, runDir, "RUN")
 		return o, readFile(t, filepath.Join(runDir, "BENCH.json"))
 	}
-	serial, serialArt := sweep("serial", "cache")
-	par, parArt := sweep("parallel", "cache-par", "-parallel", "4")
-	warm, warmArt := sweep("warm", "cache")
-	warmPar, warmParArt := sweep("warm-parallel", "cache", "-parallel", "4")
+	serial, serialArt := sweep("serial", "cache", 1)
+	par, parArt := sweep("parallel", "cache-par", 4)
+	warm, warmArt := sweep("warm", "cache", 1)
+	warmPar, warmParArt := sweep("warm-parallel", "cache", 4)
 
 	t.Run("ParallelMatchesSerial", func(t *testing.T) {
 		if !bytes.Equal(serialArt, parArt) {
@@ -226,8 +235,8 @@ func TestCampaignVerdicts(t *testing.T) {
 }
 
 // TestCausalFigureParallelMatchesSerial: the causal sweep's table and
-// artifact, critical-path digests included, do not depend on the worker
-// count.
+// artifact, critical-path digests included, are the same at GOMAXPROCS 1
+// and 4.
 func TestCausalFigureParallelMatchesSerial(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pure byte comparison, ~15x slower under the detector")
@@ -235,14 +244,15 @@ func TestCausalFigureParallelMatchesSerial(t *testing.T) {
 	dir := t.TempDir()
 	var outs []string
 	var arts [][]byte
-	for _, extra := range [][]string{nil, {"-parallel", "4"}} {
+	for _, procs := range []int{1, 4} {
 		art := filepath.Join(dir, "BENCH.json")
-		o := mustRun(t, append([]string{"-quick", "-fig", "causal", "-bench-out", art}, extra...)...)
-		outs = append(outs, o.stdout)
+		withProcs(procs, func() {
+			outs = append(outs, mustRun(t, "-quick", "-fig", "causal", "-bench-out", art).stdout)
+		})
 		arts = append(arts, readFile(t, art))
 	}
 	if outs[0] != outs[1] || !bytes.Equal(arts[0], arts[1]) {
-		t.Fatalf("serial and -parallel 4 differ\nserial:\n%s\nparallel:\n%s", outs[0], outs[1])
+		t.Fatalf("GOMAXPROCS 1 and 4 differ\nserial:\n%s\nparallel:\n%s", outs[0], outs[1])
 	}
 }
 
@@ -268,7 +278,7 @@ func TestInterruptFlushesPartialArtifact(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	done := make(chan int, 1)
 	go func() {
-		done <- run([]string{"-quick", "-fig", "4", "-metrics", "-parallel", "2", "-bench-out", art}, &stdout, &stderr, sig)
+		done <- run([]string{"-quick", "-fig", "4", "-metrics", "-bench-out", art}, &stdout, &stderr, sig)
 	}()
 	// -metrics prints a digest line per emitted cell.
 	for deadline := time.Now().Add(time.Minute); !strings.Contains(stdout.String(), "  .. "); time.Sleep(10 * time.Millisecond) {

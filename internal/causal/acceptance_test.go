@@ -19,7 +19,7 @@ import (
 // at least 60% of the makespan.
 func TestLivelockBlameNamesContendedLine(t *testing.T) {
 	g := governor.New(harness.GovernedLivelockConfig())
-	_, out, err := harness.GovernedLivelockProbe(1, g, nil)
+	_, out, err := harness.LivelockProbe(1, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestLivelockBlameNamesContendedLine(t *testing.T) {
 func TestLivelockReportByteStable(t *testing.T) {
 	render := func() []byte {
 		g := governor.New(harness.GovernedLivelockConfig())
-		_, out, err := harness.GovernedLivelockProbe(1, g, nil)
+		_, out, err := harness.LivelockProbe(1, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,9 +44,6 @@ type Options struct {
 	// Cores sizes the per-core attempt tables (0 derives it from the
 	// records).
 	Cores int
-	// Makespan overrides the coverage denominator; 0 derives it from the
-	// record window (first to last record timestamp).
-	Makespan sim.Time
 	// TopBlame caps the blame table (<=0 selects 10).
 	TopBlame int
 }
@@ -430,11 +427,9 @@ func Analyze(recs []flight.Rec, opts Options) *Report {
 	})
 
 	// ---- Critical path: backward walk from the last commit. ----
-	makespan := opts.Makespan
-	if makespan <= 0 {
-		makespan = winEnd - winStart
-	}
-	rep.Makespan = uint64(makespan)
+	// The coverage denominator is the record window, first to last record
+	// timestamp.
+	rep.Makespan = winEnd - winStart
 	if last == nil {
 		return rep
 	}
@@ -526,8 +521,8 @@ func Analyze(recs []flight.Rec, opts Options) *Report {
 	rep.Path = walk
 	rep.PathStart = walk[0].Start
 	rep.PathCycles = uint64(rep.LastCommitAt - rep.PathStart)
-	if makespan > 0 {
-		rep.Coverage = float64(rep.PathCycles) / float64(makespan)
+	if rep.Makespan > 0 {
+		rep.Coverage = float64(rep.PathCycles) / float64(rep.Makespan)
 	}
 
 	// ---- Per-line blame from the path's segments. ----

@@ -36,17 +36,18 @@ const (
 	// starvationRun is the consecutive-abort run length on one core that
 	// qualifies as starvation.
 	starvationRun = 8
+	// cycleMinKills is the per-edge kill count below which an abort edge is
+	// ignored when searching for dueling cycles: one reciprocal kill is an
+	// ordinary conflict, not a livelock.
+	cycleMinKills = 2
 	// topLines caps the hot-line ranking.
 	topLines = 10
 )
 
-// Options tune the analysis thresholds.
+// Options describe the machine the records came from.
 type Options struct {
 	// Cores is the machine's core count; 0 infers it from the records.
 	Cores int
-	// CycleMinKills is the per-edge kill count below which an abort edge is
-	// ignored when searching for dueling cycles. <=0 selects 2.
-	CycleMinKills uint64
 }
 
 func (o Options) withDefaults(recs []flight.Rec) Options {
@@ -62,9 +63,6 @@ func (o Options) withDefaults(recs []flight.Rec) Options {
 		if o.Cores == 0 {
 			o.Cores = 1
 		}
-	}
-	if o.CycleMinKills == 0 {
-		o.CycleMinKills = 2
 	}
 	return o
 }
@@ -374,7 +372,7 @@ func Analyze(recs []flight.Rec, opts Options) *Report {
 		rep.HotLines = rep.HotLines[:topLines]
 	}
 
-	rep.Pathologies = append(rep.Pathologies, cyclePathologies(rep.AbortEdges, n, opts.CycleMinKills)...)
+	rep.Pathologies = append(rep.Pathologies, cyclePathologies(rep.AbortEdges, n)...)
 	// Starvation: report each starved core with its dominant killers.
 	var starvedCores []int
 	for c := range starved {
@@ -416,13 +414,13 @@ func Analyze(recs []flight.Rec, opts Options) *Report {
 }
 
 // cyclePathologies finds strongly connected components of the abort graph
-// restricted to edges with at least minKills kills; every non-trivial SCC
+// restricted to edges with at least cycleMinKills kills; every non-trivial SCC
 // (or reciprocal pair) is a dueling-abort cycle.
-func cyclePathologies(edges []AbortEdge, n int, minKills uint64) []Pathology {
+func cyclePathologies(edges []AbortEdge, n int) []Pathology {
 	adj := make([][]int, n)
 	weight := map[[2]int]uint64{}
 	for _, e := range edges {
-		if e.Kills < minKills {
+		if e.Kills < cycleMinKills {
 			continue
 		}
 		adj[e.Killer] = append(adj[e.Killer], e.Victim)

@@ -136,8 +136,8 @@ var diffQueries = []string{
 	"at cycle 10 show cores where kind == begin",
 	"at cycle 10 show lines where status == idle",
 	"filter kind == begin | filter-together",
-	// Errors: literal resolution, at parse time and, in an 'in' list,
-	// for the rows that reach the bad literal.
+	// Errors: literal resolution, at parse time after '==' and in an 'in'
+	// list alike (see strictIn).
 	"filter kind == not-a-kind",
 	"filter fp == maybe",
 	"filter core == zero",
@@ -147,6 +147,7 @@ var diffQueries = []string{
 	"filter kind in [begin, bogus]",
 	"filter kind in [bogus, begin]",
 	"filter core == 99 && kind in [bogus]",
+	"filter kind in [commit, bogus]",
 	"filter core == 0 || kind in [commit, nope]",
 	"filter fp in [false, maybe]",
 	"filter core in [zero]",
@@ -215,10 +216,11 @@ func rendered(res *flightql.Result, err error) string {
 }
 
 // sameAsParent runs src through the engine and the reference and reports
-// the first difference in what either shows its caller.
+// the first difference in what either shows its caller. The reference
+// parses src as strictIn rewrites it.
 func sameAsParent(src string, recs []flight.Rec, env flightql.Env) error {
 	q, err := flightql.Parse(src)
-	rq, rerr := refParse(src)
+	rq, rerr := refParse(strictIn(src))
 	if err != nil || rerr != nil {
 		if fmt.Sprint(err) != fmt.Sprint(rerr) {
 			return fmt.Errorf("parse error %v, parent %v", err, rerr)
@@ -233,6 +235,43 @@ func sameAsParent(src string, recs []flight.Rec, env flightql.Env) error {
 		return fmt.Errorf("result differs\n--- engine\n%s\n--- parent\n%s", got, want)
 	}
 	return nil
+}
+
+// strictIn is the one intended difference from the parent: the engine
+// resolves every literal of an 'in' list at parse time, as it does the
+// literal after '==', where the parent raised a bad list literal only for
+// the rows that reached it. strictIn rewrites the first 'in' list that
+// holds a literal its field does not resolve, up to that literal, into
+// "field == literal", padded with spaces to the same length so that every
+// offset in an error message stays put. The reference then rejects the
+// query at parse time with the engine's error, or with an earlier error of
+// its own. src comes back unchanged when every list literal resolves.
+func strictIn(src string) string {
+	toks, err := lex(src)
+	if err != nil {
+		return src
+	}
+	for i := 0; i+2 < len(toks); i++ {
+		f := toks[i]
+		if f.kind != tIdent || toks[i+1].kind != tIdent || toks[i+1].text != "in" || toks[i+2].kind != tLBrack {
+			continue
+		}
+		for j := i + 3; j < len(toks) && (toks[j].kind == tIdent || toks[j].kind == tNumber); j += 2 {
+			l := toks[j]
+			if _, err := resolveLiteral(f.text, literal{num: l.num, ident: l.text, isNum: l.kind == tNumber}); err != nil {
+				end := l.pos + len(l.text)
+				if src[l.pos] == '"' || src[l.pos] == '\'' {
+					end += 2 // the quotes
+				}
+				cmp := f.text + " == " + src[l.pos:end]
+				return src[:f.pos] + cmp + strings.Repeat(" ", end-f.pos-len(cmp)) + src[end:]
+			}
+			if j+1 >= len(toks) || toks[j+1].kind != tComma {
+				break
+			}
+		}
+	}
+	return src
 }
 
 // randomQuery builds a query from the grammar's parts, valid or not.

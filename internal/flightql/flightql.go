@@ -368,7 +368,7 @@ func holds[T int64 | float64](o cmpOp, a, b T) bool {
 }
 
 type expr interface {
-	eval(r row) (bool, error)
+	eval(r row) bool
 }
 
 type binExpr struct {
@@ -376,26 +376,16 @@ type binExpr struct {
 	l, r expr
 }
 
-func (e *binExpr) eval(r row) (bool, error) {
-	lv, err := e.l.eval(r)
-	if err != nil {
-		return false, err
+func (e *binExpr) eval(r row) bool {
+	if e.and {
+		return e.l.eval(r) && e.r.eval(r)
 	}
-	if e.and && !lv {
-		return false, nil
-	}
-	if !e.and && lv {
-		return true, nil
-	}
-	return e.r.eval(r)
+	return e.l.eval(r) || e.r.eval(r)
 }
 
 type notExpr struct{ e expr }
 
-func (e *notExpr) eval(r row) (bool, error) {
-	v, err := e.e.eval(r)
-	return !v, err
-}
+func (e *notExpr) eval(r row) bool { return !e.e.eval(r) }
 
 // cmpExpr compares a field against a literal resolved at parse time.
 type cmpExpr struct {
@@ -404,28 +394,19 @@ type cmpExpr struct {
 	lit   int64
 }
 
-func (e *cmpExpr) eval(r row) (bool, error) {
-	return holds(e.op, r.field(e.field), e.lit), nil
+func (e *cmpExpr) eval(r row) bool {
+	return holds(e.op, r.field(e.field), e.lit)
 }
 
-// inExpr tests a field for membership in a literal list. The list is
-// resolved at parse time up to its first literal that does not resolve;
-// that literal's error is raised for a row no earlier value matches, so a
-// bad name fails only the rows that reach it.
+// inExpr tests a field for membership in a literal list resolved at parse
+// time.
 type inExpr struct {
 	field fieldID
 	set   []int64
-	err   error
 }
 
-func (e *inExpr) eval(r row) (bool, error) {
-	fv := r.field(e.field)
-	for _, v := range e.set {
-		if fv == v {
-			return true, nil
-		}
-	}
-	return false, e.err
+func (e *inExpr) eval(r row) bool {
+	return slices.Contains(e.set, r.field(e.field))
 }
 
 // resolveLiteral maps a literal to the numeric domain of the field it is
@@ -809,13 +790,12 @@ func (p *parser) parseCmp(fields map[string]fieldID) (expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if e.err == nil {
-				if v, err := resolveLiteral(f.text, id, l); err != nil {
-					e.err = err
-				} else {
-					e.set = append(e.set, v)
-				}
+			// Bad kind/status names fail here, as after '=='.
+			v, err := resolveLiteral(f.text, id, l)
+			if err != nil {
+				return nil, err
 			}
+			e.set = append(e.set, v)
 			t := p.next()
 			if t.kind == tComma {
 				continue
@@ -886,11 +866,7 @@ func (s *filterStage) apply(v *value, env *Env) error {
 	keep := make([]uint64, (len(v.recs)+63)/64)
 	n := 0
 	for i := range v.recs {
-		ok, err := s.e.eval((*recRow)(&v.recs[i]))
-		if err != nil {
-			return err
-		}
-		if ok {
+		if s.e.eval((*recRow)(&v.recs[i])) {
 			keep[i/64] |= 1 << (i % 64)
 			n++
 		}
@@ -1176,28 +1152,16 @@ func (s *atStage) apply(v *value, env *Env) error {
 		// The state is this stage's own: keep the matching rows in place.
 		v.cores = st.Cores[:0]
 		for i := range st.Cores {
-			if s.where != nil {
-				ok, err := s.where.eval((*coreRow)(&st.Cores[i]))
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
+			if s.where != nil && !s.where.eval((*coreRow)(&st.Cores[i])) {
+				continue
 			}
 			v.cores = append(v.cores, st.Cores[i])
 		}
 	case showLines:
 		v.lines = st.Lines[:0]
 		for i := range st.Lines {
-			if s.where != nil {
-				ok, err := s.where.eval((*lineRow)(&st.Lines[i]))
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
+			if s.where != nil && !s.where.eval((*lineRow)(&st.Lines[i])) {
+				continue
 			}
 			v.lines = append(v.lines, st.Lines[i])
 		}

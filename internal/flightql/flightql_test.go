@@ -272,6 +272,23 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestInListLiteralsFailAtParse: a name its field does not know fails the
+// parse inside an 'in' list exactly as it does after '==', whatever the
+// rest of the expression or the list holds.
+func TestInListLiteralsFailAtParse(t *testing.T) {
+	for _, tc := range []struct{ q, err string }{
+		{"filter core == 99 && kind in [bogus]", `flightql: unknown record kind "bogus"`},
+		{"filter kind in [commit, bogus]", `flightql: unknown record kind "bogus"`},
+		{"filter fp in [false, maybe]", `flightql: fp compares against true/false, not "maybe"`},
+		{"at cycle 10 show cores where status in [idle, asleep]", `flightql: unknown status "asleep"`},
+	} {
+		_, err := Parse(tc.q)
+		if err == nil || err.Error() != tc.err {
+			t.Errorf("Parse(%q) = %v, want %s", tc.q, err, tc.err)
+		}
+	}
+}
+
 func TestAssertHelper(t *testing.T) {
 	Assert(t, duelStream(), "filter kind == watchdog-trip | expect count == 0")
 	Assert(t, duelStream(), "filter kind == commit | expect count == 2")

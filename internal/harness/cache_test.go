@@ -5,8 +5,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"flextm/internal/observatory"
+	"flextm/internal/sweepexec"
 	cellcache "flextm/internal/sweepexec/cache"
 	"flextm/internal/tmesi"
 	"flextm/internal/workloads"
@@ -104,18 +109,29 @@ func TestFigureWarmCacheIsPureReplay(t *testing.T) {
 	}
 }
 
-// TestFigureParallelSharedCacheIdentity: -parallel combined with -cache —
-// every worker goroutine Getting and Putting one shared store — must be
-// byte-identical to the serial cached run, cold (concurrent Puts plus
-// evict) and warm (concurrent Gets), and the warm parallel sweep must
+// withProcs runs fn at GOMAXPROCS n, and so on n sweep workers, then
+// restores the old setting. The setting is process-wide: only sequential
+// tests may call it.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// TestFigureParallelSharedCacheIdentity: a parallel sweep over a cell
+// cache — every worker goroutine Getting and Putting one shared store —
+// must be byte-identical to the serial cached run, cold (concurrent Puts
+// plus evict) and warm (concurrent Gets), and the warm parallel sweep must
 // execute zero simulations. Running under -race in the CI test job, this
-// is also the store's concurrency regression test in situ: the exact
-// flag combination paperbench supports.
+// is also the store's concurrency regression test in situ: paperbench
+// -cache on a multi-CPU host.
 func TestFigureParallelSharedCacheIdentity(t *testing.T) {
 	f, _ := workloads.ByName("HashTable")
 	systems := []SystemName{FlexTMEager, RSTM}
-	ref := cachedSweep(t, t.TempDir())
-	refPlot, err := sweep(ref, f, systems)
+	var (
+		refPlot Plot
+		err     error
+	)
+	withProcs(1, func() { refPlot, err = sweep(cachedSweep(t, t.TempDir()), f, systems) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,20 +141,23 @@ func TestFigureParallelSharedCacheIdentity(t *testing.T) {
 	}
 	for _, w := range []int{2, 8} {
 		sc := cachedSweep(t, t.TempDir())
-		sc.Parallel = w
-		cold, err := sweep(sc, f, systems)
-		if err != nil {
-			t.Fatal(err)
+		var (
+			cold, warm           Plot
+			coldErr, warmErr     error
+			coldStats, warmStats cellcache.Stats
+		)
+		withProcs(w, func() {
+			cold, coldErr = sweep(sc, f, systems)
+			coldStats = sc.Cache.Stats()
+			warm, warmErr = sweep(sc, f, systems)
+			warmStats = sc.Cache.Stats()
+		})
+		if coldErr != nil || warmErr != nil {
+			t.Fatalf("parallel=%d: cold %v, warm %v", w, coldErr, warmErr)
 		}
-		coldStats := sc.Cache.Stats()
 		if coldStats.Puts == 0 {
 			t.Fatalf("parallel=%d cold sweep put nothing: %+v", w, coldStats)
 		}
-		warm, err := sweep(sc, f, systems)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warmStats := sc.Cache.Stats()
 		cb, _ := json.Marshal(cold)
 		wb, _ := json.Marshal(warm)
 		if !bytes.Equal(cb, refBytes) {
@@ -153,6 +172,42 @@ func TestFigureParallelSharedCacheIdentity(t *testing.T) {
 		if warmStats.Hits == 0 {
 			t.Errorf("parallel=%d warm sweep hit nothing", w)
 		}
+	}
+}
+
+// TestSweepExecFollowsGOMAXPROCS: a sweep runs GOMAXPROCS cells at once,
+// and one at a time while the observation plane is attached. Each cell
+// holds its worker until procs cells are in flight, or until wait passes.
+func TestSweepExecFollowsGOMAXPROCS(t *testing.T) {
+	const procs = 3
+	peak := func(sc SweepConfig, wait time.Duration) int32 {
+		var inflight, peak atomic.Int32
+		full := make(chan struct{})
+		withProcs(procs, func() {
+			_ = sweepexec.Map(sc.Exec(), procs, func(int) (struct{}, error) {
+				n := inflight.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				if n == procs {
+					close(full)
+				}
+				select {
+				case <-full:
+				case <-time.After(wait):
+				}
+				inflight.Add(-1)
+				return struct{}{}, nil
+			}, nil)
+		})
+		return peak.Load()
+	}
+	if got := peak(quickSweep(), time.Minute); got != procs {
+		t.Errorf("unobserved sweep ran %d cells at once, want GOMAXPROCS = %d", got, procs)
+	}
+	sc := quickSweep()
+	sc.Observe = observatory.NewPump(observatory.Config{})
+	if got := peak(sc, 20*time.Millisecond); got != 1 {
+		t.Errorf("observed sweep ran %d cells at once, want 1", got)
 	}
 }
 

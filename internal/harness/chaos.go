@@ -42,11 +42,6 @@ type ChaosSpec struct {
 	// driver rolls the Preempt class and, on a hit, suspends a victim core
 	// for an injector-chosen hold time.
 	Quantum sim.Time
-	// Parallel is the campaign's worker count (0 or 1 serial, < 0
-	// GOMAXPROCS). Cells build their own machine and derive their own fault
-	// schedule, so sharding them cannot change any cell's outcome, and
-	// results are gathered in the serial cell order.
-	Parallel int
 }
 
 // DefaultChaosSpec covers every fault class at a low and at the acceptance
@@ -98,7 +93,10 @@ type ChaosResult struct {
 // Ok reports whether every cell held every invariant.
 func (r ChaosResult) Ok() bool { return r.Violations == 0 }
 
-// ChaosCampaign runs the full sweep.
+// ChaosCampaign runs the full sweep on sweepexec's default pool. Cells
+// build their own machine and derive their own fault schedule, so sharding
+// them cannot change any cell's outcome, and results are gathered in the
+// serial cell order.
 func ChaosCampaign(spec ChaosSpec) ChaosResult {
 	type cell struct {
 		class fault.Class
@@ -115,7 +113,7 @@ func ChaosCampaign(spec ChaosSpec) ChaosResult {
 	}
 	var res ChaosResult
 	// No fn errors and no stop channel, so Map cannot fail.
-	_ = sweepexec.Map(sweepexec.Exec{Workers: workers(spec.Parallel)}, len(cells),
+	_ = sweepexec.Map(sweepexec.Exec{}, len(cells),
 		func(i int) (ChaosCell, error) {
 			return runChaosCell(spec, cells[i].class, cells[i].rate, cells[i].mode), nil
 		},
@@ -125,15 +123,6 @@ func ChaosCampaign(spec ChaosSpec) ChaosResult {
 			return nil
 		})
 	return res
-}
-
-// workers maps a Parallel knob (sweeps, chaos, soak) onto the executor's
-// convention (0 means serial here, GOMAXPROCS there).
-func workers(parallel int) int {
-	if parallel == 0 {
-		return 1
-	}
-	return parallel
 }
 
 // runChaosCell executes one cell of the campaign.

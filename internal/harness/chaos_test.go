@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"flextm/internal/core"
 	"flextm/internal/fault"
 	"flextm/internal/tmesi"
 	"flextm/internal/workloads"
@@ -56,7 +55,6 @@ func TestChaosCampaignDeterministic(t *testing.T) {
 // injector's activity.
 func TestRunWithFaults(t *testing.T) {
 	f, _ := workloads.ByName("HashTable")
-	live := core.Liveness{MaxConsecAborts: 8, MaxStallCycles: 2_000_000, MaxCommitRetries: 16}
 	res, err := Run(RunConfig{
 		System:       FlexTMLazy,
 		Workload:     f,
@@ -65,7 +63,6 @@ func TestRunWithFaults(t *testing.T) {
 		Machine:      tmesi.DefaultConfig(),
 		Verify:       true,
 		Faults:       fault.Config{Seed: 5}.WithRate(fault.CommitRace, 0.5),
-		Liveness:     &live,
 	})
 	if err != nil {
 		t.Fatal(err)

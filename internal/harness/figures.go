@@ -50,16 +50,9 @@ type SweepConfig struct {
 	Observe *observatory.Pump
 	// OnResult, if non-nil, observes every data point as it completes
 	// (paperbench uses it for machine-readable output). It is always called
-	// from the sweeping goroutine, in the serial cell order, whatever
-	// Parallel is set to.
+	// from the sweeping goroutine, in the serial cell order, however many
+	// workers run the cells (see Exec).
 	OnResult func(Result)
-	// Parallel is the sweep's worker count: 0 or 1 runs cells serially on
-	// the calling goroutine, > 1 shards them across that many goroutines,
-	// < 0 selects GOMAXPROCS. Cells are independent deterministic
-	// simulations and results are delivered in serial order, so every
-	// artifact is byte-identical at any setting. Forced serial while
-	// Observe is attached (the pump is re-bound per run).
-	Parallel int
 	// Cache is the cell store consulted for every cacheable cell: hits
 	// replay from the store instead of simulating (see
 	// internal/sweepexec/cache). nil disables caching.
@@ -167,7 +160,7 @@ type gridCell struct {
 // the sweep executor. The fold — OnResult, normalized points, the
 // conflict-degree table — happens in the emit callback, which sweepexec
 // serializes in cell-index order, so the output is the serial loop's
-// output regardless of Parallel.
+// output at any worker count.
 func sweepGrid(sc SweepConfig, figure string, fs []workloads.Factory, systems [][]SystemName, bases []float64) ([]Plot, error) {
 	plots := make([]Plot, len(fs))
 	var cells []gridCell

@@ -16,7 +16,7 @@ import (
 // fully de-escalate once the duel ends.
 func TestGovernedLivelockProbeResolvesViaLadder(t *testing.T) {
 	g := governor.New(GovernedLivelockConfig())
-	_, out, err := GovernedLivelockProbe(1, g, nil)
+	_, out, err := LivelockProbe(1, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestGovernedLivelockProbeResolvesViaLadder(t *testing.T) {
 func TestGovernedLivelockTransitionLogIsDeterministic(t *testing.T) {
 	run := func() (string, LivelockOutcome) {
 		g := governor.New(GovernedLivelockConfig())
-		_, out, err := GovernedLivelockProbe(1, g, nil)
+		_, out, err := LivelockProbe(1, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestGovernedLivelockTransitionLogIsDeterministic(t *testing.T) {
 // the tight-watchdog probe resolves the duel only by tripping into the
 // serialized fallback.
 func TestUngovernedLivelockStillTrips(t *testing.T) {
-	_, out, err := LivelockProbe(1)
+	_, out, err := LivelockProbe(1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,18 +96,11 @@ type RunConfig struct {
 	// FlightPerCore overrides the ring depth per core (0 selects
 	// flight.DefaultPerCore).
 	FlightPerCore int
-	// YieldTo, if non-nil, is invoked by FlexTM threads when a transaction
-	// aborts, before retrying (the multiprogramming experiment's
-	// user-level yield).
-	YieldTo func(th tmapi.Thread)
 	// Faults, when any rate is non-zero, attaches a deterministic fault
 	// injector to the machine. The schedule is a pure function of
 	// (Faults.Seed, class, per-class sequence index), so identical configs
 	// replay identical fault campaigns.
 	Faults fault.Config
-	// Liveness, if non-nil, overrides the FlexTM watchdog budgets (other
-	// runtimes ignore it).
-	Liveness *core.Liveness
 	// Oracle attaches the serializability oracle (FlexTM systems only): the
 	// run's operation log is checked offline and the verdict returned in
 	// Result.OracleReport. Off by default — recording grows with the run.
@@ -229,14 +222,6 @@ func run(rc RunConfig) (Result, *tmesi.System, error) {
 		return Result{}, nil, err
 	}
 	r.SetRuntime(rt)
-	if fx, ok := rt.(*core.Runtime); ok {
-		if rc.YieldTo != nil {
-			fx.OnAbortYield = func(th *core.Thread) { rc.YieldTo(th) }
-		}
-		if rc.Liveness != nil {
-			fx.SetLiveness(*rc.Liveness)
-		}
-	}
 	env := &workloads.Env{Image: sys.Image(), Alloc: sys.Alloc(), Raw: sys.ReadWordRaw}
 	w.Setup(env)
 

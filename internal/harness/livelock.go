@@ -40,31 +40,6 @@ type LivelockOutcome struct {
 	LineA, LineB memory.LineAddr
 }
 
-// LivelockProbe runs a deliberately pathological cell and profiles it: two
-// threads under the Aggressive contention manager (always abort the enemy)
-// write the same two lines in opposite order, with injected Bloom false
-// positives keeping the conflict pressure on even between genuine overlaps.
-// The symmetric kill-retry-kill exchange is the classic dueling livelock;
-// FlexTM's obstruction-free optimistic path cannot break it, so the run
-// makes progress only through the watchdog's serialized fallback.
-//
-// The probe attaches a flight recorder, captures the watchdog-triggered
-// dump, and returns its conflict-graph analysis — which must classify the
-// exchange as an abort cycle. It is both the acceptance test for the
-// profiler ("does the analyzer detect a real livelock?") and a regression
-// probe for the escalation path ("does the run terminate at all?").
-func LivelockProbe(seed uint64) (*conflictgraph.Report, LivelockOutcome, error) {
-	return livelockDuel(seed, nil, nil)
-}
-
-// ObservedLivelockProbe is LivelockProbe with the observation plane
-// attached: pump, if non-nil, samples the duel as it runs, so a watcher
-// (or the -watch acceptance test) sees the abort-cycle pathology flagged
-// live — before the watchdog trips.
-func ObservedLivelockProbe(seed uint64, pump *observatory.Pump) (*conflictgraph.Report, LivelockOutcome, error) {
-	return livelockDuel(seed, nil, pump)
-}
-
 // GovernedLivelockInterval is the sampling/reaction period the governed
 // probe runs at: fine enough that the governor reacts while the duel is
 // still within the (loosened) watchdog budget.
@@ -87,27 +62,35 @@ func GovernedLivelockConfig() governor.Config {
 	}
 }
 
-// GovernedLivelockProbe runs the dueling-livelock cell under the resilience
-// governor: the same symmetric Aggressive duel with injected signature
-// false positives, but with the watchdog budget loosened (24 consecutive
-// aborts instead of 5) so the governor — reacting from the observation
-// plane — gets to break the cycle first via its ladder (CM swap, then an
-// admission cap of one). After the duel the observers keep sampling a calm
-// tail of empty intervals long enough for the governor to walk fully back
-// down to level 0, proving de-escalation.
+// LivelockProbe runs a deliberately pathological cell and profiles it: two
+// threads under the Aggressive contention manager (always abort the enemy)
+// write the same two lines in opposite order, with injected Bloom false
+// positives keeping the conflict pressure on even between genuine overlaps.
+// The symmetric kill-retry-kill exchange is the classic dueling livelock;
+// FlexTM's obstruction-free optimistic path cannot break it, so the run
+// makes progress only through the watchdog's serialized fallback.
 //
-// g must be a fresh, unbound governor (GovernedLivelockConfig is the tested
-// configuration); pump may be nil, in which case a private pump and bus are
-// created at GovernedLivelockInterval. The run is oracle-checked and
-// conservation-checked like the ungoverned probe.
-func GovernedLivelockProbe(seed uint64, g *governor.Governor, pump *observatory.Pump) (*conflictgraph.Report, LivelockOutcome, error) {
-	return livelockDuel(seed, g, pump)
-}
-
-// livelockDuel is the one duel body behind the probes. Whether g is nil
-// decides the watchdog budget, the observers' calm tail, and the report's
-// input (the watchdog dump or the end-of-run rings).
-func livelockDuel(seed uint64, g *governor.Governor, pump *observatory.Pump) (*conflictgraph.Report, LivelockOutcome, error) {
+// The probe attaches a flight recorder, captures the watchdog-triggered
+// dump, and returns its conflict-graph analysis — which must classify the
+// exchange as an abort cycle. It is both the acceptance test for the
+// profiler ("does the analyzer detect a real livelock?") and a regression
+// probe for the escalation path ("does the run terminate at all?"). Every
+// run is oracle-checked and conservation-checked.
+//
+// pump, if non-nil, samples the duel as it runs, so a watcher sees the
+// abort-cycle pathology flagged live — before the watchdog trips.
+//
+// g, if non-nil, must be a fresh, unbound governor
+// (GovernedLivelockConfig is the tested configuration); the duel then runs
+// under it with the watchdog budget loosened (24 consecutive aborts instead
+// of 5), so the governor — reacting from the observation plane — gets to
+// break the cycle first via its ladder (CM swap, then an admission cap of
+// one). After the duel the observers keep sampling a calm tail of empty
+// intervals long enough for the governor to walk fully back down to level
+// 0, proving de-escalation, and the report reads the end-of-run rings
+// rather than the dump. A governed run without a pump gets a private pump
+// and bus at GovernedLivelockInterval.
+func LivelockProbe(seed uint64, g *governor.Governor, pump *observatory.Pump) (*conflictgraph.Report, LivelockOutcome, error) {
 	workload, errPrefix := "LivelockDuel", "livelock probe"
 	// Tight watchdog: the duel must trip it quickly, and escalation bounds
 	// the run. Aggressive's randomized exponential backoff breaks the duel

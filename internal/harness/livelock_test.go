@@ -14,7 +14,7 @@ import (
 // (c) have its dump classified as an abort cycle by the conflict-graph
 // analyzer.
 func TestLivelockProbeDetectsAbortCycle(t *testing.T) {
-	rep, out, err := LivelockProbe(1)
+	rep, out, err := LivelockProbe(1, nil, nil)
 	if err != nil {
 		t.Fatalf("LivelockProbe: %v", err)
 	}
@@ -48,8 +48,8 @@ func TestLivelockProbeDetectsAbortCycle(t *testing.T) {
 // TestLivelockProbeIsDeterministic: same seed, same outcome — the probe is
 // usable as a CI regression gate.
 func TestLivelockProbeIsDeterministic(t *testing.T) {
-	r1, o1, err1 := LivelockProbe(7)
-	r2, o2, err2 := LivelockProbe(7)
+	r1, o1, err1 := LivelockProbe(7, nil, nil)
+	r2, o2, err2 := LivelockProbe(7, nil, nil)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errors: %v / %v", err1, err2)
 	}

@@ -76,7 +76,7 @@ func TestObservationDoesNotPerturbResults(t *testing.T) {
 // it is still in progress, not in the post-mortem.
 func TestObservedLivelockFlagsAbortCycleBeforeWatchdog(t *testing.T) {
 	pump := observatory.NewPump(observatory.Config{Interval: 1_000, Retain: true})
-	rep, out, err := ObservedLivelockProbe(1, pump)
+	rep, out, err := LivelockProbe(1, nil, pump)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestObservedLivelockFlagsAbortCycleBeforeWatchdog(t *testing.T) {
 		t.Fatalf("live detection at t=%d is not before the watchdog trip at t=%d", detectedAt, tripAt)
 	}
 	// The unobserved probe still behaves identically.
-	_, plain, err := LivelockProbe(1)
+	_, plain, err := LivelockProbe(1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

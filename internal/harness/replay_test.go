@@ -90,7 +90,7 @@ func TestReplayIdentityWithLiveTelemetry(t *testing.T) {
 // ladder level and transition count.
 func TestReplayGovernorLevelMatchesGovernor(t *testing.T) {
 	g := governor.New(GovernedLivelockConfig())
-	_, out, err := GovernedLivelockProbe(1, g, nil)
+	_, out, err := LivelockProbe(1, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

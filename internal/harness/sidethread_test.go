@@ -165,13 +165,13 @@ func sideThreadRuns(t *testing.T) []byte {
 
 	// The ungoverned probe, bare and under a pump at flextm -livelock's
 	// sampling interval.
-	rep, out, err := LivelockProbe(1)
+	rep, out, err := LivelockProbe(1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc["livelock"] = probeOutcomeGolden(out, rep.PathologyCounts())
 	pump := observatory.NewPump(observatory.Config{Interval: 1000, Bus: observatory.NewBus(), Retain: true})
-	rep, out, err = ObservedLivelockProbe(1, pump)
+	rep, out, err = LivelockProbe(1, nil, pump)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func sideThreadRuns(t *testing.T) []byte {
 			})
 		}
 		g := governor.New(GovernedLivelockConfig())
-		rep, out, err := GovernedLivelockProbe(1, g, pump)
+		rep, out, err := LivelockProbe(1, g, pump)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,11 +26,6 @@ type SoakConfig struct {
 	// Threads and Rounds size each cell (<=0 selects 4 and 30).
 	Threads int
 	Rounds  int
-	// Parallel is the campaign's worker count (0 or 1 serial, < 0
-	// GOMAXPROCS). Each cell derives its whole schedule from Seed+i, so
-	// sharding cells cannot change any cell's outcome — transition logs
-	// included — and results are gathered in serial cell order.
-	Parallel int
 }
 
 // SoakCell is one (governed, ungoverned) pair's outcome.
@@ -85,7 +80,10 @@ var soakFaultClasses = []fault.Class{
 	fault.OTStall, fault.CoherenceDelay, fault.CommitRace, fault.Preempt,
 }
 
-// Soak runs the campaign.
+// Soak runs the campaign on sweepexec's default pool. Each cell derives its
+// whole schedule from Seed+i, so sharding cells cannot change any cell's
+// outcome — transition logs included — and results are gathered in serial
+// cell order.
 func Soak(sc SoakConfig) SoakResult {
 	if sc.Cells <= 0 {
 		sc.Cells = 6
@@ -98,7 +96,7 @@ func Soak(sc SoakConfig) SoakResult {
 	}
 	var res SoakResult
 	// No fn errors and no stop channel, so Map cannot fail.
-	_ = sweepexec.Map(sweepexec.Exec{Workers: workers(sc.Parallel)}, sc.Cells,
+	_ = sweepexec.Map(sweepexec.Exec{}, sc.Cells,
 		func(i int) (SoakCell, error) { return runSoakCell(sc, uint64(i)), nil },
 		func(i int, cell SoakCell) error {
 			res.Failures += len(cell.Failures)

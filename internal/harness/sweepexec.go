@@ -4,8 +4,8 @@ package harness
 // (internal/sweepexec) and the content-addressed cell cache
 // (internal/sweepexec/cache). Every figure is a grid of independent
 // deterministic cells; the figure functions flatten their grids and hand
-// them to sweepexec.Map, which executes cells on SweepConfig.Parallel
-// workers but emits results — and therefore OnResult callbacks and plot
+// them to sweepexec.Map, which executes cells on GOMAXPROCS workers but
+// emits results — and therefore OnResult callbacks and plot
 // folds — in exactly the serial order. The cache sits underneath: a
 // cacheable cell's full Result round-trips through the run codec
 // (runcodec.go; telemetry snapshot and flight records included), so a warm
@@ -37,25 +37,24 @@ const CellCacheSchema = "flextm-cell/v2"
 func cellSchema(kind string) string { return CellCacheSchema + "/" + kind }
 
 // Exec resolves the sweep's executor; commands (cmd/paperbench) that
-// flatten their own grids over sweepexec.Map use it too. Observation
-// forces serial: the shared pump is re-bound per run and its subscribers
-// contract to see one run stream at a time.
+// flatten their own grids over sweepexec.Map use it too. The pool is
+// sweepexec's default, GOMAXPROCS workers, except that observation forces
+// serial: the shared pump is re-bound per run and its subscribers contract
+// to see one run stream at a time.
 func (sc SweepConfig) Exec() sweepexec.Exec {
-	w := workers(sc.Parallel)
+	e := sweepexec.Exec{Stop: sc.Stop}
 	if sc.Observe != nil {
-		w = 1
+		e.Workers = 1
 	}
-	return sweepexec.Exec{Workers: w, Stop: sc.Stop}
+	return e
 }
 
 // cacheableRun reports whether rc's Result is a pure serializable function
-// of its serializable fields. Runs carrying live hooks (yield,
-// observation, governor), a liveness override, or the oracle are executed
-// live: their value is in the side effects and reports the cache cannot
-// replay.
+// of its serializable fields. Runs carrying live hooks (observation,
+// governor) or the oracle are executed live: their value is in the side
+// effects and reports the cache cannot replay.
 func cacheableRun(rc RunConfig) bool {
-	return rc.YieldTo == nil && rc.Liveness == nil &&
-		!rc.Oracle && rc.Observe == nil && rc.Govern == nil
+	return !rc.Oracle && rc.Observe == nil && rc.Govern == nil
 }
 
 // runKey is the canonical cacheable identity of one Run: every RunConfig

@@ -90,7 +90,7 @@ func TestTraceSummaryMatchesParentFold(t *testing.T) {
 		}
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
-		_, out, err := LivelockProbe(seed)
+		_, out, err := LivelockProbe(seed, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -322,21 +322,15 @@ type ExploreResult struct {
 	Failures []Outcome
 }
 
-// Explore runs seeds base.Seed .. base.Seed+n-1 of one configuration and
-// collects the failing outcomes.
+// Explore runs seeds base.Seed .. base.Seed+n-1 of one configuration on
+// sweepexec's default pool and collects the failing outcomes. Each run is
+// a pure function of its Config, so the collected failures — order
+// included — are the serial sweep's at any worker count.
 func Explore(base Config, n int) ExploreResult {
-	return ExploreParallel(base, n, 1)
-}
-
-// ExploreParallel is Explore with the seed cells sharded across workers
-// goroutines (1 serial, <= 0 GOMAXPROCS). Each run is a pure function of
-// its Config, so the collected failures — order included — are identical
-// to the serial sweep's at any worker count.
-func ExploreParallel(base Config, n, workers int) ExploreResult {
 	res := ExploreResult{Runs: n}
 	// Run never errors (failures are data) and there is no stop channel,
 	// so Map cannot fail.
-	_ = sweepexec.Map(sweepexec.Exec{Workers: workers}, n,
+	_ = sweepexec.Map(sweepexec.Exec{}, n,
 		func(i int) (Outcome, error) {
 			cfg := base
 			cfg.Seed = base.Seed + uint64(i)

@@ -41,8 +41,8 @@ const DefaultMaxEntries = 8192
 
 // Store is an on-disk content-addressed cache. The zero value and the nil
 // pointer are valid always-miss stores. All methods are safe for
-// concurrent use: a parallel sweep (`-parallel` + `-cache`) shares one
-// Store across every worker goroutine.
+// concurrent use: a parallel sweep (`paperbench -cache` on more than one
+// CPU) shares one Store across every worker goroutine.
 type Store struct {
 	dir        string
 	maxEntries atomic.Int64

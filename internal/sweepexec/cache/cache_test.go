@@ -274,7 +274,7 @@ func TestEvictionDropsOldest(t *testing.T) {
 }
 
 // TestStoreConcurrentPutsAndGets: one Store is shared by every sweep
-// worker when -parallel combines with -cache, so Get/Put — and the
+// worker of a parallel sweep with -cache, so Get/Put — and the
 // eviction passes concurrent Puts trip — must be safe from many
 // goroutines at once. Run under -race (the CI test job), this pins the
 // store's thread-safety contract; the counter sums pin that no update

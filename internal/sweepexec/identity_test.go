@@ -2,19 +2,22 @@ package sweepexec_test
 
 // The determinism contract, pinned: every figure-level sweep in the tree
 // must produce byte-identical artifacts whether it runs serially or on 2
-// or 8 workers. Each case runs the figure at the quick test scale with
-// telemetry and the flight recorder attached, folds the figure's return
-// value AND the full OnResult stream (flight records and causal critical
-// paths included) into one canonical JSON blob, and bytes.Equal-compares
-// the serial blob against each parallel one. The campaign-shaped sweeps
-// (chaos, soak, stress) are compared structurally, governor transition
-// logs included.
+// or 8 workers. The sweeps size their pool from GOMAXPROCS, so each test
+// sets it with withProcs; the setting is process-wide, so none of these
+// tests runs in parallel with another. Each case runs the figure at the
+// quick test scale with telemetry and the flight recorder attached, folds
+// the figure's return value AND the full OnResult stream (flight records
+// and causal critical paths included) into one canonical JSON blob, and
+// bytes.Equal-compares the serial blob against each parallel one. The
+// campaign-shaped sweeps (chaos, soak, stress) are compared structurally,
+// governor transition logs included.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"flextm/internal/causal"
@@ -24,6 +27,13 @@ import (
 )
 
 var workerCounts = []int{2, 8}
+
+// withProcs runs fn at GOMAXPROCS n, and so on n sweep workers, then
+// restores the old setting.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
 
 // skipHeavy bows out of the expensive full-figure matrix in race builds
 // (the pool tests carry the race coverage; identity is byte comparison)
@@ -38,12 +48,11 @@ func skipHeavy(t *testing.T) {
 	}
 }
 
-// runFigure executes one figure at the given worker count and returns the
-// canonical encoding of everything it produced.
-func runFigure(t *testing.T, parallel int, run func(harness.SweepConfig) (any, error)) []byte {
+// runFigure executes one figure on the given number of workers and returns
+// the canonical encoding of everything it produced.
+func runFigure(t *testing.T, workers int, run func(harness.SweepConfig) (any, error)) []byte {
 	t.Helper()
 	sc := harness.QuickSweep()
-	sc.Parallel = parallel
 	sc.Metrics = true
 	sc.Flight = true
 	var stream []map[string]any
@@ -66,7 +75,9 @@ func runFigure(t *testing.T, parallel int, run func(harness.SweepConfig) (any, e
 		}
 		stream = append(stream, p)
 	}
-	v, err := run(sc)
+	var v any
+	var err error
+	withProcs(workers, func() { v, err = run(sc) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +111,7 @@ func TestEveryFigureBitIdenticalUnderParallelism(t *testing.T) {
 		}},
 	}
 	for _, fig := range figures {
-		fig := fig
 		t.Run(fig.name, func(t *testing.T) {
-			t.Parallel()
 			serial := runFigure(t, 1, fig.run)
 			for _, w := range workerCounts {
 				if got := runFigure(t, w, fig.run); !bytes.Equal(serial, got) {
@@ -119,16 +128,17 @@ func TestEveryFigureBitIdenticalUnderParallelism(t *testing.T) {
 // is identical at any worker count.
 func TestChaosCampaignBitIdentical(t *testing.T) {
 	skipHeavy(t)
-	t.Parallel()
 	spec := harness.DefaultChaosSpec()
 	spec.Threads = 5
 	spec.Rounds = 15
 	spec.Rates = []float64{0.10}
-	serial := harness.ChaosCampaign(spec)
+	run := func(workers int) (res harness.ChaosResult) {
+		withProcs(workers, func() { res = harness.ChaosCampaign(spec) })
+		return res
+	}
+	serial := run(1)
 	for _, w := range workerCounts {
-		pspec := spec
-		pspec.Parallel = w
-		if got := harness.ChaosCampaign(pspec); !reflect.DeepEqual(serial, got) {
+		if got := run(w); !reflect.DeepEqual(serial, got) {
 			t.Errorf("parallel=%d chaos result differs from serial", w)
 		}
 	}
@@ -139,13 +149,13 @@ func TestChaosCampaignBitIdentical(t *testing.T) {
 // tree — is identical at any worker count.
 func TestSoakBitIdentical(t *testing.T) {
 	skipHeavy(t)
-	t.Parallel()
-	cfg := harness.SoakConfig{Seed: 1, Cells: 3, Rounds: 15}
-	serial := harness.Soak(cfg)
+	run := func(workers int) (res harness.SoakResult) {
+		withProcs(workers, func() { res = harness.Soak(harness.SoakConfig{Seed: 1, Cells: 3, Rounds: 15}) })
+		return res
+	}
+	serial := run(1)
 	for _, w := range workerCounts {
-		pcfg := cfg
-		pcfg.Parallel = w
-		got := harness.Soak(pcfg)
+		got := run(w)
 		if !reflect.DeepEqual(serial, got) {
 			t.Errorf("parallel=%d soak result differs from serial", w)
 		}
@@ -163,20 +173,21 @@ func TestSoakBitIdentical(t *testing.T) {
 // JSON: the oracle report keeps unexported scratch state that DeepEqual
 // would inspect, but the replayable artifact is its encoding.
 func TestStressExploreBitIdentical(t *testing.T) {
-	t.Parallel()
-	encode := func(r stress.ExploreResult) []byte {
-		b, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 	for _, broken := range []bool{false, true} {
 		base := stress.DefaultConfig(1)
 		base.BreakWR = broken
-		serial := encode(stress.Explore(base, 12))
+		explore := func(workers int) []byte {
+			var res stress.ExploreResult
+			withProcs(workers, func() { res = stress.Explore(base, 12) })
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		serial := explore(1)
 		for _, w := range workerCounts {
-			got := encode(stress.ExploreParallel(base, 12, w))
+			got := explore(w)
 			if !bytes.Equal(serial, got) {
 				t.Errorf("broken=%v parallel=%d explore result differs from serial", broken, w)
 			}
@@ -188,12 +199,11 @@ func TestStressExploreBitIdentical(t *testing.T) {
 // string at any worker count (the lowest-index failure, exactly as the
 // serial loop would phrase it).
 func TestFigureErrorsMatchSerial(t *testing.T) {
-	t.Parallel()
-	run := func(parallel int) string {
+	run := func(workers int) string {
 		sc := harness.QuickSweep()
-		sc.Parallel = parallel
 		sc.Threads = []int{1, 999} // oversubscribes the 16-core machine
-		_, err := harness.Figure5(sc)
+		var err error
+		withProcs(workers, func() { _, err = harness.Figure5(sc) })
 		if err == nil {
 			t.Fatal("oversubscribed sweep succeeded")
 		}

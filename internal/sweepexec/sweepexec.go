@@ -4,9 +4,13 @@
 // caller in submission order. Because each cell of a paper sweep is a
 // seeded, byte-stable simulation with no shared state, parallel execution
 // is free of nondeterminism: the only ordered things in a sweep are the
-// result callbacks, and Map serializes exactly those. A sweep run with
-// Workers=1 and one with Workers=N produce byte-identical artifacts — the
-// contract pinned by identity_test.go.
+// result callbacks, and Map serializes exactly those. A sweep run on one
+// worker and one run on N produce byte-identical artifacts — the contract
+// pinned by identity_test.go.
+//
+// This package is the one place that sizes the pool: the zero Exec runs
+// runtime.GOMAXPROCS(0) workers, so GOMAXPROCS=1 is how a caller gets a
+// serial sweep. No sweep-level option duplicates that setting.
 //
 // The shape is deliberate: workers *compute*, the calling goroutine
 // *emits*. Progress sinks, bench-artifact recorders, and -json encoders
@@ -30,7 +34,8 @@ var ErrStopped = errors.New("sweepexec: sweep stopped")
 type Exec struct {
 	// Workers is the number of concurrent cells: 1 runs serially on the
 	// calling goroutine (no pool, bit-for-bit the classic loop), <= 0
-	// selects GOMAXPROCS.
+	// selects GOMAXPROCS. The harness sweeps leave it zero; only callers
+	// that pin a pool size for measurement set it.
 	Workers int
 	// Stop, when non-nil, cancels the sweep once closed: no new cells are
 	// scheduled, in-flight cells finish and are emitted if contiguous, and
