@@ -171,7 +171,6 @@ func paperbench(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) e
 	sc := harness.SweepConfig{
 		Machine: tmesi.DefaultConfig(),
 		Ops:     *ops,
-		Verify:  true,
 		Metrics: *metrics || *jsonOut,
 	}
 	if *cacheDir != "" {
@@ -348,7 +347,7 @@ func (p *paper) writeReport(path, baselinePath string, bench *benchfmt.Artifact,
 	pump := observatory.NewPump(observatory.Config{Interval: iv, Retain: true})
 	res, err := harness.Run(harness.RunConfig{
 		System: harness.FlexTMLazy, Workload: f, Threads: threads,
-		OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: sc.Verify,
+		OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: true,
 		Observe: pump,
 		// Flight on with deep rings: the report's FlightQL drill-down
 		// appendix queries the complete end-of-run stream.
@@ -529,7 +528,7 @@ func (p *paper) writeTimeline(path string) error {
 	f, _ := workloads.ByName("RBTree")
 	rc := harness.RunConfig{
 		System: harness.FlexTMLazy, Workload: f, Threads: threads,
-		OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: sc.Verify,
+		OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: true,
 		Metrics: sc.Metrics, Flight: true,
 	}
 	rc.FlightPerCore = rc.TraceRingDepth()
@@ -633,59 +632,74 @@ func (p *paper) logtmComparison() error {
 	fmt.Fprintln(p.out, "== Extension: FlexTM vs alternative HTM designs (normalized to 1-thread CGL) ==")
 	names := []string{"RBTree", "RandomGraph", "HashTable"}
 	systems := []harness.SystemName{harness.FlexTMEager, harness.FlexTMLazy, harness.LogTM, harness.Bulk}
-	factories := make([]workloads.Factory, len(names))
-	for i, name := range names {
-		factories[i], _ = workloads.ByName(name)
-	}
-	ex := sc.Exec()
+	factories := factoriesOf(names)
 	bases := make([]float64, len(names))
-	err := sweepexec.Map(ex, len(names),
+	err := sweepexec.Map(sc.Exec(), len(names),
 		func(i int) (float64, error) { return sc.BaselineCell(factories[i]) },
 		func(i int, base float64) error { bases[i] = base; return nil })
 	if err != nil {
 		return err
 	}
-	// One flat grid: workload-major, then system, then thread count. The
-	// emit callback runs in index order, so the table prints exactly as the
-	// serial nested loops did.
-	perWorkload := len(systems) * len(sc.Threads)
-	err = sweepexec.Map(ex, len(names)*perWorkload,
-		func(i int) (harness.Result, error) {
-			w, r := i/perWorkload, i%perWorkload
-			return sc.RunCell(harness.RunConfig{
-				System: systems[r/len(sc.Threads)], Workload: factories[w],
-				Threads:      sc.Threads[r%len(sc.Threads)],
-				OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: true,
-				Metrics: sc.Metrics, Flight: sc.Flight,
-			})
-		},
-		func(i int, res harness.Result) error {
-			w, r := i/perWorkload, i%perWorkload
-			col := r % len(sc.Threads)
-			if r == 0 {
-				fmt.Fprintf(p.out, "\n[%s]\n%-16s", names[w], "system")
-				for _, th := range sc.Threads {
-					fmt.Fprintf(p.out, "%8d", th)
-				}
-				fmt.Fprintln(p.out)
+	err = sweepGrid(sc, factories, systems, sc.Flight, func(c gridCell, res harness.Result) error {
+		if c.s == 0 && c.t == 0 {
+			fmt.Fprintf(p.out, "\n[%s]\n%-16s", names[c.w], "system")
+			for _, th := range sc.Threads {
+				fmt.Fprintf(p.out, "%8d", th)
 			}
-			if col == 0 {
-				fmt.Fprintf(p.out, "%-16s", systems[r/len(sc.Threads)])
-			}
-			if sc.OnResult != nil {
-				sc.OnResult(res)
-			}
-			fmt.Fprintf(p.out, "%8.2f", res.Throughput/bases[w])
-			if col == len(sc.Threads)-1 {
-				fmt.Fprintln(p.out)
-			}
-			return nil
-		})
+			fmt.Fprintln(p.out)
+		}
+		if c.t == 0 {
+			fmt.Fprintf(p.out, "%-16s", systems[c.s])
+		}
+		if sc.OnResult != nil {
+			sc.OnResult(res)
+		}
+		fmt.Fprintf(p.out, "%8.2f", res.Throughput/bases[c.w])
+		if c.t == len(sc.Threads)-1 {
+			fmt.Fprintln(p.out)
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(p.out)
 	return nil
+}
+
+// factoriesOf resolves workload names known to exist.
+func factoriesOf(names []string) []workloads.Factory {
+	factories := make([]workloads.Factory, len(names))
+	for i, name := range names {
+		factories[i], _ = workloads.ByName(name)
+	}
+	return factories
+}
+
+// gridCell names one cell of a sweepGrid: workload w, system s and thread
+// column t.
+type gridCell struct{ w, s, t int }
+
+// sweepGrid runs the factories × systems × sc.Threads grid as one flat
+// sweep: workload-major, then system, then thread count. emit runs in that
+// order, so a table prints exactly as serial nested loops would.
+func sweepGrid(sc harness.SweepConfig, factories []workloads.Factory, systems []harness.SystemName,
+	flight bool, emit func(c gridCell, res harness.Result) error) error {
+	perWorkload := len(systems) * len(sc.Threads)
+	cell := func(i int) gridCell {
+		r := i % perWorkload
+		return gridCell{w: i / perWorkload, s: r / len(sc.Threads), t: r % len(sc.Threads)}
+	}
+	return sweepexec.Map(sc.Exec(), len(factories)*perWorkload,
+		func(i int) (harness.Result, error) {
+			c := cell(i)
+			return sc.RunCell(harness.RunConfig{
+				System: systems[c.s], Workload: factories[c.w], Threads: sc.Threads[c.t],
+				OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: true,
+				Metrics: sc.Metrics, Flight: flight,
+			})
+		},
+		func(i int, res harness.Result) error { return emit(cell(i), res) })
 }
 
 // chaosCampaign sweeps every fault class x rate x mode, asserting the
@@ -846,45 +860,30 @@ func (p *paper) causalFigure() error {
 		"system", "workload", "threads", "path(cyc)", "makespan", "cover", "top blame (share of path)")
 	names := []string{"RBTree", "RandomGraph"}
 	systems := []harness.SystemName{harness.FlexTMEager, harness.FlexTMLazy}
-	factories := make([]workloads.Factory, len(names))
-	for i, name := range names {
-		factories[i], _ = workloads.ByName(name)
-	}
-	perWorkload := len(systems) * len(sc.Threads)
-	err := sweepexec.Map(sc.Exec(), len(names)*perWorkload,
-		func(i int) (harness.Result, error) {
-			w, r := i/perWorkload, i%perWorkload
-			return sc.RunCell(harness.RunConfig{
-				System: systems[r/len(sc.Threads)], Workload: factories[w],
-				Threads:      sc.Threads[r%len(sc.Threads)],
-				OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: true,
-				Metrics: sc.Metrics, Flight: true,
-			})
-		},
-		func(i int, res harness.Result) error {
-			if sc.OnResult != nil {
-				sc.OnResult(res)
-			}
-			rep := causal.Analyze(res.Flight.Snapshot(),
-				causal.Options{Cores: sc.Machine.Cores, TopBlame: 3})
-			if rep == nil {
-				return nil
-			}
-			blame := ""
-			for i, b := range rep.Blame {
-				if i > 0 {
-					blame += "  "
-				}
-				blame += fmt.Sprintf("0x%x %.0f%%", b.Line, b.Share*100)
-				if b.FPCycles > 0 {
-					blame += fmt.Sprintf(" (fp %.0f%%)", float64(b.FPCycles)/float64(b.Cycles)*100)
-				}
-			}
-			fmt.Fprintf(p.out, "%-14s %-14s %7d %12d %12d %7.1f%%  %s\n",
-				res.System, res.Workload, res.Threads, rep.PathCycles,
-				uint64(rep.Makespan), rep.Coverage*100, blame)
+	err := sweepGrid(sc, factoriesOf(names), systems, true, func(_ gridCell, res harness.Result) error {
+		if sc.OnResult != nil {
+			sc.OnResult(res)
+		}
+		rep := causal.Analyze(res.Flight.Snapshot(),
+			causal.Options{Cores: sc.Machine.Cores, TopBlame: 3})
+		if rep == nil {
 			return nil
-		})
+		}
+		blame := ""
+		for i, b := range rep.Blame {
+			if i > 0 {
+				blame += "  "
+			}
+			blame += fmt.Sprintf("0x%x %.0f%%", b.Line, b.Share*100)
+			if b.FPCycles > 0 {
+				blame += fmt.Sprintf(" (fp %.0f%%)", float64(b.FPCycles)/float64(b.Cycles)*100)
+			}
+		}
+		fmt.Fprintf(p.out, "%-14s %-14s %7d %12d %12d %7.1f%%  %s\n",
+			res.System, res.Workload, res.Threads, rep.PathCycles,
+			uint64(rep.Makespan), rep.Coverage*100, blame)
+		return nil
+	})
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"flextm/internal/cst"
 	"flextm/internal/flight"
+	"flextm/internal/flight/flighttest"
 	"flextm/internal/memory"
 	"flextm/internal/sim"
 )
@@ -182,5 +183,16 @@ func TestReportJSONDeterministic(t *testing.T) {
 	}
 	if a.Len() == 0 {
 		t.Fatal("empty JSON")
+	}
+}
+
+var analyzeSink *Report
+
+// BenchmarkAnalyze prices one fold over a 20k-record stream.
+func BenchmarkAnalyze(b *testing.B) {
+	recs := flighttest.Stream(1, 20000, 16)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		analyzeSink = Analyze(recs, Options{Cores: 16})
 	}
 }

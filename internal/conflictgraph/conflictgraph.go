@@ -28,6 +28,7 @@ import (
 
 	"flextm/internal/cst"
 	"flextm/internal/flight"
+	"flextm/internal/scc"
 	"flextm/internal/sim"
 )
 
@@ -417,84 +418,54 @@ func Analyze(recs []flight.Rec, opts Options) *Report {
 // restricted to edges with at least cycleMinKills kills; every non-trivial SCC
 // (or reciprocal pair) is a dueling-abort cycle.
 func cyclePathologies(edges []AbortEdge, n int) []Pathology {
-	adj := make([][]int, n)
-	weight := map[[2]int]uint64{}
+	// The graph in compressed rows, each killer's victims in edge order.
+	at := make([]int32, n+1)
 	for _, e := range edges {
-		if e.Kills < cycleMinKills {
-			continue
-		}
-		adj[e.Killer] = append(adj[e.Killer], e.Victim)
-		weight[[2]int{e.Killer, e.Victim}] = e.Kills
-	}
-
-	// Tarjan's SCC (recursion depth is bounded by the core count, <= 64).
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var sccStack []int
-	next := 0
-	var sccs [][]int
-
-	var strongconnect func(v int)
-	strongconnect = func(v int) {
-		index[v], low[v] = next, next
-		next++
-		sccStack = append(sccStack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if index[w] == -1 {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []int
-			for {
-				w := sccStack[len(sccStack)-1]
-				sccStack = sccStack[:len(sccStack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			sccs = append(sccs, comp)
+		if e.Kills >= cycleMinKills {
+			at[e.Killer+1]++
 		}
 	}
 	for v := 0; v < n; v++ {
-		if index[v] == -1 && len(adj[v]) > 0 {
-			strongconnect(v)
+		at[v+1] += at[v]
+	}
+	if at[n] == 0 {
+		return nil
+	}
+	to := make([]int32, at[n])
+	// Fill each row from its start, leaving at[v] at row v+1's start; then
+	// shift the row starts back into place.
+	for _, e := range edges {
+		if e.Kills >= cycleMinKills {
+			to[at[e.Killer]] = int32(e.Victim)
+			at[e.Killer]++
 		}
 	}
+	copy(at[1:], at[:n])
+	at[0] = 0
 
 	var out []Pathology
-	for _, comp := range sccs {
-		if len(comp) < 2 {
-			continue
-		}
-		sort.Ints(comp)
-		in := map[int]bool{}
-		for _, c := range comp {
+	in := make([]bool, n)
+	scc.Components(at, to, func(comp []int32) {
+		cores := make([]int, len(comp))
+		for i, c := range comp {
+			cores[i] = int(c)
 			in[c] = true
 		}
+		sort.Ints(cores)
 		var total uint64
-		for k, w := range weight {
-			if in[k[0]] && in[k[1]] {
-				total += w
+		for _, e := range edges {
+			if e.Kills >= cycleMinKills && in[e.Killer] && in[e.Victim] {
+				total += e.Kills
 			}
 		}
+		for _, c := range comp {
+			in[c] = false
+		}
 		out = append(out, Pathology{
-			Kind: AbortCycle, Cores: comp, Count: total,
-			Detail: fmt.Sprintf("cores %v abort each other in a cycle (%d kills inside the cycle)", comp, total),
+			Kind: AbortCycle, Cores: cores, Count: total,
+			Detail: fmt.Sprintf("cores %v abort each other in a cycle (%d kills inside the cycle)", cores, total),
 		})
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
 	return out
 }

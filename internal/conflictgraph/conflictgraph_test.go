@@ -2,11 +2,14 @@ package conflictgraph
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"flextm/internal/causal"
 	"flextm/internal/cst"
 	"flextm/internal/flight"
+	"flextm/internal/flight/flighttest"
 	"flextm/internal/memory"
 	"flextm/internal/sim"
 )
@@ -125,6 +128,43 @@ func TestParallelKillEdgesDeduplicated(t *testing.T) {
 	}
 	if got := rep.PathologyCounts()[string(AbortCycle)]; got != 6 {
 		t.Fatalf("cycle kill count = %d, want 6 (deduplicated)", got)
+	}
+}
+
+// TestKillRuleDivergence pins how this package and internal/causal count
+// kills today; the two rules differ, and the governor's decisions depend on
+// this package's. Two killers CAS one open attempt of core 2, which aborts;
+// then core 1 CASes core 2 again while core 2 is between attempts.
+// conflictgraph counts one kill per (killer, victim attempt), three in all,
+// and flags the last as friendly fire. causal lands only the first CAS on an
+// open attempt: one kill.
+func TestKillRuleDivergence(t *testing.T) {
+	var s stream
+	s.add(2, flight.TxnBegin, -1, 0, 0)
+	s.add(0, flight.CSTSet, 2, uint8(cst.WW), 0x40)
+	s.add(1, flight.CSTSet, 2, uint8(cst.WW), 0x40)
+	s.add(0, flight.AbortEnemy, 2, 0, 0x40)
+	s.add(1, flight.AbortEnemy, 2, 0, 0x40)
+	s.add(2, flight.TxnAbort, -1, 0, 0)
+	s.add(1, flight.AbortEnemy, 2, 0, 0x40)
+	s.add(2, flight.TxnBegin, -1, 0, 0)
+	s.add(2, flight.TxnCommit, -1, 0, 0)
+
+	rep := Analyze(s.recs, Options{Cores: 3})
+	want := []AbortEdge{{Killer: 1, Victim: 2, Kills: 2}, {Killer: 0, Victim: 2, Kills: 1}}
+	if !reflect.DeepEqual(rep.AbortEdges, want) {
+		t.Fatalf("conflictgraph abort edges = %+v, want %+v", rep.AbortEdges, want)
+	}
+	ff := []Pathology{{Kind: FriendlyFire, Cores: []int{1, 2}, Count: 1,
+		Detail: "core 1 aborted core 2 1 time(s) with no conflict in the victim's current attempt"}}
+	if !reflect.DeepEqual(rep.Pathologies, ff) {
+		t.Fatalf("conflictgraph pathologies = %+v, want %+v", rep.Pathologies, ff)
+	}
+
+	crep := causal.Analyze(s.recs, causal.Options{Cores: 3})
+	pairs := []causal.PairBlame{{Killer: 0, Victim: 2, Kills: 1, Cycles: 5}}
+	if !reflect.DeepEqual(crep.Pairs, pairs) {
+		t.Fatalf("causal pairs = %+v, want %+v", crep.Pairs, pairs)
 	}
 }
 
@@ -343,5 +383,16 @@ func TestWriteDOTMarksPathologies(t *testing.T) {
 	}
 	if !strings.Contains(dot, "color=gray") || !strings.Contains(dot, "kills") {
 		t.Fatalf("edges missing:\n%s", dot)
+	}
+}
+
+var analyzeSink *Report
+
+// BenchmarkAnalyze prices one fold over a 20k-record stream.
+func BenchmarkAnalyze(b *testing.B) {
+	recs := flighttest.Stream(1, 20000, 16)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		analyzeSink = Analyze(recs, Options{Cores: 16})
 	}
 }

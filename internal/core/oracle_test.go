@@ -58,7 +58,7 @@ func TestOracleCleanRuns(t *testing.T) {
 			if sum != 0 {
 				t.Fatalf("conservation broken: sum = %d", sum)
 			}
-			rep := oracle.Check(orc.History(), oracle.Options{})
+			rep := oracle.Check(orc.History())
 			if !rep.Ok() {
 				var buf bytes.Buffer
 				rep.Print(&buf)
@@ -111,7 +111,7 @@ func TestOracleCatchesDisabledWRAborts(t *testing.T) {
 		if blocked := e.Run(); blocked != 0 {
 			t.Fatalf("%d threads blocked", blocked)
 		}
-		return oracle.Check(orc.History(), oracle.Options{})
+		return oracle.Check(orc.History())
 	}
 
 	if rep := run(false); !rep.Ok() {

@@ -212,20 +212,20 @@ func DefaultLadder() []Action {
 	}
 }
 
-// Thresholds are the per-interval classification cut-offs.
-type Thresholds struct {
-	// AbortRatio marks an interval Contended at or above this
-	// aborts/attempts ratio (default 0.5).
-	AbortRatio float64
-	// SigFP marks an interval SigSaturated at or above this audited
-	// false-positive rate (default 0.05), given at least SigFPMinTests
-	// ground-truth-negative membership tests (default 32).
-	SigFP         float64
-	SigFPMinTests uint64
-	// OTSpillPerCommit marks an interval OverflowThrashing at or above this
-	// many overflow-table spills per commit (default 16).
-	OTSpillPerCommit float64
-}
+// The per-interval classification cut-offs.
+const (
+	// abortRatio marks an interval Contended at or above this
+	// aborts/attempts ratio.
+	abortRatio = 0.5
+	// sigFP marks an interval SigSaturated at or above this audited
+	// false-positive rate, given at least sigFPMinTests ground-truth-negative
+	// membership tests.
+	sigFP         = 0.05
+	sigFPMinTests = 32
+	// otSpillPerCommit marks an interval OverflowThrashing at or above this
+	// many overflow-table spills per commit.
+	otSpillPerCommit = 16
+)
 
 // Config parameterizes a governor.
 type Config struct {
@@ -240,9 +240,6 @@ type Config struct {
 	// holds still, letting the mitigation take effect before judging it
 	// (<0 selects 2; 0 is honored).
 	Cooldown int
-	// Thresholds override the classification cut-offs (zero fields select
-	// the defaults above).
-	Thresholds Thresholds
 }
 
 // Transition is one recorded ladder move.
@@ -300,18 +297,6 @@ func New(cfg Config) *Governor {
 	}
 	if cfg.Cooldown < 0 {
 		cfg.Cooldown = 2
-	}
-	if cfg.Thresholds.AbortRatio == 0 {
-		cfg.Thresholds.AbortRatio = 0.5
-	}
-	if cfg.Thresholds.SigFP == 0 {
-		cfg.Thresholds.SigFP = 0.05
-	}
-	if cfg.Thresholds.SigFPMinTests == 0 {
-		cfg.Thresholds.SigFPMinTests = 32
-	}
-	if cfg.Thresholds.OTSpillPerCommit == 0 {
-		cfg.Thresholds.OTSpillPerCommit = 16
 	}
 	return &Governor{cfg: cfg, lastFrame: -1}
 }
@@ -391,7 +376,6 @@ func (g *Governor) Classify(f *observatory.Frame) State {
 	if f == nil {
 		return Healthy
 	}
-	th := g.cfg.Thresholds
 	// Interval-local conflict-graph pathologies. The frame's Report spans
 	// the whole sliding window; re-analyzing just this interval's records
 	// makes resolved pathologies age out immediately.
@@ -411,18 +395,18 @@ func (g *Governor) Classify(f *observatory.Frame) State {
 			}
 		}
 	}
-	if tests := f.Delta.Total(telemetry.CtrSigFalsePos) + f.Delta.Total(telemetry.CtrSigTrueNeg); tests >= th.SigFPMinTests {
+	if tests := f.Delta.Total(telemetry.CtrSigFalsePos) + f.Delta.Total(telemetry.CtrSigTrueNeg); tests >= sigFPMinTests {
 		fp := float64(f.Delta.Total(telemetry.CtrSigFalsePos)) / float64(tests)
-		if fp >= th.SigFP {
+		if fp >= sigFP {
 			return SigSaturated
 		}
 	}
 	if commits := f.Delta.Total(telemetry.CtrTxnCommits); commits > 0 {
-		if spills := f.Delta.Total(telemetry.CtrOTSpill); float64(spills)/float64(commits) >= th.OTSpillPerCommit {
+		if spills := f.Delta.Total(telemetry.CtrOTSpill); float64(spills)/float64(commits) >= otSpillPerCommit {
 			return OverflowThrashing
 		}
 	}
-	if f.AbortRatio() >= th.AbortRatio {
+	if f.AbortRatio() >= abortRatio {
 		return Contended
 	}
 	return Healthy

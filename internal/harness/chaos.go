@@ -9,9 +9,9 @@ import (
 	"flextm/internal/core"
 	"flextm/internal/fault"
 	"flextm/internal/memory"
-	"flextm/internal/oracle"
 	"flextm/internal/rig"
 	"flextm/internal/sim"
+	"flextm/internal/stress"
 	"flextm/internal/sweepexec"
 	"flextm/internal/telemetry"
 	"flextm/internal/tmapi"
@@ -21,43 +21,33 @@ import (
 // ChaosSpec parameterizes a fault-injection campaign: each (class, rate,
 // mode) cell runs the conservation workload on a tiny machine with that
 // fault class injected, under a tight liveness policy, and checks the
-// chaos invariants. The whole campaign is a pure function of the spec:
-// identical specs produce bit-identical ChaosResults.
+// chaos invariants. The campaign covers every fault class in both
+// conflict-management modes. The whole campaign is a pure function of the
+// spec: identical specs produce bit-identical ChaosResults.
 type ChaosSpec struct {
-	Classes []fault.Class
-	Rates   []float64
-	Modes   []core.Mode
+	Rates []float64
 	// Threads is both the software thread count and the core count.
 	Threads int
-	// Accounts is the number of shared cells; Initial their starting value.
-	Accounts int
-	Initial  uint64
 	// Rounds is the per-thread operation count.
 	Rounds int
 	Seed   uint64
-	// Liveness is the watchdog policy under test (tight enough that fault
-	// storms actually trip it).
-	Liveness core.Liveness
-	// Quantum is the preemption-storm tick: every Quantum cycles the storm
-	// driver rolls the Preempt class and, on a hit, suspends a victim core
-	// for an injector-chosen hold time.
-	Quantum sim.Time
 }
 
-// DefaultChaosSpec covers every fault class at a low and at the acceptance
-// (10%) rate, in both conflict-management modes.
+// chaosAccounts is the number of shared cells of the conservation workload;
+// chaosInitial their starting value.
+const (
+	chaosAccounts = 10
+	chaosInitial  = 100
+)
+
+// DefaultChaosSpec runs every cell at a low and at the acceptance (10%)
+// rate.
 func DefaultChaosSpec() ChaosSpec {
 	return ChaosSpec{
-		Classes:  fault.Classes(),
-		Rates:    []float64{0.02, 0.10},
-		Modes:    []core.Mode{core.Eager, core.Lazy},
-		Threads:  7,
-		Accounts: 10,
-		Initial:  100,
-		Rounds:   40,
-		Seed:     1,
-		Liveness: core.Liveness{MaxConsecAborts: 8, MaxStallCycles: 2_000_000, MaxCommitRetries: 16},
-		Quantum:  3000,
+		Rates:   []float64{0.02, 0.10},
+		Threads: 7,
+		Rounds:  40,
+		Seed:    1,
 	}
 }
 
@@ -104,9 +94,9 @@ func ChaosCampaign(spec ChaosSpec) ChaosResult {
 		mode  core.Mode
 	}
 	var cells []cell
-	for _, class := range spec.Classes {
+	for _, class := range fault.Classes() {
 		for _, rate := range spec.Rates {
-			for _, mode := range spec.Modes {
+			for _, mode := range []core.Mode{core.Eager, core.Lazy} {
 				cells = append(cells, cell{class, rate, mode})
 			}
 		}
@@ -138,12 +128,13 @@ func runChaosCell(spec ChaosSpec, class fault.Class, rate float64, mode core.Mod
 	// every injection site sees traffic. Every cell runs oracle-checked:
 	// the fault campaign is exactly where serializability violations would
 	// hide. The class is mixed into the fault seed so cells draw
-	// independent schedules even for the same spec seed.
+	// independent schedules even for the same spec seed. The preemption
+	// storm ticks every stress.DefaultQuantum cycles.
 	cfg.L1 = cache.Config{Sets: 4, Ways: 2, VictimSize: 2}
 	r, err := rig.New(rig.Spec{
 		Machine: cfg, Metrics: true, Flight: true, Oracle: true,
 		Faults:  fault.Config{Seed: spec.Seed*0x9E37 + uint64(class) + 1}.WithRate(class, rate),
-		Quantum: spec.Quantum,
+		Quantum: stress.DefaultQuantum,
 	})
 	if err != nil {
 		fail("%v", err)
@@ -151,9 +142,11 @@ func runChaosCell(spec ChaosSpec, class fault.Class, rate float64, mode core.Mod
 	}
 	sys := r.Sys
 	rt := core.New(sys, mode, cm.NewPolka())
-	rt.SetLiveness(spec.Liveness)
+	// The watchdog policy under test, tight enough that fault storms
+	// actually trip it.
+	rt.SetLiveness(core.Liveness{MaxConsecAborts: 8, MaxStallCycles: 2_000_000, MaxCommitRetries: 16})
 	r.SetRuntime(rt)
-	account := r.Lines(spec.Accounts, spec.Initial)
+	account := r.Lines(chaosAccounts, chaosInitial)
 	private := r.Lines(spec.Threads, 0)
 
 	var badSum bool
@@ -164,7 +157,7 @@ func runChaosCell(spec ChaosSpec, class fault.Class, rate float64, mode core.Mod
 			th := rt.Bind(ctx, id)
 			rnd := sim.NewRand(spec.Seed*1000 + uint64(id))
 			for n := 0; n < spec.Rounds; n++ {
-				chaosOp(th, rnd, account, spec.Initial, private[id], &badSum, &privWrites[id])
+				chaosOp(th, rnd, account, private[id], &badSum, &privWrites[id])
 			}
 		})
 	}
@@ -177,7 +170,7 @@ func runChaosCell(spec ChaosSpec, class fault.Class, rate float64, mode core.Mod
 	for _, a := range account {
 		total += sys.ReadWordRaw(a)
 	}
-	if want := uint64(len(account)) * spec.Initial; total != want {
+	if want := uint64(len(account)) * chaosInitial; total != want {
 		fail("conservation: total = %d, want %d", total, want)
 	}
 	// Invariant 2: every committed read-only audit saw a consistent sum.
@@ -191,7 +184,7 @@ func runChaosCell(spec ChaosSpec, class fault.Class, rate float64, mode core.Mod
 		}
 	}
 	// Invariant 4: the committed history is serializable (oracle verdict).
-	orep := r.Oracle().Check(oracle.Options{})
+	orep := r.Oracle().Check()
 	for _, v := range orep.Violations {
 		fail("serializability: [%s] %s", v.Kind, v.Summary)
 	}
@@ -223,8 +216,7 @@ func runChaosCell(spec ChaosSpec, class fault.Class, rate float64, mode core.Mod
 // chaosOp performs one operation of the conservation workload: transfers,
 // read-only audits, nested transfers with user aborts, plain private
 // accesses, wide net-zero updates that overflow the L1, and compute.
-func chaosOp(th tmapi.Thread, r *sim.Rand, account []memory.Addr, initial uint64,
-	priv memory.Addr, badSum *bool, privWrites *uint64) {
+func chaosOp(th tmapi.Thread, r *sim.Rand, account []memory.Addr, priv memory.Addr, badSum *bool, privWrites *uint64) {
 	cells := len(account)
 	switch r.Intn(6) {
 	case 0: // transfer
@@ -246,7 +238,7 @@ func chaosOp(th tmapi.Thread, r *sim.Rand, account []memory.Addr, initial uint64
 				total += tx.Load(account[i])
 			}
 		})
-		if total != uint64(cells)*initial {
+		if total != uint64(cells)*chaosInitial {
 			*badSum = true
 		}
 	case 2: // nested transfer with occasional user abort

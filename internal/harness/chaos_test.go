@@ -43,7 +43,6 @@ func TestChaosCampaignInvariants(t *testing.T) {
 // decisions, and cycle counts.
 func TestChaosCampaignDeterministic(t *testing.T) {
 	spec := smallChaosSpec()
-	spec.Classes = []fault.Class{fault.CommitRace, fault.AlertLoss, fault.Preempt}
 	a, b := ChaosCampaign(spec), ChaosCampaign(spec)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two identical campaigns diverged:\n  run1 = %+v\n  run2 = %+v", a, b)

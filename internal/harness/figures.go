@@ -36,7 +36,6 @@ type SweepConfig struct {
 	Machine tmesi.Config
 	Threads []int
 	Ops     int
-	Verify  bool
 	// Metrics attaches a telemetry registry to every run of the sweep; each
 	// Result then carries a counter snapshot.
 	Metrics bool
@@ -78,7 +77,6 @@ func DefaultSweep() SweepConfig {
 		Machine: tmesi.DefaultConfig(),
 		Threads: []int{1, 2, 4, 8, 16},
 		Ops:     DefaultOps,
-		Verify:  true,
 	}
 }
 
@@ -134,7 +132,7 @@ func Figure5(sc SweepConfig) ([]Plot, error) {
 			systems[i] = []SystemName{FlexTMEager, FlexTMLazy}
 			res, err := sc.RunCell(RunConfig{
 				System: FlexTMEager, Workload: fs[i], Threads: 1, OpsPerThread: sc.Ops,
-				Machine: sc.Machine, Verify: sc.Verify,
+				Machine: sc.Machine, Verify: true,
 			})
 			if err != nil {
 				return 0, fmt.Errorf("figure 5 (%s): %w", fs[i].Name, err)
@@ -178,7 +176,7 @@ func sweepGrid(sc SweepConfig, figure string, fs []workloads.Factory, systems []
 			c := cells[i]
 			res, err := sc.RunCell(RunConfig{
 				System: c.sys, Workload: fs[c.w], Threads: c.th, OpsPerThread: sc.Ops,
-				Machine: sc.Machine, Verify: sc.Verify, Metrics: sc.Metrics,
+				Machine: sc.Machine, Verify: true, Metrics: sc.Metrics,
 				Flight: sc.Flight, Observe: sc.Observe,
 			})
 			if err != nil {
@@ -434,7 +432,7 @@ func OverflowAblation(sc SweepConfig, names []string, threads int) ([]OverflowRe
 			}
 			return sc.RunCell(RunConfig{
 				System: FlexTMLazy, Workload: fs[i/2], Threads: threads,
-				OpsPerThread: sc.Ops, Machine: machine, Verify: sc.Verify,
+				OpsPerThread: sc.Ops, Machine: machine, Verify: true,
 				Metrics: sc.Metrics, Flight: sc.Flight, Observe: sc.Observe,
 			})
 		},
@@ -512,7 +510,7 @@ func SignatureAblation(sc SweepConfig, name string, threads int, widths []int) (
 			machine.Sig = signature.Config{Bits: widths[i], Banks: 4}
 			res, err := sc.RunCell(RunConfig{
 				System: FlexTMLazy, Workload: f, Threads: threads,
-				OpsPerThread: sc.Ops, Machine: machine, Verify: sc.Verify,
+				OpsPerThread: sc.Ops, Machine: machine, Verify: true,
 				Metrics: true, Flight: sc.Flight, Observe: sc.Observe,
 			})
 			if err != nil {

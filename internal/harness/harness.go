@@ -278,7 +278,7 @@ func run(rc RunConfig) (Result, *tmesi.System, error) {
 		res.FaultReport = &rep
 	}
 	if orc := r.Oracle(); orc != nil {
-		res.OracleReport = orc.Check(oracle.Options{})
+		res.OracleReport = orc.Check()
 	}
 	// System throughput: all timed transactions over the global window in
 	// which they executed (first thread's timed start to last thread's

@@ -11,7 +11,6 @@ import (
 	"flextm/internal/governor"
 	"flextm/internal/memory"
 	"flextm/internal/observatory"
-	"flextm/internal/oracle"
 	"flextm/internal/rig"
 	"flextm/internal/sim"
 	"flextm/internal/telemetry"
@@ -192,7 +191,7 @@ func LivelockProbe(seed uint64, g *governor.Governor, pump *observatory.Pump) (*
 	if got, want := sys.ReadWordRaw(lineA)+sys.ReadWordRaw(lineB), uint64(2*2*rounds); got != want {
 		return rep, out, fmt.Errorf("%s: line sum = %d, want %d", errPrefix, got, want)
 	}
-	if orep := r.Oracle().Check(oracle.Options{}); !orep.Ok() {
+	if orep := r.Oracle().Check(); !orep.Ok() {
 		return rep, out, fmt.Errorf("%s: %d serializability violations ([%s] %s)",
 			errPrefix, orep.TotalViolations, orep.Violations[0].Kind, orep.Violations[0].Summary)
 	}

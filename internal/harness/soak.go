@@ -23,10 +23,12 @@ type SoakConfig struct {
 	Seed uint64
 	// Cells is how many randomized schedules to run (<=0 selects 6).
 	Cells int
-	// Threads and Rounds size each cell (<=0 selects 4 and 30).
-	Threads int
-	Rounds  int
+	// Rounds is each cell's per-thread operation count (<=0 selects 30).
+	Rounds int
 }
+
+// soakThreads is each cell's thread count.
+const soakThreads = 4
 
 // SoakCell is one (governed, ungoverned) pair's outcome.
 type SoakCell struct {
@@ -88,9 +90,6 @@ func Soak(sc SoakConfig) SoakResult {
 	if sc.Cells <= 0 {
 		sc.Cells = 6
 	}
-	if sc.Threads <= 0 {
-		sc.Threads = 4
-	}
 	if sc.Rounds <= 0 {
 		sc.Rounds = 30
 	}
@@ -114,7 +113,7 @@ func runSoakCell(sc SoakConfig, i uint64) SoakCell {
 	r := sim.NewRand(sc.Seed*0x9E3779B97F4A7C15 + i*0x2545F491 + 0x5A17)
 	cfg := stress.Config{
 		Seed:      r.Uint64(),
-		Threads:   sc.Threads,
+		Threads:   soakThreads,
 		Rounds:    sc.Rounds,
 		OpsPerTxn: 1 + r.Intn(3),
 		Accounts:  4 + r.Intn(5),

@@ -13,6 +13,5 @@ func QuickSweep() SweepConfig {
 		Machine: tmesi.DefaultConfig(),
 		Threads: []int{1, 4},
 		Ops:     40,
-		Verify:  true,
 	}
 }

@@ -63,7 +63,7 @@ type Frame struct {
 	Delta telemetry.Snapshot
 
 	// Recent is the sliding window of flight records the report was
-	// computed over (bounded by Config.Window); Report is the windowed
+	// computed over (bounded by DefaultWindow); Report is the windowed
 	// conflict-graph analysis, nil when the run has no flight recorder.
 	// FlightGap flags that ring wrap-around overwrote records between this
 	// frame's pull and the previous one (the window has a hole).
@@ -140,7 +140,7 @@ func (f *Frame) Pathologies() map[string]uint64 {
 // paper-scale run produces tens of frames, not thousands.
 const DefaultInterval sim.Time = 100_000
 
-// DefaultWindow is the default flight-record window the incremental
+// DefaultWindow caps the sliding flight-record window the incremental
 // classifier runs over.
 const DefaultWindow = 16384
 
@@ -149,9 +149,6 @@ type Config struct {
 	// Interval is the sampling period in virtual cycles (<=0 selects
 	// DefaultInterval).
 	Interval sim.Time
-	// Window caps the sliding flight-record window (<=0 selects
-	// DefaultWindow).
-	Window int
 	// Bus, if non-nil, receives every frame the pump produces.
 	Bus *Bus
 	// Retain keeps every produced frame in memory for post-run retrieval
@@ -200,9 +197,6 @@ func (p *Pump) SetAnnotator(fn func(*Frame)) {
 func NewPump(cfg Config) *Pump {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
 	}
 	return &Pump{cfg: cfg}
 }
@@ -271,7 +265,7 @@ func (p *Pump) sample(now sim.Time, final bool) *Frame {
 			p.lastSeq = fresh[n-1].Seq
 		}
 		p.recent = append(p.recent, fresh...)
-		if over := len(p.recent) - p.cfg.Window; over > 0 {
+		if over := len(p.recent) - DefaultWindow; over > 0 {
 			p.recent = append(p.recent[:0], p.recent[over:]...)
 		}
 		// Copy the window into the frame: p.recent keeps sliding, the

@@ -117,19 +117,20 @@ func TestPumpTicksDiffAndAccumulate(t *testing.T) {
 
 func TestPumpWindowSlides(t *testing.T) {
 	tel := telemetry.New(1)
-	fl := flight.New(1, 256)
-	p := NewPump(Config{Interval: 100, Window: 8})
+	fl := flight.New(1, DefaultWindow+64)
+	p := NewPump(Config{Interval: 100})
 	p.Bind(tel, fl, Meta{Cores: 1})
-	for i := 0; i < 20; i++ {
+	const n = DefaultWindow + 12
+	for i := 0; i < n; i++ {
 		fl.Rec(0, 0, flight.TxnBegin, -1, 0, 0)
 	}
 	f := p.Tick(100)
-	if len(f.Recent) != 8 {
-		t.Fatalf("window = %d records, want cap 8", len(f.Recent))
+	if len(f.Recent) != DefaultWindow {
+		t.Fatalf("window = %d records, want cap %d", len(f.Recent), DefaultWindow)
 	}
 	// The window keeps the newest records.
-	if f.Recent[len(f.Recent)-1].Seq != 20 {
-		t.Fatalf("window tail seq = %d, want 20", f.Recent[len(f.Recent)-1].Seq)
+	if f.Recent[len(f.Recent)-1].Seq != n {
+		t.Fatalf("window tail seq = %d, want %d", f.Recent[len(f.Recent)-1].Seq, n)
 	}
 	// Frames are immutable: a later tick must not mutate an older frame's
 	// window in place.

@@ -8,18 +8,12 @@ import (
 	"sort"
 
 	"flextm/internal/memory"
+	"flextm/internal/scc"
 	"flextm/internal/sim"
 )
 
-// Options tunes the checker.
-type Options struct {
-	// MaxViolations bounds how many violations are materialized with full
-	// witnesses (0 selects DefaultMaxViolations). Counting continues past
-	// the bound.
-	MaxViolations int
-}
-
-// DefaultMaxViolations is the default witness cap.
+// DefaultMaxViolations bounds how many violations a report materializes
+// with full witnesses. Counting continues past the bound.
 const DefaultMaxViolations = 8
 
 // Violation kinds.
@@ -91,7 +85,7 @@ type Report struct {
 	// Truncated counts attempts still open at the end of the log (a live
 	// run cut short, or a damaged log) — tolerated, not violations.
 	Truncated int `json:"truncated,omitempty"`
-	// Violations carries up to Options.MaxViolations witnesses;
+	// Violations carries up to DefaultMaxViolations witnesses;
 	// TotalViolations keeps counting past the cap.
 	Violations      []Violation `json:"violations,omitempty"`
 	TotalViolations int         `json:"totalViolations"`
@@ -216,7 +210,7 @@ const denseCores = 256
 
 // checker carries the state of one Check invocation.
 type checker struct {
-	opt     Options
+	maxViol int
 	rep     *Report
 	log     opLog
 	initial map[memory.Addr]uint64 // read only
@@ -254,16 +248,14 @@ type checker struct {
 // Check analyzes a history and returns the verdict. It never panics on
 // malformed input: structural problems are reported in Report.Malformed and
 // the analysis continues with what can be salvaged.
-func Check(h History, opt Options) *Report {
-	return checkLog(opLog{chunks: [][]Op{h.Ops}, shift: flatShift}, h.Initial, opt)
+func Check(h History) *Report {
+	return checkLog(opLog{chunks: [][]Op{h.Ops}, shift: flatShift}, h.Initial, DefaultMaxViolations)
 }
 
-func checkLog(log opLog, initial map[memory.Addr]uint64, opt Options) *Report {
-	if opt.MaxViolations <= 0 {
-		opt.MaxViolations = DefaultMaxViolations
-	}
+// checkLog materializes up to maxViolations witnesses; tests vary the cap.
+func checkLog(log opLog, initial map[memory.Addr]uint64, maxViolations int) *Report {
 	c := &checker{
-		opt:     opt,
+		maxViol: maxViolations,
 		rep:     &Report{},
 		log:     log,
 		initial: initial,
@@ -753,86 +745,10 @@ func (c *checker) firstEdge(from, to int) (edge, bool) {
 // witness cycle per non-trivial component. Edges never join a txn to
 // itself, so a single-node component is never a cycle.
 func (c *checker) findCycles() {
-	n := len(c.txns)
-	if n == 0 {
-		return
-	}
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int
-	next := 0
-	var sccs [][]int
-
-	// Iterative Tarjan: violation-grade histories can chain thousands of
-	// transactions, so recursion depth must not scale with history length.
-	type frame struct {
-		v, ei int
-	}
-	var frames []frame
-	for start := 0; start < n; start++ {
-		if index[start] != -1 {
-			continue
-		}
-		frames = append(frames[:0], frame{v: start})
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			v := f.v
-			if f.ei == 0 {
-				index[v] = next
-				low[v] = next
-				next++
-				stack = append(stack, v)
-				onStack[v] = true
-			}
-			advanced := false
-			for succ := c.adj(v); f.ei < len(succ); {
-				w := int(succ[f.ei])
-				f.ei++
-				if index[w] == -1 {
-					frames = append(frames, frame{v: w})
-					advanced = true
-					break
-				}
-				if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			if low[v] == index[v] {
-				var comp []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				if len(comp) > 1 {
-					sccs = append(sccs, comp)
-				}
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-		}
-	}
-
-	for _, comp := range sccs {
+	scc.Components(c.adjAt, c.adjTo, func(comp []int32) {
 		cyc := c.shortestCycle(comp)
 		if len(cyc) == 0 {
-			continue
+			return
 		}
 		c.violate(func() Violation {
 			edges := make([]Edge, 0, len(cyc))
@@ -858,20 +774,20 @@ func (c *checker) findCycles() {
 				Witness: c.witness(cyc, as),
 			}
 		})
-	}
+	})
 }
 
 // shortestCycle finds a minimal cycle inside one SCC via BFS from its
 // smallest node, restricted to component members.
-func (c *checker) shortestCycle(comp []int) []int {
+func (c *checker) shortestCycle(comp []int32) []int {
 	in := map[int]bool{}
 	for _, v := range comp {
-		in[v] = true
+		in[int(v)] = true
 	}
-	start := comp[0]
+	start := int(comp[0])
 	for _, v := range comp {
-		if v < start {
-			start = v
+		if int(v) < start {
+			start = int(v)
 		}
 	}
 	prev := map[int]int{start: -1}
@@ -939,7 +855,7 @@ func (c *checker) witness(ids []int, addrs []memory.Addr) []WitnessTxn {
 // witness; past the cap build is never called.
 func (c *checker) violate(build func() Violation) {
 	c.rep.TotalViolations++
-	if len(c.rep.Violations) < c.opt.MaxViolations {
+	if len(c.rep.Violations) < c.maxViol {
 		c.rep.Violations = append(c.rep.Violations, build())
 	}
 }

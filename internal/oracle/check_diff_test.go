@@ -31,15 +31,14 @@ var diffCaps = []int{1, 4, 1000}
 func sameReport(t *testing.T, name string, h oracle.History, orc *oracle.Recorder) {
 	t.Helper()
 	for _, max := range diffCaps {
-		opt := oracle.Options{MaxViolations: max}
-		want := marshal(t, oracle.RefCheck(h, opt))
-		if got := marshal(t, oracle.Check(h, opt)); !bytes.Equal(got, want) {
+		want := marshal(t, oracle.RefCheck(h, max))
+		if got := marshal(t, oracle.CheckCapped(h, max)); !bytes.Equal(got, want) {
 			t.Fatalf("%s, MaxViolations %d: report differs from the parent checker\n got: %s\nwant: %s", name, max, got, want)
 		}
 		if orc == nil {
 			continue
 		}
-		if got := marshal(t, orc.Check(opt)); !bytes.Equal(got, want) {
+		if got := marshal(t, orc.CheckCapped(max)); !bytes.Equal(got, want) {
 			t.Fatalf("%s, MaxViolations %d: Recorder.Check differs from the parent checker\n got: %s\nwant: %s", name, max, got, want)
 		}
 	}
@@ -204,13 +203,13 @@ var (
 	benchLog  *oracle.Recorder
 )
 
-func benchmarkChecker(b *testing.B, check func(oracle.History, oracle.Options) *oracle.Report) {
+func benchmarkChecker(b *testing.B, check func(oracle.History) *oracle.Report) {
 	benchOnce.Do(func() { benchLog = recordCell(b, "RandomGraph", harness.FlexTMLazy, 16, postmortemOps) })
 	h := benchLog.History()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rep := check(h, oracle.Options{}); !rep.Ok() {
+		if rep := check(h); !rep.Ok() {
 			b.Fatal("live history flagged")
 		}
 	}
@@ -220,5 +219,7 @@ func benchmarkChecker(b *testing.B, check func(oracle.History, oracle.Options) *
 // BenchmarkCheck and BenchmarkCheckParent price the checker and the parent
 // checker on the same live history (about 75k ops, a perfbench postmortem
 // cell).
-func BenchmarkCheck(b *testing.B)       { benchmarkChecker(b, oracle.Check) }
-func BenchmarkCheckParent(b *testing.B) { benchmarkChecker(b, oracle.RefCheck) }
+func BenchmarkCheck(b *testing.B) { benchmarkChecker(b, oracle.Check) }
+func BenchmarkCheckParent(b *testing.B) {
+	benchmarkChecker(b, func(h oracle.History) *oracle.Report { return oracle.RefCheck(h, oracle.DefaultMaxViolations) })
+}

@@ -56,7 +56,7 @@ func FuzzOracleHistory(f *testing.F) {
 	f.Add([]byte{0xA0, 0x12, 0xC1, 0x34, 0x02, 0x00, 0x42, 0x56})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := decodeHistory(data)
-		rep := Check(h, Options{MaxViolations: 4})
+		rep := CheckCapped(h, 4)
 		if rep == nil {
 			t.Fatal("Check returned nil report")
 		}
@@ -79,7 +79,7 @@ func FuzzOracleHistory(f *testing.F) {
 		}
 		// The checker is a pure function of the history: same input, same
 		// report, byte for byte. Replayed witnesses depend on this.
-		again := Check(h, Options{MaxViolations: 4})
+		again := CheckCapped(h, 4)
 		j1, err1 := json.Marshal(rep)
 		j2, err2 := json.Marshal(again)
 		if err1 != nil || err2 != nil {

@@ -192,12 +192,12 @@ func (r *Recorder) Len() int {
 }
 
 // Check runs the checker over the log as recorded so far, in place: the
-// report is the one Check(r.History(), opt) returns, without the copy.
-func (r *Recorder) Check(opt Options) *Report {
+// report is the one Check(r.History()) returns, without the copy.
+func (r *Recorder) Check() *Report {
 	if r == nil {
-		return Check(History{}, opt)
+		return Check(History{})
 	}
-	return checkLog(opLog{chunks: r.chunks, shift: chunkShift}, r.initial, opt)
+	return checkLog(opLog{chunks: r.chunks, shift: chunkShift}, r.initial, DefaultMaxViolations)
 }
 
 // History freezes the log into one flat slice. The returned History shares

@@ -41,7 +41,7 @@ func (b *hb) abort(core int) *hb                          { return b.op(core, Op
 
 func check(t *testing.T, h History) *Report {
 	t.Helper()
-	rep := Check(h, Options{})
+	rep := Check(h)
 	var buf bytes.Buffer
 	rep.Print(&buf)
 	t.Logf("report:\n%s", buf.String())
@@ -284,7 +284,7 @@ func TestMalformedLogNeverPanics(t *testing.T) {
 		{Seq: 1, Core: 0, Kind: OpKind(200), Addr: 1, Val: 1},
 		{Seq: 0, Core: 0, Kind: OpWrite, Addr: 2, Val: 2},
 	}}
-	rep := Check(h, Options{})
+	rep := Check(h)
 	if len(rep.Malformed) == 0 {
 		t.Fatal("no malformed notes for a structurally broken log")
 	}
@@ -298,7 +298,7 @@ func TestViolationCap(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		b.init(memory.Addr(100+i), 0).begin(0).read(0, memory.Addr(100+i), 42).commit(0)
 	}
-	rep := Check(b.h, Options{MaxViolations: 3})
+	rep := CheckCapped(b.h, 3)
 	if len(rep.Violations) != 3 {
 		t.Fatalf("materialized %d violations, want 3", len(rep.Violations))
 	}
@@ -337,7 +337,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 		t.Fatalf("Len = %d, want 4", r.Len())
 	}
 	h := r.History()
-	rep := Check(h, Options{})
+	rep := Check(h)
 	if !rep.Ok() {
 		t.Fatalf("recorded history flagged: %+v", rep.Violations)
 	}
@@ -361,7 +361,7 @@ func TestReportJSONComposable(t *testing.T) {
 		begin(0).read(0, 100, 0).write(0, 100, 1).commit(0).
 		begin(1).read(1, 100, 0).write(1, 100, 9).commit(1).
 		h
-	rep := Check(h, Options{})
+	rep := Check(h)
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)

@@ -65,7 +65,7 @@ type refVersion struct {
 
 // refChecker carries the state of one Check invocation.
 type refChecker struct {
-	opt      Options
+	maxViol  int
 	rep      *Report
 	txns     []*refTxn
 	chains   map[memory.Addr][]refVersion
@@ -79,12 +79,9 @@ type refChecker struct {
 // refCheck analyzes a history and returns the verdict. It never panics on
 // malformed input: structural problems are reported in Report.Malformed and
 // the analysis continues with what can be salvaged.
-func refCheck(h History, opt Options) *Report {
-	if opt.MaxViolations <= 0 {
-		opt.MaxViolations = DefaultMaxViolations
-	}
+func refCheck(h History, maxViolations int) *Report {
 	c := &refChecker{
-		opt:      opt,
+		maxViol:  maxViolations,
 		rep:      &Report{},
 		chains:   make(map[memory.Addr][]refVersion),
 		initial:  make(map[memory.Addr]uint64),
@@ -665,7 +662,7 @@ func (c *refChecker) witness(ids []int, addrs []memory.Addr) []WitnessTxn {
 // violate records a violation, materializing its witness only under the cap.
 func (c *refChecker) violate(v Violation) {
 	c.rep.TotalViolations++
-	if len(c.rep.Violations) < c.opt.MaxViolations {
+	if len(c.rep.Violations) < c.maxViol {
 		c.rep.Violations = append(c.rep.Violations, v)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"flextm/internal/governor"
 	"flextm/internal/memory"
 	"flextm/internal/observatory"
-	"flextm/internal/oracle"
 	"flextm/internal/sim"
 	"flextm/internal/telemetry"
 	"flextm/internal/tmapi"
@@ -92,7 +91,7 @@ func TestInstrumentsAttachBeforeRuntime(t *testing.T) {
 	if len(r.Sys.Flight().Snapshot()) == 0 {
 		t.Fatal("flight recorder saw nothing")
 	}
-	if rep := r.Oracle().Check(oracle.Options{}); !rep.Ok() || rep.Txns == 0 {
+	if rep := r.Oracle().Check(); !rep.Ok() || rep.Txns == 0 {
 		t.Fatalf("oracle report %+v", rep)
 	}
 }

@@ -59,8 +59,6 @@ type Config struct {
 	// Quantum is the preempt-storm tick, used when Faults enables
 	// fault.Preempt (0 selects DefaultQuantum).
 	Quantum sim.Time
-	// MaxViolations caps materialized oracle witnesses (0 = oracle default).
-	MaxViolations int
 	// Governed attaches the resilience governor (fixed ladder and
 	// thresholds, GovInterval sampling): mitigations then fire mid-schedule,
 	// interleaved deterministically with the fault injector. Schedule token
@@ -142,7 +140,7 @@ func (o *Outcome) Failed() bool {
 // Run executes one configuration and checks its history.
 func Run(cfg Config) Outcome {
 	out, orc := Record(cfg)
-	out.Report = orc.Check(oracle.Options{MaxViolations: cfg.MaxViolations})
+	out.Report = orc.Check()
 	return out
 }
 
