@@ -350,7 +350,8 @@ func (p *paper) writeReport(path, baselinePath string, bench *benchfmt.Artifact,
 		OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: true,
 		Observe: pump,
 		// Flight on with deep rings: the report's FlightQL drill-down
-		// appendix queries the complete end-of-run stream.
+		// appendix queries the complete end-of-run stream. The depth is
+		// a bound; the rings grow only as far as the run records.
 		Flight: true, FlightPerCore: 1 << 17,
 	})
 	if err != nil {

@@ -18,8 +18,9 @@
 //
 // Insert hands victim-buffer spills back in a buffer the cache reuses, so
 // a spill allocates nothing. TagCache, the shared L2's tag array, builds a
-// set's ways the first time the set is touched, so an 8 MB L2 costs what
-// the sets a simulation touches cost, not 16,384 sets up front.
+// set's ways the first time the set is touched, in segments that double
+// and are never copied, so an 8 MB L2 costs what the sets a simulation
+// touches cost, not 16,384 sets up front.
 package cache
 
 import (
@@ -394,16 +395,31 @@ func (c *Cache) walkPDI(f func(*Line)) {
 //
 // The paper's L2 has 16,384 sets, of which one simulation touches a few
 // hundred to a few thousand, so sets are built on first touch: dir maps a
-// set to its ways in ents, which grows in first-touch order.
+// set to its first-touch ordinal, and segs stores the built sets in that
+// order. Segment 0 holds the first segSets sets and segment k >= 1 the next
+// segSets<<(k-1), so the store doubles without regrowing: a set once built
+// never moves, n built sets take about log2(n/segSets)+1 allocations, and
+// the segments hold at most twice the sets built.
 type TagCache struct {
 	// dir has one entry per set: 0 means the set was never touched,
-	// otherwise the set's ways are ents[dir[s]-1 : dir[s]-1+ways].
+	// otherwise dir[s]-1 is the set's first-touch ordinal.
 	dir   []int32
-	ents  []tagEntry
+	segs  [maxSegs][]tagEntry // nil until the segment's first set is built
+	built int32               // sets built so far
 	ways  int
 	mask  uint64
 	clock uint64
 }
+
+// segShift sizes segment 0 at segSets sets (4 KB at the paper's 8 ways):
+// one allocation holds a short cell's sets, and a long cell's sets take
+// a few doublings more.
+const (
+	segShift = 5
+	segSets  = 1 << segShift
+	// maxSegs segments cover every int32 ordinal.
+	maxSegs = 32 - segShift
+)
 
 // tagEntry is one L2 way. lru == 0 means invalid: Touch bumps the clock
 // before every use, so a valid way's lru is at least 1.
@@ -420,17 +436,38 @@ func NewTagCache(sets, ways int) *TagCache {
 	return &TagCache{dir: make([]int32, sets), ways: ways, mask: uint64(sets - 1)}
 }
 
+// segOf returns the offset within its segment, and the segment, of the
+// set with first-touch ordinal ord.
+func segOf(ord int) (off, k int) {
+	k = bits.Len(uint(ord >> segShift))
+	if k > 0 {
+		ord -= segSets << (k - 1)
+	}
+	return ord, k
+}
+
+// build gives set s the next first-touch ordinal, allocating a segment
+// when the ordinal opens one. A segment never holds more sets than the
+// cache has.
+func (t *TagCache) build(s uint64) {
+	ord := int(t.built)
+	t.built++
+	t.dir[s] = t.built
+	if off, k := segOf(ord); off == 0 {
+		t.segs[k] = make([]tagEntry, min(max(ord, segSets), len(t.dir))*t.ways)
+	}
+}
+
 // Touch records an access to line l and reports whether it hit, along with
 // any line evicted to make room.
 func (t *TagCache) Touch(l memory.LineAddr) (hit bool, evicted memory.LineAddr, hasEvicted bool) {
 	t.clock++
 	s := uint64(l) & t.mask
 	if t.dir[s] == 0 {
-		t.dir[s] = int32(len(t.ents)) + 1
-		t.ents = append(t.ents, make([]tagEntry, t.ways)...)
+		t.build(s)
 	}
-	base := int(t.dir[s]) - 1
-	set := t.ents[base : base+t.ways]
+	off, k := segOf(int(t.dir[s]) - 1)
+	set := t.segs[k][off*t.ways : (off+1)*t.ways]
 	// The L2 never invalidates a way, so the invalid ways of a set are
 	// the ones after its last fill: the first invalid way ends the search.
 	for i := range set {

@@ -98,7 +98,8 @@ func TestTagCacheMatchesReference(t *testing.T) {
 
 // BenchmarkTagCacheTouch prices one L2 access on the paper's 16,384x8
 // geometry: a hit, and a miss that evicts because ways+1 lines cycle
-// through one set.
+// through one set. fill prices building a tag cache and cold-filling all
+// of its sets, one line each.
 func BenchmarkTagCacheTouch(b *testing.B) {
 	const sets, ways = 16384, 8
 	b.Run("hit", func(b *testing.B) {
@@ -116,6 +117,15 @@ func BenchmarkTagCacheTouch(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tc.Touch(memory.LineAddr(i % (ways + 1) * sets))
+		}
+	})
+	b.Run("fill", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tc := NewTagCache(sets, ways)
+			for s := 0; s < sets; s++ {
+				tc.Touch(memory.LineAddr(s))
+			}
 		}
 	})
 }

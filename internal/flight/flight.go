@@ -1,7 +1,10 @@
 // Package flight is an always-on, near-zero-overhead flight recorder for
-// the FlexTM machine: one fixed-size binary ring buffer per core, holding
+// the FlexTM machine: one bounded binary ring buffer per core, holding
 // plain structs (no interface boxing, no per-event allocation) and
-// overwriting the oldest records when full. Instrumentation sites record
+// overwriting the oldest records when full. A ring's capacity is a bound,
+// not a reservation: its storage grows with the records written, doubling
+// from a few hundred up to the bound, so a recorder costs what a run
+// records rather than what it could hold. Instrumentation sites record
 // unconditionally through nil-safe methods, mirroring internal/telemetry
 // and internal/fault, so a detached recorder costs one predictable branch.
 //
@@ -111,8 +114,8 @@ func (k Kind) String() string {
 }
 
 // Rec is one recorded event. It is a fixed-size value type: recording one
-// is two index computations and a struct store, with no allocation and no
-// boxing.
+// is two index computations and a struct store, with no boxing, and with
+// no allocation except when a ring doubles its storage.
 type Rec struct {
 	At   sim.Time        // virtual time of the enclosing operation
 	Dur  sim.Time        // sub-phase duration (CMStall, Backoff); 0 otherwise
@@ -127,10 +130,8 @@ type Rec struct {
 // Recorder is the per-core ring store. A nil *Recorder is valid and means
 // "disabled": Rec returns immediately.
 type Recorder struct {
-	rings   [][]Rec
-	written []uint64 // total records ever written per core
-	lost    []uint64 // highest Seq overwritten by wrap-around, per core
-	seq     uint64
+	rings []ring
+	seq   uint64
 	// restoredLost counts records that were already gone (overwritten
 	// before the source snapshot) when this recorder was rebuilt by
 	// Restore; Overwritten folds it in so a restored recorder reports the
@@ -138,24 +139,50 @@ type Recorder struct {
 	restoredLost uint64
 }
 
+// ring is one core's records. Its storage grows on demand until it holds
+// size records, and from then on the ring wraps: the record written n-th
+// (from 0) sits at recs[n%size], so the live records are always
+// recs[:min(written, size)]. Everything that asks how many records a ring
+// holds reads size, never len(recs), which is smaller until the ring fills.
+type ring struct {
+	recs    []Rec
+	size    uint64 // capacity bound
+	written uint64 // total records ever written
+	lost    uint64 // highest Seq overwritten by wrap-around
+}
+
+// live returns the ring's live records in slot order.
+func (rg *ring) live() []Rec { return rg.recs[:min(rg.written, rg.size)] }
+
+// initialRing is the storage a ring takes at its first record; each later
+// growth doubles it, up to the ring's size.
+const initialRing = 256
+
+// grow makes room for the record at recs[len(recs)]. Records are stored
+// in slot order until the ring wraps, so the old ones copy over as they are.
+func (rg *ring) grow() {
+	n := uint64(len(rg.recs))
+	recs := make([]Rec, min(max(2*n, initialRing), rg.size))
+	copy(recs, rg.recs)
+	rg.recs = recs
+}
+
 // DefaultPerCore is the default ring capacity per core: deep enough to hold
-// the full conflict history of the paper-scale runs, small enough (40 B per
-// record) to stay resident.
+// the full conflict history of the paper-scale runs. It bounds a ring
+// rather than sizing it up front, so a deeper bound costs nothing until a
+// run records that much (40 B per record).
 const DefaultPerCore = 4096
 
-// New returns a recorder with perCore ring slots for each of cores cores.
-// perCore <= 0 selects DefaultPerCore.
+// New returns a recorder whose ring for each of cores cores holds up to
+// perCore records; perCore <= 0 selects DefaultPerCore. New reserves no
+// ring storage: each ring grows with the records written to it.
 func New(cores, perCore int) *Recorder {
 	if perCore <= 0 {
 		perCore = DefaultPerCore
 	}
-	r := &Recorder{
-		rings:   make([][]Rec, cores),
-		written: make([]uint64, cores),
-		lost:    make([]uint64, cores),
-	}
+	r := &Recorder{rings: make([]ring, cores)}
 	for i := range r.rings {
-		r.rings[i] = make([]Rec, perCore)
+		r.rings[i].size = uint64(perCore)
 	}
 	return r
 }
@@ -175,15 +202,21 @@ func (r *Recorder) RecDur(core int, at sim.Time, k Kind, peer int, aux uint8, li
 	if r == nil {
 		return
 	}
-	ring := r.rings[core]
-	n := r.written[core]
-	r.written[core] = n + 1
+	rg := &r.rings[core]
+	n := rg.written
+	rg.written = n + 1
 	r.seq++
-	slot := &ring[n%uint64(len(ring))]
-	if n >= uint64(len(ring)) {
+	var slot *Rec
+	if n < rg.size {
+		if n == uint64(len(rg.recs)) {
+			rg.grow()
+		}
+		slot = &rg.recs[n]
+	} else {
+		slot = &rg.recs[n%rg.size]
 		// Slots are overwritten in Seq order, so the record being evicted
 		// carries the highest lost Seq for this core so far.
-		r.lost[core] = slot.Seq
+		rg.lost = slot.Seq
 	}
 	*slot = Rec{
 		At: at, Dur: dur, Line: line, Seq: r.seq,
@@ -197,8 +230,8 @@ func (r *Recorder) Written() uint64 {
 		return 0
 	}
 	var t uint64
-	for _, n := range r.written {
-		t += n
+	for i := range r.rings {
+		t += r.rings[i].written
 	}
 	return t
 }
@@ -212,9 +245,9 @@ func (r *Recorder) Overwritten() uint64 {
 		return 0
 	}
 	t := r.restoredLost
-	for i, n := range r.written {
-		if size := uint64(len(r.rings[i])); n > size {
-			t += n - size
+	for i := range r.rings {
+		if rg := &r.rings[i]; rg.written > rg.size {
+			t += rg.written - rg.size
 		}
 	}
 	return t
@@ -228,8 +261,8 @@ func (r *Recorder) Snapshot() []Rec {
 		return nil
 	}
 	live := 0
-	for i, ring := range r.rings {
-		live += int(min(r.written[i], uint64(len(ring))))
+	for i := range r.rings {
+		live += len(r.rings[i].live())
 	}
 	if live == 0 {
 		return nil
@@ -238,8 +271,8 @@ func (r *Recorder) Snapshot() []Rec {
 		return out
 	}
 	out := make([]Rec, 0, live)
-	for i, ring := range r.rings {
-		out = append(out, ring[:min(r.written[i], uint64(len(ring)))]...)
+	for i := range r.rings {
+		out = append(out, r.rings[i].live()...)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
@@ -255,8 +288,8 @@ func (r *Recorder) placeBySeq(live int) ([]Rec, bool) {
 		return nil, false
 	}
 	out := make([]Rec, live)
-	for i, ring := range r.rings {
-		for _, rec := range ring[:min(r.written[i], uint64(len(ring)))] {
+	for i := range r.rings {
+		for _, rec := range r.rings[i].live() {
 			if rec.Seq == 0 || rec.Seq > uint64(live) || out[rec.Seq-1].Seq != 0 {
 				return nil, false
 			}
@@ -276,15 +309,12 @@ func (r *Recorder) SnapshotSince(seq uint64) (out []Rec, gap bool) {
 	if r == nil {
 		return nil, false
 	}
-	for i, ring := range r.rings {
-		if r.lost[i] > seq {
+	for i := range r.rings {
+		rg := &r.rings[i]
+		if rg.lost > seq {
 			gap = true
 		}
-		n := r.written[i]
-		if n > uint64(len(ring)) {
-			n = uint64(len(ring))
-		}
-		for _, rec := range ring[:n] {
+		for _, rec := range rg.live() {
 			if rec.Seq > seq {
 				out = append(out, rec)
 			}
@@ -308,50 +338,43 @@ func (r *Recorder) SnapshotSince(seq uint64) (out []Rec, gap bool) {
 // naming a core outside [0, cores) are dropped rather than trusted — the
 // input may come from disk.
 func Restore(cores int, recs []Rec) *Recorder {
-	counts := make([]uint64, cores)
-	var maxSeq, valid uint64
+	r := &Recorder{rings: make([]ring, cores)}
+	var valid uint64
 	for _, rec := range recs {
 		if int(rec.Core) < 0 || int(rec.Core) >= cores {
 			continue
 		}
-		counts[rec.Core]++
+		r.rings[rec.Core].size++
 		valid++
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
+		r.seq = max(r.seq, rec.Seq)
 	}
-	r := &Recorder{
-		rings:   make([][]Rec, cores),
-		written: make([]uint64, cores),
-		lost:    make([]uint64, cores),
-		seq:     maxSeq,
-	}
-	if maxSeq > valid {
-		r.restoredLost = maxSeq - valid
+	if r.seq > valid {
+		r.restoredLost = r.seq - valid
 		// A lost record's core died with it, so the per-core watermarks
 		// cannot be reconstructed exactly; what SnapshotSince needs is the
 		// global property "some record with Seq > cursor is gone", which
 		// holds for precisely the cursors below the highest missing Seq.
-		lost := highestMissingSeq(recs, cores, maxSeq)
-		for i := range r.lost {
-			r.lost[i] = lost
+		lost := highestMissingSeq(recs, cores, r.seq)
+		for i := range r.rings {
+			r.rings[i].lost = lost
 		}
 	}
+	// Every ring is exactly as deep as its records, so one block holds
+	// them all.
+	block := make([]Rec, valid)
 	for i := range r.rings {
-		n := counts[i]
-		if n == 0 {
-			// Keep every ring recordable: RecDur indexes modulo its length.
-			n = 1
-		}
-		r.rings[i] = make([]Rec, n)
+		rg := &r.rings[i]
+		rg.recs, block = block[:rg.size:rg.size], block[rg.size:]
+		// Keep every ring recordable: RecDur wraps modulo its size.
+		rg.size = max(rg.size, 1)
 	}
 	for _, rec := range recs {
 		if int(rec.Core) < 0 || int(rec.Core) >= cores {
 			continue
 		}
-		ring := r.rings[rec.Core]
-		ring[r.written[rec.Core]%uint64(len(ring))] = rec
-		r.written[rec.Core]++
+		rg := &r.rings[rec.Core]
+		rg.recs[rg.written] = rec
+		rg.written++
 	}
 	return r
 }
@@ -383,14 +406,16 @@ func highestMissingSeq(recs []Rec, cores int, maxSeq uint64) uint64 {
 	return want
 }
 
-// Reset discards all records (the rings stay allocated).
+// Reset discards all records. Each ring keeps its capacity and the storage
+// it has grown so far, so a reused recorder records without allocating
+// again up to the depth it reached before.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	for i := range r.written {
-		r.written[i] = 0
-		r.lost[i] = 0
+	for i := range r.rings {
+		r.rings[i].written = 0
+		r.rings[i].lost = 0
 	}
 	r.seq = 0
 	r.restoredLost = 0

@@ -14,8 +14,8 @@ import (
 // order, sorted by Seq.
 func sortedSnapshot(r *Recorder) []Rec {
 	var out []Rec
-	for i, ring := range r.rings {
-		out = append(out, ring[:min(r.written[i], uint64(len(ring)))]...)
+	for i := range r.rings {
+		out = append(out, r.rings[i].live()...)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out

@@ -300,16 +300,23 @@ func (c *checker) collect() {
 	}
 	var lastSeq uint64
 	restamped := false
-	n := 0
+	n, accesses := 0, 0
 	for _, ch := range c.log.chunks {
 		for i := range ch {
 			if ch[i].Seq <= lastSeq {
 				restamped = true
 			}
 			lastSeq = ch[i].Seq
+			switch ch[i].Kind {
+			case OpRead, OpWrite, OpNTRead, OpNTWrite:
+				accesses++
+			}
 		}
 		n += len(ch)
 	}
+	// Every committed read or write is one of the log's accesses.
+	c.pos = make([]int32, 0, accesses)
+	c.aid = make([]int32, 0, accesses)
 	if restamped {
 		malformed("non-monotone sequence stamps: re-stamped by log position")
 		// Re-stamp a copy: Check is a pure function of the history, and
@@ -490,6 +497,10 @@ func (c *checker) buildChains() {
 			}
 		}
 	}
+	// A DSR edge per committed read or write covers the measured histories
+	// (at most 0.8 per access on the postmortem cells), so the edge list is
+	// allocated once; an unusual history still just grows it.
+	c.edges = make([]edge, 0, len(c.pos))
 	// W→W edges along each chain; adjacent committers suffice for cycle
 	// detection (the rest are implied by transitivity). A transaction
 	// holds at most one version per chain, so these edges never repeat.
@@ -717,6 +728,8 @@ func (c *checker) buildAdjacency() {
 	seen := fill // reused: the source+1 that last listed each target
 	clear(seen)
 	c.adjAt = make([]int32, n+1)
+	c.adjTo = make([]int32, 0, len(c.edges))
+	c.adjEdge = make([]int32, 0, len(c.edges))
 	for v := 0; v < n; v++ {
 		for _, i := range bySrc[start[v]:start[v+1]] {
 			if w := c.edges[i].to; seen[w] != int32(v)+1 {

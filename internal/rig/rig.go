@@ -43,8 +43,8 @@ type Spec struct {
 	// Metrics attaches a telemetry registry (and with it audit-mode
 	// signatures).
 	Metrics bool
-	// Flight attaches a flight recorder of FlightPerCore records per core
-	// (0 selects flight.DefaultPerCore).
+	// Flight attaches a flight recorder holding up to FlightPerCore
+	// records per core (0 selects flight.DefaultPerCore).
 	Flight        bool
 	FlightPerCore int
 	// Faults attaches a fault injector when any rate is non-zero.
