@@ -5,6 +5,10 @@
 //	paperbench -fig 5         Figure 5a-d (eager vs lazy)
 //	paperbench -fig 5mp       Figure 5e,f (multiprogramming with Prime)
 //	paperbench -fig overflow  Section 7.3 overflow/victim-buffer ablation
+//	paperbench -fig sig       signature-width ablation (not in paper)
+//	paperbench -fig cm        contention-manager ablation (not in paper)
+//	paperbench -fig logtm     FlexTM vs LogTM- and Bulk-style HTMs (not in paper)
+//	paperbench -fig causal    critical path vs makespan per cell (not in paper)
 //	paperbench -fig chaos     fault-injection campaign (robustness, not in paper)
 //	paperbench -fig govern    resilience-governor A/B: governed vs ungoverned
 //	                          twins under randomized chaos (not in paper)
@@ -628,79 +632,29 @@ func (p *paper) cmAblation() error {
 	return nil
 }
 
+// logtmComparison prints harness.HTMComparison, one table per workload.
 func (p *paper) logtmComparison() error {
-	sc := p.sc
-	fmt.Fprintln(p.out, "== Extension: FlexTM vs alternative HTM designs (normalized to 1-thread CGL) ==")
-	names := []string{"RBTree", "RandomGraph", "HashTable"}
-	systems := []harness.SystemName{harness.FlexTMEager, harness.FlexTMLazy, harness.LogTM, harness.Bulk}
-	factories := factoriesOf(names)
-	bases := make([]float64, len(names))
-	err := sweepexec.Map(sc.Exec(), len(names),
-		func(i int) (float64, error) { return sc.BaselineCell(factories[i]) },
-		func(i int, base float64) error { bases[i] = base; return nil })
+	plots, err := harness.HTMComparison(p.sc)
 	if err != nil {
 		return err
 	}
-	err = sweepGrid(sc, factories, systems, sc.Flight, func(c gridCell, res harness.Result) error {
-		if c.s == 0 && c.t == 0 {
-			fmt.Fprintf(p.out, "\n[%s]\n%-16s", names[c.w], "system")
-			for _, th := range sc.Threads {
-				fmt.Fprintf(p.out, "%8d", th)
+	fmt.Fprintln(p.out, "== Extension: FlexTM vs alternative HTM designs (normalized to 1-thread CGL) ==")
+	for _, pl := range plots {
+		fmt.Fprintf(p.out, "\n[%s]\n%-16s", pl.Workload, "system")
+		for _, th := range p.sc.Threads {
+			fmt.Fprintf(p.out, "%8d", th)
+		}
+		fmt.Fprintln(p.out)
+		for _, s := range pl.Series {
+			fmt.Fprintf(p.out, "%-16s", s.System)
+			for _, th := range p.sc.Threads {
+				fmt.Fprintf(p.out, "%8.2f", s.Points[th])
 			}
 			fmt.Fprintln(p.out)
 		}
-		if c.t == 0 {
-			fmt.Fprintf(p.out, "%-16s", systems[c.s])
-		}
-		if sc.OnResult != nil {
-			sc.OnResult(res)
-		}
-		fmt.Fprintf(p.out, "%8.2f", res.Throughput/bases[c.w])
-		if c.t == len(sc.Threads)-1 {
-			fmt.Fprintln(p.out)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 	fmt.Fprintln(p.out)
 	return nil
-}
-
-// factoriesOf resolves workload names known to exist.
-func factoriesOf(names []string) []workloads.Factory {
-	factories := make([]workloads.Factory, len(names))
-	for i, name := range names {
-		factories[i], _ = workloads.ByName(name)
-	}
-	return factories
-}
-
-// gridCell names one cell of a sweepGrid: workload w, system s and thread
-// column t.
-type gridCell struct{ w, s, t int }
-
-// sweepGrid runs the factories × systems × sc.Threads grid as one flat
-// sweep: workload-major, then system, then thread count. emit runs in that
-// order, so a table prints exactly as serial nested loops would.
-func sweepGrid(sc harness.SweepConfig, factories []workloads.Factory, systems []harness.SystemName,
-	flight bool, emit func(c gridCell, res harness.Result) error) error {
-	perWorkload := len(systems) * len(sc.Threads)
-	cell := func(i int) gridCell {
-		r := i % perWorkload
-		return gridCell{w: i / perWorkload, s: r / len(sc.Threads), t: r % len(sc.Threads)}
-	}
-	return sweepexec.Map(sc.Exec(), len(factories)*perWorkload,
-		func(i int) (harness.Result, error) {
-			c := cell(i)
-			return sc.RunCell(harness.RunConfig{
-				System: systems[c.s], Workload: factories[c.w], Threads: sc.Threads[c.t],
-				OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: true,
-				Metrics: sc.Metrics, Flight: flight,
-			})
-		},
-		func(i int, res harness.Result) error { return emit(cell(i), res) })
 }
 
 // chaosCampaign sweeps every fault class x rate x mode, asserting the
@@ -859,12 +813,12 @@ func (p *paper) causalFigure() error {
 	fmt.Fprintln(p.out, "== Causal: critical path vs makespan (top-3 blame lines per cell) ==")
 	fmt.Fprintf(p.out, "%-14s %-14s %7s %12s %12s %8s  %s\n",
 		"system", "workload", "threads", "path(cyc)", "makespan", "cover", "top blame (share of path)")
-	names := []string{"RBTree", "RandomGraph"}
+	rbtree, _ := workloads.ByName("RBTree")
+	graph, _ := workloads.ByName("RandomGraph")
+	fs := []workloads.Factory{rbtree, graph}
 	systems := []harness.SystemName{harness.FlexTMEager, harness.FlexTMLazy}
-	err := sweepGrid(sc, factoriesOf(names), systems, true, func(_ gridCell, res harness.Result) error {
-		if sc.OnResult != nil {
-			sc.OnResult(res)
-		}
+	sc.Flight = true
+	err := sc.Grid("causal", fs, [][]harness.SystemName{systems, systems}, func(_ harness.GridCell, res harness.Result) error {
 		rep := causal.Analyze(res.Flight.Snapshot(),
 			causal.Options{Cores: sc.Machine.Cores, TopBlame: 3})
 		if rep == nil {

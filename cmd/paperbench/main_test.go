@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -299,5 +301,70 @@ func TestInterruptFlushesPartialArtifact(t *testing.T) {
 	}
 	if len(a.Cells) == 0 || len(a.Cells) >= 78 {
 		t.Fatalf("partial artifact has %d cells, want some but not the whole sweep", len(a.Cells))
+	}
+}
+
+// TestHTMComparisonAndCausalGoldens pins the -fig logtm and -fig causal
+// outputs, tables, -json stream and artifacts, to the bytes under
+// testdata, at GOMAXPROCS 1 and at the default. The goldens were recorded
+// when both figures still ran on a grid of their own, so they also pin
+// that moving them onto harness.Grid changed nothing.
+func TestHTMComparisonAndCausalGoldens(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pure byte comparison, ~15x slower under the detector")
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		// golden file suffix -> what the run produced
+		files []string
+	}{
+		{"logtm", []string{"-quick", "-fig", "logtm"}, []string{"stdout"}},
+		{"logtm-json", []string{"-quick", "-fig", "logtm", "-json"}, []string{"stdout", "stderr", "bench.json"}},
+		{"causal", []string{"-quick", "-fig", "causal"}, []string{"stdout", "bench.json"}},
+	} {
+		for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+			dir := t.TempDir()
+			art := filepath.Join(dir, "BENCH.json")
+			args := tc.args
+			if slices.Contains(tc.files, "bench.json") {
+				args = append(args[:len(args):len(args)], "-bench-out", art)
+			}
+			var o output
+			withProcs(procs, func() { o = mustRun(t, args...) })
+			got := map[string][]byte{
+				// The goldens name the artifact by its base name.
+				"stdout": []byte(strings.ReplaceAll(o.stdout, dir+string(filepath.Separator), "")),
+				"stderr": []byte(strings.ReplaceAll(o.stderr, dir+string(filepath.Separator), "")),
+			}
+			if slices.Contains(tc.files, "bench.json") {
+				got["bench.json"] = readFile(t, art)
+			}
+			for _, f := range tc.files {
+				want := readFile(t, filepath.Join("testdata", tc.name+"."+f))
+				if !bytes.Equal(got[f], want) {
+					t.Errorf("%s at GOMAXPROCS %d: %s differs from testdata/%s.%s\ngot:\n%s", tc.name, procs, f, tc.name, f, got[f])
+				}
+			}
+		}
+	}
+}
+
+// TestHTMComparisonMetricsTable: under -metrics the per-cell digests print
+// before the table, so every table row, a system name and one column per
+// thread count, stays on a single line.
+func TestHTMComparisonMetricsTable(t *testing.T) {
+	o := mustRun(t, "-quick", "-fig", "logtm", "-metrics")
+	row := regexp.MustCompile(`^(FlexTM\(Eager\)|FlexTM\(Lazy\)|LogTM|Bulk) +( +\d+\.\d\d){3}$`)
+	rows := 0
+	for _, line := range strings.Split(o.stdout, "\n") {
+		if row.MatchString(line) {
+			rows++
+		} else if strings.Contains(line, "  .. ") && rows > 0 {
+			t.Errorf("digest line inside the table: %q", line)
+		}
+	}
+	if want := 3 * 4; rows != want {
+		t.Fatalf("%d single-line table rows, want %d (3 workloads x 4 systems)\n%s", rows, want, o.stdout)
 	}
 }

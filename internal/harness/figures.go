@@ -80,33 +80,74 @@ func DefaultSweep() SweepConfig {
 	}
 }
 
-// ws1Systems are the runtimes compared on Workload-Set 1 (Figure 4a-e);
-// all perform eager conflict management, as in the paper.
-func ws1Systems() []SystemName { return []SystemName{CGL, FlexTMEager, RTMF, RSTM} }
-
-// ws2Systems are the runtimes compared on Vacation (Figure 4f-g).
-func ws2Systems() []SystemName { return []SystemName{CGL, FlexTMEager, TL2} }
-
 // Figure4 regenerates the throughput/scalability study: every workload of
-// Table 3(b) against its system set, normalized to 1-thread CGL. The
-// baselines run as their own parallel phase, then the whole
-// workload × system × threads grid is flattened into one sweep so every
-// core stays busy across workload boundaries.
+// Table 3(b) against its system set, normalized to 1-thread CGL. Workload
+// Set 1 (Figure 4a-e) compares runtimes that all manage conflicts
+// eagerly, as in the paper; Vacation (Figure 4f-g) compares CGL, FlexTM
+// and TL2.
 func Figure4(sc SweepConfig) ([]Plot, error) {
 	fs := workloads.All()
 	systems := make([][]SystemName, len(fs))
 	for i, f := range fs {
-		systems[i] = ws1Systems()
+		systems[i] = []SystemName{CGL, FlexTMEager, RTMF, RSTM}
 		if f.Name == "Vacation-Low" || f.Name == "Vacation-High" {
-			systems[i] = ws2Systems()
+			systems[i] = []SystemName{CGL, FlexTMEager, TL2}
 		}
 	}
+	return sc.normalized("figure 4", fs, systems, sc.baseline)
+}
+
+// Figure5 regenerates the eager-vs-lazy study on the four contended
+// workloads (Figure 5a-d), normalized to 1-thread FlexTM(Eager).
+func Figure5(sc SweepConfig) ([]Plot, error) {
+	fs := factoriesOf("RBTree", "Vacation-High", "LFUCache", "RandomGraph")
+	systems := make([][]SystemName, len(fs))
+	for i := range fs {
+		systems[i] = []SystemName{FlexTMEager, FlexTMLazy}
+	}
+	return sc.normalized("figure 5", fs, systems, func(f workloads.Factory) (float64, error) {
+		res, err := sc.RunCell(RunConfig{
+			System: FlexTMEager, Workload: f, Threads: 1, OpsPerThread: sc.Ops,
+			Machine: sc.Machine, Verify: true,
+		})
+		return res.Throughput, err
+	})
+}
+
+// HTMComparison is DESIGN.md's extension study: FlexTM in both modes
+// against the LogTM and Bulk models on three workloads, normalized to
+// 1-thread CGL as in Figure 4.
+func HTMComparison(sc SweepConfig) ([]Plot, error) {
+	fs := factoriesOf("RBTree", "RandomGraph", "HashTable")
+	systems := make([][]SystemName, len(fs))
+	for i := range fs {
+		systems[i] = []SystemName{FlexTMEager, FlexTMLazy, LogTM, Bulk}
+	}
+	return sc.normalized("logtm", fs, systems, sc.baseline)
+}
+
+// factoriesOf resolves workload names known to exist.
+func factoriesOf(names ...string) []workloads.Factory {
+	fs := make([]workloads.Factory, len(names))
+	for i, name := range names {
+		fs[i], _ = workloads.ByName(name)
+	}
+	return fs
+}
+
+// normalized is every normalized-throughput figure: base gives each
+// workload's normalization constant, run as its own parallel phase, then
+// Grid runs the cells and the fold divides each throughput by its
+// workload's base. The FlexTM cells at 8 and 16 threads also fill the
+// conflict-degree table.
+func (sc SweepConfig) normalized(figure string, fs []workloads.Factory, systems [][]SystemName,
+	base func(workloads.Factory) (float64, error)) ([]Plot, error) {
 	bases := make([]float64, len(fs))
 	err := sweepexec.Map(sc.Exec(), len(fs),
 		func(i int) (float64, error) {
-			b, err := sc.baseline(fs[i])
+			b, err := base(fs[i])
 			if err != nil {
-				return 0, fmt.Errorf("figure 4 (%s): %w", fs[i].Name, err)
+				return 0, fmt.Errorf("%s (%s): %w", figure, fs[i].Name, err)
 			}
 			return b, nil
 		},
@@ -114,95 +155,73 @@ func Figure4(sc SweepConfig) ([]Plot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sweepGrid(sc, "figure 4", fs, systems, bases)
-}
-
-// Figure5 regenerates the eager-vs-lazy study on the four contended
-// workloads (Figure 5a-d), normalized to 1-thread FlexTM(Eager).
-func Figure5(sc SweepConfig) ([]Plot, error) {
-	var fs []workloads.Factory
-	for _, name := range []string{"RBTree", "Vacation-High", "LFUCache", "RandomGraph"} {
-		f, _ := workloads.ByName(name)
-		fs = append(fs, f)
-	}
-	systems := make([][]SystemName, len(fs))
-	bases := make([]float64, len(fs))
-	err := sweepexec.Map(sc.Exec(), len(fs),
-		func(i int) (float64, error) {
-			systems[i] = []SystemName{FlexTMEager, FlexTMLazy}
-			res, err := sc.RunCell(RunConfig{
-				System: FlexTMEager, Workload: fs[i], Threads: 1, OpsPerThread: sc.Ops,
-				Machine: sc.Machine, Verify: true,
-			})
-			if err != nil {
-				return 0, fmt.Errorf("figure 5 (%s): %w", fs[i].Name, err)
-			}
-			return res.Throughput, nil
-		},
-		func(i int, b float64) error { bases[i] = b; return nil })
-	if err != nil {
-		return nil, err
-	}
-	return sweepGrid(sc, "figure 5", fs, systems, bases)
-}
-
-// gridCell addresses one point of a flattened multi-workload sweep.
-type gridCell struct {
-	w   int // workload index
-	s   int // series index within the workload's plot
-	sys SystemName
-	th  int
-}
-
-// sweepGrid runs the flattened workload × system × threads grid through
-// the sweep executor. The fold — OnResult, normalized points, the
-// conflict-degree table — happens in the emit callback, which sweepexec
-// serializes in cell-index order, so the output is the serial loop's
-// output at any worker count.
-func sweepGrid(sc SweepConfig, figure string, fs []workloads.Factory, systems [][]SystemName, bases []float64) ([]Plot, error) {
 	plots := make([]Plot, len(fs))
-	var cells []gridCell
 	for wi, f := range fs {
 		plots[wi] = Plot{Workload: f.Name}
-		for si, sysName := range systems[wi] {
-			plots[wi].Series = append(plots[wi].Series, Series{System: sysName, Points: map[int]float64{}})
-			for _, th := range sc.Threads {
-				cells = append(cells, gridCell{wi, si, sysName, th})
-			}
+		for _, sys := range systems[wi] {
+			plots[wi].Series = append(plots[wi].Series, Series{System: sys, Points: map[int]float64{}})
 		}
 	}
-	err := sweepexec.Map(sc.Exec(), len(cells),
-		func(i int) (Result, error) {
-			c := cells[i]
-			res, err := sc.RunCell(RunConfig{
-				System: c.sys, Workload: fs[c.w], Threads: c.th, OpsPerThread: sc.Ops,
-				Machine: sc.Machine, Verify: true, Metrics: sc.Metrics,
-				Flight: sc.Flight, Observe: sc.Observe,
-			})
-			if err != nil {
-				return Result{}, fmt.Errorf("%s (%s): %s@%d: %w", figure, fs[c.w].Name, c.sys, c.th, err)
+	err = sc.Grid(figure, fs, systems, func(c GridCell, res Result) error {
+		plot := &plots[c.W]
+		th := sc.Threads[c.T]
+		plot.Series[c.S].Points[th] = res.Throughput / bases[c.W]
+		if sys := plot.Series[c.S].System; sys == FlexTMEager || sys == FlexTMLazy {
+			switch th {
+			case 8:
+				plot.Md8, plot.Mx8 = res.MedianConflicts, res.MaxConflicts
+			case 16:
+				plot.Md16, plot.Mx16 = res.MedianConflicts, res.MaxConflicts
 			}
-			return res, nil
-		},
-		func(i int, res Result) error {
-			c := cells[i]
-			sc.observe(res)
-			plot := &plots[c.w]
-			plot.Series[c.s].Points[c.th] = res.Throughput / bases[c.w]
-			if c.sys == FlexTMEager || c.sys == FlexTMLazy {
-				switch c.th {
-				case 8:
-					plot.Md8, plot.Mx8 = res.MedianConflicts, res.MaxConflicts
-				case 16:
-					plot.Md16, plot.Mx16 = res.MedianConflicts, res.MaxConflicts
-				}
-			}
-			return nil
-		})
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	return plots, nil
+}
+
+// GridCell addresses one cell of a Grid: workload W, series S (the index
+// into the workload's systems) and thread column T (the index into
+// SweepConfig.Threads).
+type GridCell struct{ W, S, T int }
+
+// Grid runs the fs × systems × sc.Threads grid as one flat sweep through
+// the sweep executor: workload-major, then system, then thread count, so
+// every core stays busy across workload boundaries. Each cell carries the
+// sweep's Metrics, Flight and Observe settings. OnResult and then emit see
+// every cell in that serial order at any worker count, so a table folds or
+// prints exactly as nested loops would. A failing cell's error names the
+// figure, the workload and the cell.
+func (sc SweepConfig) Grid(figure string, fs []workloads.Factory, systems [][]SystemName,
+	emit func(GridCell, Result) error) error {
+	var cells []GridCell
+	for w := range fs {
+		for s := range systems[w] {
+			for t := range sc.Threads {
+				cells = append(cells, GridCell{w, s, t})
+			}
+		}
+	}
+	return sweepexec.Map(sc.Exec(), len(cells),
+		func(i int) (Result, error) {
+			c := cells[i]
+			sys, th := systems[c.W][c.S], sc.Threads[c.T]
+			res, err := sc.RunCell(RunConfig{
+				System: sys, Workload: fs[c.W], Threads: th, OpsPerThread: sc.Ops,
+				Machine: sc.Machine, Verify: true, Metrics: sc.Metrics,
+				Flight: sc.Flight, Observe: sc.Observe,
+			})
+			if err != nil {
+				return Result{}, fmt.Errorf("%s (%s): %s@%d: %w", figure, fs[c.W].Name, sys, th, err)
+			}
+			return res, nil
+		},
+		func(i int, res Result) error {
+			sc.observe(res)
+			return emit(cells[i], res)
+		})
 }
 
 // MultiprogramPoint is one x-position of Figure 5(e)/(f): appThreads

@@ -18,11 +18,7 @@ func quickSweep() SweepConfig { return QuickSweep() }
 // sweep runs one workload's systems × threads grid the way Figure4 runs its
 // grid, normalized to 1-thread CGL on the same workload and machine.
 func sweep(sc SweepConfig, f workloads.Factory, systems []SystemName) (Plot, error) {
-	base, err := sc.baseline(f)
-	if err != nil {
-		return Plot{}, err
-	}
-	plots, err := sweepGrid(sc, f.Name, []workloads.Factory{f}, [][]SystemName{systems}, []float64{base})
+	plots, err := sc.normalized(f.Name, []workloads.Factory{f}, [][]SystemName{systems}, sc.baseline)
 	if err != nil {
 		return Plot{}, err
 	}

@@ -148,3 +148,37 @@ func TestSweepRebindsObservePerRun(t *testing.T) {
 		t.Fatalf("saw %d final frames, want one per run (%d)", finals, want)
 	}
 }
+
+// An observed HTMComparison publishes one Final frame per grid cell (its
+// CGL baselines run unobserved) and computes the same plots as an
+// unobserved one.
+func TestHTMComparisonObserved(t *testing.T) {
+	sc := quickSweep()
+	plain, err := HTMComparison(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := observatory.NewBus()
+	frames, cancel := bus.Subscribe(1 << 12)
+	defer cancel()
+	sc.Observe = observatory.NewPump(observatory.Config{Interval: 50_000, Bus: bus})
+	observed, err := HTMComparison(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bus.Dropped() != 0 {
+		t.Fatalf("subscriber dropped %d frames", bus.Dropped())
+	}
+	finals := 0
+	for len(frames) > 0 {
+		if (<-frames).Final {
+			finals++
+		}
+	}
+	if want := 3 * 4 * len(sc.Threads); finals != want {
+		t.Errorf("saw %d final frames, want one per cell (%d)", finals, want)
+	}
+	if !reflect.DeepEqual(plain, observed) {
+		t.Errorf("observation changed the plots:\nplain    %+v\nobserved %+v", plain, observed)
+	}
+}

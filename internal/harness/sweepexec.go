@@ -36,11 +36,11 @@ const CellCacheSchema = "flextm-cell/v2"
 // never decode as a "baseline" entry even under a hash collision.
 func cellSchema(kind string) string { return CellCacheSchema + "/" + kind }
 
-// Exec resolves the sweep's executor; commands (cmd/paperbench) that
-// flatten their own grids over sweepexec.Map use it too. The pool is
-// sweepexec's default, GOMAXPROCS workers, except that observation forces
-// serial: the shared pump is re-bound per run and its subscribers contract
-// to see one run stream at a time.
+// Exec resolves the sweep's executor, which Grid and every figure function
+// hand to sweepexec.Map. The pool is sweepexec's default, GOMAXPROCS
+// workers, except that observation forces serial: the shared pump is
+// re-bound per run and its subscribers contract to see one run stream at a
+// time.
 func (sc SweepConfig) Exec() sweepexec.Exec {
 	e := sweepexec.Exec{Stop: sc.Stop}
 	if sc.Observe != nil {
@@ -212,7 +212,8 @@ func cellValue[T any](store *cellcache.Store, kind string, cfg any, miss func() 
 	return v, nil
 }
 
-// baseline is Baseline through the cell cache.
+// baseline is Baseline through the cell cache: the 1-thread CGL
+// normalization constant of Figure 4 and HTMComparison.
 func (sc SweepConfig) baseline(f workloads.Factory) (float64, error) {
 	type key struct {
 		Workload string       `json:"workload"`
@@ -222,10 +223,4 @@ func (sc SweepConfig) baseline(f workloads.Factory) (float64, error) {
 	return cellValue(sc.Cache, "baseline", key{f.Name, sc.Machine, sc.Ops}, func() (float64, error) {
 		return Baseline(f, sc.Machine, sc.Ops)
 	})
-}
-
-// BaselineCell is the exported form of baseline: the 1-thread CGL
-// normalization constant for f, through the cell cache.
-func (sc SweepConfig) BaselineCell(f workloads.Factory) (float64, error) {
-	return sc.baseline(f)
 }

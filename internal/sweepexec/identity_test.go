@@ -96,6 +96,7 @@ func TestEveryFigureBitIdenticalUnderParallelism(t *testing.T) {
 	}{
 		{"fig4", func(sc harness.SweepConfig) (any, error) { return harness.Figure4(sc) }},
 		{"fig5", func(sc harness.SweepConfig) (any, error) { return harness.Figure5(sc) }},
+		{"logtm", func(sc harness.SweepConfig) (any, error) { return harness.HTMComparison(sc) }},
 		{"fig5mp", func(sc harness.SweepConfig) (any, error) {
 			f, _ := workloads.ByName("RandomGraph")
 			return harness.Multiprogram(sc, f, []int{2, 4})
