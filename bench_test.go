@@ -5,8 +5,8 @@ package flextm
 // machine and reports the paper's metric via b.ReportMetric:
 //
 //	BenchmarkFigure4    normalized throughput per workload/system/threads
-//	BenchmarkFigure4Table   median/max conflict degrees at 8 and 16 threads
-//	BenchmarkFigure5    eager-vs-lazy normalized throughput
+//	BenchmarkFigure4Table   Figure 4's median/max conflict degrees at 8 and 16 threads
+//	BenchmarkFigure5    eager-vs-lazy normalized throughput and conflict degrees
 //	BenchmarkFigure5MP  multiprogramming with Prime (Fig 5e,f)
 //	BenchmarkTable2     area estimates
 //	BenchmarkTable4     FlexWatcher vs Discover slowdowns
@@ -37,91 +37,55 @@ func benchSweep() harness.SweepConfig {
 	return sc
 }
 
-func BenchmarkFigure4(b *testing.B) {
-	for _, wf := range workloads.All() {
-		systems := []harness.SystemName{harness.CGL, harness.FlexTMEager, harness.RTMF, harness.RSTM}
-		if wf.Name == "Vacation-Low" || wf.Name == "Vacation-High" {
-			systems = []harness.SystemName{harness.CGL, harness.FlexTMEager, harness.TL2}
+// figurePlots runs a normalized-throughput figure b.N times on
+// benchSweep and returns the last run's plots.
+func figurePlots(b *testing.B, figure func(harness.SweepConfig) ([]harness.Plot, error)) []harness.Plot {
+	var plots []harness.Plot
+	for i := 0; i < b.N; i++ {
+		var err error
+		if plots, err = figure(benchSweep()); err != nil {
+			b.Fatal(err)
 		}
-		for _, sys := range systems {
-			for _, th := range []int{1, 8, 16} {
-				wf, sys, th := wf, sys, th
-				b.Run(fmt.Sprintf("%s/%s/%dT", wf.Name, sys, th), func(b *testing.B) {
-					base, err := harness.Baseline(wf, tmesi.DefaultConfig(), benchOps)
-					if err != nil {
-						b.Fatal(err)
-					}
-					var norm float64
-					for i := 0; i < b.N; i++ {
-						res, err := harness.Run(harness.RunConfig{
-							System: sys, Workload: wf, Threads: th,
-							OpsPerThread: benchOps, Machine: tmesi.DefaultConfig(),
-							Verify: true,
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-						norm = res.Throughput / base
-					}
-					b.ReportMetric(norm, "normTput")
-				})
+	}
+	return plots
+}
+
+// reportPoints reports every plotted point as
+// normTput/<workload>/<system>/<threads>T.
+func reportPoints(b *testing.B, plots []harness.Plot) {
+	for _, p := range plots {
+		for _, s := range p.Series {
+			for th, v := range s.Points {
+				b.ReportMetric(v, fmt.Sprintf("normTput/%s/%s/%dT", p.Workload, s.System, th))
 			}
 		}
 	}
 }
 
-func BenchmarkFigure4Table(b *testing.B) {
-	for _, name := range []string{"HashTable", "RBTree", "LFUCache", "RandomGraph", "Vacation-Low", "Vacation-High", "Delaunay"} {
-		for _, th := range []int{8, 16} {
-			name, th := name, th
-			b.Run(fmt.Sprintf("%s/%dT", name, th), func(b *testing.B) {
-				wf, _ := workloads.ByName(name)
-				var md, mx int
-				for i := 0; i < b.N; i++ {
-					res, err := harness.Run(harness.RunConfig{
-						System: harness.FlexTMEager, Workload: wf, Threads: th,
-						OpsPerThread: benchOps, Machine: tmesi.DefaultConfig(), Verify: true,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					md, mx = res.MedianConflicts, res.MaxConflicts
-				}
-				b.ReportMetric(float64(md), "medianConflicts")
-				b.ReportMetric(float64(mx), "maxConflicts")
-			})
+// reportConflicts reports each plot's median and max conflict degrees of
+// the FlexTM runs at 8 and 16 threads.
+func reportConflicts(b *testing.B, plots []harness.Plot) {
+	for _, p := range plots {
+		for _, m := range []struct {
+			unit string
+			v    int
+		}{
+			{"medianConflicts/%s/8T", p.Md8}, {"maxConflicts/%s/8T", p.Mx8},
+			{"medianConflicts/%s/16T", p.Md16}, {"maxConflicts/%s/16T", p.Mx16},
+		} {
+			b.ReportMetric(float64(m.v), fmt.Sprintf(m.unit, p.Workload))
 		}
 	}
 }
 
+func BenchmarkFigure4(b *testing.B) { reportPoints(b, figurePlots(b, harness.Figure4)) }
+
+func BenchmarkFigure4Table(b *testing.B) { reportConflicts(b, figurePlots(b, harness.Figure4)) }
+
 func BenchmarkFigure5(b *testing.B) {
-	for _, name := range []string{"RBTree", "Vacation-High", "LFUCache", "RandomGraph"} {
-		for _, sys := range []harness.SystemName{harness.FlexTMEager, harness.FlexTMLazy} {
-			name, sys := name, sys
-			b.Run(fmt.Sprintf("%s/%s/16T", name, sys), func(b *testing.B) {
-				wf, _ := workloads.ByName(name)
-				base, err := harness.Run(harness.RunConfig{
-					System: harness.FlexTMEager, Workload: wf, Threads: 1,
-					OpsPerThread: benchOps, Machine: tmesi.DefaultConfig(), Verify: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var norm float64
-				for i := 0; i < b.N; i++ {
-					res, err := harness.Run(harness.RunConfig{
-						System: sys, Workload: wf, Threads: 16,
-						OpsPerThread: benchOps, Machine: tmesi.DefaultConfig(), Verify: true,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					norm = res.Throughput / base.Throughput
-				}
-				b.ReportMetric(norm, "normTput")
-			})
-		}
-	}
+	plots := figurePlots(b, harness.Figure5)
+	reportPoints(b, plots)
+	reportConflicts(b, plots)
 }
 
 func BenchmarkFigure5MP(b *testing.B) {

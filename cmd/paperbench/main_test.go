@@ -304,11 +304,15 @@ func TestInterruptFlushesPartialArtifact(t *testing.T) {
 	}
 }
 
-// TestHTMComparisonAndCausalGoldens pins the -fig logtm and -fig causal
-// outputs, tables, -json stream and artifacts, to the bytes under
-// testdata, at GOMAXPROCS 1 and at the default. The goldens were recorded
-// when both figures still ran on a grid of their own, so they also pin
-// that moving them onto harness.Grid changed nothing.
+// TestHTMComparisonAndCausalGoldens pins the -fig 4, 5, 5mp, logtm and
+// causal outputs, tables, -json stream and artifacts, to the bytes under
+// testdata, at GOMAXPROCS 1 and at the default. The logtm and causal
+// goldens were recorded when both figures still ran on a grid of their
+// own, and the Figure 4 and 5 goldens when every normalization base was a
+// simulation of its own, so they also pin that moving the figures onto
+// harness.Grid and taking the bases from the grid changed nothing. The
+// -threads 4,16 case has no 1-thread column, so its bases run outside the
+// grid.
 func TestHTMComparisonAndCausalGoldens(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pure byte comparison, ~15x slower under the detector")
@@ -322,6 +326,12 @@ func TestHTMComparisonAndCausalGoldens(t *testing.T) {
 		{"logtm", []string{"-quick", "-fig", "logtm"}, []string{"stdout"}},
 		{"logtm-json", []string{"-quick", "-fig", "logtm", "-json"}, []string{"stdout", "stderr", "bench.json"}},
 		{"causal", []string{"-quick", "-fig", "causal"}, []string{"stdout", "bench.json"}},
+		{"fig4", []string{"-quick", "-fig", "4"}, []string{"stdout"}},
+		{"fig5", []string{"-quick", "-fig", "5"}, []string{"stdout"}},
+		{"fig5mp", []string{"-quick", "-fig", "5mp"}, []string{"stdout"}},
+		// -quick overrides -threads, so this case leaves it off.
+		{"fig5-threads", []string{"-fig", "5", "-threads", "4,16", "-ops", "40"}, []string{"stdout"}},
+		{"fig5-json", []string{"-quick", "-fig", "5", "-json"}, []string{"stdout", "stderr", "bench.json"}},
 	} {
 		for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
 			dir := t.TempDir()

@@ -114,7 +114,7 @@ func assemblyRuns(t *testing.T) []byte {
 
 // TestAssemblyRunsMatchParent: assembling every machine in one place must
 // leave each simulated result byte-identical — manager-ablation cells,
-// multiprogramming points with their isolated baselines, an oracle-checked
+// multiprogramming points with their isolated runs, an oracle-checked
 // faulty FlexTM run with a custom flight ring, and the CGL, RSTM, TL2 and
 // RTM-F baselines. The runs are single-goroutine simulations, so the test
 // skips itself under the race detector.

@@ -316,7 +316,7 @@ func TestCellSchemaNamespacesKinds(t *testing.T) {
 	if err != nil || v1 != 1.5 {
 		t.Fatalf("v1 = %v, %v", v1, err)
 	}
-	v2, err := cellValue(store, "baseline", cfg{"X"}, func() (float64, error) { runs++; return 2.5, nil })
+	v2, err := cellValue(store, "isolated", cfg{"X"}, func() (float64, error) { runs++; return 2.5, nil })
 	if err != nil || v2 != 2.5 {
 		t.Fatalf("kind collision: v2 = %v, %v", v2, err)
 	}
@@ -325,8 +325,43 @@ func TestCellSchemaNamespacesKinds(t *testing.T) {
 	}
 	// Second pass: both replay from their own entries.
 	v1b, _ := cellValue(store, "run", cfg{"X"}, func() (float64, error) { runs++; return -1, nil })
-	v2b, _ := cellValue(store, "baseline", cfg{"X"}, func() (float64, error) { runs++; return -1, nil })
+	v2b, _ := cellValue(store, "isolated", cfg{"X"}, func() (float64, error) { runs++; return -1, nil })
 	if runs != 2 || v1b != 1.5 || v2b != 2.5 {
 		t.Fatalf("replay wrong: runs=%d v1=%v v2=%v", runs, v1b, v2b)
+	}
+}
+
+// TestFiguresTakeBasesFromTheGrid: against a fresh store, a normalized
+// figure with a 1-thread column looks up its grid cells and nothing else,
+// because each workload's base is the grid's own (base system, 1-thread)
+// cell; only HTMComparison, whose series lack CGL, looks up one base cell
+// per workload besides. OnResult fires once per grid cell and never for a
+// base.
+func TestFiguresTakeBasesFromTheGrid(t *testing.T) {
+	if raceEnabled {
+		t.Skip("counts lookups of about 140 single-goroutine simulations; the pool is covered by the identity tests")
+	}
+	for _, tc := range []struct {
+		name           string
+		figure         func(SweepConfig) ([]Plot, error)
+		cells, lookups uint64
+	}{
+		{"Figure4", Figure4, 78, 78},
+		{"Figure5", Figure5, 24, 24},
+		{"HTMComparison", HTMComparison, 36, 36 + 3},
+	} {
+		sc := cachedSweep(t, t.TempDir())
+		sc.Threads = []int{1, 4, 16} // paperbench -quick's columns
+		var results uint64
+		sc.OnResult = func(Result) { results++ }
+		if _, err := tc.figure(sc); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st := sc.Cache.Stats(); st.Hits+st.Misses != tc.lookups {
+			t.Errorf("%s: %d store lookups (%+v), want %d", tc.name, st.Hits+st.Misses, st, tc.lookups)
+		}
+		if results != tc.cells {
+			t.Errorf("%s: OnResult fired %d times, want once per grid cell (%d)", tc.name, results, tc.cells)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"flextm/internal/cache"
 	"flextm/internal/cm"
@@ -94,7 +95,7 @@ func Figure4(sc SweepConfig) ([]Plot, error) {
 			systems[i] = []SystemName{CGL, FlexTMEager, TL2}
 		}
 	}
-	return sc.normalized("figure 4", fs, systems, sc.baseline)
+	return sc.normalized("figure 4", fs, systems, CGL)
 }
 
 // Figure5 regenerates the eager-vs-lazy study on the four contended
@@ -105,13 +106,7 @@ func Figure5(sc SweepConfig) ([]Plot, error) {
 	for i := range fs {
 		systems[i] = []SystemName{FlexTMEager, FlexTMLazy}
 	}
-	return sc.normalized("figure 5", fs, systems, func(f workloads.Factory) (float64, error) {
-		res, err := sc.RunCell(RunConfig{
-			System: FlexTMEager, Workload: f, Threads: 1, OpsPerThread: sc.Ops,
-			Machine: sc.Machine, Verify: true,
-		})
-		return res.Throughput, err
-	})
+	return sc.normalized("figure 5", fs, systems, FlexTMEager)
 }
 
 // HTMComparison is DESIGN.md's extension study: FlexTM in both modes
@@ -123,7 +118,7 @@ func HTMComparison(sc SweepConfig) ([]Plot, error) {
 	for i := range fs {
 		systems[i] = []SystemName{FlexTMEager, FlexTMLazy, LogTM, Bulk}
 	}
-	return sc.normalized("logtm", fs, systems, sc.baseline)
+	return sc.normalized("logtm", fs, systems, CGL)
 }
 
 // factoriesOf resolves workload names known to exist.
@@ -135,23 +130,36 @@ func factoriesOf(names ...string) []workloads.Factory {
 	return fs
 }
 
-// normalized is every normalized-throughput figure: base gives each
-// workload's normalization constant, run as its own parallel phase, then
-// Grid runs the cells and the fold divides each throughput by its
-// workload's base. The FlexTM cells at 8 and 16 threads also fill the
+// normalized is every normalized-throughput figure: each workload's
+// points divided by its (base, 1-thread) throughput. The fold keeps the
+// grid's raw throughputs and reads each base from the grid's own cell; only
+// workloads whose grid lacks that cell (base is not among their systems, or
+// sc.Threads has no 1) run it, in a phase of its own before the grid, with
+// no instruments and unseen by OnResult. The points are divided once Grid
+// returns. The FlexTM cells at 8 and 16 threads also fill the
 // conflict-degree table.
 func (sc SweepConfig) normalized(figure string, fs []workloads.Factory, systems [][]SystemName,
-	base func(workloads.Factory) (float64, error)) ([]Plot, error) {
+	base SystemName) ([]Plot, error) {
+	one := slices.Index(sc.Threads, 1)
 	bases := make([]float64, len(fs))
-	err := sweepexec.Map(sc.Exec(), len(fs),
-		func(i int) (float64, error) {
-			b, err := base(fs[i])
+	var outside []int
+	for w := range fs {
+		if one < 0 || !slices.Contains(systems[w], base) {
+			outside = append(outside, w)
+		}
+	}
+	err := sweepexec.Map(sc.Exec(), len(outside),
+		func(i int) (Result, error) {
+			res, err := sc.RunCell(RunConfig{
+				System: base, Workload: fs[outside[i]], Threads: 1, OpsPerThread: sc.Ops,
+				Machine: sc.Machine, Verify: true,
+			})
 			if err != nil {
-				return 0, fmt.Errorf("%s (%s): %w", figure, fs[i].Name, err)
+				return Result{}, fmt.Errorf("%s (%s): %s@1: %w", figure, fs[outside[i]].Name, base, err)
 			}
-			return b, nil
+			return res, nil
 		},
-		func(i int, b float64) error { bases[i] = b; return nil })
+		func(i int, res Result) error { bases[outside[i]] = res.Throughput; return nil })
 	if err != nil {
 		return nil, err
 	}
@@ -165,8 +173,12 @@ func (sc SweepConfig) normalized(figure string, fs []workloads.Factory, systems 
 	err = sc.Grid(figure, fs, systems, func(c GridCell, res Result) error {
 		plot := &plots[c.W]
 		th := sc.Threads[c.T]
-		plot.Series[c.S].Points[th] = res.Throughput / bases[c.W]
-		if sys := plot.Series[c.S].System; sys == FlexTMEager || sys == FlexTMLazy {
+		sys := plot.Series[c.S].System
+		plot.Series[c.S].Points[th] = res.Throughput
+		if sys == base && c.T == one {
+			bases[c.W] = res.Throughput
+		}
+		if sys == FlexTMEager || sys == FlexTMLazy {
 			switch th {
 			case 8:
 				plot.Md8, plot.Mx8 = res.MedianConflicts, res.MaxConflicts
@@ -178,6 +190,16 @@ func (sc SweepConfig) normalized(figure string, fs []workloads.Factory, systems 
 	})
 	if err != nil {
 		return nil, err
+	}
+	for wi := range plots {
+		if bases[wi] == 0 {
+			return nil, fmt.Errorf("%s (%s): zero %s@1 throughput", figure, fs[wi].Name, base)
+		}
+		for _, s := range plots[wi].Series {
+			for th, tput := range s.Points {
+				s.Points[th] = tput / bases[wi]
+			}
+		}
 	}
 	return plots, nil
 }
@@ -237,27 +259,10 @@ type MultiprogramPoint struct {
 }
 
 // Multiprogram runs Figure 5(e)/(f) for the given transactional workload.
+// The two isolated runs and the shared-machine points are independent
+// cells of one sweep, each yielding raw rates; every point is divided by
+// the isolated rates once the sweep returns.
 func Multiprogram(sc SweepConfig, f workloads.Factory, appThreads []int) ([]MultiprogramPoint, error) {
-	// Isolated baselines: two independent cells, run as their own phase.
-	type baseCell struct {
-		system SystemName
-		f      workloads.Factory
-	}
-	baseCells := []baseCell{
-		{FlexTMEager, f},
-		{CGL, primeFactory()},
-	}
-	bases := make([]float64, len(baseCells))
-	err := sweepexec.Map(sc.Exec(), len(baseCells),
-		func(i int) (float64, error) {
-			return isolatedThroughput(sc, baseCells[i].system, baseCells[i].f)
-		},
-		func(i int, b float64) error { bases[i] = b; return nil })
-	if err != nil {
-		return nil, err
-	}
-	appBase, primeBase := bases[0], bases[1]
-
 	type cell struct {
 		mode SystemName
 		at   int
@@ -268,15 +273,31 @@ func Multiprogram(sc SweepConfig, f workloads.Factory, appThreads []int) ([]Mult
 			cells = append(cells, cell{mode, at})
 		}
 	}
-	points := make([]MultiprogramPoint, 0, len(cells))
-	err = sweepexec.Map(sc.Exec(), len(cells),
-		func(i int) (MultiprogramPoint, error) {
-			c := cells[i]
-			return multiprogramRun(sc, f, c.mode, c.at, appBase, primeBase)
+	// Cells 0 and 1 are the isolated runs: the app alone under
+	// FlexTM(Eager) and the prime factorizer alone under CGL.
+	rates := make([][2]float64, 2+len(cells))
+	err := sweepexec.Map(sc.Exec(), len(rates),
+		func(i int) ([2]float64, error) {
+			switch i {
+			case 0:
+				r, err := isolatedThroughput(sc, FlexTMEager, f)
+				return [2]float64{r}, err
+			case 1:
+				r, err := isolatedThroughput(sc, CGL, primeFactory())
+				return [2]float64{r}, err
+			}
+			return multiprogramRun(sc, f, cells[i-2].mode, cells[i-2].at)
 		},
-		func(i int, p MultiprogramPoint) error { points = append(points, p); return nil })
+		func(i int, r [2]float64) error { rates[i] = r; return nil })
 	if err != nil {
 		return nil, err
+	}
+	appBase, primeBase := rates[0][0], rates[1][0]
+	points := make([]MultiprogramPoint, len(cells))
+	for i, c := range cells {
+		r := rates[2+i]
+		points[i] = MultiprogramPoint{AppThreads: c.at, Mode: c.mode,
+			AppNorm: r[0] / appBase, PrimeNorm: r[1] / primeBase}
 	}
 	return points, nil
 }
@@ -322,33 +343,26 @@ func isolatedThroughput(sc SweepConfig, system SystemName, f workloads.Factory) 
 }
 
 // multiprogramRun runs one (mode, appThreads) point through the cell
-// cache; the shared-machine contention run itself is deterministic, so the
-// point is a pure function of the key.
-func multiprogramRun(sc SweepConfig, f workloads.Factory, mode SystemName, appThreads int,
-	appBase, primeBase float64) (MultiprogramPoint, error) {
+// cache and returns its raw rates: app commits and prime factorizations
+// per million cycles. The shared-machine contention run is deterministic,
+// so the rates are a pure function of the key.
+func multiprogramRun(sc SweepConfig, f workloads.Factory, mode SystemName, appThreads int) ([2]float64, error) {
 	type key struct {
 		Workload   string       `json:"workload"`
 		Mode       SystemName   `json:"mode"`
 		AppThreads int          `json:"appThreads"`
 		Machine    tmesi.Config `json:"machine"`
 		Ops        int          `json:"ops"`
-		AppBase    float64      `json:"appBase"`
-		PrimeBase  float64      `json:"primeBase"`
 	}
-	return cellValue(sc.Cache, "multiprogram",
-		key{f.Name, mode, appThreads, sc.Machine, sc.Ops, appBase, primeBase},
-		func() (MultiprogramPoint, error) {
-			return multiprogramRunLive(sc, f, mode, appThreads, appBase, primeBase)
-		})
+	return cellValue(sc.Cache, "multiprogram", key{f.Name, mode, appThreads, sc.Machine, sc.Ops},
+		func() ([2]float64, error) { return multiprogramRunLive(sc, f, mode, appThreads) })
 }
 
-func multiprogramRunLive(sc SweepConfig, f workloads.Factory, mode SystemName, appThreads int,
-	appBase, primeBase float64) (MultiprogramPoint, error) {
-
+func multiprogramRunLive(sc SweepConfig, f workloads.Factory, mode SystemName, appThreads int) ([2]float64, error) {
 	primeThreads := sc.Machine.Cores - appThreads
 	r, err := rig.New(rig.Spec{Machine: sc.Machine})
 	if err != nil {
-		return MultiprogramPoint{}, err
+		return [2]float64{}, err
 	}
 	sys := r.Sys
 	env := &workloads.Env{Image: sys.Image(), Alloc: sys.Alloc(), Raw: sys.ReadWordRaw}
@@ -360,7 +374,7 @@ func multiprogramRunLive(sc SweepConfig, f workloads.Factory, mode SystemName, a
 
 	rt, err := NewRuntime(mode, sys)
 	if err != nil {
-		return MultiprogramPoint{}, err
+		return [2]float64{}, err
 	}
 	// Yield-on-abort: a doomed transaction donates a prime chunk before
 	// retrying (the paper's user-level schedule control). Eager management
@@ -371,7 +385,7 @@ func multiprogramRunLive(sc SweepConfig, f workloads.Factory, mode SystemName, a
 	}
 	primeRT, err := NewRuntime(CGL, sys)
 	if err != nil {
-		return MultiprogramPoint{}, err
+		return [2]float64{}, err
 	}
 
 	// Fixed wall clock: every thread loops until the deadline, so the
@@ -396,16 +410,17 @@ func multiprogramRunLive(sc SweepConfig, f workloads.Factory, mode SystemName, a
 		})
 	}
 	if err := r.Run(); err != nil {
-		return MultiprogramPoint{}, fmt.Errorf("harness: multiprogram run: %w", err)
+		return [2]float64{}, fmt.Errorf("harness: multiprogram run: %w", err)
 	}
 
-	pt := MultiprogramPoint{AppThreads: appThreads, Mode: mode}
-	elapsed := float64(r.Engine.MaxTime())
-	if elapsed > 0 {
-		pt.AppNorm = float64(rt.Stats().Commits) / elapsed * 1e6 / appBase
-		pt.PrimeNorm = float64(prime.Completed(env)) / elapsed * 1e6 / primeBase
+	var rates [2]float64
+	if elapsed := float64(r.Engine.MaxTime()); elapsed > 0 {
+		rates = [2]float64{
+			float64(rt.Stats().Commits) / elapsed * 1e6,
+			float64(prime.Completed(env)) / elapsed * 1e6,
+		}
 	}
-	return pt, nil
+	return rates, nil
 }
 
 // multiprogramCyclesPerOp scales the multiprogramming deadline from the

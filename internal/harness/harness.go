@@ -303,19 +303,3 @@ func run(rc RunConfig) (Result, *tmesi.System, error) {
 	}
 	return res, sys, nil
 }
-
-// Baseline runs single-thread CGL for the workload and returns its
-// throughput, the normalization basis of every plot.
-func Baseline(w workloads.Factory, machine tmesi.Config, ops int) (float64, error) {
-	res, err := Run(RunConfig{
-		System: CGL, Workload: w, Threads: 1, OpsPerThread: ops,
-		Machine: machine, Verify: true,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if res.Throughput == 0 {
-		return 0, fmt.Errorf("harness: zero baseline throughput for %s", w.Name)
-	}
-	return res.Throughput, nil
-}

@@ -18,7 +18,7 @@ func quickSweep() SweepConfig { return QuickSweep() }
 // sweep runs one workload's systems × threads grid the way Figure4 runs its
 // grid, normalized to 1-thread CGL on the same workload and machine.
 func sweep(sc SweepConfig, f workloads.Factory, systems []SystemName) (Plot, error) {
-	plots, err := sc.normalized(f.Name, []workloads.Factory{f}, [][]SystemName{systems}, sc.baseline)
+	plots, err := sc.normalized(f.Name, []workloads.Factory{f}, [][]SystemName{systems}, CGL)
 	if err != nil {
 		return Plot{}, err
 	}
@@ -318,6 +318,31 @@ func TestSignatureAblationReportsFPRates(t *testing.T) {
 	for _, r := range res {
 		if r.ObservedFP < 0 || r.ObservedFP > 1 || r.PredictedFP < 0 || r.PredictedFP > 1 {
 			t.Fatalf("FP rates out of range: %+v", r)
+		}
+	}
+}
+
+// TestFigure4BasesOutsideTheGrid: without a 1-thread column Figure 4 runs
+// its CGL bases outside the grid, and every 4-thread point equals, bit for
+// bit, the one a sweep with the 1-thread column computes from its own CGL
+// cells.
+func TestFigure4BasesOutsideTheGrid(t *testing.T) {
+	sc := quickSweep()
+	sc.Threads = []int{1, 4}
+	in, err := Figure4(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Threads = []int{4}
+	out, err := Figure4(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range out {
+		for j, s := range p.Series {
+			if got, want := s.Points[4], in[i].Series[j].Points[4]; got != want || len(s.Points) != 1 {
+				t.Errorf("%s %s: 4-thread point %v (of %d), want %v", p.Workload, s.System, got, len(s.Points), want)
+			}
 		}
 	}
 }

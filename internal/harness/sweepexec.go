@@ -21,7 +21,6 @@ import (
 	cellcache "flextm/internal/sweepexec/cache"
 	"flextm/internal/telemetry"
 	"flextm/internal/tmesi"
-	"flextm/internal/workloads"
 )
 
 // CellCacheSchema is the cell cache's code schema version. Bump it on ANY
@@ -33,7 +32,7 @@ import (
 const CellCacheSchema = "flextm-cell/v2"
 
 // cellSchema namespaces the schema per cell kind, so a "run" entry can
-// never decode as a "baseline" entry even under a hash collision.
+// never decode as an "isolated" entry even under a hash collision.
 func cellSchema(kind string) string { return CellCacheSchema + "/" + kind }
 
 // Exec resolves the sweep's executor, which Grid and every figure function
@@ -184,10 +183,10 @@ func (sc SweepConfig) RunCell(rc RunConfig) (Result, error) {
 	return res, nil
 }
 
-// cellValue caches an arbitrary plain-data cell value (a baseline
-// throughput, a multiprogram point, a manager-ablation row) under the
-// canonical encoding of cfg. miss runs the cell live; its error is never
-// cached. These values are a few dozen bytes each, so their payload stays
+// cellValue caches an arbitrary plain-data cell value (an isolated
+// throughput, a multiprogram point's rates, a manager-ablation row) under
+// the canonical encoding of cfg. miss runs the cell live; its error is
+// never cached. These values are a few dozen bytes each, so their payload stays
 // encoding/json: only runs carry enough bytes to earn a codec.
 func cellValue[T any](store *cellcache.Store, kind string, cfg any, miss func() (T, error)) (T, error) {
 	if store == nil {
@@ -210,17 +209,4 @@ func cellValue[T any](store *cellcache.Store, kind string, cfg any, miss func() 
 		_ = store.Put(key, schema, p)
 	}
 	return v, nil
-}
-
-// baseline is Baseline through the cell cache: the 1-thread CGL
-// normalization constant of Figure 4 and HTMComparison.
-func (sc SweepConfig) baseline(f workloads.Factory) (float64, error) {
-	type key struct {
-		Workload string       `json:"workload"`
-		Machine  tmesi.Config `json:"machine"`
-		Ops      int          `json:"ops"`
-	}
-	return cellValue(sc.Cache, "baseline", key{f.Name, sc.Machine, sc.Ops}, func() (float64, error) {
-		return Baseline(f, sc.Machine, sc.Ops)
-	})
 }
