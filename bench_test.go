@@ -4,8 +4,8 @@ package flextm
 // iteration runs a complete (reduced-size) experiment on the simulated
 // machine and reports the paper's metric via b.ReportMetric:
 //
-//	BenchmarkFigure4    normalized throughput per workload/system/threads
-//	BenchmarkFigure4Table   Figure 4's median/max conflict degrees at 8 and 16 threads
+//	BenchmarkFigure4    normalized throughput per workload/system/threads and
+//	                    median/max conflict degrees at 8 and 16 threads
 //	BenchmarkFigure5    eager-vs-lazy normalized throughput and conflict degrees
 //	BenchmarkFigure5MP  multiprogramming with Prime (Fig 5e,f)
 //	BenchmarkTable2     area estimates
@@ -78,12 +78,14 @@ func reportConflicts(b *testing.B, plots []harness.Plot) {
 	}
 }
 
-func BenchmarkFigure4(b *testing.B) { reportPoints(b, figurePlots(b, harness.Figure4)) }
+func BenchmarkFigure4(b *testing.B) { reportFigure(b, harness.Figure4) }
 
-func BenchmarkFigure4Table(b *testing.B) { reportConflicts(b, figurePlots(b, harness.Figure4)) }
+func BenchmarkFigure5(b *testing.B) { reportFigure(b, harness.Figure5) }
 
-func BenchmarkFigure5(b *testing.B) {
-	plots := figurePlots(b, harness.Figure5)
+// reportFigure runs a figure and reports both its points and its conflict
+// degrees from the one sweep.
+func reportFigure(b *testing.B, figure func(harness.SweepConfig) ([]harness.Plot, error)) {
+	plots := figurePlots(b, figure)
 	reportPoints(b, plots)
 	reportConflicts(b, plots)
 }

@@ -222,15 +222,30 @@ func flextm(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error
 	// Observation plane. The pump is created whenever there is something to
 	// observe or something to flush on interrupt; it rides the simulation as
 	// its own thread (harness.RunConfig.Observe), so sampling is
-	// deterministic and cannot perturb the run.
+	// deterministic and cannot perturb the run. Its readers run on that
+	// thread too: the watcher prints each line on the tick that sampled it,
+	// and the server's latest-frame cell is the only hand-off to another
+	// goroutine.
 	obsOn := *httpAddr != "" || *watch || *livelock || *metrics || *profile || *causalOn || *traceOut != ""
 	var (
-		bus  *observatory.Bus
-		pump *observatory.Pump
+		readers []func(*observatory.Frame)
+		pump    *observatory.Pump
 	)
+	if *watch {
+		readers = append(readers, observatory.NewWatcher(stdout).Observe)
+	}
+	if *httpAddr != "" {
+		srv := observatory.NewServer()
+		addr, err := srv.Start(*httpAddr)
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		readers = append(readers, srv.Publish)
+		fmt.Fprintf(stderr, "observatory http://%s (/metrics /snapshot.json /conflictgraph.dot /flight /debug/pprof/)\n", addr)
+	}
 	interrupted := make(chan struct{})
 	if obsOn {
-		bus = observatory.NewBus()
 		iv := sim.Time(*obsInterval)
 		if iv == 0 {
 			iv = observatory.DefaultInterval
@@ -247,7 +262,7 @@ func flextm(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error
 		}
 		pump = observatory.NewPump(observatory.Config{
 			Interval: iv,
-			Bus:      bus,
+			Readers:  readers,
 			OnFlush: func(fr *observatory.Frame) {
 				fmt.Fprintln(stderr, "\nflextm: interrupted — flushing partial artifacts")
 				if !*livelock {
@@ -268,26 +283,6 @@ func flextm(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error
 				pump.RequestFlush()
 			case <-done:
 			}
-		}()
-	}
-	if *httpAddr != "" {
-		srv := observatory.NewServer(bus)
-		addr, err := srv.Start(*httpAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "observatory http://%s (/metrics /snapshot.json /conflictgraph.dot /flight /debug/pprof/)\n", addr)
-	}
-	var watchDone chan struct{}
-	if *watch {
-		ch, _ := bus.Subscribe(4096)
-		watchDone = make(chan struct{})
-		wa := observatory.NewWatcher(stdout)
-		wa.AttachBus(bus)
-		go func() {
-			wa.Run(ch)
-			close(watchDone)
 		}()
 	}
 	lingerPhase := func() error {
@@ -322,7 +317,7 @@ func flextm(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error
 	}
 
 	if *livelock {
-		if err := runLivelock(stdout, *seed, gov, pump, watchDone, *governLog, causalCfg, queryCfg); err != nil {
+		if err := runLivelock(stdout, *seed, gov, pump, *governLog, causalCfg, queryCfg); err != nil {
 			return err
 		}
 		return lingerPhase()
@@ -365,7 +360,6 @@ func flextm(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error
 	if err != nil {
 		return err
 	}
-	waitWatch(watchDone)
 
 	fmt.Fprintf(stdout, "workload    %s\nsystem      %s\nthreads     %d\n", res.Workload, res.System, res.Threads)
 	fmt.Fprintf(stdout, "commits     %d\naborts      %d (%.2f per commit)\n",
@@ -448,28 +442,14 @@ func flextm(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error
 	return lingerPhase()
 }
 
-// waitWatch gives the watch goroutine a moment to drain its channel and
-// print the Final frame; the bus never blocks publishers, so the run must
-// not end the instant the simulation does.
-func waitWatch(done chan struct{}) {
-	if done == nil {
-		return
-	}
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-	}
-}
-
 // runLivelock runs the dueling-livelock probe under the observation plane.
 // Ungoverned, it is the classic demonstration that the watch mode flags an
 // abort cycle while the duel is still running, before the watchdog trips.
 // Governed, the watchdog is loosened: the ladder, not the watchdog, must
 // break the cycle, and by run end every rung must have unwound. Either
 // failing is an error.
-func runLivelock(w io.Writer, seed uint64, gov *governor.Governor, pump *observatory.Pump, watchDone chan struct{}, logPath string, causalCfg causalArtifacts, queryCfg queryConfig) error {
+func runLivelock(w io.Writer, seed uint64, gov *governor.Governor, pump *observatory.Pump, logPath string, causalCfg causalArtifacts, queryCfg queryConfig) error {
 	rep, out, err := harness.LivelockProbe(seed, gov, pump)
-	waitWatch(watchDone)
 	if err != nil {
 		return err
 	}

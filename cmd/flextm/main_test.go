@@ -87,8 +87,8 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
 		{[]string{"-workload", "Nope"}, 2, `flextm: unknown workload "Nope" (try -list)`},
 		{[]string{"-query-out", "q.json"}, 2, "flextm: -query-out needs at least one -query"},
-		// A scale that is not a power of two once panicked in the
-		// governor thread, widening to a geometry no signature can have.
+		// A scale that is not a power of two once panicked inside the
+		// simulation, widening to a geometry no signature can have.
 		{[]string{"-livelock", "-govern", "-govern-ladder", "sig:3"}, 2, `flextm: governor: bad signature scale "3"`},
 		{[]string{"-schedule", "s5,t2,r3,o1,a2,lazy,broken"}, 1, ""},
 		{[]string{"-threads", "99"}, 1, "flextm: harness: 99 threads on 16 cores"},
@@ -198,6 +198,40 @@ func TestFlightQLGoldenOverLivelockProbe(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("FlightQL results over the livelock probe differ from testdata/flightql_golden.json (%d bytes, want %d)",
 			len(got), len(want))
+	}
+}
+
+// TestWatchGoldens pins the whole stdout of the seed-1 livelock probe under
+// -watch, ungoverned and governed, and the governed run's transition log.
+// The watcher prints inside the simulation, so every watch line precedes
+// the run summary and the output is the same on every run and host.
+func TestWatchGoldens(t *testing.T) {
+	log := filepath.Join(t.TempDir(), "govern.log")
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"livelock_watch.golden", []string{"-livelock", "-watch"}},
+		{"livelock_govern_watch.golden", []string{"-livelock", "-govern", "-watch", "-govern-log", log}},
+	} {
+		golden(t, tc.golden, mustRun(t, tc.args...))
+	}
+	b, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "livelock_govern_log.golden", string(b))
+}
+
+// golden fails the test unless got is byte-equal to testdata/name.
+func golden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from testdata/%s:\ngot:\n%s", name, got)
 	}
 }
 

@@ -238,11 +238,10 @@ func paperbench(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) e
 		sc.Ops = 80
 	}
 	if *httpAddr != "" {
-		bus := observatory.NewBus()
+		srv := observatory.NewServer()
 		sc.Observe = observatory.NewPump(observatory.Config{
-			Interval: sim.Time(*obsInterval), Bus: bus,
+			Interval: sim.Time(*obsInterval), Readers: []func(*observatory.Frame){srv.Publish},
 		})
-		srv := observatory.NewServer(bus)
 		addr, err := srv.Start(*httpAddr)
 		if err != nil {
 			return err
@@ -335,7 +334,7 @@ func paperbench(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) e
 }
 
 // writeReport runs one dedicated observed FlexTM(Lazy)/RBTree point at the
-// sweep's largest thread count with a frame-retaining pump, then renders
+// sweep's largest thread count with a frame-collecting pump, then renders
 // the run as a self-contained HTML report. When a bench artifact was
 // recorded this invocation and the baseline artifact is readable, the
 // report embeds their comparison.
@@ -348,7 +347,10 @@ func (p *paper) writeReport(path, baselinePath string, bench *benchfmt.Artifact,
 		iv = 20_000
 	}
 	f, _ := workloads.ByName("RBTree")
-	pump := observatory.NewPump(observatory.Config{Interval: iv, Retain: true})
+	var frames []*observatory.Frame
+	pump := observatory.NewPump(observatory.Config{
+		Interval: iv, Readers: []func(*observatory.Frame){func(f *observatory.Frame) { frames = append(frames, f) }},
+	})
 	res, err := harness.Run(harness.RunConfig{
 		System: harness.FlexTMLazy, Workload: f, Threads: threads,
 		OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: true,
@@ -366,10 +368,10 @@ func (p *paper) writeReport(path, baselinePath string, bench *benchfmt.Artifact,
 	}
 	d := observatory.ReportData{
 		Title:   fmt.Sprintf("FlexTM run report — %s / %s @ %d threads", res.System, res.Workload, res.Threads),
-		Frames:  pump.Frames(),
+		Frames:  frames,
 		Command: fmt.Sprintf("paperbench -report %s -ops %d", path, sc.Ops),
 	}
-	if fin := pump.Final(); fin != nil {
+	if fin := d.Final(); fin != nil {
 		d.Meta = fin.Meta
 	}
 	if res.Flight != nil {

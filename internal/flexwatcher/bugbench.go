@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"flextm/internal/memory"
+	"flextm/internal/rig"
 	"flextm/internal/sim"
 	"flextm/internal/tmesi"
 )
@@ -184,12 +185,15 @@ const (
 // returns elapsed cycles, the watcher (nil unless WithFlexWatcher), and an
 // error if the planted bug went undetected.
 func RunProgram(prog Program, mode Mode, machine tmesi.Config) (sim.Time, *Watcher, error) {
-	sys := tmesi.New(machine)
-	e := sim.NewEngine()
+	r, err := rig.New(rig.Spec{Machine: machine})
+	if err != nil {
+		return 0, nil, err
+	}
+	sys := r.Sys
 	var elapsed sim.Time
 	var w *Watcher
 	var detectErr error
-	e.Spawn(prog.Name, 0, func(ctx *sim.Ctx) {
+	r.Spawn(prog.Name, func(ctx *sim.Ctx) {
 		p := NewProg(sys, ctx, 0, nil)
 		switch mode {
 		case WithFlexWatcher:
@@ -208,8 +212,8 @@ func RunProgram(prog Program, mode Mode, machine tmesi.Config) (sim.Time, *Watch
 			detectErr = checkDetection(prog, w, st, start)
 		}
 	})
-	if blocked := e.Run(); blocked != 0 {
-		return 0, nil, fmt.Errorf("flexwatcher: program blocked")
+	if err := r.Run(); err != nil {
+		return 0, nil, fmt.Errorf("flexwatcher: %w", err)
 	}
 	return elapsed, w, detectErr
 }

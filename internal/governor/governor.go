@@ -1,16 +1,16 @@
 // Package governor is the closed-loop resilience controller over a FlexTM
-// run: it consumes the per-interval Frames the observatory pump publishes,
+// run: it consumes the per-interval Frames the observatory pump samples,
 // classifies each interval into a health state, and walks a configurable
 // mitigation ladder — contention-manager swaps, back-off scaling, admission
 // control, signature widening, and finally forced serialization — raising a
 // rung when the run stays unhealthy and lowering one when it stays healthy,
 // with hysteresis and cooldowns so the controller cannot flap.
 //
-// The governor runs as a dedicated simulated thread that internal/rig
-// spawns right after the observatory pump's, so at every shared tick the
-// pump publishes frame k before the governor reads it (Observe). Every knob it turns is a
-// Go-side runtime field consulted behind a single branch, and the
-// controller itself consumes no randomness, so:
+// internal/rig binds the governor to the observatory pump for each run: the
+// pump has it annotate every frame before any reader sees it (Annotate), and
+// the pump's own simulated thread feeds it the newest frame of each instant
+// (Observe). Every knob it turns is a Go-side runtime field consulted behind
+// a single branch, and the controller itself consumes no randomness, so:
 //
 //   - a run with the governor disabled is bit-identical to one where the
 //     package does not exist, and
@@ -264,7 +264,7 @@ type undoRec struct {
 }
 
 // Governor walks the ladder for one run. All state is owned by the
-// simulation thread that calls Observe; nothing here is safe for concurrent
+// pump thread that calls Observe; nothing here is safe for concurrent
 // use, and nothing here needs to be.
 type Governor struct {
 	cfg Config
@@ -279,7 +279,6 @@ type Governor struct {
 	healthy     int
 	cooldown    int
 	lastState   State
-	lastFrame   int
 	undo        []undoRec
 	transitions []Transition
 }
@@ -298,7 +297,7 @@ func New(cfg Config) *Governor {
 	if cfg.Cooldown < 0 {
 		cfg.Cooldown = 2
 	}
-	return &Governor{cfg: cfg, lastFrame: -1}
+	return &Governor{cfg: cfg}
 }
 
 // Config returns the effective (default-filled) configuration.
@@ -353,10 +352,9 @@ func (g *Governor) TransitionLog() string {
 	return b.String()
 }
 
-// Annotate attaches the governor's current state to a frame about to be
-// published (observatory.Pump.SetAnnotator). It runs before Observe sees
-// the frame, so the sample reflects the level in force while the frame's
-// interval ran.
+// Annotate attaches the governor's current state to a frame before any pump
+// reader sees it. It runs before Observe sees the frame, so the
+// sample reflects the level in force while the frame's interval ran.
 func (g *Governor) Annotate(f *observatory.Frame) {
 	if g == nil || f == nil {
 		return
@@ -412,16 +410,14 @@ func (g *Governor) Classify(f *observatory.Frame) State {
 	return Healthy
 }
 
-// Observe feeds the governor one published frame. It classifies the
-// interval, updates the hysteresis counters, and — outside cooldown — moves
-// one rung up or down. Frames already seen (the bus republishes the latest
-// on every read) and nil frames are ignored. Must run inside the
-// simulation, on the governor's own thread.
+// Observe feeds the governor one frame. It classifies the interval, updates
+// the hysteresis counters, and — outside cooldown — moves one rung up or
+// down. Nil frames are ignored. Must run inside the simulation, on the
+// pump's thread.
 func (g *Governor) Observe(f *observatory.Frame) {
-	if g == nil || f == nil || g.rt == nil || f.Index == g.lastFrame {
+	if g == nil || f == nil || g.rt == nil {
 		return
 	}
-	g.lastFrame = f.Index
 	state := g.Classify(f)
 	g.lastState = state
 	if state == Healthy {

@@ -226,22 +226,6 @@ func TestCooldownHoldsTheLadderStill(t *testing.T) {
 	}
 }
 
-func TestObserveDedupsRepublishedFrames(t *testing.T) {
-	g, _ := boundGovernor(t, Config{RaiseAfter: 2, Cooldown: 0})
-	f := contendedFrame(0)
-	// The bus republishes the latest frame on every read; observing the same
-	// index twice must count as one interval.
-	g.Observe(f)
-	g.Observe(f)
-	if g.Level() != 0 {
-		t.Fatalf("duplicate frame observations raised the level to %d", g.Level())
-	}
-	g.Observe(contendedFrame(1))
-	if g.Level() != 1 {
-		t.Fatalf("level = %d after two distinct unhealthy frames, want 1", g.Level())
-	}
-}
-
 func TestBackoffAndAdmitRungsApplyAndRevert(t *testing.T) {
 	g, rt := boundGovernor(t, Config{
 		Ladder:     []Action{{Kind: ActBackoff, Shift: 3}, {Kind: ActAdmit}},

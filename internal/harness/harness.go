@@ -107,16 +107,17 @@ type RunConfig struct {
 	Oracle bool
 	// Observe, if non-nil, attaches the observation plane: a snapshot pump
 	// runs as its own simulated thread, sampling telemetry and the flight
-	// recorder every pump interval of virtual time and publishing frames to
-	// the pump's bus. Forces Metrics and Flight on — the pump has nothing to
-	// observe without them. Observation never perturbs the workload threads'
-	// schedule, so observed and unobserved runs produce identical results.
+	// recorder every pump interval of virtual time and handing each frame
+	// to the pump's readers. Forces Metrics and Flight on — the pump has
+	// nothing to observe without them. Observation never perturbs the
+	// workload threads' schedule, so observed and unobserved runs produce
+	// identical results.
 	Observe *observatory.Pump
 	// Govern, if non-nil, attaches the resilience governor (FlexTM systems
-	// only): it runs as its own simulated thread right behind the pump,
-	// consuming each published frame and walking its mitigation ladder.
-	// Forces observation on — a pump (and bus) are created when Observe is
-	// nil. The governor's transitions are available on it after the run.
+	// only): it runs on the pump's thread, annotating each frame and
+	// walking its mitigation ladder by the newest one. Forces observation
+	// on — a pump is created when Observe is nil. The governor's
+	// transitions are available on it after the run.
 	Govern *governor.Governor
 }
 

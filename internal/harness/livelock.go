@@ -84,11 +84,11 @@ func GovernedLivelockConfig() governor.Config {
 // under it with the watchdog budget loosened (24 consecutive aborts instead
 // of 5), so the governor — reacting from the observation plane — gets to
 // break the cycle first via its ladder (CM swap, then an admission cap of
-// one). After the duel the observers keep sampling a calm tail of empty
+// one). After the duel the pump keeps sampling a calm tail of empty
 // intervals long enough for the governor to walk fully back down to level
 // 0, proving de-escalation, and the report reads the end-of-run rings
 // rather than the dump. A governed run without a pump gets a private pump
-// and bus at GovernedLivelockInterval.
+// at GovernedLivelockInterval.
 func LivelockProbe(seed uint64, g *governor.Governor, pump *observatory.Pump) (*conflictgraph.Report, LivelockOutcome, error) {
 	workload, errPrefix := "LivelockDuel", "livelock probe"
 	// Tight watchdog: the duel must trip it quickly, and escalation bounds
@@ -107,7 +107,7 @@ func LivelockProbe(seed uint64, g *governor.Governor, pump *observatory.Pump) (*
 		// leaves the watchdog as a genuine backstop rather than the
 		// resolution path.
 		budget = core.Liveness{MaxConsecAborts: 24, MaxStallCycles: 2_000_000, MaxCommitRetries: 64}
-		// Both observers run a calm tail of empty intervals past the duel's
+		// The pump runs a calm tail of empty intervals past the duel's
 		// end: those classify healthy, so every rung still raised when the
 		// duel finishes is guaranteed to unwind before the run ends
 		// (structural de-escalation, not an accident of the duel schedule).

@@ -6,11 +6,24 @@ import (
 
 	"flextm/internal/conflictgraph"
 	"flextm/internal/flight"
+	"flextm/internal/governor"
 	"flextm/internal/observatory"
+	"flextm/internal/sim"
 	"flextm/internal/telemetry"
 	"flextm/internal/tmesi"
 	"flextm/internal/workloads"
 )
+
+// collectingPump returns a pump sampling every iv cycles whose first reader
+// appends each frame to the returned slice; more readers follow in order.
+func collectingPump(iv sim.Time, more ...func(*observatory.Frame)) (*observatory.Pump, *[]*observatory.Frame) {
+	frames := new([]*observatory.Frame)
+	collect := func(f *observatory.Frame) { *frames = append(*frames, f) }
+	pump := observatory.NewPump(observatory.Config{
+		Interval: iv, Readers: append([]func(*observatory.Frame){collect}, more...),
+	})
+	return pump, frames
+}
 
 // The observation plane must be a pure reader: attaching a pump cannot
 // change what the run computes or how long it takes. This is the
@@ -26,8 +39,8 @@ func TestObservationDoesNotPerturbResults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bus := observatory.NewBus()
-	pump := observatory.NewPump(observatory.Config{Interval: 5_000, Bus: bus, Retain: true})
+	srv := observatory.NewServer()
+	pump, frames := collectingPump(5_000, srv.Publish)
 	rc.Observe = pump
 	observed, err := Run(rc)
 	if err != nil {
@@ -43,22 +56,21 @@ func TestObservationDoesNotPerturbResults(t *testing.T) {
 	}
 
 	// The pump actually sampled: several interval frames plus a final one,
-	// all published to the bus.
-	frames := pump.Frames()
-	if len(frames) < 2 {
-		t.Fatalf("pump retained %d frames, want interval samples plus a final", len(frames))
+	// each handed to every reader in turn.
+	if len(*frames) < 2 {
+		t.Fatalf("pump produced %d frames, want interval samples plus a final", len(*frames))
 	}
-	last := frames[len(frames)-1]
+	last := (*frames)[len(*frames)-1]
 	if !last.Final {
-		t.Fatal("last retained frame is not Final")
+		t.Fatal("last frame is not Final")
 	}
-	if bus.Published() != uint64(len(frames)) {
-		t.Fatalf("bus published %d, retained %d", bus.Published(), len(frames))
+	if srv.Latest() != last {
+		t.Fatal("the server's latest frame is not the run's final frame")
 	}
 	// Interval deltas must sum to the cumulative totals: the stream is a
 	// partition of the run, not an approximation of it.
 	var sum uint64
-	for _, fr := range frames {
+	for _, fr := range *frames {
 		sum += fr.Delta.Total(telemetry.CtrTxnCommits)
 	}
 	if cum := last.Cum.Total(telemetry.CtrTxnCommits); sum != cum {
@@ -75,7 +87,7 @@ func TestObservationDoesNotPerturbResults(t *testing.T) {
 // closes before the watchdog trips — the watcher sees the livelock while
 // it is still in progress, not in the post-mortem.
 func TestObservedLivelockFlagsAbortCycleBeforeWatchdog(t *testing.T) {
-	pump := observatory.NewPump(observatory.Config{Interval: 1_000, Retain: true})
+	pump, collected := collectingPump(1_000)
 	rep, out, err := LivelockProbe(1, nil, pump)
 	if err != nil {
 		t.Fatal(err)
@@ -84,9 +96,9 @@ func TestObservedLivelockFlagsAbortCycleBeforeWatchdog(t *testing.T) {
 		t.Fatal("probe's own post-mortem found no abort cycle")
 	}
 
-	frames := pump.Frames()
+	frames := *collected
 	if len(frames) == 0 {
-		t.Fatal("pump retained no frames")
+		t.Fatal("pump produced no frames")
 	}
 	var detectedAt uint64
 	found := false
@@ -128,18 +140,18 @@ func TestObservedLivelockFlagsAbortCycleBeforeWatchdog(t *testing.T) {
 	}
 }
 
-// Sweeps re-bind the same pump run after run; a subscriber sees each run
-// end with a Final frame.
+// Sweeps re-bind the same pump run after run; a reader sees each run end
+// with a Final frame.
 func TestSweepRebindsObservePerRun(t *testing.T) {
 	sc := quickSweep()
-	pump := observatory.NewPump(observatory.Config{Interval: 10_000, Retain: true})
+	pump, frames := collectingPump(10_000)
 	sc.Observe = pump
 	f, _ := workloads.ByName("HashTable")
 	if _, err := sweep(sc, f, []SystemName{FlexTMEager}); err != nil {
 		t.Fatal(err)
 	}
 	finals := 0
-	for _, fr := range pump.Frames() {
+	for _, fr := range *frames {
 		if fr.Final {
 			finals++
 		}
@@ -158,20 +170,15 @@ func TestHTMComparisonObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bus := observatory.NewBus()
-	frames, cancel := bus.Subscribe(1 << 12)
-	defer cancel()
-	sc.Observe = observatory.NewPump(observatory.Config{Interval: 50_000, Bus: bus})
+	pump, frames := collectingPump(50_000)
+	sc.Observe = pump
 	observed, err := HTMComparison(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bus.Dropped() != 0 {
-		t.Fatalf("subscriber dropped %d frames", bus.Dropped())
-	}
 	finals := 0
-	for len(frames) > 0 {
-		if (<-frames).Final {
+	for _, fr := range *frames {
+		if fr.Final {
 			finals++
 		}
 	}
@@ -180,5 +187,37 @@ func TestHTMComparisonObserved(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain, observed) {
 		t.Errorf("observation changed the plots:\nplain    %+v\nobserved %+v", plain, observed)
+	}
+}
+
+// TestUngovernedRunAfterGovernedCarriesNoGovSample: the pump binds its
+// governor per run, so a pump re-bound for an ungoverned run after a
+// governed one stamps no governor sample on its frames.
+func TestUngovernedRunAfterGovernedCarriesNoGovSample(t *testing.T) {
+	pump, frames := collectingPump(5_000)
+	f, _ := workloads.ByName("RBTree")
+	rc := RunConfig{
+		System: FlexTMLazy, Workload: f, Threads: 2, OpsPerThread: 40,
+		Machine: tmesi.DefaultConfig(), Observe: pump,
+		Govern: governor.New(governor.Config{}),
+	}
+	if _, err := Run(rc); err != nil {
+		t.Fatal(err)
+	}
+	if len(*frames) == 0 || (*frames)[0].Gov == nil {
+		t.Fatal("governed run's frames carry no governor sample")
+	}
+	*frames = nil
+	rc.Govern = nil
+	if _, err := Run(rc); err != nil {
+		t.Fatal(err)
+	}
+	if len(*frames) == 0 {
+		t.Fatal("ungoverned run produced no frames")
+	}
+	for _, fr := range *frames {
+		if fr.Gov != nil {
+			t.Fatalf("ungoverned frame %d carries governor sample %+v", fr.Index, *fr.Gov)
+		}
 	}
 }

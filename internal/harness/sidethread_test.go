@@ -170,22 +170,21 @@ func sideThreadRuns(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	doc["livelock"] = probeOutcomeGolden(out, rep.PathologyCounts())
-	pump := observatory.NewPump(observatory.Config{Interval: 1000, Bus: observatory.NewBus(), Retain: true})
+	pump, frames := collectingPump(1000)
 	rep, out, err = LivelockProbe(1, nil, pump)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pg := probeOutcomeGolden(out, rep.PathologyCounts())
-	pg.Frames = framesGolden(pump.Frames())
+	pg.Frames = framesGolden(*frames)
 	doc["livelock_observed"] = pg
 
 	// The governed probe, on its private pump and on a caller's.
 	for _, key := range []string{"livelock_governed", "livelock_governed_observed"} {
 		var pump *observatory.Pump
+		frames := new([]*observatory.Frame)
 		if key == "livelock_governed_observed" {
-			pump = observatory.NewPump(observatory.Config{
-				Interval: GovernedLivelockInterval, Bus: observatory.NewBus(), Retain: true,
-			})
+			pump, frames = collectingPump(GovernedLivelockInterval)
 		}
 		g := governor.New(GovernedLivelockConfig())
 		rep, out, err := LivelockProbe(1, g, pump)
@@ -194,7 +193,7 @@ func sideThreadRuns(t *testing.T) []byte {
 		}
 		pg := probeOutcomeGolden(out, rep.PathologyCounts())
 		pg.GovLog = g.TransitionLog()
-		pg.Frames = framesGolden(pump.Frames())
+		pg.Frames = framesGolden(*frames)
 		doc[key] = pg
 	}
 
@@ -205,7 +204,7 @@ func sideThreadRuns(t *testing.T) []byte {
 	}
 	var runs []runGolden
 	for _, governed := range []bool{false, true} {
-		pump := observatory.NewPump(observatory.Config{Interval: 5000, Bus: observatory.NewBus(), Retain: true})
+		pump, frames := collectingPump(5000)
 		rc := RunConfig{
 			System: FlexTMLazy, Workload: f, Threads: 4, OpsPerThread: 200,
 			Machine: tmesi.DefaultConfig(), Verify: true, Observe: pump,
@@ -222,7 +221,7 @@ func sideThreadRuns(t *testing.T) []byte {
 		}
 		rg := runGolden{
 			Commits: res.Commits, Aborts: res.Aborts, Escalations: res.Escalations,
-			Cycles: uint64(res.Cycles), Frames: framesGolden(pump.Frames()),
+			Cycles: uint64(res.Cycles), Frames: framesGolden(*frames),
 		}
 		if gov != nil {
 			rg.GovLog = gov.TransitionLog()

@@ -38,8 +38,7 @@ func cellSchema(kind string) string { return CellCacheSchema + "/" + kind }
 // Exec resolves the sweep's executor, which Grid and every figure function
 // hand to sweepexec.Map. The pool is sweepexec's default, GOMAXPROCS
 // workers, except that observation forces serial: the shared pump is
-// re-bound per run and its subscribers contract to see one run stream at a
-// time.
+// re-bound per run and its readers see one run's frames at a time.
 func (sc SweepConfig) Exec() sweepexec.Exec {
 	e := sweepexec.Exec{Stop: sc.Stop}
 	if sc.Observe != nil {

@@ -33,7 +33,7 @@ import (
 type ReportData struct {
 	Title string
 	Meta  Meta
-	// Frames is the run's interval series (pump with Config.Retain); the
+	// Frames is the run's interval series, collected by a pump reader; the
 	// last frame is treated as final state.
 	Frames []*Frame
 	// Bench, if non-nil, is the artifact recorded alongside the run.

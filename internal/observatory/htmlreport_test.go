@@ -15,8 +15,10 @@ import (
 // synthetic run, plus a bench artifact and self-comparison.
 func reportFixture() ReportData {
 	tel := telemetry.New(2)
-	p := NewPump(Config{Interval: 1000, Retain: true})
-	p.Bind(tel, nil, Meta{System: "FlexTM(Lazy)", Workload: "RBTree", Threads: 2, Cores: 2})
+	var frames []*Frame
+	p := NewPump(Config{Interval: 1000, Readers: []func(*Frame){func(f *Frame) { frames = append(frames, f) }}})
+	meta := Meta{System: "FlexTM(Lazy)", Workload: "RBTree", Threads: 2, Cores: 2}
+	p.Bind(tel, nil, meta, nil)
 	for i := 1; i <= 5; i++ {
 		tel.Add(0, telemetry.CtrTxnCommits, uint64(10*i))
 		tel.Add(0, telemetry.CtrTxnAborts, uint64(i))
@@ -30,7 +32,7 @@ func reportFixture() ReportData {
 		Threads: 2, Commits: 150, Throughput: 27.3})
 	cmp := benchfmt.Compare(a, a, 0.1)
 	return ReportData{
-		Meta: p.Final().Meta, Frames: p.Frames(),
+		Meta: meta, Frames: frames,
 		Bench: a, Compare: &cmp, BaselineLabel: "BENCH_baseline.json",
 		Command: "paperbench -report out.html",
 	}

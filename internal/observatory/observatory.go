@@ -4,7 +4,7 @@
 // which could previously only be inspected after a run ended — into a
 // streaming system an operator can watch while the run is still going.
 //
-// Three pieces compose:
+// Two pieces compose:
 //
 //   - Pump: a sampling loop that runs as a dedicated simulated thread,
 //     waking every Config.Interval virtual cycles, diffing the cumulative
@@ -15,23 +15,27 @@
 //     post-mortem dump.
 //   - Frame: the immutable product of one pump tick — cumulative and
 //     per-interval snapshots, derived rates, the windowed conflict-graph
-//     report, and the recent flight records. Frames are never mutated after
-//     publication, which is what makes concurrent consumers safe.
-//   - Bus: a lock-free publication path. Publish stores the latest frame in
-//     an atomic cell and fans it out to subscriber channels without
-//     blocking (slow subscribers drop frames, counted). HTTP handlers and
-//     watch printers read frames from the bus; they never touch the
-//     registry or the recorder, which stay owned by the simulation.
+//     report, and the recent flight records. The governor's annotation is
+//     the only write after a frame is built, and it lands before any other
+//     reader sees the frame, which is what makes the HTTP server's
+//     concurrent handlers safe.
 //
-// The pump is attached per run (harness.RunConfig.Observe); the bus and any
-// servers or watchers outlive individual runs, so one observatory can watch
-// a whole sweep. A nil *Pump or *Bus is the disabled state, mirroring the
-// telemetry/flight discipline: every method nil-checks and the hot path
-// pays nothing when observation is off.
+// The pump is the only place frames go out. On each tick it hands the
+// frame, inside the simulation, first to the run's governor annotation
+// (bound per run) and then to its readers in Config order: the terminal
+// watcher, a frame collector, and the HTTP server's latest-frame cell,
+// which is the one reader that hands the frame to other goroutines. No
+// frame can be dropped or reordered on its way to a reader, and no reader
+// races the run.
+//
+// The pump is attached per run (harness.RunConfig.Observe) and re-bound run
+// after run, so one pump and its readers can watch a whole sweep. A nil
+// *Pump is the disabled state, mirroring the telemetry/flight discipline:
+// every method nil-checks and the hot path pays nothing when observation is
+// off.
 package observatory
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"flextm/internal/causal"
@@ -77,8 +81,9 @@ type Frame struct {
 
 	// Gov is the resilience governor's annotation — the ladder level and
 	// health classification in force while this interval ran. Nil on
-	// ungoverned runs. Filled by the pump's annotator before publication,
-	// so consumers see it as part of the immutable frame.
+	// ungoverned runs. Filled by the governor's annotation before any pump
+	// reader sees the frame, so readers see it as part of the immutable
+	// frame.
 	Gov *GovSample
 }
 
@@ -149,11 +154,9 @@ type Config struct {
 	// Interval is the sampling period in virtual cycles (<=0 selects
 	// DefaultInterval).
 	Interval sim.Time
-	// Bus, if non-nil, receives every frame the pump produces.
-	Bus *Bus
-	// Retain keeps every produced frame in memory for post-run retrieval
-	// via Frames (the HTML report generator's collection mode).
-	Retain bool
+	// Readers take every frame the pump produces, in order, inside the
+	// simulation on the pump's tick, after the run's governor annotation.
+	Readers []func(*Frame)
 	// OnFlush, if non-nil, runs inside the simulation on the first tick
 	// after RequestFlush — the race-free place to write partial artifacts
 	// when the process is being interrupted.
@@ -163,8 +166,7 @@ type Config struct {
 // Pump samples one run. It is bound to a machine's telemetry registry and
 // flight recorder by the harness (Bind) and ticked from a dedicated
 // simulated thread, so all its mutable state is owned by the simulation;
-// the only cross-goroutine entry points are RequestFlush (an atomic flag)
-// and the bus it publishes to.
+// the only cross-goroutine entry point is RequestFlush (an atomic flag).
 type Pump struct {
 	cfg Config
 
@@ -172,25 +174,15 @@ type Pump struct {
 	fl   *flight.Recorder
 	meta Meta
 
+	annotate func(*Frame)
+
 	prev    telemetry.Snapshot
 	prevAt  sim.Time
 	lastSeq uint64
 	recent  []flight.Rec
 	index   int
 
-	frames   []*Frame
 	flushReq atomic.Bool
-	annot    func(*Frame)
-}
-
-// SetAnnotator registers a hook that may decorate each frame (e.g. the
-// governor's ladder state) after it is built but before it is retained or
-// published. It runs inside the simulation, on the pump's thread.
-func (p *Pump) SetAnnotator(fn func(*Frame)) {
-	if p == nil {
-		return
-	}
-	p.annot = fn
 }
 
 // NewPump returns a pump with the given configuration.
@@ -209,22 +201,15 @@ func (p *Pump) Interval() sim.Time {
 	return p.cfg.Interval
 }
 
-// Bus returns the bus frames are published to (nil when none).
-func (p *Pump) Bus() *Bus {
-	if p == nil {
-		return nil
-	}
-	return p.cfg.Bus
-}
-
-// Bind points the pump at one run's instrumentation and resets its
-// interval state. The same pump may be re-bound run after run (a sweep);
-// retained frames accumulate across runs, distinguished by their Meta.
-func (p *Pump) Bind(tel *telemetry.Registry, fl *flight.Recorder, meta Meta) {
+// Bind points the pump at one run's instrumentation and governor
+// annotation (nil on an ungoverned run) and resets its interval state. The
+// same pump may be re-bound run after run (a sweep); its readers see every
+// run's frames, distinguished by their Meta.
+func (p *Pump) Bind(tel *telemetry.Registry, fl *flight.Recorder, meta Meta, annotate func(*Frame)) {
 	if p == nil {
 		return
 	}
-	p.tel, p.fl, p.meta = tel, fl, meta
+	p.tel, p.fl, p.meta, p.annotate = tel, fl, meta, annotate
 	p.prev = telemetry.Snapshot{}
 	p.prevAt = 0
 	p.lastSeq = 0
@@ -232,14 +217,14 @@ func (p *Pump) Bind(tel *telemetry.Registry, fl *flight.Recorder, meta Meta) {
 	p.index = 0
 }
 
-// Tick samples one interval ending at now and publishes the frame. It must
+// Tick samples one interval ending at now and hands the frame out. It must
 // run inside the simulation (it reads live instrumentation). Safe and free
 // on a nil pump.
 func (p *Pump) Tick(now sim.Time) *Frame {
 	return p.sample(now, false)
 }
 
-// Finish publishes the run's final frame (Final=true) at now.
+// Finish hands out the run's final frame (Final=true) at now.
 func (p *Pump) Finish(now sim.Time) *Frame {
 	return p.sample(now, true)
 }
@@ -277,13 +262,12 @@ func (p *Pump) sample(now sim.Time, final bool) *Frame {
 	p.prev = cum
 	p.prevAt = now
 	p.index++
-	if p.annot != nil {
-		p.annot(f)
+	if p.annotate != nil {
+		p.annotate(f)
 	}
-	if p.cfg.Retain {
-		p.frames = append(p.frames, f)
+	for _, read := range p.cfg.Readers {
+		read(f)
 	}
-	p.cfg.Bus.Publish(f)
 	if p.flushReq.CompareAndSwap(true, false) && p.cfg.OnFlush != nil {
 		p.cfg.OnFlush(f)
 	}
@@ -299,118 +283,4 @@ func (p *Pump) RequestFlush() {
 		return
 	}
 	p.flushReq.Store(true)
-}
-
-// Frames returns the retained frames (Config.Retain). Call only after the
-// run has finished.
-func (p *Pump) Frames() []*Frame {
-	if p == nil {
-		return nil
-	}
-	return p.frames
-}
-
-// Final returns the last retained frame, nil when none.
-func (p *Pump) Final() *Frame {
-	if p == nil || len(p.frames) == 0 {
-		return nil
-	}
-	return p.frames[len(p.frames)-1]
-}
-
-// Bus fans frames out to subscribers. The publish path is lock-free: the
-// latest frame lives in an atomic cell, the subscriber list is copy-on-write
-// (writers swap a fresh slice under a mutex; Publish only atomically loads
-// it), and channel sends never block — a full subscriber drops the frame
-// and the drop is counted.
-type Bus struct {
-	latest    atomic.Pointer[Frame]
-	subs      atomic.Pointer[[]chan *Frame]
-	mu        sync.Mutex // serializes Subscribe/cancel (list writers only)
-	published atomic.Uint64
-	dropped   atomic.Uint64
-}
-
-// NewBus returns an empty bus.
-func NewBus() *Bus { return &Bus{} }
-
-// Publish stores f as the latest frame and offers it to every subscriber
-// without blocking. Safe and free on a nil bus; a nil frame is ignored.
-func (b *Bus) Publish(f *Frame) {
-	if b == nil || f == nil {
-		return
-	}
-	b.latest.Store(f)
-	b.published.Add(1)
-	if subs := b.subs.Load(); subs != nil {
-		for _, ch := range *subs {
-			select {
-			case ch <- f:
-			default:
-				b.dropped.Add(1)
-			}
-		}
-	}
-}
-
-// Latest returns the most recently published frame (nil before the first).
-func (b *Bus) Latest() *Frame {
-	if b == nil {
-		return nil
-	}
-	return b.latest.Load()
-}
-
-// Published returns how many frames have been published.
-func (b *Bus) Published() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.published.Load()
-}
-
-// Dropped returns how many frame deliveries were refused by full
-// subscriber channels.
-func (b *Bus) Dropped() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.dropped.Load()
-}
-
-// Subscribe registers a subscriber with the given channel buffer and
-// returns its channel plus a cancel function. The channel is never closed
-// (a racing Publish may still hold the old list); consumers stop on cancel,
-// on a Final frame, or on their own signal.
-func (b *Bus) Subscribe(buf int) (<-chan *Frame, func()) {
-	if buf <= 0 {
-		buf = 64
-	}
-	ch := make(chan *Frame, buf)
-	b.mu.Lock()
-	old := b.subs.Load()
-	var next []chan *Frame
-	if old != nil {
-		next = append(next, *old...)
-	}
-	next = append(next, ch)
-	b.subs.Store(&next)
-	b.mu.Unlock()
-
-	cancel := func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		cur := b.subs.Load()
-		if cur == nil {
-			return
-		}
-		pruned := make([]chan *Frame, 0, len(*cur))
-		for _, c := range *cur {
-			if c != ch {
-				pruned = append(pruned, c)
-			}
-		}
-		b.subs.Store(&pruned)
-	}
-	return ch, cancel
 }

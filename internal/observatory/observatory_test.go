@@ -1,6 +1,7 @@
 package observatory
 
 import (
+	"slices"
 	"testing"
 
 	"flextm/internal/flight"
@@ -49,24 +50,15 @@ func TestFrameRatesDegenerateInputs(t *testing.T) {
 	}
 }
 
-// The acceptance criterion from the issue: when observation is off (nil
-// pump, nil bus — the disabled state every call site uses), the hot path
-// must not allocate.
+// When observation is off (a nil pump, the disabled state every call site
+// uses), the hot path must not allocate.
 func TestDisabledObservationIsAllocationFree(t *testing.T) {
 	var p *Pump
-	var b *Bus
-	f := &Frame{}
 	if n := testing.AllocsPerRun(1000, func() {
 		p.Tick(12345)
 		p.Finish(99999)
 		p.RequestFlush()
 		_ = p.Interval()
-		_ = p.Frames()
-		_ = p.Final()
-		b.Publish(f)
-		_ = b.Latest()
-		_ = b.Published()
-		_ = b.Dropped()
 	}); n != 0 {
 		t.Fatalf("disabled observation allocates %.1f times per event, want 0", n)
 	}
@@ -75,8 +67,9 @@ func TestDisabledObservationIsAllocationFree(t *testing.T) {
 func TestPumpTicksDiffAndAccumulate(t *testing.T) {
 	tel := telemetry.New(2)
 	fl := flight.New(2, 64)
-	p := NewPump(Config{Interval: 1000, Retain: true})
-	p.Bind(tel, fl, Meta{System: "FlexTM(Eager)", Workload: "unit", Threads: 2, Cores: 2})
+	var read []*Frame
+	p := NewPump(Config{Interval: 1000, Readers: []func(*Frame){func(f *Frame) { read = append(read, f) }}})
+	p.Bind(tel, fl, Meta{System: "FlexTM(Eager)", Workload: "unit", Threads: 2, Cores: 2}, nil)
 
 	tel.Add(0, telemetry.CtrTxnCommits, 10)
 	fl.Rec(0, 500, flight.TxnBegin, -1, 0, 0)
@@ -107,11 +100,8 @@ func TestPumpTicksDiffAndAccumulate(t *testing.T) {
 	if !fin.Final {
 		t.Fatal("Finish frame not marked Final")
 	}
-	if got := len(p.Frames()); got != 3 {
-		t.Fatalf("retained %d frames, want 3", got)
-	}
-	if p.Final() != fin {
-		t.Fatal("Final() is not the last retained frame")
+	if len(read) != 3 || read[0] != f0 || read[1] != f1 || read[2] != fin {
+		t.Fatalf("reader saw %d frames, want f0, f1, fin in order", len(read))
 	}
 }
 
@@ -119,7 +109,7 @@ func TestPumpWindowSlides(t *testing.T) {
 	tel := telemetry.New(1)
 	fl := flight.New(1, DefaultWindow+64)
 	p := NewPump(Config{Interval: 100})
-	p.Bind(tel, fl, Meta{Cores: 1})
+	p.Bind(tel, fl, Meta{Cores: 1}, nil)
 	const n = DefaultWindow + 12
 	for i := 0; i < n; i++ {
 		fl.Rec(0, 0, flight.TxnBegin, -1, 0, 0)
@@ -146,13 +136,14 @@ func TestPumpWindowSlides(t *testing.T) {
 
 func TestPumpRebindResetsIntervalState(t *testing.T) {
 	tel := telemetry.New(1)
-	p := NewPump(Config{Interval: 100, Retain: true})
-	p.Bind(tel, nil, Meta{Workload: "first"})
+	var fr []*Frame
+	p := NewPump(Config{Interval: 100, Readers: []func(*Frame){func(f *Frame) { fr = append(fr, f) }}})
+	p.Bind(tel, nil, Meta{Workload: "first"}, nil)
 	tel.Add(0, telemetry.CtrTxnCommits, 7)
 	p.Tick(100)
 
 	tel2 := telemetry.New(1)
-	p.Bind(tel2, nil, Meta{Workload: "second"})
+	p.Bind(tel2, nil, Meta{Workload: "second"}, nil)
 	tel2.Add(0, telemetry.CtrTxnCommits, 3)
 	f := p.Tick(100)
 	if f.Index != 0 {
@@ -161,10 +152,37 @@ func TestPumpRebindResetsIntervalState(t *testing.T) {
 	if got := f.Delta.Total(telemetry.CtrTxnCommits); got != 3 {
 		t.Fatalf("rebound delta = %d, want 3 (stale prev snapshot leaked)", got)
 	}
-	// Retained frames span both runs, distinguished by Meta.
-	fr := p.Frames()
+	// The reader sees both runs, distinguished by Meta.
 	if len(fr) != 2 || fr[0].Meta.Workload != "first" || fr[1].Meta.Workload != "second" {
-		t.Fatalf("retained frames across rebind: %+v", fr)
+		t.Fatalf("frames across rebind: %+v", fr)
+	}
+}
+
+// TestPumpAnnotatesBeforeReaders: the bound governor annotation sees each
+// frame before the configured readers, in their order, and a rebind without
+// one leaves later frames unannotated.
+func TestPumpAnnotatesBeforeReaders(t *testing.T) {
+	var order []string
+	reader := func(name string) func(*Frame) {
+		return func(f *Frame) {
+			if f.Gov == nil {
+				name += " (no gov)"
+			}
+			order = append(order, name)
+		}
+	}
+	p := NewPump(Config{Interval: 100, Readers: []func(*Frame){reader("a"), reader("b")}})
+	gov := func(f *Frame) {
+		order = append(order, "gov")
+		f.Gov = &GovSample{Level: 1}
+	}
+	p.Bind(telemetry.New(1), nil, Meta{}, gov)
+	p.Tick(100)
+	p.Bind(telemetry.New(1), nil, Meta{}, nil)
+	p.Tick(100)
+	want := []string{"gov", "a", "b", "a (no gov)", "b (no gov)"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("read order %q, want %q", order, want)
 	}
 }
 
@@ -172,7 +190,7 @@ func TestPumpFlushRequestFiresOnceInsideTick(t *testing.T) {
 	tel := telemetry.New(1)
 	var flushed []*Frame
 	p := NewPump(Config{Interval: 100, OnFlush: func(f *Frame) { flushed = append(flushed, f) }})
-	p.Bind(tel, nil, Meta{})
+	p.Bind(tel, nil, Meta{}, nil)
 	p.Tick(100)
 	if len(flushed) != 0 {
 		t.Fatal("OnFlush fired without RequestFlush")
@@ -188,67 +206,19 @@ func TestPumpFlushRequestFiresOnceInsideTick(t *testing.T) {
 	}
 }
 
-func TestBusPublishSubscribe(t *testing.T) {
-	b := NewBus()
-	if b.Latest() != nil {
-		t.Fatal("fresh bus has a latest frame")
+func TestServerPublishKeepsLatest(t *testing.T) {
+	s := NewServer()
+	if s.Latest() != nil {
+		t.Fatal("fresh server has a latest frame")
 	}
-	ch, cancel := b.Subscribe(4)
-	defer cancel()
-
 	f0 := &Frame{Index: 0}
 	f1 := &Frame{Index: 1}
-	b.Publish(f0)
-	b.Publish(f1)
-	if b.Latest() != f1 {
+	s.Publish(f0)
+	s.Publish(f1)
+	if s.Latest() != f1 {
 		t.Fatal("Latest is not the most recent publish")
 	}
-	if b.Published() != 2 {
-		t.Fatalf("published = %d, want 2", b.Published())
-	}
-	if got := <-ch; got != f0 {
-		t.Fatalf("subscriber got frame %d first, want 0", got.Index)
-	}
-	if got := <-ch; got != f1 {
-		t.Fatalf("subscriber got frame %d second, want 1", got.Index)
-	}
-	// nil publishes are ignored, not delivered.
-	b.Publish(nil)
-	if b.Published() != 2 {
-		t.Fatal("nil frame counted as published")
-	}
-}
-
-func TestBusDropsForSlowSubscribers(t *testing.T) {
-	b := NewBus()
-	ch, cancel := b.Subscribe(1)
-	defer cancel()
-	b.Publish(&Frame{Index: 0})
-	b.Publish(&Frame{Index: 1}) // buffer full: dropped, not blocked
-	b.Publish(&Frame{Index: 2})
-	if b.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", b.Dropped())
-	}
-	if got := <-ch; got.Index != 0 {
-		t.Fatalf("survivor frame = %d, want 0", got.Index)
-	}
-	// The latest cell still has the newest frame regardless of drops.
-	if b.Latest().Index != 2 {
-		t.Fatal("Latest lost to subscriber backpressure")
-	}
-}
-
-func TestBusCancelUnsubscribes(t *testing.T) {
-	b := NewBus()
-	ch, cancel := b.Subscribe(1)
-	cancel()
-	b.Publish(&Frame{})
-	select {
-	case <-ch:
-		t.Fatal("cancelled subscriber still receives")
-	default:
-	}
-	if b.Dropped() != 0 {
-		t.Fatal("publish to no subscribers counted a drop")
+	if got := NewSnapshotJSON(f1, s.published.Load()).Published; got != 2 {
+		t.Fatalf("published = %d, want 2", got)
 	}
 }

@@ -64,15 +64,9 @@ func escapeHelp(s string) string {
 }
 
 // WriteOpenMetrics writes the frame as an OpenMetrics exposition. A nil
-// frame (no sample published yet) yields a valid, empty exposition. bus, if
-// non-nil, contributes the observation plane's own health: how many frame
-// deliveries its subscribers refused.
-func WriteOpenMetrics(w io.Writer, f *Frame, bus *Bus) error {
+// frame (no sample published yet) yields a valid, empty exposition.
+func WriteOpenMetrics(w io.Writer, f *Frame) error {
 	bw := bufio.NewWriter(w)
-	if bus != nil {
-		counter(bw, "flextm_observatory_dropped_frames",
-			"Frame deliveries refused by full observatory subscriber channels.", bus.Dropped())
-	}
 	if f != nil {
 		// Run identity.
 		fmt.Fprintf(bw, "# HELP flextm_run %s\n", escapeHelp("Identity of the observed run."))

@@ -30,13 +30,13 @@ func fullFrame() *Frame {
 	fl.Rec(0, 200, flight.TxnCommit, -1, 0, 0)
 
 	p := NewPump(Config{Interval: 1000})
-	p.Bind(tel, fl, Meta{System: "FlexTM(Eager)", Workload: "unit", Threads: 2, Cores: 2})
+	p.Bind(tel, fl, Meta{System: "FlexTM(Eager)", Workload: "unit", Threads: 2, Cores: 2}, nil)
 	return p.Tick(1000)
 }
 
 func TestOpenMetricsExpositionValidates(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteOpenMetrics(&buf, fullFrame(), nil); err != nil {
+	if err := WriteOpenMetrics(&buf, fullFrame()); err != nil {
 		t.Fatal(err)
 	}
 	exp, err := ParseExposition(bytes.NewReader(buf.Bytes()))
@@ -83,35 +83,18 @@ func TestOpenMetricsExpositionValidates(t *testing.T) {
 	}
 }
 
-// The observability-of-the-observer satellite: a bus with refused
-// deliveries exports its drop count, and a governed frame exports the
-// governor sample — both through the omlint grammar checker.
-func TestOpenMetricsExportsBusDropsAndGovernorSample(t *testing.T) {
-	bus := NewBus()
-	_, cancel := bus.Subscribe(1) // capacity 1: the second publish is refused
-	defer cancel()
+// A governed frame exports the governor sample, through the omlint grammar
+// checker.
+func TestOpenMetricsExportsGovernorSample(t *testing.T) {
 	f := fullFrame()
 	f.Gov = &GovSample{Level: 2, Rungs: 5, State: "abort-cycling", Transitions: 3}
-	bus.Publish(f)
-	bus.Publish(f)
 	var buf bytes.Buffer
-	if err := WriteOpenMetrics(&buf, f, bus); err != nil {
+	if err := WriteOpenMetrics(&buf, f); err != nil {
 		t.Fatal(err)
 	}
 	exp, err := ParseExposition(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, buf.String())
-	}
-	fam := exp.Family("flextm_observatory_dropped_frames")
-	if fam == nil {
-		t.Fatal("flextm_observatory_dropped_frames missing")
-	}
-	if fam.Type != "counter" {
-		t.Errorf("dropped-frames type = %q, want counter", fam.Type)
-	}
-	if len(fam.Samples) != 1 || fam.Samples[0].Name != "flextm_observatory_dropped_frames_total" ||
-		fam.Samples[0].Value != float64(bus.Dropped()) || bus.Dropped() == 0 {
-		t.Errorf("dropped-frames samples = %+v (bus.Dropped() = %d)", fam.Samples, bus.Dropped())
 	}
 	for name, want := range map[string]float64{
 		"flextm_governor_level":       2,
@@ -134,21 +117,21 @@ func TestOpenMetricsExportsBusDropsAndGovernorSample(t *testing.T) {
 	}
 	// An ungoverned frame exports no governor families.
 	buf.Reset()
-	if err := WriteOpenMetrics(&buf, fullFrame(), nil); err != nil {
+	if err := WriteOpenMetrics(&buf, fullFrame()); err != nil {
 		t.Fatal(err)
 	}
 	exp, err = ParseExposition(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exp.Family("flextm_governor_level") != nil || exp.Family("flextm_observatory_dropped_frames") != nil {
-		t.Error("ungoverned/bus-less exposition leaked governor or bus families")
+	if exp.Family("flextm_governor_level") != nil {
+		t.Error("ungoverned exposition leaked governor families")
 	}
 }
 
 func TestOpenMetricsNilFrameIsValidAndEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteOpenMetrics(&buf, nil, nil); err != nil {
+	if err := WriteOpenMetrics(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != "# EOF\n" {
@@ -167,7 +150,7 @@ func TestOpenMetricsLabelEscapingRoundTrips(t *testing.T) {
 	prop := func(system, workload string) bool {
 		f := &Frame{Meta: Meta{System: system, Workload: workload, Threads: 4, Cores: 16}}
 		var buf bytes.Buffer
-		if err := WriteOpenMetrics(&buf, f, nil); err != nil {
+		if err := WriteOpenMetrics(&buf, f); err != nil {
 			return false
 		}
 		exp, err := ParseExposition(bytes.NewReader(buf.Bytes()))
@@ -198,7 +181,7 @@ func TestOpenMetricsLabelEscapingRoundTrips(t *testing.T) {
 
 func TestOpenMetricsHistogramBucketsAreCumulative(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteOpenMetrics(&buf, fullFrame(), nil); err != nil {
+	if err := WriteOpenMetrics(&buf, fullFrame()); err != nil {
 		t.Fatal(err)
 	}
 	exp, err := ParseExposition(bytes.NewReader(buf.Bytes()))

@@ -1,8 +1,9 @@
 // The observatory HTTP server: OpenMetrics at /metrics, the latest frame
 // as JSON at /snapshot.json, a live conflict graph at /conflictgraph.dot,
 // the latest flight-record window at /flight, and net/http/pprof under
-// /debug/pprof/. Handlers only ever read immutable frames off the bus, so
-// they are safe against the running simulation by construction.
+// /debug/pprof/. The server is a pump reader: Publish stores each frame in
+// an atomic cell, and handlers only ever read that immutable latest frame,
+// so they are safe against the running simulation by construction.
 
 package observatory
 
@@ -12,6 +13,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sync/atomic"
 
 	"flextm/internal/flightql"
 	"flextm/internal/telemetry"
@@ -19,15 +21,17 @@ import (
 
 // Server serves the observation plane over HTTP.
 type Server struct {
-	bus *Bus
-	mux *http.ServeMux
-	ln  net.Listener
-	srv *http.Server
+	latest    atomic.Pointer[Frame]
+	published atomic.Uint64
+	mux       *http.ServeMux
+	ln        net.Listener
+	srv       *http.Server
 }
 
-// NewServer returns a server reading frames from bus.
-func NewServer(bus *Bus) *Server {
-	s := &Server{bus: bus, mux: http.NewServeMux()}
+// NewServer returns a server with no frame yet; hand Publish to a pump as
+// its last reader.
+func NewServer() *Server {
+	s := &Server{mux: http.NewServeMux()}
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/snapshot.json", s.handleSnapshot)
@@ -41,6 +45,17 @@ func NewServer(bus *Bus) *Server {
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s
 }
+
+// Publish makes f the frame the handlers serve. It runs inside the
+// simulation, as a pump reader; handlers read the frame from their own
+// goroutines.
+func (s *Server) Publish(f *Frame) {
+	s.latest.Store(f)
+	s.published.Add(1)
+}
+
+// Latest returns the most recently published frame (nil before the first).
+func (s *Server) Latest() *Frame { return s.latest.Load() }
 
 // Handler returns the server's routing handler (for tests via httptest).
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -73,7 +88,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "flextm observatory")
-	if f := s.bus.Latest(); f != nil {
+	if f := s.Latest(); f != nil {
 		fmt.Fprintf(w, "run: %s / %s @ %d threads (%d cores), interval %d, t=%d\n",
 			f.Meta.System, f.Meta.Workload, f.Meta.Threads, f.Meta.Cores, f.Index, f.End)
 	} else {
@@ -90,7 +105,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-	WriteOpenMetrics(w, s.bus.Latest(), s.bus)
+	WriteOpenMetrics(w, s.Latest())
 }
 
 // SnapshotJSON is the machine-readable view of a frame served at
@@ -110,12 +125,13 @@ type SnapshotJSON struct {
 	SigFPPredicted float64               `json:"sigFPPredicted"`
 	Pathologies    map[string]uint64     `json:"pathologies,omitempty"`
 	WindowRecords  int                   `json:"windowRecords"`
-	BusPublished   uint64                `json:"busPublished"`
-	BusDropped     uint64                `json:"busDropped"`
+	// Published counts the frames the server has been handed.
+	Published uint64 `json:"busPublished"`
 }
 
-// NewSnapshotJSON builds the /snapshot.json view of a frame.
-func NewSnapshotJSON(f *Frame, bus *Bus) SnapshotJSON {
+// NewSnapshotJSON builds the /snapshot.json view of a frame; published is
+// how many frames the server has been handed so far.
+func NewSnapshotJSON(f *Frame, published uint64) SnapshotJSON {
 	obs, pred := f.Cum.SigFPRates()
 	return SnapshotJSON{
 		Meta:           f.Meta,
@@ -132,13 +148,12 @@ func NewSnapshotJSON(f *Frame, bus *Bus) SnapshotJSON {
 		SigFPPredicted: pred,
 		Pathologies:    f.Pathologies(),
 		WindowRecords:  len(f.Recent),
-		BusPublished:   bus.Published(),
-		BusDropped:     bus.Dropped(),
+		Published:      published,
 	}
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	f := s.bus.Latest()
+	f := s.Latest()
 	if f == nil {
 		http.Error(w, `{"error":"no frame published yet"}`, http.StatusServiceUnavailable)
 		return
@@ -146,11 +161,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(NewSnapshotJSON(f, s.bus))
+	enc.Encode(NewSnapshotJSON(f, s.published.Load()))
 }
 
 func (s *Server) handleDOT(w http.ResponseWriter, r *http.Request) {
-	f := s.bus.Latest()
+	f := s.Latest()
 	if f == nil || f.Report == nil {
 		http.Error(w, "no conflict-graph report yet (flight recorder detached?)", http.StatusServiceUnavailable)
 		return
@@ -162,7 +177,7 @@ func (s *Server) handleDOT(w http.ResponseWriter, r *http.Request) {
 // handleFlight serves the latest frame's flight window, each record in
 // FlightQL's record view (the shape /query record results take).
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	f := s.bus.Latest()
+	f := s.Latest()
 	if f == nil {
 		http.Error(w, `{"error":"no frame published yet"}`, http.StatusServiceUnavailable)
 		return
@@ -195,7 +210,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
 		return
 	}
-	f := s.bus.Latest()
+	f := s.Latest()
 	if f == nil {
 		http.Error(w, `{"error":"no frame published yet"}`, http.StatusServiceUnavailable)
 		return

@@ -10,12 +10,6 @@ import (
 	"flextm/internal/flight"
 )
 
-func serverFixture(t *testing.T) (*Server, *Bus) {
-	t.Helper()
-	bus := NewBus()
-	return NewServer(bus), bus
-}
-
 func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	rr := httptest.NewRecorder()
@@ -24,7 +18,7 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 }
 
 func TestMetricsEndpointServesValidOpenMetrics(t *testing.T) {
-	srv, bus := serverFixture(t)
+	srv := NewServer()
 
 	// Before any frame: still a valid (empty) exposition, never an error —
 	// a scraper that arrives early must not flap.
@@ -39,7 +33,7 @@ func TestMetricsEndpointServesValidOpenMetrics(t *testing.T) {
 		t.Fatalf("pre-frame exposition invalid: %v", err)
 	}
 
-	bus.Publish(fullFrame())
+	srv.Publish(fullFrame())
 	rr = get(t, srv.Handler(), "/metrics")
 	exp, err := ParseExposition(rr.Body)
 	if err != nil {
@@ -51,11 +45,11 @@ func TestMetricsEndpointServesValidOpenMetrics(t *testing.T) {
 }
 
 func TestSnapshotEndpoint(t *testing.T) {
-	srv, bus := serverFixture(t)
+	srv := NewServer()
 	if rr := get(t, srv.Handler(), "/snapshot.json"); rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("pre-frame /snapshot.json status = %d, want 503", rr.Code)
 	}
-	bus.Publish(fullFrame())
+	srv.Publish(fullFrame())
 	rr := get(t, srv.Handler(), "/snapshot.json")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("/snapshot.json status = %d", rr.Code)
@@ -67,19 +61,19 @@ func TestSnapshotEndpoint(t *testing.T) {
 	if snap.Meta.System != "FlexTM(Eager)" || snap.Totals["txn-commits"] != 40 {
 		t.Fatalf("snapshot content: %+v", snap)
 	}
-	if snap.BusPublished != 1 {
-		t.Fatalf("busPublished = %d, want 1", snap.BusPublished)
+	if snap.Published != 1 {
+		t.Fatalf("busPublished = %d, want 1", snap.Published)
 	}
 }
 
 func TestDOTAndFlightEndpoints(t *testing.T) {
-	srv, bus := serverFixture(t)
+	srv := NewServer()
 	for _, path := range []string{"/conflictgraph.dot", "/flight"} {
 		if rr := get(t, srv.Handler(), path); rr.Code != http.StatusServiceUnavailable {
 			t.Fatalf("pre-frame %s status = %d, want 503", path, rr.Code)
 		}
 	}
-	bus.Publish(fullFrame())
+	srv.Publish(fullFrame())
 	rr := get(t, srv.Handler(), "/conflictgraph.dot")
 	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), "digraph") {
 		t.Fatalf("/conflictgraph.dot status=%d body=%q", rr.Code, rr.Body.String())
@@ -91,7 +85,7 @@ func TestDOTAndFlightEndpoints(t *testing.T) {
 		At: 300, Seq: 3, Core: 1, Peer: 0, Kind: flight.AbortEnemy,
 		Aux: flight.AuxFP | 1, Line: 0x40,
 	})
-	bus.Publish(f)
+	srv.Publish(f)
 	rr = get(t, srv.Handler(), "/flight")
 	var fj struct {
 		Records []struct {
@@ -116,7 +110,7 @@ func TestDOTAndFlightEndpoints(t *testing.T) {
 }
 
 func TestIndexListsEndpoints(t *testing.T) {
-	srv, bus := serverFixture(t)
+	srv := NewServer()
 	rr := get(t, srv.Handler(), "/")
 	for _, want := range []string{"/metrics", "/snapshot.json", "/conflictgraph.dot", "/flight", "/debug/pprof/"} {
 		if !strings.Contains(rr.Body.String(), want) {
@@ -126,7 +120,7 @@ func TestIndexListsEndpoints(t *testing.T) {
 	if rr := get(t, srv.Handler(), "/nope"); rr.Code != http.StatusNotFound {
 		t.Fatalf("unknown path status = %d", rr.Code)
 	}
-	bus.Publish(fullFrame())
+	srv.Publish(fullFrame())
 	if body := get(t, srv.Handler(), "/").Body.String(); !strings.Contains(body, "FlexTM(Eager)") {
 		t.Error("index does not identify the live run")
 	}
@@ -137,7 +131,7 @@ func TestIndexListsEndpoints(t *testing.T) {
 // the three failure modes to distinct statuses: no q (400), bad query (400
 // with the parse error), no frame yet (503).
 func TestQueryEndpoint(t *testing.T) {
-	srv, bus := serverFixture(t)
+	srv := NewServer()
 
 	if rr := get(t, srv.Handler(), "/query"); rr.Code != http.StatusBadRequest {
 		t.Fatalf("missing q status = %d, want 400", rr.Code)
@@ -149,7 +143,7 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatalf("pre-frame status = %d, want 503", rr.Code)
 	}
 
-	bus.Publish(fullFrame())
+	srv.Publish(fullFrame())
 	rr := get(t, srv.Handler(), "/query?q=filter+kind+%3D%3D+commit+%7C+count")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("/query status = %d: %s", rr.Code, rr.Body.String())
@@ -180,8 +174,8 @@ func TestQueryEndpoint(t *testing.T) {
 }
 
 func TestServerStartAndClose(t *testing.T) {
-	srv, bus := serverFixture(t)
-	bus.Publish(fullFrame())
+	srv := NewServer()
+	srv.Publish(fullFrame())
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -48,18 +48,16 @@ func sparkline(vs []float64) string {
 // WatchTrail is how many trailing intervals the sparklines cover.
 const WatchTrail = 24
 
-// Watcher prints a refreshing digest of a frame stream.
+// Watcher prints a refreshing digest of a frame stream. Its Observe is a
+// pump reader: each line is printed inside the simulation, on the tick that
+// sampled it.
 type Watcher struct {
 	w           io.Writer
 	commitRates []float64
 	abortRatios []float64
 	// seen tracks pathology kinds already flagged, so the (new!) marker
 	// fires only on first detection.
-	seen map[string]bool
-	// bus, when attached, lets the digest report the observation plane's
-	// own losses (refused frame deliveries).
-	bus          *Bus
-	lastDropped  uint64
+	seen         map[string]bool
 	lastGovLevel int
 	lastGovSteps int
 }
@@ -68,10 +66,6 @@ type Watcher struct {
 func NewWatcher(w io.Writer) *Watcher {
 	return &Watcher{w: w, seen: map[string]bool{}}
 }
-
-// AttachBus points the watcher at the bus feeding it, so the digest can
-// surface dropped frame deliveries as they happen.
-func (wa *Watcher) AttachBus(b *Bus) { wa.bus = b }
 
 // Observe prints one digest line for the frame.
 func (wa *Watcher) Observe(f *Frame) {
@@ -89,12 +83,12 @@ func (wa *Watcher) Observe(f *Frame) {
 	if f.Final {
 		tag = "obs[end]"
 	}
-	fmt.Fprintf(wa.w, "%s t=%-8s commits %5d (%7.1f/Mc) aborts %5d (ratio %.2f) fp %.4f  c%s a%s%s%s%s%s\n",
+	fmt.Fprintf(wa.w, "%s t=%-8s commits %5d (%7.1f/Mc) aborts %5d (ratio %.2f) fp %.4f  c%s a%s%s%s%s\n",
 		tag, fmtCycles(uint64(f.End)),
 		f.Delta.Total(telemetry.CtrTxnCommits), f.CommitRate(),
 		f.Delta.Total(telemetry.CtrTxnAborts), f.AbortRatio(), f.SigFPRate(),
 		sparkline(wa.commitRates), sparkline(wa.abortRatios),
-		wa.govFlags(f), wa.blameFlags(f), wa.dropFlags(), wa.pathologyFlags(f))
+		wa.govFlags(f), wa.blameFlags(f), wa.pathologyFlags(f))
 }
 
 // blameFlags renders the interval's dominant critical-path blame line from
@@ -138,19 +132,6 @@ func (wa *Watcher) govFlags(f *Frame) string {
 	return fmt.Sprintf("  gov L%d/%d %s%s", g.Level, g.Rungs, g.State, step)
 }
 
-// dropFlags surfaces newly refused frame deliveries on the attached bus.
-func (wa *Watcher) dropFlags() string {
-	if wa.bus == nil {
-		return ""
-	}
-	d := wa.bus.Dropped()
-	if d == wa.lastDropped {
-		return ""
-	}
-	wa.lastDropped = d
-	return fmt.Sprintf("  dropped=%d", d)
-}
-
 // pathologyFlags renders the frame's detected pathologies, marking kinds
 // seen for the first time.
 func (wa *Watcher) pathologyFlags(f *Frame) string {
@@ -173,16 +154,6 @@ func (wa *Watcher) pathologyFlags(f *Frame) string {
 		fmt.Fprintf(&b, "  !%s x%d%s", k, counts[k], fresh)
 	}
 	return b.String()
-}
-
-// Run consumes frames until a Final frame arrives, printing each.
-func (wa *Watcher) Run(ch <-chan *Frame) {
-	for f := range ch {
-		wa.Observe(f)
-		if f != nil && f.Final {
-			return
-		}
-	}
 }
 
 // fmtCycles renders a cycle count compactly (1.25Mc, 310kc, 999c).

@@ -54,16 +54,11 @@ func TestWatcherFlagsNewPathologiesOnce(t *testing.T) {
 	}
 }
 
-func TestWatcherAnnotatesGovernorAndDrops(t *testing.T) {
-	bus := NewBus()
-	_, cancel := bus.Subscribe(1)
-	defer cancel()
+func TestWatcherAnnotatesGovernor(t *testing.T) {
 	var buf strings.Builder
 	wa := NewWatcher(&buf)
-	wa.AttachBus(bus)
 
-	f0 := &Frame{Index: 0, Gov: &GovSample{Level: 0, Rungs: 5, State: "healthy"}}
-	wa.Observe(f0)
+	wa.Observe(&Frame{Index: 0, Gov: &GovSample{Level: 0, Rungs: 5, State: "healthy"}})
 	if line := buf.String(); !strings.Contains(line, "gov L0/5 healthy") || strings.Contains(line, "raise!") {
 		t.Fatalf("quiet governed line = %q", line)
 	}
@@ -74,41 +69,16 @@ func TestWatcherAnnotatesGovernorAndDrops(t *testing.T) {
 		t.Fatalf("raise line = %q", line)
 	}
 
-	// Overflow the one-slot subscriber so the bus refuses a delivery.
-	bus.Publish(f0)
-	bus.Publish(f0)
 	buf.Reset()
 	wa.Observe(&Frame{Index: 2, Gov: &GovSample{Level: 0, Rungs: 5, State: "healthy", Transitions: 2}})
-	line := buf.String()
-	if !strings.Contains(line, "(lower!)") {
+	if line := buf.String(); !strings.Contains(line, "(lower!)") {
 		t.Fatalf("lower line = %q", line)
 	}
-	if !strings.Contains(line, "dropped=1") {
-		t.Fatalf("drop count missing from %q", line)
-	}
-	// Ungoverned frames stay unannotated, and a stable drop count goes quiet.
+	// Ungoverned frames stay unannotated.
 	buf.Reset()
 	wa.Observe(&Frame{Index: 3})
-	if line := buf.String(); strings.Contains(line, "gov ") || strings.Contains(line, "dropped=") {
+	if line := buf.String(); strings.Contains(line, "gov ") {
 		t.Fatalf("ungoverned quiet line = %q", line)
-	}
-}
-
-func TestWatcherRunStopsOnFinal(t *testing.T) {
-	var buf strings.Builder
-	wa := NewWatcher(&buf)
-	ch := make(chan *Frame, 3)
-	ch <- &Frame{Index: 0}
-	ch <- &Frame{Index: 1, Final: true}
-	// Not closed: Run must return on the Final frame, not on channel close,
-	// because the bus never closes subscriber channels.
-	wa.Run(ch)
-	out := buf.String()
-	if !strings.Contains(out, "obs[  0]") || !strings.Contains(out, "obs[end]") {
-		t.Fatalf("watch output:\n%s", out)
-	}
-	if got := strings.Count(out, "\n"); got != 2 {
-		t.Fatalf("printed %d lines, want 2", got)
 	}
 }
 

@@ -2,9 +2,9 @@
 // machine configuration into a finished run: it builds the memory system
 // and the engine, attaches the instruments a run asks for before the
 // runtime is built, wires the serializability oracle into the runtime,
-// spawns the side threads (preemption storm, observatory pump, governor)
-// behind the workers in a fixed order, and reports threads left blocked as
-// an error.
+// spawns the side threads (preemption storm, observatory pump) behind the
+// workers in a fixed order, binds the governor as the pump's first reader,
+// and reports threads left blocked as an error.
 //
 // Callers keep what is theirs: the runtime choice (built over Rig.Sys and
 // handed back through SetRuntime), the worker bodies with their own seeds
@@ -14,7 +14,6 @@
 package rig
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -57,13 +56,13 @@ type Spec struct {
 	// Observe runs the observatory pump behind the workers. It forces
 	// Metrics and Flight on: the pump has nothing to sample without them.
 	Observe *observatory.Pump
-	// Govern runs the governor behind the pump (FlexTM runtimes only). A
-	// governed run without Observe gets a private pump and bus sampling
+	// Govern makes the governor the pump's first reader (FlexTM runtimes
+	// only). A governed run without Observe gets a private pump sampling
 	// every Interval cycles (0 selects observatory.DefaultInterval).
 	Govern   *governor.Governor
 	Interval sim.Time
-	// Tail is how many empty intervals the pump and the governor sample
-	// after the workers stop running.
+	// Tail is how many empty intervals the pump samples after the workers
+	// stop running.
 	Tail int
 }
 
@@ -94,11 +93,8 @@ func New(spec Spec) (*Rig, error) {
 		return nil, err
 	}
 	if spec.Govern != nil && spec.Observe == nil {
-		// The governor feeds on published frames.
-		spec.Observe = observatory.NewPump(observatory.Config{Interval: spec.Interval, Bus: observatory.NewBus()})
-	}
-	if spec.Govern != nil && spec.Observe.Bus() == nil {
-		return nil, errors.New("governor requires a pump with a bus")
+		// The governor feeds on the pump's frames.
+		spec.Observe = observatory.NewPump(observatory.Config{Interval: spec.Interval})
 	}
 	if spec.Observe != nil {
 		spec.Metrics, spec.Flight = true, true
@@ -163,10 +159,9 @@ func (r *Rig) Spawn(name string, body func(*sim.Ctx)) *sim.Ctx {
 }
 
 // Run spawns the side threads behind the workers — the preemption storm,
-// then the pump, then the governor, which must follow the pump — and runs
-// the engine. Threads left blocked are an error.
+// then the pump — and runs the engine. Threads left blocked are an error.
 //
-// The side threads stop once the workers stop running. Without a storm a
+// The pump stops once the workers stop running. Without a storm a
 // worker stops running when it finishes or blocks, so a wedged run cannot
 // keep the engine alive; with a storm a parked worker is blocked but not
 // finished, so only finishing counts.
@@ -182,51 +177,45 @@ func (r *Rig) Run() error {
 		running = func() bool { return slices.Contains(r.done, false) }
 	}
 	if pump != nil {
+		var annotate func(*observatory.Frame)
 		if g != nil {
 			g.Bind(fx, len(r.workers))
-			pump.SetAnnotator(g.Annotate)
+			annotate = g.Annotate
 		}
 		pump.Bind(r.Sys.Telemetry(), r.Sys.Flight(), observatory.Meta{
 			System: r.spec.System, Workload: r.spec.Workload,
 			Threads: len(r.workers), Cores: r.spec.Machine.Cores,
+		}, annotate)
+		// The pump wakes every interval of virtual time, so it samples
+		// deterministically and never perturbs the workers' schedule. Once
+		// the workers stop running it wakes Spec.Tail more times (a calm
+		// tail of empty intervals), then hands out the final frame.
+		//
+		// The governor annotates each frame before the pump's readers see
+		// it, and steers by the newest frame of each instant: the interval
+		// frame, or at the last instant the final frame. Its mitigations
+		// are Go-side flips: it consumes no randomness and issues no
+		// simulated traffic.
+		tail := r.spec.Tail
+		r.Engine.Spawn("observatory", 0, func(ctx *sim.Ctx) {
+			var f *observatory.Frame
+			for {
+				if !running() {
+					if tail == 0 {
+						break
+					}
+					tail--
+				}
+				g.Observe(f)
+				ctx.Advance(pump.Interval())
+				ctx.Sync()
+				f = pump.Tick(ctx.Now())
+			}
+			g.Observe(pump.Finish(ctx.Now()))
 		})
-		r.every("observatory", pump.Interval(), running,
-			func(now sim.Time) { pump.Tick(now) }, func(now sim.Time) { pump.Finish(now) })
-		if g != nil {
-			// At every shared instant the engine resumes equal-time threads
-			// in spawn order, so the pump publishes frame k before the
-			// governor reads it. The governor's mitigations are Go-side
-			// flips: it consumes no randomness and issues no simulated
-			// traffic.
-			bus := pump.Bus()
-			r.every("governor", pump.Interval(), running,
-				func(sim.Time) { g.Observe(bus.Latest()) }, func(sim.Time) {})
-		}
 	}
 	if blocked := r.Engine.Run(); blocked != 0 {
 		return fmt.Errorf("%d threads blocked", blocked)
 	}
 	return nil
-}
-
-// every spawns a side thread that wakes every iv cycles of virtual time
-// and calls tick, so it samples deterministically and never perturbs the
-// workers' schedule. Once running reports false it wakes Spec.Tail more
-// times (a calm tail of empty intervals), then calls last.
-func (r *Rig) every(name string, iv sim.Time, running func() bool, tick, last func(now sim.Time)) {
-	tail := r.spec.Tail
-	r.Engine.Spawn(name, 0, func(ctx *sim.Ctx) {
-		for {
-			if !running() {
-				if tail == 0 {
-					break
-				}
-				tail--
-			}
-			ctx.Advance(iv)
-			ctx.Sync()
-			tick(ctx.Now())
-		}
-		last(ctx.Now())
-	})
 }

@@ -2,7 +2,6 @@ package rig
 
 import (
 	"slices"
-	"strings"
 	"testing"
 
 	"flextm/internal/baselines/cgl"
@@ -61,7 +60,7 @@ func TestSpawnOrder(t *testing.T) {
 	for _, c := range r.Engine.Threads() {
 		names = append(names, c.Name())
 	}
-	if want := []string{"w", "w", "preempt-storm", "observatory", "governor"}; !slices.Equal(names, want) {
+	if want := []string{"w", "w", "preempt-storm", "observatory"}; !slices.Equal(names, want) {
 		t.Fatalf("threads %v, want %v", names, want)
 	}
 	if got := r.Sys.ReadWordRaw(line); got != 40 {
@@ -124,16 +123,6 @@ func TestGovernorNeedsFlexTM(t *testing.T) {
 	r.SetRuntime(cgl.New(r.Sys))
 	err = r.Run()
 	if err == nil || err.Error() != "governor requires a FlexTM runtime, not CGL" {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestGovernorNeedsBus(t *testing.T) {
-	_, err := New(Spec{
-		Machine: machine(2), Govern: governor.New(governor.Config{}),
-		Observe: observatory.NewPump(observatory.Config{}),
-	})
-	if err == nil || !strings.Contains(err.Error(), "bus") {
 		t.Fatalf("err = %v", err)
 	}
 }

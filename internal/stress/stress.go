@@ -164,8 +164,8 @@ func Record(cfg Config) (Outcome, *oracle.Recorder) {
 	spec.Faults.Seed = cfg.Seed*0x9E3779B97F4A7C15 + 0xA5A5
 	var gov *governor.Governor
 	if cfg.Governed {
-		// Pump and governor run GovCalmTail intervals past the last
-		// worker's finish: those empty intervals classify healthy, so any
+		// The pump, and with it the governor, runs GovCalmTail intervals
+		// past the last worker's finish: those empty intervals classify healthy, so any
 		// rungs still raised at the end of the schedule are guaranteed to
 		// unwind.
 		gov = governor.New(govConfig())
