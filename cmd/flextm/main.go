@@ -41,6 +41,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -98,8 +99,8 @@ type usageError struct{ error }
 // error, 130 on interrupt.
 func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) (code int) {
 	defer func() {
-		// The pump's OnFlush ends an interrupted run by panicking out of the
-		// simulation; the *sim.ThreadPanic unwraps to errInterrupted.
+		// The pump's flush reader ends an interrupted run by panicking out
+		// of the simulation; the *sim.ThreadPanic unwraps to errInterrupted.
 		if v := recover(); v != nil {
 			if err, ok := v.(error); !ok || !errors.Is(err, errInterrupted) {
 				panic(v)
@@ -195,7 +196,8 @@ func flextm(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error
 	// What an interrupted workload run leaves behind: the windowed attempt
 	// timeline, the telemetry tables, and the windowed contention profile
 	// (plus its DOT/JSON forms when those were requested). Runs inside the
-	// simulation via the pump's OnFlush, so nothing here races the workers.
+	// simulation as the pump's last reader, so nothing here races the
+	// workers.
 	// A partial artifact that cannot be written is skipped: the run is
 	// ending either way.
 	flushArtifacts := func(fr *observatory.Frame) {
@@ -245,6 +247,9 @@ func flextm(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error
 		fmt.Fprintf(stderr, "observatory http://%s (/metrics /snapshot.json /conflictgraph.dot /flight /debug/pprof/)\n", addr)
 	}
 	interrupted := make(chan struct{})
+	// flushReq is the one cross-goroutine hand-off into the simulation: a
+	// signal sets it, and the pump's last reader takes it on its next tick.
+	var flushReq atomic.Bool
 	if obsOn {
 		iv := sim.Time(*obsInterval)
 		if iv == 0 {
@@ -260,27 +265,27 @@ func flextm(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error
 				}
 			}
 		}
-		pump = observatory.NewPump(observatory.Config{
-			Interval: iv,
-			Readers:  readers,
-			OnFlush: func(fr *observatory.Frame) {
-				fmt.Fprintln(stderr, "\nflextm: interrupted — flushing partial artifacts")
-				if !*livelock {
-					flushArtifacts(fr)
-				}
-				panic(errInterrupted)
-			},
+		readers = append(readers, func(fr *observatory.Frame) {
+			if !flushReq.CompareAndSwap(true, false) {
+				return
+			}
+			fmt.Fprintln(stderr, "\nflextm: interrupted — flushing partial artifacts")
+			if !*livelock {
+				flushArtifacts(fr)
+			}
+			panic(errInterrupted)
 		})
-		// A signal asks the pump to flush on its next tick, which runs inside
-		// the simulation — the only place artifacts can be written without
-		// racing the run — and ends a -linger window.
+		pump = observatory.NewPump(observatory.Config{Interval: iv, Readers: readers})
+		// A signal asks the pump's last reader to flush on the next tick,
+		// which runs inside the simulation — the only place artifacts can be
+		// written without racing the run — and ends a -linger window.
 		done := make(chan struct{})
 		defer close(done)
 		go func() {
 			select {
 			case <-sig:
 				close(interrupted)
-				pump.RequestFlush()
+				flushReq.Store(true)
 			case <-done:
 			}
 		}()

@@ -119,6 +119,7 @@ type desc struct {
 	tsw   memory.Addr
 	karma int    // accesses so far (contention-manager priority)
 	stamp uint64 // age: assigned at the transaction's first attempt
+	gen   uint64 // the owning thread's attempt number (Thread.attempts)
 	live  bool
 }
 
@@ -423,19 +424,22 @@ func (rt *Runtime) CurrentTSW(core int) memory.Addr {
 // TxnHandle is an opaque reference to a live transaction's descriptor, used
 // by the OS model to detach a suspended transaction from its core and
 // re-attach it on resume (another thread may run transactions on the core
-// in between).
+// in between). A thread reuses its descriptor slots, so the handle also
+// records the attempt it was taken from.
 type TxnHandle struct {
-	d *desc
+	d   *desc
+	gen uint64
 }
 
-// Valid reports whether the handle references a live transaction.
-func (h TxnHandle) Valid() bool { return h.d != nil && h.d.live }
+// Valid reports whether the handle references a live transaction: the
+// attempt it was taken from, not a later one reusing the descriptor.
+func (h TxnHandle) Valid() bool { return h.d != nil && h.d.live && h.d.gen == h.gen }
 
 // DetachTxn captures the live transaction on core (without clearing it);
 // returns an invalid handle if none.
 func (rt *Runtime) DetachTxn(core int) TxnHandle {
 	if d := rt.current[core]; d != nil && d.live {
-		return TxnHandle{d: d}
+		return TxnHandle{d: d, gen: d.gen}
 	}
 	return TxnHandle{}
 }

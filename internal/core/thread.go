@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"flextm/internal/baselines/cgl"
 	"flextm/internal/cm"
 	"flextm/internal/cst"
@@ -20,6 +22,15 @@ type Thread struct {
 	rnd   *sim.Rand
 	depth int
 	d     *desc
+
+	// descs are the thread's two descriptor slots; attempt n runs in
+	// descs[n&1], where attempts counts the attempts begun. Until begin
+	// re-advertises, the runtime's per-core entry still names the previous
+	// attempt's descriptor, and readers of that entry (the strong-isolation
+	// hook, karmaOf, stampOf) must find it as that attempt left it, so an
+	// attempt never reuses the slot of the one before.
+	descs    [2]desc
+	attempts uint64
 
 	consecAborts int
 	// inFallback marks that this thread holds the runtime's fallback lock
@@ -244,7 +255,9 @@ func (th *Thread) begin(stamp uint64) {
 	rt, sys := th.rt, th.rt.sys
 	th.attemptStart = th.ctx.Now()
 	th.stallCycles = 0
-	d := &desc{tsw: rt.nextTSW(th.core), stamp: stamp, live: true}
+	th.attempts++
+	d := &th.descs[th.attempts&1]
+	*d = desc{tsw: rt.nextTSW(th.core), stamp: stamp, gen: th.attempts, live: true}
 	th.d = d
 	sys.Store(th.ctx, th.core, d.tsw, TSWActive)
 	sys.ALoad(th.ctx, th.core, d.tsw)
@@ -506,7 +519,8 @@ func (th *Thread) commit() {
 			// rival writers (W-W). The spared readers commit on stale data.
 			enemies = ww
 		}
-		for _, e := range enemies.Procs() {
+		for w := enemies; w != 0; w &= w - 1 {
+			e := bits.TrailingZeros64(uint64(w))
 			resolved.Set(e)
 			// Signature screen: CST bits name processors, so a bit may
 			// refer to a transaction that already finished. The enemy's
@@ -549,7 +563,8 @@ func (th *Thread) commit() {
 				// Scrub our bit from the W-R of everyone whose write we
 				// read, so their commits do not spuriously abort our next
 				// transaction (Section 3.6).
-				for _, x := range rw.Procs() {
+				for w := rw; w != 0; w &= w - 1 {
+					x := bits.TrailingZeros64(uint64(w))
 					sys.CST(x).Get(cst.WR).Clear(th.core)
 					rt.tel.Inc(th.core, telemetry.CtrCSTClear)
 					rt.fl.Rec(th.core, th.ctx.Now(), flight.CSTClear, x, 0, 0)

@@ -67,17 +67,6 @@ func (v Vec) Empty() bool { return v == 0 }
 // processors; the metric in Figure 4's conflicting-transactions table).
 func (v Vec) Count() int { return bits.OnesCount64(uint64(v)) }
 
-// Procs returns the set processors in ascending order.
-func (v Vec) Procs() []int {
-	var ps []int
-	for w := uint64(v); w != 0; {
-		p := bits.TrailingZeros64(w)
-		ps = append(ps, p)
-		w &^= 1 << uint(p)
-	}
-	return ps
-}
-
 // CopyAndClear atomically returns the vector's value and zeroes it — the
 // paper's clruw-style "copy and clear" instruction used in line 1 of the
 // Commit() routine. (In the simulator one simulated thread runs at a time,
@@ -123,14 +112,21 @@ func (t *Table) Snapshot() Table { return *t }
 // Restore overwrites the registers from a snapshot.
 func (t *Table) Restore(s Table) { *t = s }
 
-// String formats the table for diagnostics.
+// String formats the table for diagnostics: each register's processors
+// in ascending order, as in "R-W=[] W-R=[1 5] W-W=[2]".
 func (t *Table) String() string {
 	var b strings.Builder
 	for k := Kind(0); k < numKinds; k++ {
 		if k > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s=%v", k, t.vec[k].Procs())
+		fmt.Fprintf(&b, "%s=[", k)
+		sep := ""
+		for w := uint64(t.vec[k]); w != 0; w &= w - 1 {
+			fmt.Fprintf(&b, "%s%d", sep, bits.TrailingZeros64(w))
+			sep = " "
+		}
+		b.WriteByte(']')
 	}
 	return b.String()
 }

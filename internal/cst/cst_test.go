@@ -24,21 +24,26 @@ func TestVecSetClearHas(t *testing.T) {
 	}
 }
 
-func TestVecProcsSorted(t *testing.T) {
-	var v Vec
+func TestTableStringListsProcsInOrder(t *testing.T) {
+	var tb Table
 	for _, p := range []int{9, 1, 63, 0} {
-		v.Set(p)
+		tb.Set(RW, p)
 	}
-	got := v.Procs()
-	want := []int{0, 1, 9, 63}
-	if len(got) != len(want) {
-		t.Fatalf("Procs = %v, want %v", got, want)
+	tb.Set(WW, 5)
+	if got, want := tb.String(), "R-W=[0 1 9 63] W-R=[] W-W=[5]"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Procs = %v, want %v", got, want)
+}
+
+// procs lists v's processors in ascending order, for failure messages.
+func procs(v Vec) []int {
+	var ps []int
+	for p := 0; p < 64; p++ {
+		if v.Has(p) {
+			ps = append(ps, p)
 		}
 	}
+	return ps
 }
 
 func TestCopyAndClear(t *testing.T) {
@@ -66,8 +71,8 @@ func TestVecRoundTrip(t *testing.T) {
 		if v.Count() != len(set) {
 			return false
 		}
-		for _, p := range v.Procs() {
-			if !set[p] {
+		for p := 0; p < 64; p++ {
+			if v.Has(p) != set[p] {
 				return false
 			}
 		}
@@ -85,7 +90,7 @@ func TestTableEnemies(t *testing.T) {
 	tb.Set(RW, 3) // R-W does not force aborts at commit
 	e := tb.Enemies()
 	if !e.Has(1) || !e.Has(2) || e.Has(3) {
-		t.Fatalf("Enemies = %v", e.Procs())
+		t.Fatalf("Enemies = %v", procs(e))
 	}
 	if tb.ConflictDegree() != 2 {
 		t.Fatalf("ConflictDegree = %d, want 2", tb.ConflictDegree())

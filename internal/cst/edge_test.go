@@ -32,11 +32,11 @@ func TestVecEdgeOps(t *testing.T) {
 			var v Vec
 			tc.build(&v)
 			if v.Count() != len(tc.want) {
-				t.Fatalf("Count = %d, want %d (procs %v)", v.Count(), len(tc.want), v.Procs())
+				t.Fatalf("Count = %d, want %d (procs %v)", v.Count(), len(tc.want), procs(v))
 			}
 			for _, p := range tc.want {
 				if !v.Has(p) {
-					t.Fatalf("missing proc %d (procs %v)", p, v.Procs())
+					t.Fatalf("missing proc %d (procs %v)", p, procs(v))
 				}
 			}
 		})
@@ -50,15 +50,15 @@ func TestVecEdgeOps(t *testing.T) {
 func TestCopyAndClearEdge(t *testing.T) {
 	var v Vec
 	if old := v.CopyAndClear(); !old.Empty() {
-		t.Fatalf("CopyAndClear of empty = %v", old.Procs())
+		t.Fatalf("CopyAndClear of empty = %v", procs(old))
 	}
 	v.Set(4)
 	first := v.CopyAndClear()
 	if !first.Has(4) || first.Count() != 1 {
-		t.Fatalf("first CopyAndClear = %v", first.Procs())
+		t.Fatalf("first CopyAndClear = %v", procs(first))
 	}
 	if second := v.CopyAndClear(); !second.Empty() {
-		t.Fatalf("second CopyAndClear = %v, want empty", second.Procs())
+		t.Fatalf("second CopyAndClear = %v, want empty", procs(second))
 	}
 }
 
@@ -80,10 +80,10 @@ func TestScrubVsCopyAndClearOrdering(t *testing.T) {
 			t.Fatal("scrubbed reader still in writer's commit snapshot")
 		}
 		if !snap.Has(other) || snap.Count() != 1 {
-			t.Fatalf("snapshot = %v, want [%d]", snap.Procs(), other)
+			t.Fatalf("snapshot = %v, want [%d]", procs(snap), other)
 		}
 		if !wr.Empty() {
-			t.Fatalf("register not empty after copy-and-clear: %v", wr.Procs())
+			t.Fatalf("register not empty after copy-and-clear: %v", procs(wr))
 		}
 	})
 	t.Run("copy-and-clear first", func(t *testing.T) {
@@ -96,7 +96,7 @@ func TestScrubVsCopyAndClearOrdering(t *testing.T) {
 		}
 		wr.Clear(reader) // late scrub hits an already-clear register: no-op
 		if !wr.Empty() {
-			t.Fatalf("late scrub left bits: %v", wr.Procs())
+			t.Fatalf("late scrub left bits: %v", procs(wr))
 		}
 	})
 }
@@ -136,20 +136,20 @@ func TestTableKindIsolation(t *testing.T) {
 			tc.ops(&tb)
 			e := tb.Enemies()
 			if e.Count() != len(tc.enemies) {
-				t.Fatalf("Enemies = %v, want %v", e.Procs(), tc.enemies)
+				t.Fatalf("Enemies = %v, want %v", procs(e), tc.enemies)
 			}
 			for _, p := range tc.enemies {
 				if !e.Has(p) {
-					t.Fatalf("Enemies = %v, want %v", e.Procs(), tc.enemies)
+					t.Fatalf("Enemies = %v, want %v", procs(e), tc.enemies)
 				}
 			}
 			got := tb.Get(RW)
 			if got.Count() != len(tc.rw) {
-				t.Fatalf("R-W = %v, want %v", got.Procs(), tc.rw)
+				t.Fatalf("R-W = %v, want %v", procs(*got), tc.rw)
 			}
 			for _, p := range tc.rw {
 				if !got.Has(p) {
-					t.Fatalf("R-W = %v, want %v", got.Procs(), tc.rw)
+					t.Fatalf("R-W = %v, want %v", procs(*got), tc.rw)
 				}
 			}
 		})

@@ -36,8 +36,6 @@
 package observatory
 
 import (
-	"sync/atomic"
-
 	"flextm/internal/causal"
 	"flextm/internal/conflictgraph"
 	"flextm/internal/flight"
@@ -157,16 +155,11 @@ type Config struct {
 	// Readers take every frame the pump produces, in order, inside the
 	// simulation on the pump's tick, after the run's governor annotation.
 	Readers []func(*Frame)
-	// OnFlush, if non-nil, runs inside the simulation on the first tick
-	// after RequestFlush — the race-free place to write partial artifacts
-	// when the process is being interrupted.
-	OnFlush func(*Frame)
 }
 
 // Pump samples one run. It is bound to a machine's telemetry registry and
 // flight recorder by the harness (Bind) and ticked from a dedicated
-// simulated thread, so all its mutable state is owned by the simulation;
-// the only cross-goroutine entry point is RequestFlush (an atomic flag).
+// simulated thread, so all its mutable state is owned by the simulation.
 type Pump struct {
 	cfg Config
 
@@ -181,8 +174,6 @@ type Pump struct {
 	lastSeq uint64
 	recent  []flight.Rec
 	index   int
-
-	flushReq atomic.Bool
 }
 
 // NewPump returns a pump with the given configuration.
@@ -268,19 +259,5 @@ func (p *Pump) sample(now sim.Time, final bool) *Frame {
 	for _, read := range p.cfg.Readers {
 		read(f)
 	}
-	if p.flushReq.CompareAndSwap(true, false) && p.cfg.OnFlush != nil {
-		p.cfg.OnFlush(f)
-	}
 	return f
-}
-
-// RequestFlush asks the pump to invoke Config.OnFlush with the next frame
-// it produces. Unlike every other pump method it is safe to call from any
-// goroutine — it is how a signal handler reaches into the simulation
-// without racing it.
-func (p *Pump) RequestFlush() {
-	if p == nil {
-		return
-	}
-	p.flushReq.Store(true)
 }

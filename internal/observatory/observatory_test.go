@@ -57,7 +57,6 @@ func TestDisabledObservationIsAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		p.Tick(12345)
 		p.Finish(99999)
-		p.RequestFlush()
 		_ = p.Interval()
 	}); n != 0 {
 		t.Fatalf("disabled observation allocates %.1f times per event, want 0", n)
@@ -183,26 +182,6 @@ func TestPumpAnnotatesBeforeReaders(t *testing.T) {
 	want := []string{"gov", "a", "b", "a (no gov)", "b (no gov)"}
 	if !slices.Equal(order, want) {
 		t.Fatalf("read order %q, want %q", order, want)
-	}
-}
-
-func TestPumpFlushRequestFiresOnceInsideTick(t *testing.T) {
-	tel := telemetry.New(1)
-	var flushed []*Frame
-	p := NewPump(Config{Interval: 100, OnFlush: func(f *Frame) { flushed = append(flushed, f) }})
-	p.Bind(tel, nil, Meta{}, nil)
-	p.Tick(100)
-	if len(flushed) != 0 {
-		t.Fatal("OnFlush fired without RequestFlush")
-	}
-	p.RequestFlush()
-	f := p.Tick(200)
-	if len(flushed) != 1 || flushed[0] != f {
-		t.Fatalf("OnFlush fired %d times, want once with the tick's frame", len(flushed))
-	}
-	p.Tick(300)
-	if len(flushed) != 1 {
-		t.Fatal("OnFlush re-fired without a new request")
 	}
 }
 

@@ -1,6 +1,7 @@
 package osmodel
 
 import (
+	"slices"
 	"testing"
 
 	"flextm/internal/cm"
@@ -312,6 +313,109 @@ func TestAnotherThreadUsesCoreWhileSuspended(t *testing.T) {
 	}
 	if s := rt.Stats(); s.Commits != 2 {
 		t.Fatalf("commits = %d, want 2", s.Commits)
+	}
+}
+
+// scriptCM waits on every conflict and logs the enemies that core 0's
+// threads are shown; other tells the threads of core 0 apart. The first
+// conflict core 0 meets calls onFirst, from inside the contention manager.
+type scriptCM struct {
+	other   bool
+	victim  []int
+	next    []int
+	onFirst func()
+}
+
+func (*scriptCM) Name() string                         { return "script" }
+func (*scriptCM) RetryBackoff(int, *sim.Rand) sim.Time { return 10 }
+func (m *scriptCM) OnConflict(c cm.Conflict, _ *sim.Rand) (cm.Decision, sim.Time) {
+	if c.Me == 0 {
+		if m.other {
+			m.next = append(m.next, c.Enemy)
+		} else {
+			m.victim = append(m.victim, c.Enemy)
+		}
+		if f := m.onFirst; f != nil {
+			m.onFirst = nil
+			f()
+		}
+	}
+	return cm.Wait, 100
+}
+
+// TestPreemptedEagerRoundKeepsItsConflicts: a thread descheduled while its
+// eager contention manager works through a round's conflicts resumes with
+// that round's list, although the next thread on its core ran transactional
+// rounds of its own in between. The victim's TStore of x draws Exposed-Read
+// responses from cores 1 and 2 and is parked while waiting on core 1; the
+// next thread's TStore of y draws them from cores 1 and 3.
+func TestPreemptedEagerRoundKeepsItsConflicts(t *testing.T) {
+	sys, rt, m := fixture(core.Eager)
+	script := &scriptCM{}
+	rt.SetCM(script)
+	x := sys.Alloc().Alloc(memory.LineWords)
+	y := sys.Alloc().Alloc(memory.LineWords)
+	e := sim.NewEngine()
+	reader := func(id int, addrs ...memory.Addr) {
+		e.Spawn("reader", 0, func(ctx *sim.Ctx) {
+			th := rt.Bind(ctx, id)
+			th.Atomic(func(tx tmapi.Txn) {
+				for _, a := range addrs {
+					tx.Load(a)
+				}
+				th.Work(20000)
+			})
+		})
+	}
+	reader(1, x, y)
+	reader(2, x)
+	reader(3, y)
+	var vctx *sim.Ctx
+	var susp *Suspended
+	parked := false
+	script.onFirst = func() {
+		e.RequestPark(vctx, func(v *sim.Ctx) {
+			susp = m.Suspend(v, 0)
+			parked = true
+		})
+	}
+	vctx = e.Spawn("victim", 0, func(ctx *sim.Ctx) {
+		th := rt.Bind(ctx, 0)
+		th.Work(1000)
+		th.Atomic(func(tx tmapi.Txn) { tx.Store(x, 1) })
+	})
+	e.Spawn("os", 0, func(ctx *sim.Ctx) {
+		for !parked {
+			ctx.Advance(50)
+			ctx.Sync()
+		}
+		script.other = true
+		rt.Bind(ctx, 0).Atomic(func(tx tmapi.Txn) { tx.Store(y, 2) })
+		script.other = false
+		if susp == nil {
+			t.Error("the victim's transaction was not live when it parked")
+			e.Unblock(vctx, ctx.Now())
+			return
+		}
+		m.Resume(ctx, 0, susp)
+		e.Unblock(vctx, ctx.Now())
+	})
+	if blocked := e.Run(); blocked != 0 {
+		t.Fatalf("%d threads blocked", blocked)
+	}
+	if !slices.Contains(script.next, 3) || slices.Contains(script.next, 2) {
+		t.Fatalf("next thread's enemies = %v, want cores 1 and 3", script.next)
+	}
+	for _, enemy := range script.victim {
+		if enemy != 1 && enemy != 2 {
+			t.Fatalf("victim's enemies = %v: core %d is not in its round", script.victim, enemy)
+		}
+	}
+	if !slices.Contains(script.victim, 2) {
+		t.Fatalf("victim's enemies = %v: it never resolved core 2", script.victim)
+	}
+	if sys.ReadWordRaw(x) != 1 || sys.ReadWordRaw(y) != 2 {
+		t.Fatalf("x=%d y=%d, want 1/2", sys.ReadWordRaw(x), sys.ReadWordRaw(y))
 	}
 }
 

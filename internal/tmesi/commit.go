@@ -254,6 +254,12 @@ type SavedTxn struct {
 	Rsig, Wsig *signature.Sig
 	CST        cst.Table
 	OT         *overflow.Table
+
+	// conflicts is the core's conflict buffer, which the descheduled
+	// thread may still be resolving (OpResult.Conflicts): it leaves the
+	// core with the thread, so the next thread's rounds cannot overwrite
+	// it, and comes back with it.
+	conflicts []Conflict
 }
 
 // SaveTxnState implements the OS-visible deschedule sequence.
@@ -277,8 +283,11 @@ func (s *System) SaveTxnState(ctx *sim.Ctx, core int) *SavedTxn {
 		Wsig: c.wsig.Clone(),
 		CST:  c.table.Snapshot(),
 		OT:   c.ot,
+
+		conflicts: c.conflicts,
 	}
 	c.ot = nil
+	c.conflicts = nil
 	// Abort instruction: revert remaining speculative lines (TI), clear
 	// signatures and CSTs so the next thread starts clean.
 	c.l1.FlashAbort()
@@ -295,6 +304,7 @@ func (s *System) RestoreTxnState(ctx *sim.Ctx, core int, saved *SavedTxn) {
 	s.sigRestore(c, core, saved.Rsig, saved.Wsig)
 	c.table.Restore(saved.CST)
 	c.ot = saved.OT
+	c.conflicts = saved.conflicts
 	s.active |= coreBit(core)
 	ctx.Advance(s.cfg.TrapLat)
 }

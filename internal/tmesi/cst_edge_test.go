@@ -99,7 +99,7 @@ func TestCSTScrubVsConcurrentCommit(t *testing.T) {
 	s.CST(0).Set(cst.WR, 1)
 	s.CST(0).Get(cst.WR).Clear(1) // reader's scrub wins the race
 	if snap := s.CST(0).Get(cst.WR).CopyAndClear(); !snap.Empty() {
-		t.Fatalf("post-scrub commit snapshot = %v, want empty", snap.Procs())
+		t.Fatalf("post-scrub commit snapshot = %#x, want empty", uint64(snap))
 	}
 	// The reader's own R-W is untouched by either serialization: the scrub
 	// targets remote W-R registers only.

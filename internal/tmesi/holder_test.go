@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"flextm/internal/cache"
@@ -406,6 +407,122 @@ func TestAuditedProbeRoundAllocatesNothing(t *testing.T) {
 			t.Errorf("%v = %d, want %d", c, got, runs+1)
 		}
 	}
+}
+
+// conflictRoundSystem returns a 16-core system where core 1's transaction
+// has written wline, core 2's has read rline, and core 15 runs a
+// transaction: a GETST round for wline from core 15 draws a Threatened
+// response, and a TGETX round for rline an Exposed-Read one.
+func conflictRoundSystem(tb testing.TB) (s *System, wline, rline memory.LineAddr) {
+	tb.Helper()
+	s = New(DefaultConfig())
+	wline, rline = memory.LineAddr(50), memory.LineAddr(60)
+	e := sim.NewEngine()
+	e.Spawn("setup", 0, func(ctx *sim.Ctx) {
+		s.BeginTxn(1)
+		s.TStore(ctx, 1, wline.WordOf(0), 1)
+		s.BeginTxn(2)
+		s.TLoad(ctx, 2, rline.WordOf(0))
+		s.BeginTxn(15)
+	})
+	e.Run()
+	return s, wline, rline
+}
+
+// TestConflictingProbeRoundsAllocateNothing: a transactional round lists
+// its conflicts in the requesting core's reused buffer, so once that
+// buffer has grown, rounds that draw Threatened and Exposed-Read responses
+// allocate nothing.
+func TestConflictingProbeRoundsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s, wline, rline := conflictRoundSystem(t)
+	for _, rc := range []struct {
+		line memory.LineAddr
+		kind reqKind
+		msg  ResponseMsg
+		from int
+	}{{wline, reqGETST, Threatened, 1}, {rline, reqTGETX, ExposedRead, 2}} {
+		pr := s.probe(15, rc.line, rc.kind)
+		if len(pr.conflicts) != 1 || pr.conflicts[0].Msg != rc.msg || pr.conflicts[0].Responder != rc.from {
+			t.Fatalf("round for line %d: conflicts %+v, want one %v from core %d", rc.line, pr.conflicts, rc.msg, rc.from)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		s.probe(15, wline, reqGETST)
+		s.probe(15, rline, reqTGETX)
+	}); n != 0 {
+		t.Errorf("conflicting transactional rounds: %v allocs, want 0", n)
+	}
+}
+
+// TestConflictListSurvivesOtherRounds: a TLoad's conflict list stays as it
+// was while the runtime resolves it. The contention manager issues
+// ordinary loads and CASes from the same core, and other cores go on
+// issuing transactional rounds of their own; none of them may touch it.
+func TestConflictListSurvivesOtherRounds(t *testing.T) {
+	x, y, z := memory.LineAddr(10).WordOf(0), memory.LineAddr(20).WordOf(0), memory.LineAddr(30).WordOf(0)
+	run(t, smallCfg(), func(ctx *sim.Ctx, s *System) {
+		s.BeginTxn(1)
+		s.TStore(ctx, 1, x, 1)
+		s.BeginTxn(2)
+		s.TStore(ctx, 2, y, 2)
+		s.BeginTxn(3)
+		s.TLoad(ctx, 3, z)
+		s.BeginTxn(0)
+		res := s.TLoad(ctx, 0, x)
+		want := []Conflict{{Responder: 1, Msg: Threatened, Line: x.Line()}}
+		if !slices.Equal(res.Conflicts, want) {
+			t.Fatalf("TLoad conflicts = %+v, want %+v", res.Conflicts, want)
+		}
+		before := s.Stats()
+		s.Load(ctx, 0, y)        // a GETS round that core 2 threatens
+		s.CAS(ctx, 0, z, 0, 1)   // a GETX round against core 3's read set
+		r3 := s.TLoad(ctx, 3, x) // core 3's own transactional round
+		after := s.Stats()
+		if after.ThreatenedResponses-before.ThreatenedResponses != 2 || after.StrongIsolationAborts == before.StrongIsolationAborts {
+			t.Fatalf("the rounds drew no conflicts: stats %+v after %+v", after, before)
+		}
+		if len(r3.Conflicts) != 1 || r3.Conflicts[0].Responder != 1 {
+			t.Fatalf("core 3's TLoad conflicts = %+v, want Threatened by core 1", r3.Conflicts)
+		}
+		if !slices.Equal(res.Conflicts, want) {
+			t.Errorf("core 0's conflicts changed to %+v, want %+v", res.Conflicts, want)
+		}
+	})
+}
+
+// TestConflictListSurvivesContextSwitch: when the OS deschedules a thread
+// that is still resolving a TLoad's conflicts, the next thread on the core
+// runs transactional rounds of its own. The first thread's list must come
+// back as it was when its state is restored.
+func TestConflictListSurvivesContextSwitch(t *testing.T) {
+	x, y := memory.LineAddr(10).WordOf(0), memory.LineAddr(20).WordOf(0)
+	run(t, smallCfg(), func(ctx *sim.Ctx, s *System) {
+		s.BeginTxn(1)
+		s.TStore(ctx, 1, x, 1)
+		s.BeginTxn(2)
+		s.TStore(ctx, 2, x, 2)
+		s.BeginTxn(3)
+		s.TStore(ctx, 3, y, 3)
+		s.BeginTxn(0)
+		res := s.TLoad(ctx, 0, x)
+		want := []Conflict{{Responder: 1, Msg: Threatened, Line: x.Line()}, {Responder: 2, Msg: Threatened, Line: x.Line()}}
+		if !slices.Equal(res.Conflicts, want) {
+			t.Fatalf("TLoad conflicts = %+v, want %+v", res.Conflicts, want)
+		}
+		saved := s.SaveTxnState(ctx, 0)
+		s.BeginTxn(0) // the next thread on core 0
+		if r := s.TLoad(ctx, 0, y); len(r.Conflicts) != 1 || r.Conflicts[0].Responder != 3 {
+			t.Fatalf("next thread's TLoad conflicts = %+v, want Threatened by core 3", r.Conflicts)
+		}
+		s.SaveTxnState(ctx, 0) // the next thread's slice ends
+		s.RestoreTxnState(ctx, 0, saved)
+		if !slices.Equal(res.Conflicts, want) {
+			t.Errorf("conflicts after the switch = %+v, want %+v", res.Conflicts, want)
+		}
+	})
 }
 
 func BenchmarkProbeRound(b *testing.B) {

@@ -260,7 +260,9 @@ func (s *System) upgrade(core int, line memory.LineAddr, ln *cache.Line, kind re
 	return pr, s.l2Round() + pr.lat
 }
 
-// probeResult summarizes one forwarding round.
+// probeResult summarizes one forwarding round. A transactional round's
+// conflicts live in the requesting core's reused buffer (coreState); the
+// other rounds' callers read none, so those rounds list none.
 type probeResult struct {
 	conflicts    []Conflict
 	threatened   bool
@@ -292,6 +294,9 @@ func (pr probeResult) readState() cache.State {
 // two tests are charged as true negatives.
 func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult {
 	var pr probeResult
+	if kind.transactional() {
+		pr.conflicts = s.cores[core].conflicts[:0]
+	}
 	probed := false
 	held := s.holdersOf(line)
 	self := coreBit(core)
@@ -494,7 +499,9 @@ func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult
 					pr.threatened = true
 				}
 			}
-			pr.conflicts = append(pr.conflicts, cs...)
+			if kind.transactional() {
+				pr.conflicts = append(pr.conflicts, cs...)
+			}
 		}
 	}
 
@@ -506,6 +513,13 @@ func (s *System) probe(core int, line memory.LineAddr, kind reqKind) probeResult
 		if s.inj.Fire(core, fault.CoherenceDelay) {
 			pr.lat += sim.Time(s.inj.Amount(fault.CoherenceDelay, uint64(s.cfg.MemLat)))
 			s.tel.Inc(core, telemetry.CtrFaultInjected)
+		}
+	}
+	if kind.transactional() {
+		// Keep the grown buffer; a round without conflicts reports nil.
+		s.cores[core].conflicts = pr.conflicts
+		if len(pr.conflicts) == 0 {
+			pr.conflicts = nil
 		}
 	}
 	return pr
@@ -524,10 +538,10 @@ func (s *System) respond(pr *probeResult, kind reqKind, core, r int, line memory
 		s.stats.ExposedReadResponses++
 		s.tel.Inc(core, telemetry.CtrExposedRead)
 	}
-	pr.conflicts = append(pr.conflicts, Conflict{Responder: r, Msg: msg, Line: line, FP: fp})
 	if !kind.transactional() {
 		return
 	}
+	pr.conflicts = append(pr.conflicts, Conflict{Responder: r, Msg: msg, Line: line, FP: fp})
 	s.cores[r].table.Set(respCST, core)
 	s.cores[core].table.Set(reqCST, r)
 	s.tel.Inc(r, telemetry.CtrCSTSet)

@@ -1,0 +1,7 @@
+//go:build race
+
+package tmesi
+
+// raceEnabled mirrors the -race build flag so allocation guards, which
+// the detector's instrumentation can upset, can skip themselves.
+const raceEnabled = true

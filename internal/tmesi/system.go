@@ -136,7 +136,14 @@ type Conflict struct {
 
 // OpResult is the outcome of one memory operation.
 type OpResult struct {
-	Val       uint64
+	Val uint64
+	// Conflicts lists the conflicting responses to a TLoad's or TStore's
+	// forwarding round, nil when there were none; the other operations
+	// report none. The list lives in a buffer the requesting core reuses:
+	// it stays valid until that core's next TLoad or TStore, whatever
+	// other operations either core issues in between. SaveTxnState takes
+	// the buffer with the descheduled thread and RestoreTxnState returns
+	// it, so another thread's rounds on the core in between leave it be.
 	Conflicts []Conflict
 	WatchHit  bool // local access hit an activated watch signature (FlexWatcher)
 }
@@ -179,6 +186,11 @@ type coreState struct {
 	// stall behind the committed OT's copy-back.
 	drainSig   *signature.Sig
 	drainUntil sim.Time
+
+	// conflicts holds the responses to the running thread's latest
+	// transactional round (OpResult.Conflicts), reused round after round;
+	// a context switch carries it in the SavedTxn.
+	conflicts []Conflict
 
 	// rppm and wppm cache predictedPPM of the signatures in audit mode;
 	// filter lets a repeated insert skip hashing its line (sigs.go). The
