@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"flextm/internal/observatory"
+	"flextm/internal/observatory/omtest"
 )
 
 // syncBuffer is an output stream a test can read while run still writes it.
@@ -273,7 +273,7 @@ func TestLiveObservatory(t *testing.T) {
 		}
 		return len(seen) == 3
 	})
-	if err := observatory.CheckExposition(strings.NewReader(scrape)); err != nil {
+	if err := omtest.CheckExposition(strings.NewReader(scrape)); err != nil {
 		t.Errorf("/metrics is not a valid OpenMetrics exposition: %v", err)
 	}
 	for _, path := range []string{"/snapshot.json", "/flight"} {

@@ -68,11 +68,10 @@ func (rt *Runtime) commits() uint64 {
 // sections of both threads, with the collector held off as
 // testing.AllocsPerRun does. It is bounded as a whole, not per
 // transaction, so that even one allocation on a fraction of the commits
-// fails: the only allocations allowed are the per-core conflict-degree
-// lists growing by doubling, a handful over 2000 commits (9 measured). The
-// sections pass no closure of their own.
+// fails; conflict degrees land in a fixed per-degree count, so no growth
+// is allowed either. The sections pass no closure of their own.
 func TestConflictingTransactionsAllocateNothing(t *testing.T) {
-	const growthAllocs = 32
+	const growthAllocs = 0
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}

@@ -362,7 +362,9 @@ func (rt *Runtime) Stats() tmapi.Stats {
 		total.Commits += rt.stats[i].Commits
 		total.Aborts += rt.stats[i].Aborts
 		total.Escalations += rt.stats[i].Escalations
-		total.ConflictDegrees = append(total.ConflictDegrees, rt.stats[i].ConflictDegrees...)
+		for d, n := range rt.stats[i].ConflictDegrees {
+			total.ConflictDegrees[d] += n
+		}
 	}
 	return total
 }

@@ -132,9 +132,8 @@ func (th *Thread) Atomic(body func(tmapi.Txn)) {
 		}
 		th.ctx.Advance(backoff)
 		// Retry back-off is stall-wait: the thread sits between attempts.
-		th.rt.tel.Add(th.core, telemetry.CtrCMBackoffCycles, backoff)
 		th.rt.tel.Add(th.core, telemetry.CtrCycStall, backoff)
-		th.rt.fl.RecDur(th.core, th.ctx.Now(), flight.Backoff, -1, clamp8(th.consecAborts), 0, backoff)
+		flight.Emit(th.rt.tel, th.rt.fl, th.core, th.ctx.Now(), flight.Backoff, -1, clamp8(th.consecAborts), 0, backoff)
 	}
 }
 
@@ -183,8 +182,7 @@ func (th *Thread) watchdogTripped(sectionStart sim.Time) bool {
 	tripped := (live.MaxConsecAborts > 0 && th.consecAborts >= live.MaxConsecAborts) ||
 		(live.MaxStallCycles > 0 && th.ctx.Now()-sectionStart >= live.MaxStallCycles)
 	if tripped {
-		th.rt.tel.Inc(th.core, telemetry.CtrWatchdogTrip)
-		th.rt.fl.Rec(th.core, th.ctx.Now(), flight.WatchdogTrip, -1, clamp8(th.consecAborts), 0)
+		flight.Emit(th.rt.tel, th.rt.fl, th.core, th.ctx.Now(), flight.WatchdogTrip, -1, clamp8(th.consecAborts), 0, 0)
 		th.rt.dumpFlight(th.core)
 	}
 	return tripped
@@ -200,8 +198,7 @@ func (th *Thread) watchdogTripped(sectionStart sim.Time) bool {
 func (th *Thread) escalate(stamp uint64, body func(tmapi.Txn)) {
 	rt := th.rt
 	rt.stats[th.core].Escalations++
-	rt.tel.Inc(th.core, telemetry.CtrEscalation)
-	rt.fl.Rec(th.core, th.ctx.Now(), flight.Escalate, -1, 0, 0)
+	flight.Emit(rt.tel, rt.fl, th.core, th.ctx.Now(), flight.Escalate, -1, 0, 0, 0)
 	if rt.fallback == nil {
 		rt.fallback = cgl.NewSpinlock(rt.sys)
 	}
@@ -283,6 +280,12 @@ func (th *Thread) begin(stamp uint64) {
 // CAS-Commit failure path has not already) and clears the descriptor.
 func (th *Thread) onAbort() {
 	sys := th.rt.sys
+	// The one lifecycle event written to its two sinks apart rather than
+	// through flight.Emit: the abort is recorded here, and CtrTxnAborts is
+	// added below, after AbortFlash's ctx.Sync. Either merge changes
+	// simulated output. Adding the counter here lets a pump that runs
+	// during the sync count the abort a frame early; recording below lets
+	// records other cores write during the sync take earlier Seqs.
 	th.rt.fl.Rec(th.core, th.ctx.Now(), flight.TxnAbort, -1, 0, 0)
 	th.rt.orc.Abort(th.core, th.ctx.Now())
 	th.d.live = false
@@ -415,8 +418,7 @@ func (th *Thread) resolveConflict(c tmesi.Conflict) {
 		}, th.rnd)
 		switch dec {
 		case cm.AbortSelf:
-			rt.tel.Inc(th.core, telemetry.CtrCMAbortSelf)
-			rt.fl.Rec(th.core, th.ctx.Now(), flight.AbortSelf, c.Responder, fpAux(c.FP), c.Line)
+			flight.Emit(rt.tel, rt.fl, th.core, th.ctx.Now(), flight.AbortSelf, c.Responder, fpAux(c.FP), c.Line, 0)
 			abortPanic()
 		case cm.AbortEnemy:
 			rt.tel.Inc(th.core, telemetry.CtrCMAbortEnemy)
@@ -428,12 +430,10 @@ func (th *Thread) resolveConflict(c tmesi.Conflict) {
 			th.clearLocalCST(c.Responder)
 			return
 		case cm.Wait:
-			rt.tel.Inc(th.core, telemetry.CtrCMWait)
-			rt.tel.Add(th.core, telemetry.CtrCMWaitCycles, wait)
 			rt.tel.Observe(th.core, telemetry.HistCMWaitCycles, wait)
 			th.stallCycles += wait
 			th.ctx.Advance(wait)
-			rt.fl.RecDur(th.core, th.ctx.Now(), flight.CMStall, c.Responder, fpAux(c.FP), c.Line, wait)
+			flight.Emit(rt.tel, rt.fl, th.core, th.ctx.Now(), flight.CMStall, c.Responder, fpAux(c.FP), c.Line, wait)
 			status := th.enemyStatus(c.Responder)
 			switch status {
 			case TSWActive:
@@ -555,10 +555,10 @@ func (th *Thread) commit() {
 			if th.inFallback {
 				fb = 1
 			}
-			rt.fl.Rec(th.core, th.ctx.Now(), flight.TxnCommit, -1, fb, 0)
+			flight.Emit(rt.tel, rt.fl, th.core, th.ctx.Now(), flight.TxnCommit, -1, fb, 0, 0)
 			st := &rt.stats[th.core]
 			st.Commits++
-			st.ConflictDegrees = append(st.ConflictDegrees, resolved.Count())
+			st.ConflictDegrees[resolved.Count()]++
 			if rt.cleanWR {
 				// Scrub our bit from the W-R of everyone whose write we
 				// read, so their commits do not spuriously abort our next
@@ -575,7 +575,6 @@ func (th *Thread) commit() {
 				now := th.ctx.Now()
 				total := now - th.attemptStart
 				commitOv := now - commitStart
-				tel.Inc(th.core, telemetry.CtrTxnCommits)
 				tel.Add(th.core, telemetry.CtrCycUseful,
 					clampSub(total, commitOv+th.stallCycles))
 				tel.Add(th.core, telemetry.CtrCycCommitOv, commitOv)

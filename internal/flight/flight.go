@@ -8,6 +8,12 @@
 // unconditionally through nil-safe methods, mirroring internal/telemetry
 // and internal/fault, so a detached recorder costs one predictable branch.
 //
+// The package is also the registry of record kinds: one table names each
+// kind and declares the telemetry counters its records stand for, and Emit
+// writes a record and those counters in one call, so the flight stream and
+// the telemetry registry cannot drift apart (internal/replay folds the
+// same declarations back out of a stream).
+//
 // The recorder captures the events the conflict-graph analyzer
 // (internal/conflictgraph) needs to *explain* aborts rather than merely
 // count them: transaction begin/commit/abort, CST set/clear with the
@@ -24,6 +30,7 @@ import (
 
 	"flextm/internal/memory"
 	"flextm/internal/sim"
+	"flextm/internal/telemetry"
 )
 
 // Kind classifies one recorded event.
@@ -77,22 +84,47 @@ const (
 	NumKinds
 )
 
-var kindNames = [NumKinds]string{
-	TxnBegin:      "begin",
-	TxnCommit:     "commit",
-	TxnAbort:      "abort",
-	AbortEnemy:    "abort-enemy",
-	AbortSelf:     "abort-self",
-	CSTSet:        "cst-set",
-	CSTClear:      "cst-clear",
-	AOUAlert:      "aou-alert",
-	OTSpill:       "ot-spill",
-	CommitRefused: "commit-refused",
-	WatchdogTrip:  "watchdog-trip",
-	Escalate:      "escalate",
-	GovStep:       "governor-step",
-	CMStall:       "cm-stall",
-	Backoff:       "backoff",
+// Mirror is one telemetry counter that a record kind stands for: each
+// record of the kind adds to the counter, on the record's Core or on its
+// Peer, by 1 or by its Dur.
+type Mirror struct {
+	Counter telemetry.Counter
+	OnPeer  bool // charged to the record's Peer, not its Core
+	ByDur   bool // grows by the record's Dur, not by 1
+}
+
+// Charge returns the core a record charges m's counter to, and by how much.
+func (m Mirror) Charge(core, peer int, dur sim.Time) (int, uint64) {
+	if m.OnPeer {
+		core = peer
+	}
+	if m.ByDur {
+		return core, uint64(dur)
+	}
+	return core, 1
+}
+
+// kinds is the registry of record kinds: each kind's stable name and the
+// telemetry counters its records stand for.
+var kinds = [NumKinds]struct {
+	name    string
+	mirrors []Mirror
+}{
+	TxnBegin:      {name: "begin"},
+	TxnCommit:     {"commit", []Mirror{{Counter: telemetry.CtrTxnCommits}}},
+	TxnAbort:      {"abort", []Mirror{{Counter: telemetry.CtrTxnAborts}}}, // written apart; see core's onAbort
+	AbortEnemy:    {name: "abort-enemy"},                                  // commit-loop kills are not CM verdicts
+	AbortSelf:     {"abort-self", []Mirror{{Counter: telemetry.CtrCMAbortSelf}}},
+	CSTSet:        {"cst-set", []Mirror{{Counter: telemetry.CtrCSTSet}, {Counter: telemetry.CtrCSTSet, OnPeer: true}}},
+	CSTClear:      {name: "cst-clear"}, // one record clears up to three registers
+	AOUAlert:      {"aou-alert", []Mirror{{Counter: telemetry.CtrAlert}}},
+	OTSpill:       {"ot-spill", []Mirror{{Counter: telemetry.CtrOTSpill}}},
+	CommitRefused: {"commit-refused", []Mirror{{Counter: telemetry.CtrCommitCSTFail}}},
+	WatchdogTrip:  {"watchdog-trip", []Mirror{{Counter: telemetry.CtrWatchdogTrip}}},
+	Escalate:      {"escalate", []Mirror{{Counter: telemetry.CtrEscalation}}},
+	GovStep:       {"governor-step", []Mirror{{Counter: telemetry.CtrGovStep}}},
+	CMStall:       {"cm-stall", []Mirror{{Counter: telemetry.CtrCMWait}, {Counter: telemetry.CtrCMWaitCycles, ByDur: true}}},
+	Backoff:       {"backoff", []Mirror{{Counter: telemetry.CtrCMBackoffCycles, ByDur: true}}},
 }
 
 // AuxFP is set in Aux, alongside the kind-specific low bits, when the
@@ -108,9 +140,18 @@ const (
 // String returns the kind's stable kebab-case name.
 func (k Kind) String() string {
 	if k < NumKinds {
-		return kindNames[k]
+		return kinds[k].name
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// Mirrors returns the telemetry counters a record of kind k stands for.
+// The slice is the registry's own; callers must not modify it.
+func (k Kind) Mirrors() []Mirror {
+	if k < NumKinds {
+		return kinds[k].mirrors
+	}
+	return nil
 }
 
 // Rec is one recorded event. It is a fixed-size value type: recording one
@@ -221,6 +262,20 @@ func (r *Recorder) RecDur(core int, at sim.Time, k Kind, peer int, aux uint8, li
 	*slot = Rec{
 		At: at, Dur: dur, Line: line, Seq: r.seq,
 		Core: int16(core), Peer: int16(peer), Kind: k, Aux: aux,
+	}
+}
+
+// Emit is the one call for a lifecycle event: it records the event and
+// adds to the telemetry counters its kind mirrors, so neither sink can
+// drift from the other. Either sink may be nil.
+func Emit(tel *telemetry.Registry, fl *Recorder, core int, at sim.Time, k Kind, peer int, aux uint8, line memory.LineAddr, dur sim.Time) {
+	fl.RecDur(core, at, k, peer, aux, line, dur)
+	if tel == nil {
+		return
+	}
+	for _, m := range kinds[k].mirrors {
+		c, n := m.Charge(core, peer, dur)
+		tel.Add(c, m.Counter, n)
 	}
 }
 

@@ -1,10 +1,12 @@
 package flight
 
 import (
+	"reflect"
 	"testing"
 
 	"flextm/internal/memory"
 	"flextm/internal/sim"
+	"flextm/internal/telemetry"
 )
 
 func TestNilRecorderIsSafeAndFree(t *testing.T) {
@@ -32,6 +34,12 @@ func TestNilRecorderIsSafeAndFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("nil recorder RecDur allocates %.1f per op, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		Emit(nil, r, 0, 1, CMStall, 1, 0, 0x40, 25)
+	})
+	if allocs != 0 {
+		t.Fatalf("Emit with both sinks nil allocates %.1f per op, want 0", allocs)
 	}
 }
 
@@ -63,6 +71,57 @@ func TestRecIsAllocationFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Logf("enabled Rec allocates %.1f per op (budget is 1)", allocs)
+	}
+	tel := telemetry.New(2)
+	for _, c := range []struct {
+		name string
+		tel  *telemetry.Registry
+		fl   *Recorder
+	}{{"telemetry only", tel, nil}, {"both sinks", tel, r}} {
+		allocs := testing.AllocsPerRun(10000, func() {
+			at++
+			Emit(c.tel, c.fl, 1, at, CSTSet, 0, 2, memory.LineAddr(at), 0)
+			Emit(c.tel, c.fl, 0, at, CMStall, 1, 0, memory.LineAddr(at), 9)
+		})
+		if allocs != 0 {
+			t.Fatalf("Emit with %s allocates %.1f per op, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestEmitSinksAreIndependent: for every kind, Emit into telemetry alone
+// adds exactly the counters the kind mirrors, on the declared core and by
+// the declared amount, and nothing else; Emit into a recorder alone writes
+// the record RecDur writes.
+func TestEmitSinksAreIndependent(t *testing.T) {
+	const cores, core, peer, at, aux, line, dur = 4, 1, 2, 100, 5, 0x40, 37
+	for k := range NumKinds {
+		tel := telemetry.New(cores)
+		Emit(tel, nil, core, at, k, peer, aux, line, dur)
+		var want [cores][telemetry.NumCounters]uint64
+		for _, m := range k.Mirrors() {
+			on, n := core, uint64(1)
+			if m.OnPeer {
+				on = peer
+			}
+			if m.ByDur {
+				n = dur
+			}
+			want[on][m.Counter] += n
+		}
+		snap := tel.Snapshot()
+		for c := range want {
+			if got := snap.Cores[c].Counters; got != want[c] {
+				t.Errorf("%s: core %d counters %v, want %v", k, c, got, want[c])
+			}
+		}
+
+		emitted, direct := New(cores, 8), New(cores, 8)
+		Emit(nil, emitted, core, at, k, peer, aux, line, dur)
+		direct.RecDur(core, at, k, peer, aux, line, dur)
+		if got, want := emitted.Snapshot(), direct.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Emit recorded %+v, RecDur %+v", k, got, want)
+		}
 	}
 }
 
@@ -179,5 +238,20 @@ func BenchmarkRecNil(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Rec(i&3, sim.Time(i), CSTSet, (i+1)&3, 1, memory.LineAddr(i))
+	}
+}
+
+func BenchmarkEmit(b *testing.B) {
+	tel, r := telemetry.New(4), New(4, DefaultPerCore)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Emit(tel, r, i&3, sim.Time(i), CSTSet, (i+1)&3, 1, memory.LineAddr(i), 0)
+	}
+}
+
+func BenchmarkEmitNil(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Emit(nil, nil, i&3, sim.Time(i), CSTSet, (i+1)&3, 1, memory.LineAddr(i), 0)
 	}
 }

@@ -466,8 +466,7 @@ func (g *Governor) step(f *observatory.Frame, state State, to int, spec string) 
 	g.transitions = append(g.transitions, Transition{
 		At: f.End, Frame: f.Index, From: from, To: to, State: state, Action: spec,
 	})
-	g.tel.Inc(0, telemetry.CtrGovStep)
-	g.fl.Rec(0, f.End, flight.GovStep, from, uint8(to), 0)
+	flight.Emit(g.tel, g.fl, 0, f.End, flight.GovStep, from, uint8(to), 0, 0)
 }
 
 // apply turns one rung on and returns what the matching revert needs.

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"flextm/internal/causal"
@@ -82,6 +83,46 @@ func TestReplayIdentityWithLiveTelemetry(t *testing.T) {
 				t.Fatalf("%s seed %d: complete stream summarized as truncated: %+v", system, seed, sum)
 			}
 		}
+	}
+}
+
+// TestSinksAreIndependent: every lifecycle event reaches telemetry and the
+// flight recorder through one flight.Emit, and neither sink's contents may
+// depend on whether the other is attached. One FlexTM cell runs with
+// Metrics alone, Flight alone and both: the telemetry snapshots of the
+// first and last, and the flight records of the second and last, match.
+func TestSinksAreIndependent(t *testing.T) {
+	f, ok := workloads.ByName("RBTree")
+	if !ok {
+		t.Fatal("RBTree workload missing")
+	}
+	run := func(metrics, flight bool) Result {
+		res, err := Run(RunConfig{
+			System:        FlexTMLazy,
+			Workload:      f,
+			Threads:       4,
+			OpsPerThread:  60,
+			Machine:       tmesi.DefaultConfig(),
+			Metrics:       metrics,
+			Flight:        flight,
+			FlightPerCore: 1 << 17,
+			Faults:        fault.Config{Seed: 5}.WithRate(fault.SigFalsePos, 0.02),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	metrics, fl, both := run(true, false), run(false, true), run(true, true)
+	if both.Telemetry.Total(telemetry.CtrCSTSet) == 0 {
+		t.Fatal("the cell set no CST bits; it exercises no mirrored event")
+	}
+	if !reflect.DeepEqual(metrics.Telemetry, both.Telemetry) {
+		t.Errorf("telemetry differs with the flight recorder attached:\n  alone %s\n  both  %s",
+			telemetry.Compact(*metrics.Telemetry), telemetry.Compact(*both.Telemetry))
+	}
+	if a, b := fl.Flight.Snapshot(), both.Flight.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Errorf("flight records differ with telemetry attached: %d records alone, %d with both", len(a), len(b))
 	}
 }
 

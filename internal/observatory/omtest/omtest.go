@@ -1,12 +1,12 @@
-// A small OpenMetrics text-format parser, strict enough to catch the bugs
-// an exporter can actually have: bad metric or label names, broken label
-// escaping, unparsable values, counter samples without the `_total`
-// suffix, histogram families with non-monotone buckets or a missing +Inf
-// bucket, and a missing terminal `# EOF`. It is the acceptance check
-// behind `cmd/omlint` and the quick-check tests that pit the writer's
-// escaping against this parser's unescaping.
-
-package observatory
+// Package omtest is a small OpenMetrics text-format parser for tests,
+// strict enough to catch the bugs an exporter can actually have: bad
+// metric or label names, broken label escaping, unparsable values, counter
+// samples without the `_total` suffix, histogram families with non-monotone
+// buckets or a missing +Inf bucket, and a missing terminal `# EOF`. The
+// observatory's exposition tests and cmd/flextm's live scrape test run
+// every exposition through it, and the quick-check tests pit the writer's
+// escaping against its unescaping.
+package omtest
 
 import (
 	"bufio"

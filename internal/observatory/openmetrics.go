@@ -3,8 +3,8 @@
 // histograms as power-of-two-bucketed histogram families, and the derived
 // per-interval rates as gauges. The output follows the OpenMetrics text
 // format (bare family name in TYPE, `_total` sample suffix on counters,
-// terminal `# EOF`), which Prometheus scrapes natively; omlint.go holds the
-// matching grammar checker used by tests and CI.
+// terminal `# EOF`), which Prometheus scrapes natively; the omtest package
+// holds the matching grammar checker the tests run every exposition through.
 
 package observatory
 

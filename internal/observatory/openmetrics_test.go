@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"flextm/internal/flight"
+	"flextm/internal/observatory/omtest"
 	"flextm/internal/telemetry"
 )
 
@@ -39,7 +40,7 @@ func TestOpenMetricsExpositionValidates(t *testing.T) {
 	if err := WriteOpenMetrics(&buf, fullFrame()); err != nil {
 		t.Fatal(err)
 	}
-	exp, err := ParseExposition(bytes.NewReader(buf.Bytes()))
+	exp, err := omtest.ParseExposition(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, buf.String())
 	}
@@ -83,7 +84,7 @@ func TestOpenMetricsExpositionValidates(t *testing.T) {
 	}
 }
 
-// A governed frame exports the governor sample, through the omlint grammar
+// A governed frame exports the governor sample, through the omtest grammar
 // checker.
 func TestOpenMetricsExportsGovernorSample(t *testing.T) {
 	f := fullFrame()
@@ -92,7 +93,7 @@ func TestOpenMetricsExportsGovernorSample(t *testing.T) {
 	if err := WriteOpenMetrics(&buf, f); err != nil {
 		t.Fatal(err)
 	}
-	exp, err := ParseExposition(bytes.NewReader(buf.Bytes()))
+	exp, err := omtest.ParseExposition(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, buf.String())
 	}
@@ -120,7 +121,7 @@ func TestOpenMetricsExportsGovernorSample(t *testing.T) {
 	if err := WriteOpenMetrics(&buf, fullFrame()); err != nil {
 		t.Fatal(err)
 	}
-	exp, err = ParseExposition(bytes.NewReader(buf.Bytes()))
+	exp, err = omtest.ParseExposition(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestOpenMetricsNilFrameIsValidAndEmpty(t *testing.T) {
 	if got := buf.String(); got != "# EOF\n" {
 		t.Fatalf("nil-frame exposition = %q, want bare # EOF", got)
 	}
-	if err := CheckExposition(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := omtest.CheckExposition(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -153,7 +154,7 @@ func TestOpenMetricsLabelEscapingRoundTrips(t *testing.T) {
 		if err := WriteOpenMetrics(&buf, f); err != nil {
 			return false
 		}
-		exp, err := ParseExposition(bytes.NewReader(buf.Bytes()))
+		exp, err := omtest.ParseExposition(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Logf("exposition rejected for system=%q workload=%q: %v", system, workload, err)
 			return false
@@ -184,7 +185,7 @@ func TestOpenMetricsHistogramBucketsAreCumulative(t *testing.T) {
 	if err := WriteOpenMetrics(&buf, fullFrame()); err != nil {
 		t.Fatal(err)
 	}
-	exp, err := ParseExposition(bytes.NewReader(buf.Bytes()))
+	exp, err := omtest.ParseExposition(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestParserRejectsMalformedExpositions(t *testing.T) {
 		"duplicate HELP":      "# HELP g one\n# TYPE g gauge\n# HELP g two\ng 1\n# EOF\n",
 	}
 	for name, in := range cases {
-		if err := CheckExposition(strings.NewReader(in)); err == nil {
+		if err := omtest.CheckExposition(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted:\n%s", name, in)
 		}
 	}
@@ -237,7 +238,7 @@ func TestParserRejectsMalformedExpositions(t *testing.T) {
 
 func TestParserAcceptsMinimalValidExposition(t *testing.T) {
 	in := "# HELP g a gauge\n# TYPE g gauge\ng{l=\"v\"} 1.5\n# EOF\n"
-	exp, err := ParseExposition(strings.NewReader(in))
+	exp, err := omtest.ParseExposition(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}

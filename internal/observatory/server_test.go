@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"flextm/internal/flight"
+	"flextm/internal/observatory/omtest"
 )
 
 func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
@@ -29,13 +30,13 @@ func TestMetricsEndpointServesValidOpenMetrics(t *testing.T) {
 	if ct := rr.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/openmetrics-text") {
 		t.Fatalf("content type = %q", ct)
 	}
-	if err := CheckExposition(rr.Body); err != nil {
+	if err := omtest.CheckExposition(rr.Body); err != nil {
 		t.Fatalf("pre-frame exposition invalid: %v", err)
 	}
 
 	srv.Publish(fullFrame())
 	rr = get(t, srv.Handler(), "/metrics")
-	exp, err := ParseExposition(rr.Body)
+	exp, err := omtest.ParseExposition(rr.Body)
 	if err != nil {
 		t.Fatalf("live exposition invalid: %v", err)
 	}
@@ -186,7 +187,7 @@ func TestServerStartAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if err := CheckExposition(resp.Body); err != nil {
+	if err := omtest.CheckExposition(resp.Body); err != nil {
 		t.Fatalf("scrape over TCP invalid: %v", err)
 	}
 }

@@ -11,13 +11,14 @@
 // a serialized record stream) and touches nothing on the record hot path.
 //
 // A subset of the telemetry counters is derivable 1:1 from the flight
-// stream — each increment site also writes exactly one flight record of a
-// known kind on the same core (verified per site; see MirroredCounters).
-// For those, replaying to the final cycle must reproduce the live
-// registry's end-of-run values exactly; VerifyTelemetry pins that identity
-// and the harness acceptance test enforces it per seed. Counters outside
-// the set (e.g. cm-abort-enemy, whose flight records also cover commit-loop
-// kills that the CM counter does not) are deliberately not mirrored.
+// stream: the flight package's kind registry declares which counters each
+// record kind stands for (flight.Kind.Mirrors), flight.Emit adds to them
+// as it records, and the fold applies the same declarations. Replaying to
+// the final cycle must therefore reproduce the live registry's end-of-run
+// values exactly; VerifyTelemetry pins that identity and the harness
+// acceptance test enforces it per seed. Counters no kind declares (e.g.
+// cm-abort-enemy, whose flight records also cover commit-loop kills that
+// the CM counter does not) are not mirrored.
 package replay
 
 import (
@@ -120,26 +121,6 @@ type State struct {
 	counters [][telemetry.NumCounters]uint64
 }
 
-// MirroredCounters lists the telemetry counters whose end-of-run values are
-// derivable 1:1 from the flight stream: every increment site in the
-// simulator also records exactly one flight record of a fixed kind, so a
-// full-stream replay must land on the live registry's numbers exactly.
-var MirroredCounters = []telemetry.Counter{
-	telemetry.CtrTxnCommits,      // TxnCommit
-	telemetry.CtrTxnAborts,       // TxnAbort
-	telemetry.CtrEscalation,      // Escalate
-	telemetry.CtrWatchdogTrip,    // WatchdogTrip
-	telemetry.CtrCMAbortSelf,     // AbortSelf
-	telemetry.CtrCMWait,          // CMStall (count)
-	telemetry.CtrCMWaitCycles,    // CMStall (sum of Dur)
-	telemetry.CtrCMBackoffCycles, // Backoff (sum of Dur)
-	telemetry.CtrCSTSet,          // CSTSet (+1 requestor, +1 responder)
-	telemetry.CtrAlert,           // AOUAlert
-	telemetry.CtrOTSpill,         // OTSpill
-	telemetry.CtrCommitCSTFail,   // CommitRefused
-	telemetry.CtrGovStep,         // GovStep
-}
-
 // Counter returns a mirrored counter's replayed value for one core. Zero
 // for cores or counters the fold never touched.
 func (s *State) Counter(core int, c telemetry.Counter) uint64 {
@@ -208,8 +189,12 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 		if r.Seq > st.Seq {
 			st.Seq = r.Seq
 		}
+		for _, m := range r.Kind.Mirrors() {
+			if mc, n := m.Charge(c, int(r.Peer), r.Dur); mc >= 0 && mc < cores {
+				st.counters[mc][m.Counter] += n
+			}
+		}
 		cs := &st.Cores[c]
-		ctr := &st.counters[c]
 		switch r.Kind {
 		case flight.TxnBegin:
 			cs.Attempt++
@@ -218,13 +203,11 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 			}
 			f.closeAttempt(c)
 		case flight.TxnCommit:
-			ctr[telemetry.CtrTxnCommits]++
 			cs.Commits++
 			cs.ConsecAborts = 0
 			cs.Status = Idle
 			f.closeAttempt(c)
 		case flight.TxnAbort:
-			ctr[telemetry.CtrTxnAborts]++
 			cs.Aborts++
 			cs.ConsecAborts++
 			if cs.Status != Serialized {
@@ -232,28 +215,14 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 			}
 			f.closeAttempt(c)
 		case flight.Escalate:
-			ctr[telemetry.CtrEscalation]++
 			cs.Escalations++
 			cs.Status = Serialized
 		case flight.WatchdogTrip:
-			ctr[telemetry.CtrWatchdogTrip]++
 			cs.Trips++
-		case flight.AbortSelf:
-			ctr[telemetry.CtrCMAbortSelf]++
 		case flight.CMStall:
-			ctr[telemetry.CtrCMWait]++
-			ctr[telemetry.CtrCMWaitCycles] += uint64(r.Dur)
 			f.touch(c, uint64(r.Line))
-		case flight.Backoff:
-			ctr[telemetry.CtrCMBackoffCycles] += uint64(r.Dur)
 		case flight.CSTSet:
-			// The protocol increments the counter on both the requestor and
-			// the responder; the single record carries both in Core/Peer.
-			ctr[telemetry.CtrCSTSet]++
 			p := int(r.Peer)
-			if p >= 0 && p < cores {
-				st.counters[p][telemetry.CtrCSTSet]++
-			}
 			if addr := uint64(r.Line); addr != 0 {
 				la := f.line(addr)
 				la.conflicts++
@@ -285,15 +254,9 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 					f.touch(p, addr)
 				}
 			}
-		case flight.AOUAlert:
-			ctr[telemetry.CtrAlert]++
 		case flight.OTSpill:
-			ctr[telemetry.CtrOTSpill]++
 			f.touch(c, uint64(r.Line))
-		case flight.CommitRefused:
-			ctr[telemetry.CtrCommitCSTFail]++
 		case flight.GovStep:
-			ctr[telemetry.CtrGovStep]++
 			st.GovLevel = int(r.Aux)
 		}
 	}
@@ -432,32 +395,27 @@ func Final(recs []flight.Rec, cores int) *State {
 	return At(recs, cores, end)
 }
 
-// VerifyTelemetry checks the replay-identity invariant: every mirrored
-// counter's replayed value equals the live registry's, per core, in the
-// given end-of-run snapshot. A non-nil error names the first divergence.
-// The identity holds only when the flight rings never wrapped (lost records
-// are gone; the registry still counted them) — callers size the rings for
-// the run, or check flight.Recorder.Overwritten() first.
+// VerifyTelemetry checks the replay-identity invariant: every counter a
+// flight kind mirrors (flight.Kind.Mirrors) replays to the live registry's
+// value, per core, in the given end-of-run snapshot. A non-nil error names
+// the first divergence. The identity holds only when the flight rings never
+// wrapped (lost records are gone; the registry still counted them) —
+// callers size the rings for the run, or check flight.Recorder.Overwritten()
+// first.
 func (s *State) VerifyTelemetry(snap telemetry.Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("replay: nil state")
 	}
-	for c := range snap.Cores {
-		for _, ctr := range MirroredCounters {
-			want := snap.Cores[c].Counters[ctr]
-			got := s.Counter(c, ctr)
-			if got != want {
-				return fmt.Errorf("replay: core %d counter %q: replayed %d, live telemetry %d",
-					c, ctr.String(), got, want)
-			}
-		}
-	}
-	if extra := len(s.counters) - len(snap.Cores); extra > 0 {
-		for c := len(snap.Cores); c < len(s.counters); c++ {
-			for _, ctr := range MirroredCounters {
-				if v := s.counters[c][ctr]; v != 0 {
-					return fmt.Errorf("replay: core %d outside live snapshot has counter %q = %d",
-						c, ctr.String(), v)
+	for c := range max(len(snap.Cores), len(s.counters)) {
+		for k := range flight.NumKinds {
+			for _, m := range k.Mirrors() {
+				var want uint64
+				if c < len(snap.Cores) {
+					want = snap.Cores[c].Counters[m.Counter]
+				}
+				if got := s.Counter(c, m.Counter); got != want {
+					return fmt.Errorf("replay: core %d counter %q: replayed %d, live telemetry %d",
+						c, m.Counter.String(), got, want)
 				}
 			}
 		}

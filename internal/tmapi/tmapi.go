@@ -61,10 +61,12 @@ type Stats struct {
 	// and were finished in serialized-irrevocable fallback mode. Only
 	// runtimes with an escalation path (FlexTM) populate it.
 	Escalations uint64
-	// ConflictDegrees has one entry per committed transaction: the number
-	// of distinct processors it had to resolve conflicts with (the metric
-	// of Figure 4's table). Only FlexTM populates it.
-	ConflictDegrees []int
+	// ConflictDegrees counts committed transactions by conflict degree:
+	// ConflictDegrees[d] is how many had to resolve conflicts with d
+	// distinct processors (the metric of Figure 4's table). A degree names
+	// the other processors of a machine of at most 64, so it is below 64.
+	// Only FlexTM populates it.
+	ConflictDegrees [64]uint64
 }
 
 // AbortRate returns aborts per commit.
@@ -76,32 +78,22 @@ func (s Stats) AbortRate() float64 {
 }
 
 // MedianMaxConflicts returns the median and maximum conflict degree over
-// committed transactions (the Md/Mx columns of Figure 4's table).
+// committed transactions (the Md/Mx columns of Figure 4's table); the
+// median of an even count is the lower one.
 func (s Stats) MedianMaxConflicts() (md, mx int) {
-	if len(s.ConflictDegrees) == 0 {
-		return 0, 0
-	}
-	// Counting sort: degrees are tiny (0..63).
-	var buckets [65]int
-	for _, d := range s.ConflictDegrees {
-		if d > mx {
-			mx = d
-		}
-		if d > 64 {
-			d = 64
-		}
-		buckets[d]++
-	}
-	half := (len(s.ConflictDegrees) + 1) / 2
-	cum := 0
-	for d, n := range buckets {
-		cum += n
-		if cum >= half {
-			md = d
-			break
+	var n uint64
+	for d, c := range s.ConflictDegrees {
+		if c > 0 {
+			n, mx = n+c, d
 		}
 	}
-	return md, mx
+	var cum uint64
+	for d, c := range s.ConflictDegrees {
+		if cum += c; 2*cum >= n {
+			return d, mx
+		}
+	}
+	return 0, mx
 }
 
 // AbortError is the sentinel carried by the panic that unwinds a

@@ -23,21 +23,17 @@ func TestMedianMaxConflicts(t *testing.T) {
 		{[]int{0, 0, 5}, 0, 5},
 		{[]int{4}, 4, 4},
 		{[]int{1, 1, 2, 2}, 1, 2}, // lower median for even counts
+		{[]int{0, 63, 63}, 63, 63},
 	}
 	for _, c := range cases {
-		s := Stats{ConflictDegrees: c.degrees}
+		var s Stats
+		for _, d := range c.degrees {
+			s.ConflictDegrees[d]++
+		}
 		md, mx := s.MedianMaxConflicts()
 		if md != c.md || mx != c.mx {
 			t.Errorf("degrees %v: got (%d,%d), want (%d,%d)", c.degrees, md, mx, c.md, c.mx)
 		}
-	}
-}
-
-func TestMedianMaxConflictsClampsHugeDegrees(t *testing.T) {
-	s := Stats{ConflictDegrees: []int{1000}}
-	md, mx := s.MedianMaxConflicts()
-	if mx != 1000 || md != 64 {
-		t.Fatalf("got (%d,%d)", md, mx)
 	}
 }
 

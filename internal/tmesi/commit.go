@@ -61,8 +61,7 @@ func (s *System) casCommit(ctx *sim.Ctx, core int, tsw memory.Addr, old, new uin
 	if checkCST && !c.table.Enemies().Empty() {
 		// Unresolved W-R/W-W conflicts: hardware refuses the commit.
 		s.stats.CASCommitCSTFails++
-		s.tel.Inc(core, telemetry.CtrCommitCSTFail)
-		s.fl.Rec(core, s.now, flight.CommitRefused, -1, 0, tsw.Line())
+		flight.Emit(s.tel, s.fl, core, s.now, flight.CommitRefused, -1, 0, tsw.Line(), 0)
 		ctx.Advance(lat)
 		return CommitCSTFail
 	}
@@ -74,9 +73,8 @@ func (s *System) casCommit(ctx *sim.Ctx, core int, tsw memory.Addr, old, new uin
 		// budget bounds how long an (injected) streak can spin before the
 		// attempt is converted into an abort and fed to the watchdog.
 		s.stats.CASCommitCSTFails++
-		s.tel.Inc(core, telemetry.CtrCommitCSTFail)
 		s.tel.Inc(core, telemetry.CtrFaultInjected)
-		s.fl.Rec(core, s.now, flight.CommitRefused, -1, 1, tsw.Line())
+		flight.Emit(s.tel, s.fl, core, s.now, flight.CommitRefused, -1, 1, tsw.Line(), 0)
 		ctx.Advance(lat)
 		return CommitCSTFail
 	}
@@ -163,8 +161,7 @@ func (s *System) ALoad(ctx *sim.Ctx, core int, a memory.Addr) OpResult {
 		// the alert immediately so software re-examines the word.
 		c.alerts.Enqueue(a.Line())
 		s.stats.Alerts++
-		s.tel.Inc(core, telemetry.CtrAlert)
-		s.fl.Rec(core, s.now, flight.AOUAlert, -1, 0, a.Line())
+		flight.Emit(s.tel, s.fl, core, s.now, flight.AOUAlert, -1, 0, a.Line(), 0)
 	}
 	return res
 }
@@ -319,8 +316,7 @@ func overflowNew(cfg Config) *overflow.Table {
 func (s *System) RaiseAlert(core int, a memory.Addr) {
 	s.cores[core].alerts.Enqueue(a.Line())
 	s.stats.Alerts++
-	s.tel.Inc(core, telemetry.CtrAlert)
-	s.fl.Rec(core, s.now, flight.AOUAlert, -1, 0, a.Line())
+	flight.Emit(s.tel, s.fl, core, s.now, flight.AOUAlert, -1, 0, a.Line(), 0)
 }
 
 // RemapLine implements the OS side of a page remap for one line

@@ -544,13 +544,11 @@ func (s *System) respond(pr *probeResult, kind reqKind, core, r int, line memory
 	pr.conflicts = append(pr.conflicts, Conflict{Responder: r, Msg: msg, Line: line, FP: fp})
 	s.cores[r].table.Set(respCST, core)
 	s.cores[core].table.Set(reqCST, r)
-	s.tel.Inc(r, telemetry.CtrCSTSet)
-	s.tel.Inc(core, telemetry.CtrCSTSet)
 	aux := uint8(reqCST)
 	if fp {
 		aux |= flight.AuxFP
 	}
-	s.fl.Rec(core, s.now, flight.CSTSet, r, aux, line)
+	flight.Emit(s.tel, s.fl, core, s.now, flight.CSTSet, r, aux, line, 0)
 }
 
 // invalidateLine drops a remote copy, firing an AOU alert if the line
@@ -567,8 +565,7 @@ func (s *System) invalidateLine(rc *coreState, owner int, rln *cache.Line) {
 		} else {
 			rc.alerts.Enqueue(rln.Tag)
 			s.stats.Alerts++
-			s.tel.Inc(owner, telemetry.CtrAlert)
-			s.fl.Rec(owner, s.now, flight.AOUAlert, -1, 0, rln.Tag)
+			flight.Emit(s.tel, s.fl, owner, s.now, flight.AOUAlert, -1, 0, rln.Tag, 0)
 		}
 	}
 	rln.State = cache.Invalid
@@ -622,8 +619,7 @@ func (s *System) insertLine(c *coreState, core int, ln cache.Line) sim.Time {
 				// Conservative: losing an alert-marked line raises the alert.
 				c.alerts.Enqueue(sp.Tag)
 				s.stats.Alerts++
-				s.tel.Inc(core, telemetry.CtrAlert)
-				s.fl.Rec(core, s.now, flight.AOUAlert, -1, 0, sp.Tag)
+				flight.Emit(s.tel, s.fl, core, s.now, flight.AOUAlert, -1, 0, sp.Tag, 0)
 			}
 		}
 		switch sp.State {
@@ -645,8 +641,7 @@ func (s *System) insertLine(c *coreState, core int, ln cache.Line) sim.Time {
 			}
 			lat += s.cfg.OTAccess
 			s.stats.Overflows++
-			s.tel.Inc(core, telemetry.CtrOTSpill)
-			s.fl.Rec(core, s.now, flight.OTSpill, -1, 0, sp.Tag)
+			flight.Emit(s.tel, s.fl, core, s.now, flight.OTSpill, -1, 0, sp.Tag, 0)
 		}
 	}
 	return lat
